@@ -176,7 +176,7 @@ fn similarity_query(
 mod tests {
     use super::*;
     use pcs_graph::Graph;
-    use pcs_index::CpTree;
+    use pcs_index::ShardedCpIndex;
     use pcs_ptree::{PTree, Taxonomy};
 
     fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn common_subtree_matches_pcs() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let via_variant = variant_query(&ctx, 3, 2, CohesivenessMetric::CommonSubtree);
         let direct = ctx.query(3, 2, Algorithm::AdvP).unwrap().communities;

@@ -9,12 +9,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pcs_core::{Algorithm, QueryContext};
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{sample_query_vertices, SuiteDataset};
-use pcs_index::CpTree;
+use pcs_index::ShardedCpIndex;
 
 fn bench_query_efficiency(c: &mut Criterion) {
     let cfg = SuiteConfig { scale: 0.01, ..SuiteConfig::default() };
     let ds = build(SuiteDataset::Acmdl, cfg);
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let ctx = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, _) = sample_query_vertices(&ds, 6, 10, 0x14);
 

@@ -38,7 +38,7 @@ use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{sample_query_vertices, SuiteDataset};
 use pcs_engine::{IndexMode, PcsEngine, QueryRequest, UpdateBatch};
 use pcs_graph::VertexId;
-use pcs_index::CpTree;
+use pcs_index::ShardedCpIndex;
 
 struct Config {
     quick: bool,
@@ -50,7 +50,6 @@ struct Config {
     k: u32,
     queries: usize,
     reps: usize,
-    basic_queries: usize,
 }
 
 impl Config {
@@ -65,7 +64,6 @@ impl Config {
             k: 6,
             queries: 15,
             reps: 5,
-            basic_queries: 5,
         };
         let mut out_dir_given = false;
         let mut reps_given = false;
@@ -106,7 +104,6 @@ impl Config {
             if !reps_given {
                 cfg.reps = 2;
             }
-            cfg.basic_queries = 2;
             // Keep the committed JSONs safe by default, but honour an
             // explicit --out-dir (the .quick suffix still applies).
             if !out_dir_given {
@@ -416,26 +413,27 @@ fn main() {
     };
 
     // ---- query_efficiency: mean us per query, distribution over reps.
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    // All five algorithms answer the *same* query vertices the same
+    // number of times, so the per-algorithm numbers are comparable.
+    let (graph, profiles) =
+        (std::sync::Arc::new(ds.graph.clone()), std::sync::Arc::new(ds.profiles.clone()));
+    let build_index = || {
+        let idx = ShardedCpIndex::build(graph.clone(), &ds.tax, profiles.clone()).unwrap();
+        idx.materialize_all(1);
+        idx
+    };
+    let index = build_index();
     let ctx =
         pcs_core::QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let mut query_results: Vec<(String, Metric)> = Vec::new();
     for algo in Algorithm::ALL {
-        // `basic` is orders of magnitude slower (that is the paper's
-        // point); sample fewer queries so the snapshot stays fast.
-        let qs: &[VertexId] = if algo == Algorithm::Basic {
-            &queries[..cfg.basic_queries.min(queries.len())]
-        } else {
-            &queries
-        };
-        let reps = if algo == Algorithm::Basic { 1 } else { cfg.reps };
-        let per_query: Vec<f64> = sample_us(reps, || {
-            for &q in qs {
+        let per_query: Vec<f64> = sample_us(cfg.reps, || {
+            for &q in &queries {
                 std::hint::black_box(ctx.query(q, cfg.k, algo).unwrap().communities.len());
             }
         })
         .into_iter()
-        .map(|total| total / qs.len() as f64)
+        .map(|total| total / queries.len() as f64)
         .collect();
         let metric = Metric::from_samples(&per_query);
         report(&format!("query_efficiency/{} (us/query)", algo.name()), &metric);
@@ -443,11 +441,10 @@ fn main() {
     }
     drop(ctx);
 
-    // ---- index_construction: one full sequential CP-tree build.
+    // ---- index_construction: one full sequential CP-tree build
+    // (facade pass plus every shard, inputs shared rather than copied).
     let mut index_results: Vec<(String, Metric)> = Vec::new();
-    let m = Metric::from_samples(&sample_us(cfg.reps, || {
-        CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap()
-    }));
+    let m = Metric::from_samples(&sample_us(cfg.reps, build_index));
     report("index_construction/cptree_seq_us", &m);
     index_results.push(("cptree_seq_us".into(), m));
 
@@ -616,7 +613,7 @@ fn main() {
     }));
     report("persistence/persist_load_us", &m);
     index_results.push(("persist_load_us".into(), m));
-    // Partial load: the lazy replica maps the shard directory and
+    // Lazy load: the lazy replica maps the shard directory and
     // defers payload decode — the disk-backed time-to-first-query.
     let m = Metric::from_samples(&sample_us(cfg.reps, || {
         let engine = PcsEngine::builder().index_mode(IndexMode::Lazy).load(&snap_path).unwrap();

@@ -399,7 +399,7 @@ mod tests {
     use super::*;
     use crate::problem::{Algorithm, QueryContext};
     use pcs_graph::Graph;
-    use pcs_index::CpTree;
+    use pcs_index::ShardedCpIndex;
     use pcs_ptree::{PTree, Taxonomy};
 
     fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn all_advanced_variants_match_basic() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let plain = QueryContext::new(&g, &t, &profiles).unwrap();
         let indexed = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         for q in 0..8u32 {
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn cuts_are_well_formed() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         for q in 0..8u32 {
             for k in 1..=3u32 {
@@ -507,7 +507,7 @@ mod tests {
         let a = t.add_child(0, "a").unwrap();
         let b = t.add_child(a, "b").unwrap();
         let profiles: Vec<PTree> = (0..4).map(|_| PTree::from_labels(&t, [b]).unwrap()).collect();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let space = ctx.space_for(0).unwrap();
         for strategy in FindStrategy::ALL {
@@ -527,7 +527,7 @@ mod tests {
         // A larger instance where the maximal subtrees sit mid-lattice:
         // advanced should verify fewer candidates than basic generates.
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let plain = QueryContext::new(&g, &t, &profiles).unwrap();
         let indexed = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let b = plain.query(3, 2, Algorithm::Basic).unwrap();
@@ -541,7 +541,7 @@ mod tests {
     #[test]
     fn scratch_path_matches_owned_path() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let mut scratch = QueryScratch::new(g.num_vertices());
         for strategy in FindStrategy::ALL {

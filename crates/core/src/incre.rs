@@ -70,7 +70,7 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
 mod tests {
     use crate::problem::{Algorithm, QueryContext};
     use pcs_graph::Graph;
-    use pcs_index::CpTree;
+    use pcs_index::ShardedCpIndex;
     use pcs_ptree::{PTree, Taxonomy};
 
     fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn incre_equals_basic_on_paper_example() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let plain = QueryContext::new(&g, &t, &profiles).unwrap();
         let indexed = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         for q in 0..8u32 {
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn incre_paper_example_communities() {
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let out = ctx.query(3, 2, Algorithm::Incre).unwrap();
         let sets: Vec<Vec<u32>> = out.communities.iter().map(|c| c.vertices.clone()).collect();
@@ -141,9 +141,9 @@ mod tests {
     #[test]
     fn incre_restores_tq_from_headmap() {
         // Even though the context also has the raw profiles, incre's
-        // space comes from the index headMap — they must agree.
+        // space comes from the index's restored T(q) — they must agree.
         let (g, t, profiles) = figure1();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         for q in 0..8u32 {
             let space = ctx.space_for(q).unwrap();

@@ -50,12 +50,10 @@ pub mod basic;
 pub mod incre;
 pub mod problem;
 pub mod stats;
-pub mod truss;
 pub mod verify;
 
 pub use advanced::FindStrategy;
 pub use problem::{Algorithm, PcsError, PcsOutcome, ProfiledCommunity, QueryContext, QueryStats};
-pub use truss::truss_query;
 pub use verify::{QueryScratch, Verifier};
 
 /// Crate-wide result alias.

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 
 use pcs_graph::core::CoreDecomposition;
 use pcs_graph::{Graph, VertexId};
-use pcs_index::IndexRef;
+use pcs_index::ShardedCpIndex;
 use pcs_ptree::{PTree, ProfilesRef, QuerySpace, Taxonomy};
 
 use crate::advanced::FindStrategy;
@@ -188,10 +188,8 @@ pub struct QueryContext<'a> {
     /// in on first touch (see [`pcs_ptree::ProfilesRef`]).
     pub profiles: ProfilesRef<'a>,
     /// Optional CP-tree index (required by every algorithm but
-    /// `basic`) — either shape: the monolithic [`pcs_index::CpTree`]
-    /// or the serving engine's [`pcs_index::ShardedCpIndex`], behind
-    /// one `Copy` [`IndexRef`] handle.
-    pub index: Option<IndexRef<'a>>,
+    /// `basic`).
+    pub index: Option<&'a ShardedCpIndex>,
     /// Core numbers of the whole graph (used by `basic`'s `Gk`).
     /// Owned when computed by [`QueryContext::new`]; borrowed when an
     /// engine shares one precomputed decomposition across queries.
@@ -233,7 +231,7 @@ impl<'a> QueryContext<'a> {
         graph: &'a Graph,
         tax: &'a Taxonomy,
         profiles: impl Into<ProfilesRef<'a>>,
-        index: Option<IndexRef<'a>>,
+        index: Option<&'a ShardedCpIndex>,
         cores: &'a CoreDecomposition,
     ) -> Result<Self> {
         let profiles = profiles.into();
@@ -251,10 +249,9 @@ impl<'a> QueryContext<'a> {
         Ok(())
     }
 
-    /// Attaches a prebuilt index — either the monolithic `&CpTree` or
-    /// a `&ShardedCpIndex` (both convert into [`IndexRef`]).
-    pub fn with_index(mut self, index: impl Into<IndexRef<'a>>) -> Self {
-        self.index = Some(index.into());
+    /// Attaches a prebuilt index.
+    pub fn with_index(mut self, index: &'a ShardedCpIndex) -> Self {
+        self.index = Some(index);
         self
     }
 
@@ -267,15 +264,15 @@ impl<'a> QueryContext<'a> {
                 n: self.graph.num_vertices(),
             });
         }
-        // `incre`/advanced restore T(q) through the index headMap (the
-        // paper's line "restore T(q) using I.headMap"); without an index
+        // `incre`/advanced restore T(q) through the index (the paper's
+        // line "restore T(q) using I.headMap"); without an index
         // the profile array is borrowed directly (no copy — the
         // index-less path of every query on an `IndexMode::Disabled`
         // engine). Both yield the same tree.
         let restored;
         let tq = match self.index {
             Some(idx) => {
-                restored = idx.restore_ptree(self.tax, q);
+                restored = idx.restore_ptree(q);
                 &restored
             }
             // A lazy source that fails to fault `q`'s range in yields

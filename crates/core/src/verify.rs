@@ -10,7 +10,7 @@
 //!   dense [`SubtreeId`]s, so the memo table is a flat `Vec` indexed by
 //!   id — no `Subtree` cloning or hashing per probe (each distinct
 //!   subtree is hashed exactly once, at interning time);
-//! * index probes use [`pcs_index::CpTree::get_ref`], a **borrowed
+//! * index probes use [`pcs_index::ShardedCpIndex::get_ref`], a **borrowed
 //!   arena slice** (O(CL-tree depth), zero-copy) instead of the owned
 //!   collect-and-sort `get`;
 //! * all intermediate buffers live in a reusable [`QueryScratch`]
@@ -732,7 +732,7 @@ mod tests {
     use super::*;
     use crate::problem::QueryContext;
     use pcs_graph::Graph;
-    use pcs_index::CpTree;
+    use pcs_index::ShardedCpIndex;
     use pcs_ptree::{PTree, Taxonomy};
 
     fn setup() -> (Graph, Taxonomy, Vec<PTree>) {
@@ -785,7 +785,7 @@ mod tests {
     #[test]
     fn verifier_matches_bruteforce_with_and_without_index() {
         let (g, t, profiles) = setup();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         for use_index in [false, true] {
             let ctx = QueryContext::new(&g, &t, &profiles).unwrap();
             let ctx = if use_index { ctx.with_index(&index) } else { ctx };
@@ -813,7 +813,7 @@ mod tests {
     #[test]
     fn scratch_reuse_is_transparent() {
         let (g, t, profiles) = setup();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let mut scratch = QueryScratch::new(g.num_vertices());
         for q in 0..8u32 {
@@ -852,7 +852,7 @@ mod tests {
     #[test]
     fn verify_from_base_agrees_with_direct() {
         let (g, t, profiles) = setup();
-        let index = CpTree::build(&g, &t, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let q = 3u32;
         let k = 2;

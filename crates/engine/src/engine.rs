@@ -4,7 +4,7 @@ use pcs_core::{Algorithm, QueryContext, QueryScratch};
 use pcs_graph::core::CoreDecomposition;
 use pcs_graph::FxHashSet;
 use pcs_graph::{DynamicGraph, FxHashMap, Graph, GraphHandle, IncrementalCores, VertexId};
-use pcs_index::{GraphDelta, IndexError, IndexRef, ShardedCpIndex};
+use pcs_index::{GraphDelta, IndexError, ShardedCpIndex};
 use pcs_ptree::{PTree, ProfilesHandle, Taxonomy};
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -20,8 +20,8 @@ use crate::update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateRe
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexMode {
     /// Lazy **per shard** (default): the first query that needs the
-    /// index creates only the cheap facade (per-label member lists +
-    /// `headMap`), and each label's CL-tree shard materializes on its
+    /// index creates only the cheap facade (per-label member lists over
+    /// the shared profiles), and each label's CL-tree shard materializes on its
     /// first probe — concurrent readers materialize distinct shards
     /// independently behind per-label `OnceLock` slots. Time to first
     /// query tracks the queried labels' shards, not the taxonomy.
@@ -107,7 +107,7 @@ impl EngineBuilder {
     }
 
     /// Number of worker threads for CP-tree construction
-    /// (default 1, matching `CpTree::build`).
+    /// (default 1).
     pub fn index_build_threads(mut self, threads: usize) -> Self {
         self.index_build_threads = threads.max(1);
         self
@@ -506,7 +506,7 @@ impl PcsEngine {
     }
 
     /// The sharded-index facade of `snap`, created on first need: one
-    /// pass over the profiles (member lists + `headMap`), no CL-trees.
+    /// pass over the profiles (member lists), no CL-trees.
     /// Shards materialize later, on their first probe.
     fn ensure_index<'a>(&self, snap: &'a SnapshotInner) -> Result<&'a ShardedCpIndex> {
         // A lazily loaded snapshot arrives with the cell pre-seeded
@@ -703,12 +703,12 @@ impl PcsEngine {
             }
             // Only the facade is ensured here; the query materializes
             // exactly the shards its subtree lattice probes.
-            Some(IndexRef::from(self.ensure_index(snap)?))
+            Some(self.ensure_index(snap)?)
         } else {
             // `basic` ignores the index, but an already-built one still
-            // serves P-tree restoration (headMap — no shard needed);
-            // never *trigger* a facade build for it.
-            snap.index_if_built().map(IndexRef::from)
+            // serves P-tree restoration (no shard needed); never
+            // *trigger* a facade build for it.
+            snap.index_if_built()
         };
         // Materialize the graph first (lazy loads decode the GRAPH
         // section here, on the first query), so `cores()` below never
@@ -770,8 +770,8 @@ impl PcsEngine {
     /// Runs `f` against the borrowed paper-layer [`QueryContext`]
     /// (sharing the current snapshot's cached core decomposition and
     /// whatever index is already built). The bridge for algorithms that
-    /// are not lifted into the request API yet — `truss_query`, the
-    /// §5.3 metric variants — without giving up engine ownership.
+    /// are not lifted into the request API yet — the §5.3 metric
+    /// variants — without giving up engine ownership.
     pub fn with_context<R>(&self, f: impl FnOnce(&QueryContext<'_>) -> R) -> Result<R> {
         let snap = self.snapshot_arc();
         let graph = snap.materialized_graph()?;
@@ -779,7 +779,7 @@ impl PcsEngine {
             graph,
             &self.tax,
             &snap.profiles,
-            snap.index_if_built().map(IndexRef::from),
+            snap.index_if_built(),
             snap.cores(),
         )?;
         let out = f(&ctx);

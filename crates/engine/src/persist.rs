@@ -16,7 +16,7 @@
 //! construction. That is what makes a warm start one to two orders of
 //! magnitude cheaper than `EngineBuilder::build` with an eager index.
 
-use pcs_store::{decode_snapshot_bytes_mode, DecodedShards, IndexDecode, StoreError};
+use pcs_store::{decode_snapshot_bytes, StoreError};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -100,20 +100,20 @@ impl EngineBuilder {
     /// (`engine.snapshot().epoch` picks up where the source left off),
     /// answers queries bit-identically to the source engine, and
     /// accepts [`apply`](PcsEngine::apply) exactly as a built engine
-    /// does. How the persisted index is adopted follows the index
-    /// mode:
+    /// does. How the file is read follows the index mode:
     ///
-    /// * [`IndexMode::Lazy`] — **partial load**: the facade (member
-    ///   table + `headMap`) and the shard directory are mapped
-    ///   eagerly, but each persisted shard payload is decoded only on
-    ///   its first probe; shards absent from the file rebuild from the
+    /// * [`IndexMode::Eager`] — the whole file is read, checksummed,
+    ///   and decoded up front (every persisted shard validated), and
+    ///   any missing shard is built here, preserving the eager
+    ///   guarantee.
+    /// * [`IndexMode::Lazy`] — **deferred load**: META, the taxonomy,
+    ///   and the profile/index directories decode now; the graph,
+    ///   profile chunks, member runs, and shard payloads fault in on
+    ///   first touch, and shards absent from the file rebuild from the
     ///   graph on demand. Time-to-first-query stays proportional to
     ///   the queried labels, even straight off disk.
-    /// * [`IndexMode::Eager`] — every persisted shard is decoded and
-    ///   validated up front, and any missing shard is built here,
-    ///   preserving the eager guarantee.
-    /// * [`IndexMode::Disabled`] — the `INDEX` section is skipped
-    ///   entirely (not even decoded).
+    /// * [`IndexMode::Disabled`] — the same deferred load, with the
+    ///   `INDEX` section skipped entirely (not even read).
     ///
     /// Corrupt, truncated, or version-skewed files fail with a typed
     /// [`pcs_store::StoreError`] (wrapped in
@@ -126,26 +126,14 @@ impl EngineBuilder {
         if self.graph.is_some() || self.tax.is_some() || !self.profiles.is_empty() {
             return Err(BuildError::DataWithSnapshot.into());
         }
-        // Open the file and validate the container prefix (magic,
-        // version, section table) with positioned reads — no whole-file
-        // read yet. Version-3 files loaded in Lazy or Disabled mode
-        // take the deferred path: META and the directories decode now,
-        // the graph, profile chunks, member runs, and shard payloads
-        // fault in on first touch. Eager mode and pre-v3 files (which
-        // lack the per-range checksums laziness relies on) fall back to
-        // the buffered whole-file decode.
-        let src = Arc::new(pcs_store::FileSnapshot::open(path.as_ref())?);
-        if src.version() >= 3 && self.index_mode != IndexMode::Eager {
-            return self.load_lazy(src);
+        if self.index_mode != IndexMode::Eager {
+            // Validate the container prefix (magic, version, section
+            // table) with positioned reads — no whole-file read.
+            return self.load_lazy(Arc::new(pcs_store::FileSnapshot::open(path.as_ref())?));
         }
         let bytes = std::fs::read(path)
             .map_err(|e| StoreError::Io { op: "read", detail: e.to_string() })?;
-        let mode = match self.index_mode {
-            IndexMode::Disabled => IndexDecode::Skip,
-            IndexMode::Lazy => IndexDecode::Partial,
-            IndexMode::Eager => IndexDecode::Eager,
-        };
-        let contents = decode_snapshot_bytes_mode(&bytes, mode)?;
+        let contents = decode_snapshot_bytes(&bytes)?;
         drop(bytes);
         // The store layer has already validated structure and
         // cross-section agreement (the same invariants `build` checks,
@@ -159,18 +147,11 @@ impl EngineBuilder {
         }
         let index_cell = OnceLock::new();
         if let Some(decoded) = contents.index {
-            let (resident, source) = match decoded.shards {
-                DecodedShards::Resident(shards) => (shards, None),
-                DecodedShards::Lazy(store) => {
-                    (Vec::new(), Some(store as Arc<dyn pcs_index::ShardSource>))
-                }
-            };
             let mut idx = ShardedCpIndex::from_loaded(
                 Arc::clone(&graph),
                 Arc::clone(&profiles),
                 decoded.members_of,
-                resident,
-                source,
+                decoded.shards,
             )
             .map_err(Error::Index)?;
             idx.set_global_cores(Arc::clone(&cores_cell));

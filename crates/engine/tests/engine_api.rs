@@ -4,7 +4,7 @@
 use pcs_core::{Algorithm, PcsError, QueryContext};
 use pcs_engine::{BuildError, EngineBuilder, Error, IndexMode, PcsEngine, QueryRequest};
 use pcs_graph::Graph;
-use pcs_index::CpTree;
+use pcs_index::ShardedCpIndex;
 use pcs_ptree::{PTree, Taxonomy};
 
 /// Compile-time proof that the engine crosses threads: the whole point
@@ -106,7 +106,7 @@ fn auto_resolution_matches_query_context_semantics() {
     let (g, tax, profiles) = fixture();
     let ctx = QueryContext::new(&g, &tax, &profiles).unwrap();
     let no_index = ctx.query(0, 2, Algorithm::Auto).unwrap();
-    let index = CpTree::build(&g, &tax, &profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
     let ctx = ctx.with_index(&index);
     let with_index = ctx.query(0, 2, Algorithm::Auto).unwrap();
     assert_eq!(no_index.communities, with_index.communities);

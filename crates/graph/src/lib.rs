@@ -48,7 +48,6 @@ pub mod graph;
 pub mod hash;
 pub mod io;
 pub mod lazy;
-pub mod truss;
 pub mod unionfind;
 
 pub use bitset::{BitSet, EpochSet};
@@ -58,7 +57,6 @@ pub use dynamic::{demoted_by_deletion, promoted_by_insertion, DynamicGraph, Incr
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use hash::{FxHashMap, FxHashSet};
 pub use lazy::{GraphHandle, GraphSource};
-pub use truss::{SubsetTruss, TrussDecomposition};
 pub use unionfind::UnionFind;
 
 /// Errors produced by the graph substrate.

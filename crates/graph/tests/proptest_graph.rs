@@ -1,7 +1,6 @@
 //! Property tests for the graph substrate.
 
 use pcs_graph::core::{CoreDecomposition, SubsetCore};
-use pcs_graph::truss::TrussDecomposition;
 use pcs_graph::{connected_components, Graph};
 use proptest::prelude::*;
 
@@ -84,21 +83,6 @@ proptest! {
         // Adjacent vertices share a label.
         for (a, b) in g.edges() {
             prop_assert_eq!(labels[a as usize], labels[b as usize]);
-        }
-    }
-
-    #[test]
-    fn truss_at_least_two_and_core_bounds_truss((n, raw) in edges_strategy()) {
-        let g = Graph::from_edges(n, &raw).unwrap();
-        let td = TrussDecomposition::new(&g);
-        let cd = CoreDecomposition::new(&g);
-        for (a, b) in g.edges() {
-            let t = td.truss_of(a, b).unwrap();
-            prop_assert!(t >= 2);
-            // truss(e) - 1 <= min(core(a), core(b)) + 1 is loose; the
-            // standard bound: truss(e) <= min core + 1.
-            let bound = cd.core_number(a).min(cd.core_number(b)) + 1;
-            prop_assert!(t <= bound, "truss {t} > core bound {bound}");
         }
     }
 

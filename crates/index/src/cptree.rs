@@ -1,21 +1,20 @@
-//! The CP-tree index (Section 4.2 / Algorithm 2 of the paper).
+//! CP-tree maintenance vocabulary: the delta types an update batch is
+//! reported in, and the batch classification shared by
+//! [`ShardedCpIndex::invalidation_set`](crate::ShardedCpIndex::invalidation_set)
+//! and [`ShardedCpIndex::apply_batch`](crate::ShardedCpIndex::apply_batch).
 //!
-//! One node per GP-tree label; each node stores the CL-tree of the
-//! subgraph induced by the vertices whose P-trees contain that label.
-//! Parent/child links between CP-tree nodes simply follow the taxonomy.
-//! A `headMap` records, per vertex, the leaf labels of its P-tree so
-//! the whole profile can be restored from the index (upward closure).
-//!
-//! Build cost is `O(|P| · m · α(n))` and space `O(|P| · n)` as analyzed
-//! in the paper; the per-label CL-trees are independent, so construction
-//! optionally fans out across threads.
+//! An edge `{u, v}` exists in a label's induced subgraph only when
+//! *both* endpoints carry the label, so an edge delta touches
+//! `T(u) ∩ T(v)`; a profile delta touches the symmetric difference of
+//! the old and new label sets. Labels outside that invalidation set
+//! keep their CL-trees verbatim — the whole point of the incremental
+//! path.
 
 use pcs_graph::{demoted_by_deletion, promoted_by_insertion, FxHashMap, FxHashSet};
 use pcs_graph::{Graph, VertexId};
-use pcs_ptree::{LabelId, PTree, Taxonomy};
+use pcs_ptree::{LabelId, PTree, ProfilesHandle};
 
 use crate::cltree::ClTree;
-use crate::{IndexError, Result};
 
 /// One applied change to the underlying profiled graph, as reported to
 /// the index for incremental maintenance. Deltas describe *effective*
@@ -45,8 +44,8 @@ pub enum GraphDelta {
     },
 }
 
-/// What [`CpTree::apply_batch`] (or the sharded equivalent,
-/// [`crate::ShardedCpIndex::apply_batch`]) did, label by label.
+/// What [`ShardedCpIndex::apply_batch`](crate::ShardedCpIndex::apply_batch)
+/// did, label by label.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpPatchStats {
     /// Labels whose induced subgraph was touched by at least one delta
@@ -59,335 +58,12 @@ pub struct CpPatchStats {
     pub labels_skipped: usize,
     /// Touched labels whose shard was not resident and was merely
     /// invalidated — membership bookkeeping only, no CL-tree built.
-    /// Always 0 for the monolithic [`CpTree`], whose labels are all
-    /// resident by construction.
     pub labels_invalidated: usize,
 }
 
-/// One CP-tree node: a taxonomy label plus the CL-tree of its induced
-/// subgraph. The sorted vertex list of the label is the CL-tree's
-/// member array ([`ClTree::members`]) — not duplicated here, so
-/// cloning an index for incremental patching copies each list once.
-#[derive(Clone, Debug)]
-pub struct CpNode {
-    /// The label this node indexes.
-    pub label: LabelId,
-    /// The CL-tree over the vertices whose P-tree contains `label`
-    /// (the paper's per-node `vertexNodeMap`).
-    pub cl: ClTree,
-}
-
-/// The CP-tree index.
-#[derive(Clone, Debug)]
-pub struct CpTree {
-    /// Indexed by `LabelId`; `None` when no vertex carries the label.
-    nodes: Vec<Option<CpNode>>,
-    /// `headMap`: per vertex, the leaf labels of its P-tree.
-    head_map: Vec<Vec<LabelId>>,
-    n: usize,
-}
-
-impl CpTree {
-    /// Builds the index sequentially (Algorithm 2).
-    pub fn build(g: &Graph, tax: &Taxonomy, profiles: &[PTree]) -> Result<CpTree> {
-        Self::build_with_threads(g, tax, profiles, 1)
-    }
-
-    /// Builds the index, constructing per-label CL-trees on up to
-    /// `threads` worker threads (they are fully independent).
-    pub fn build_with_threads(
-        g: &Graph,
-        tax: &Taxonomy,
-        profiles: &[PTree],
-        threads: usize,
-    ) -> Result<CpTree> {
-        if g.num_vertices() != profiles.len() {
-            return Err(IndexError::ProfileCountMismatch {
-                vertices: g.num_vertices(),
-                profiles: profiles.len(),
-            });
-        }
-        // Lines 2-7 of Algorithm 2: bucket vertices per label and fill
-        // the headMap from P-tree leaves.
-        let mut vertices_of: Vec<Vec<VertexId>> = vec![Vec::new(); tax.len()];
-        let mut head_map: Vec<Vec<LabelId>> = Vec::with_capacity(profiles.len());
-        for (v, p) in profiles.iter().enumerate() {
-            for &l in p.nodes() {
-                if l as usize >= tax.len() {
-                    return Err(IndexError::UnknownLabel(l));
-                }
-                vertices_of[l as usize].push(v as VertexId);
-            }
-            head_map.push(p.leaves(tax));
-        }
-        // Lines 8-10: build one CL-tree per populated label.
-        let threads = threads.max(1);
-        let mut nodes: Vec<Option<CpNode>> = vec![None; tax.len()];
-        if threads == 1 {
-            for (label, verts) in vertices_of.into_iter().enumerate() {
-                if verts.is_empty() {
-                    continue;
-                }
-                let cl = ClTree::build_on_subset(g, &verts);
-                nodes[label] = Some(CpNode { label: label as LabelId, cl });
-            }
-        } else {
-            // Shard-parallel: every label is one independent work item,
-            // claimed from a shared counter. Static chunking used to
-            // strand the few giant labels (root, top-level areas) on
-            // one worker; work stealing keeps all threads busy until
-            // the last shard finishes.
-            let work: Vec<(usize, Vec<VertexId>)> =
-                vertices_of.into_iter().enumerate().filter(|(_, v)| !v.is_empty()).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let built: Vec<(usize, CpNode)> = std::thread::scope(|scope| {
-                let (work, next) = (&work, &next);
-                let handles: Vec<_> = (0..threads.min(work.len()).max(1))
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some((label, verts)) = work.get(i) else { break };
-                                let cl = ClTree::build_on_subset(g, verts);
-                                out.push((*label, CpNode { label: *label as LabelId, cl }));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("index worker panicked")).collect()
-            });
-            for (label, node) in built {
-                nodes[label] = Some(node);
-            }
-        }
-        Ok(CpTree { nodes, head_map, n: g.num_vertices() })
-    }
-
-    /// Number of vertices the index covers.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of populated CP-tree nodes (labels carried by at least
-    /// one vertex).
-    pub fn num_populated_labels(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
-    }
-
-    /// The CP-tree node of `label`, if populated.
-    pub fn node(&self, label: LabelId) -> Option<&CpNode> {
-        self.nodes.get(label as usize)?.as_ref()
-    }
-
-    /// Sorted vertices carrying `label` (empty slice when none).
-    pub fn vertices_with_label(&self, label: LabelId) -> &[VertexId] {
-        self.node(label).map_or(&[], |n| n.cl.members())
-    }
-
-    /// The paper's `I.get(k, q, t)` as a **borrowed slice**: the k-ĉore
-    /// containing `q` in the subgraph of vertices carrying `label`.
-    /// O(depth of the label's CL-tree), zero allocation — the answer is
-    /// one contiguous range of the CL-tree's DFS arena. Distinct but
-    /// unsorted; `None` when the ĉore does not exist.
-    ///
-    /// This is the probe the indexed query hot path runs thousands of
-    /// times per query.
-    #[inline]
-    pub fn get_ref(&self, k: u32, q: VertexId, label: LabelId) -> Option<&[VertexId]> {
-        self.node(label)?.cl.community_ref(q, k)
-    }
-
-    /// Leaf labels of `v`'s P-tree (the `headMap` entry).
-    pub fn head(&self, v: VertexId) -> &[LabelId] {
-        &self.head_map[v as usize]
-    }
-
-    /// Restores `T(v)` from the headMap by upward closure — the paper's
-    /// "Restore P-trees" operation.
-    pub fn restore_ptree(&self, tax: &Taxonomy, v: VertexId) -> PTree {
-        PTree::from_labels(tax, self.head_map[v as usize].iter().copied())
-            .expect("headMap labels always come from the build taxonomy")
-    }
-
-    // ------------------------------------------------------------------
-    // Incremental maintenance (the serving engine's update path)
-    // ------------------------------------------------------------------
-
-    /// The labels whose CP-tree node a batch of deltas can possibly
-    /// affect, deduplicated and sorted.
-    ///
-    /// An edge `{u, v}` exists in a label's induced subgraph only when
-    /// *both* endpoints carry the label, so an edge delta touches
-    /// `T(u) ∩ T(v)`; a profile delta touches the symmetric difference
-    /// of the old and new label sets. Labels outside this set keep
-    /// their CL-trees verbatim — the whole point of the incremental
-    /// path. Callers use the set's size to decide between patching
-    /// ([`CpTree::apply_batch`]) and a full rebuild.
-    pub fn invalidation_set(
-        &self,
-        tax: &Taxonomy,
-        profiles_after: &[PTree],
-        deltas: &[GraphDelta],
-    ) -> Vec<LabelId> {
-        invalidation_set_from(&|v| carried_labels(&self.head_map, tax, v), profiles_after, deltas)
-    }
-
-    /// Applies a batch of effective graph deltas in place, rebuilding
-    /// only the CL-trees that can have changed.
-    ///
-    /// `g_after` and `profiles_after` describe the graph **after** the
-    /// whole batch; `deltas` lists the applied changes (no no-ops, and
-    /// at most one [`GraphDelta::ProfileChanged`] per vertex). Labels
-    /// outside the [invalidation set](CpTree::invalidation_set) are
-    /// untouched. A label touched by exactly one edge delta and no
-    /// profile delta first runs the bounded no-op check and keeps its
-    /// CL-tree when the change provably cannot alter it (frequent for
-    /// intra-community edges); everything else is rebuilt from
-    /// `g_after` via [`ClTree::build_on_subset`].
-    ///
-    /// The result is semantically identical to a fresh
-    /// [`CpTree::build`] on the post-batch inputs (the differential
-    /// suite in `tests/incremental_vs_rebuild.rs` enforces this).
-    pub fn apply_batch(
-        &mut self,
-        g_after: &Graph,
-        tax: &Taxonomy,
-        profiles_after: &[PTree],
-        deltas: &[GraphDelta],
-    ) -> CpPatchStats {
-        debug_assert_eq!(self.n, g_after.num_vertices(), "vertex set is fixed");
-        debug_assert_eq!(self.n, profiles_after.len());
-        // Pass 1: classify touched labels (shared with the sharded
-        // index — see `classify_batch`).
-        let touch =
-            classify_batch(&|v| carried_labels(&self.head_map, tax, v), profiles_after, deltas);
-        // Pass 2: decide, per touched label, between skip and rebuild.
-        // Decisions read only pre-batch state, so order is irrelevant.
-        let mut rebuild: Vec<LabelId> = touch.profile_touch.iter().copied().collect();
-        let mut stats =
-            CpPatchStats { labels_touched: touch.profile_touch.len(), ..CpPatchStats::default() };
-        for (&label, &(count, (u, v, added))) in &touch.edge_touch {
-            if touch.profile_touch.contains(&label) {
-                continue; // already queued for rebuild
-            }
-            stats.labels_touched += 1;
-            let preserved = count == 1
-                && self
-                    .node(label)
-                    .is_some_and(|node| edge_change_preserves(&node.cl, g_after, u, v, added));
-            if preserved {
-                stats.labels_skipped += 1;
-            } else {
-                rebuild.push(label);
-            }
-        }
-        rebuild.sort_unstable();
-        // Pass 3: rebuild.
-        for label in rebuild {
-            let mut verts = match self.nodes[label as usize].take() {
-                Some(node) => node.cl.into_members(),
-                None => Vec::new(),
-            };
-            touch.patch_members(label, &mut verts);
-            stats.labels_rebuilt += 1;
-            if verts.is_empty() {
-                continue; // node stays vacated
-            }
-            let cl = ClTree::build_on_subset(g_after, &verts);
-            self.nodes[label as usize] = Some(CpNode { label, cl });
-        }
-        // Pass 4: refresh the headMap for re-profiled vertices.
-        for &v in &touch.profile_vertices {
-            self.head_map[v as usize] = profiles_after[v as usize].leaves(tax);
-        }
-        stats
-    }
-
-    /// Decomposes the index into its per-label nodes and `headMap` (the
-    /// monolithic → sharded conversion seed).
-    pub(crate) fn into_parts(self) -> (Vec<Option<CpNode>>, Vec<Vec<LabelId>>, usize) {
-        (self.nodes, self.head_map, self.n)
-    }
-
-    /// Approximate heap footprint in bytes (for the paper's space-cost
-    /// discussion and the scalability harness).
-    pub fn memory_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for node in self.nodes.iter().flatten() {
-            total += node.cl.memory_bytes();
-        }
-        for h in &self.head_map {
-            total += h.len() * std::mem::size_of::<LabelId>();
-        }
-        total
-    }
-}
-
-// ---------------------------------------------------------------------
-// Maintenance helpers shared by the monolithic `CpTree` and the
-// per-label `ShardedCpIndex`. Each shape supplies its own pre-batch
-// carried-label oracle (`labels_of`): the monolithic index closes its
-// `headMap` upward, the sharded index reads its shared profile `Arc`
-// directly — but the classification logic is one function, so the two
-// shapes can never drift in how they treat a batch.
-// ---------------------------------------------------------------------
-
-/// The carried-label oracle: all labels `T(v)` held **before** the
-/// batch being planned.
-pub(crate) type LabelsOf<'a> = dyn Fn(VertexId) -> FxHashSet<LabelId> + 'a;
-
-/// All labels carried by `v` according to a `headMap`: the upward
-/// closure of its leaves. This is exactly `T(v).nodes()` for the
-/// profiles the index was built from, so it reflects the *pre-batch*
-/// state while a patch is being planned.
-pub(crate) fn carried_labels(
-    head_map: &[Vec<LabelId>],
-    tax: &Taxonomy,
-    v: VertexId,
-) -> FxHashSet<LabelId> {
-    let mut out = FxHashSet::default();
-    out.insert(Taxonomy::ROOT);
-    for &leaf in &head_map[v as usize] {
-        for a in tax.ancestors_inclusive(leaf) {
-            if !out.insert(a) {
-                break; // the rest of the path is already present
-            }
-        }
-    }
-    out
-}
-
-/// [`CpTree::invalidation_set`] as a free function of the carried-label
-/// oracle.
-pub(crate) fn invalidation_set_from(
-    labels_of: &LabelsOf<'_>,
-    profiles_after: &[PTree],
-    deltas: &[GraphDelta],
-) -> Vec<LabelId> {
-    let mut touched: FxHashSet<LabelId> = FxHashSet::default();
-    let mut carried_memo: FxHashMap<VertexId, FxHashSet<LabelId>> = FxHashMap::default();
-    for delta in deltas {
-        match *delta {
-            GraphDelta::EdgeAdded { u, v } | GraphDelta::EdgeRemoved { u, v } => {
-                for w in [u, v] {
-                    carried_memo.entry(w).or_insert_with(|| labels_of(w));
-                }
-                let (cu, cv) = (&carried_memo[&u], &carried_memo[&v]);
-                touched.extend(cu.intersection(cv).copied());
-            }
-            GraphDelta::ProfileChanged { v } => {
-                let old = labels_of(v);
-                let new: FxHashSet<LabelId> =
-                    profiles_after[v as usize].nodes().iter().copied().collect();
-                touched.extend(old.symmetric_difference(&new).copied());
-            }
-        }
-    }
-    let mut out: Vec<LabelId> = touched.into_iter().collect();
-    out.sort_unstable();
-    out
+/// All labels `T(v)` carried **before** the batch being planned.
+fn labels_before(profiles_before: &ProfilesHandle, v: VertexId) -> FxHashSet<LabelId> {
+    profiles_before.get(v as usize).map(|p| p.nodes().iter().copied().collect()).unwrap_or_default()
 }
 
 /// The per-label classification of one delta batch: which labels were
@@ -417,9 +93,9 @@ impl BatchTouch {
 }
 
 /// Pass 1 of every incremental patch: walk the deltas once, bucketing
-/// touched labels. Reads only pre-batch state (through `labels_of`).
+/// touched labels.
 pub(crate) fn classify_batch(
-    labels_of: &LabelsOf<'_>,
+    profiles_before: &ProfilesHandle,
     profiles_after: &[PTree],
     deltas: &[GraphDelta],
 ) -> BatchTouch {
@@ -436,7 +112,7 @@ pub(crate) fn classify_batch(
             GraphDelta::EdgeAdded { u, v } | GraphDelta::EdgeRemoved { u, v } => {
                 let added = matches!(delta, GraphDelta::EdgeAdded { .. });
                 for w in [u, v] {
-                    carried_memo.entry(w).or_insert_with(|| labels_of(w));
+                    carried_memo.entry(w).or_insert_with(|| labels_before(profiles_before, w));
                 }
                 let (cu, cv) = (&carried_memo[&u], &carried_memo[&v]);
                 for &label in cu.intersection(cv) {
@@ -451,7 +127,7 @@ pub(crate) fn classify_batch(
                     "one ProfileChanged delta per vertex"
                 );
                 touch.profile_vertices.push(v);
-                let old = labels_of(v);
+                let old = labels_before(profiles_before, v);
                 let new: FxHashSet<LabelId> =
                     profiles_after[v as usize].nodes().iter().copied().collect();
                 for &label in new.difference(&old) {
@@ -520,379 +196,5 @@ pub(crate) fn edge_change_preserves(
             }
         }
         false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pcs_graph::core::CoreDecomposition;
-
-    /// Test-only resurrection of the removed owned `CpTree::get`
-    /// wrapper: the production query surface is [`CpTree::get_ref`];
-    /// tests keep the sorted-copy shorthand for readable assertions.
-    trait GetSorted {
-        fn get(&self, k: u32, q: VertexId, label: LabelId) -> Option<Vec<VertexId>>;
-    }
-
-    impl GetSorted for CpTree {
-        fn get(&self, k: u32, q: VertexId, label: LabelId) -> Option<Vec<VertexId>> {
-            let mut out = self.get_ref(k, q, label)?.to_vec();
-            out.sort_unstable();
-            Some(out)
-        }
-    }
-
-    /// Fig. 1(a): graph A..H with the CCS-fragment profiles.
-    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4),
-                (3, 4),
-                (1, 2),
-                (2, 3),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let mut t = Taxonomy::new("r");
-        let cm = t.add_child(0, "CM").unwrap();
-        let is = t.add_child(0, "IS").unwrap();
-        let hw = t.add_child(0, "HW").unwrap();
-        let ml = t.add_child(cm, "ML").unwrap();
-        let ai = t.add_child(cm, "AI").unwrap();
-        let dms = t.add_child(is, "DMS").unwrap();
-        let profiles = vec![
-            PTree::from_labels(&t, [dms, hw]).unwrap(),         // A
-            PTree::from_labels(&t, [ml, ai]).unwrap(),          // B
-            PTree::from_labels(&t, [ml, ai, is]).unwrap(),      // C
-            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(), // D
-            PTree::from_labels(&t, [dms, hw]).unwrap(),         // E
-            PTree::from_labels(&t, [is, hw]).unwrap(),          // F
-            PTree::from_labels(&t, [hw, cm]).unwrap(),          // G
-            PTree::from_labels(&t, [is, hw]).unwrap(),          // H
-        ];
-        (g, t, profiles)
-    }
-
-    #[test]
-    fn build_validates_inputs() {
-        let (g, t, mut profiles) = figure1();
-        profiles.pop();
-        assert_eq!(
-            CpTree::build(&g, &t, &profiles).unwrap_err(),
-            IndexError::ProfileCountMismatch { vertices: 8, profiles: 7 }
-        );
-    }
-
-    #[test]
-    fn per_label_get_matches_bruteforce() {
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        for label in 0..t.len() as u32 {
-            let with_label: Vec<u32> =
-                (0..8u32).filter(|&v| profiles[v as usize].contains(label)).collect();
-            assert_eq!(idx.vertices_with_label(label), &with_label[..]);
-            if with_label.is_empty() {
-                continue;
-            }
-            let (sub, ids) = g.induced_subgraph(&with_label);
-            let cd = CoreDecomposition::new(&sub);
-            for &q in &with_label {
-                let q_local = ids.binary_search(&q).unwrap() as u32;
-                for k in 0..4 {
-                    let expect = cd
-                        .kcore_component(&sub, q_local, k)
-                        .map(|c| c.into_iter().map(|v| ids[v as usize]).collect::<Vec<_>>());
-                    assert_eq!(idx.get(k, q, label), expect, "label={label} q={q} k={k}");
-                }
-            }
-            // Vertices without the label are absent.
-            for v in 0..8u32 {
-                if !with_label.contains(&v) {
-                    assert!(idx.get(0, v, label).is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn root_label_indexes_everyone() {
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        assert_eq!(idx.vertices_with_label(Taxonomy::ROOT).len(), 8);
-        // 2-ĉore of D under the root label = whole graph's 2-ĉore.
-        assert_eq!(idx.get(2, 3, Taxonomy::ROOT).unwrap(), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let _ = g;
-    }
-
-    #[test]
-    fn head_map_restores_ptrees() {
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        for v in 0..8u32 {
-            assert_eq!(idx.restore_ptree(&t, v), profiles[v as usize], "vertex {v}");
-        }
-        // B's leaves are exactly ML and AI.
-        let mut head = idx.head(1).to_vec();
-        head.sort_unstable();
-        let mut expect = vec![t.id_of("ML").unwrap(), t.id_of("AI").unwrap()];
-        expect.sort_unstable();
-        assert_eq!(head, expect);
-        let _ = g;
-    }
-
-    #[test]
-    fn nested_label_cores_shrink() {
-        // I.get(k,q,t) ⊆ I.get(k,q,parent(t)) — the containment the
-        // paper's verifyPtree relies on.
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        for label in 1..t.len() as u32 {
-            let parent = t.parent(label);
-            for q in 0..8u32 {
-                for k in 0..3 {
-                    if let Some(child_core) = idx.get(k, q, label) {
-                        let parent_core =
-                            idx.get(k, q, parent).expect("parent label core must exist");
-                        assert!(
-                            child_core.iter().all(|v| parent_core.binary_search(v).is_ok()),
-                            "label={label} q={q} k={k}"
-                        );
-                    }
-                }
-            }
-        }
-        let _ = g;
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let (g, t, profiles) = figure1();
-        let seq = CpTree::build(&g, &t, &profiles).unwrap();
-        let par = CpTree::build_with_threads(&g, &t, &profiles, 4).unwrap();
-        assert_eq!(seq.num_populated_labels(), par.num_populated_labels());
-        for label in 0..t.len() as u32 {
-            assert_eq!(seq.vertices_with_label(label), par.vertices_with_label(label));
-            for q in 0..8u32 {
-                for k in 0..4 {
-                    assert_eq!(seq.get(k, q, label), par.get(k, q, label));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unpopulated_label_behaviour() {
-        let (g, mut t, mut profiles) = figure1();
-        let lonely = t.add_child(Taxonomy::ROOT, "lonely").unwrap();
-        // Rebuild profiles against the grown taxonomy (ids unchanged).
-        profiles = profiles
-            .into_iter()
-            .map(|p| PTree::from_labels(&t, p.nodes().iter().copied().skip(1)).unwrap())
-            .collect();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        assert!(idx.node(lonely).is_none());
-        assert!(idx.get(0, 0, lonely).is_none());
-        assert!(idx.vertices_with_label(lonely).is_empty());
-    }
-
-    /// The incremental contract: after `apply_batch`, the index must be
-    /// indistinguishable from a fresh build through its whole query
-    /// surface (per-label vertex lists, every `get`, `headMap`).
-    fn assert_semantically_equal(a: &CpTree, b: &CpTree, tax: &Taxonomy, n: usize) {
-        assert_eq!(a.num_vertices(), b.num_vertices());
-        assert_eq!(a.num_populated_labels(), b.num_populated_labels());
-        for v in 0..n as u32 {
-            assert_eq!(a.restore_ptree(tax, v), b.restore_ptree(tax, v), "headMap of {v}");
-        }
-        for label in 0..tax.len() as u32 {
-            assert_eq!(
-                a.vertices_with_label(label),
-                b.vertices_with_label(label),
-                "members of label {label}"
-            );
-            for &q in a.vertices_with_label(label) {
-                for k in 0..8 {
-                    assert_eq!(a.get(k, q, label), b.get(k, q, label), "label={label} q={q} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn apply_batch_edge_deltas_match_rebuild() {
-        let (g, t, profiles) = figure1();
-        let mut idx = CpTree::build(&g, &t, &profiles).unwrap();
-        // Add C-E (promotes C inside several labels) and remove F-H.
-        let mut dyn_g = pcs_graph::DynamicGraph::from_graph(&g);
-        dyn_g.add_edge(2, 4).unwrap();
-        dyn_g.remove_edge(5, 7).unwrap();
-        let g_after = dyn_g.to_graph();
-        let deltas = [GraphDelta::EdgeAdded { u: 2, v: 4 }, GraphDelta::EdgeRemoved { u: 5, v: 7 }];
-        let stats = idx.apply_batch(&g_after, &t, &profiles, &deltas);
-        assert!(stats.labels_touched > 0);
-        assert_eq!(stats.labels_rebuilt + stats.labels_skipped, stats.labels_touched);
-        let fresh = CpTree::build(&g_after, &t, &profiles).unwrap();
-        assert_semantically_equal(&idx, &fresh, &t, 8);
-    }
-
-    #[test]
-    fn apply_batch_profile_delta_moves_vertex_between_labels() {
-        let (g, t, mut profiles) = figure1();
-        let mut idx = CpTree::build(&g, &t, &profiles).unwrap();
-        // Re-profile G (vertex 6): drop CM/HW, adopt DMS (under IS).
-        let dms = t.id_of("DMS").unwrap();
-        profiles[6] = PTree::from_labels(&t, [dms]).unwrap();
-        let stats = idx.apply_batch(&g, &t, &profiles, &[GraphDelta::ProfileChanged { v: 6 }]);
-        assert!(stats.labels_rebuilt > 0);
-        let fresh = CpTree::build(&g, &t, &profiles).unwrap();
-        assert_semantically_equal(&idx, &fresh, &t, 8);
-        assert!(idx.vertices_with_label(dms).contains(&6));
-        assert!(!idx.vertices_with_label(t.id_of("CM").unwrap()).contains(&6));
-    }
-
-    #[test]
-    fn redundant_intra_core_edge_is_skipped() {
-        // A 4-clique of vertices all sharing one label, plus a chord
-        // target: adding an edge between two vertices already in the
-        // same 2-ĉore whose cores cannot rise is provably a no-op.
-        let mut t = Taxonomy::new("r");
-        let a = t.add_child(Taxonomy::ROOT, "a").unwrap();
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]).unwrap();
-        let profiles: Vec<PTree> = (0..5).map(|_| PTree::from_labels(&t, [a]).unwrap()).collect();
-        let mut idx = CpTree::build(&g, &t, &profiles).unwrap();
-        // 1-4 closes no triangle that lifts anyone past core 2 and both
-        // endpoints sit in the same ĉores already? 4 has core 1... that
-        // merge is real. Use 1-3 instead: both core 2, same 2-ĉore, and
-        // the diagonal leaves the 4-cycle's cores at 2.
-        let mut dyn_g = pcs_graph::DynamicGraph::from_graph(&g);
-        dyn_g.add_edge(1, 3).unwrap();
-        let g_after = dyn_g.to_graph();
-        let stats =
-            idx.apply_batch(&g_after, &t, &profiles, &[GraphDelta::EdgeAdded { u: 1, v: 3 }]);
-        assert_eq!(stats.labels_skipped, 2, "root + a both skip");
-        assert_eq!(stats.labels_rebuilt, 0);
-        let fresh = CpTree::build(&g_after, &t, &profiles).unwrap();
-        assert_semantically_equal(&idx, &fresh, &t, 5);
-    }
-
-    #[test]
-    fn randomized_churn_matches_rebuild() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xcb7);
-        for trial in 0..4 {
-            // Random taxonomy.
-            let labels = 10 + trial;
-            let mut tax = Taxonomy::new("r");
-            let mut ids = vec![Taxonomy::ROOT];
-            for i in 1..labels {
-                let parent = ids[rng.gen_range(0..ids.len())];
-                ids.push(tax.add_child(parent, &format!("n{i}")).unwrap());
-            }
-            // Random graph + profiles.
-            let n = 18 + trial * 4;
-            let mut edges = Vec::new();
-            for a in 0..n as u32 {
-                for b in (a + 1)..n as u32 {
-                    if rng.gen_bool(0.18) {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            let g = Graph::from_edges(n, &edges).unwrap();
-            let mut profiles: Vec<PTree> = (0..n)
-                .map(|_| {
-                    let count = rng.gen_range(0..=5usize);
-                    let picks: Vec<u32> =
-                        (0..count).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
-                    PTree::from_labels(&tax, picks).unwrap()
-                })
-                .collect();
-            let mut dyn_g = pcs_graph::DynamicGraph::from_graph(&g);
-            let mut idx = CpTree::build(&g, &tax, &profiles).unwrap();
-            for step in 0..60 {
-                // Mixed batch of 1..4 effective deltas.
-                let mut deltas = Vec::new();
-                let mut reprofiled: Vec<u32> = Vec::new();
-                for _ in 0..rng.gen_range(1..4) {
-                    match rng.gen_range(0..3) {
-                        0 => {
-                            let a = rng.gen_range(0..n as u32);
-                            let b = rng.gen_range(0..n as u32);
-                            if a != b && dyn_g.add_edge(a, b).unwrap() {
-                                deltas.push(GraphDelta::EdgeAdded { u: a, v: b });
-                            }
-                        }
-                        1 => {
-                            let a = rng.gen_range(0..n as u32);
-                            let b = rng.gen_range(0..n as u32);
-                            if a != b && dyn_g.remove_edge(a, b).unwrap() {
-                                deltas.push(GraphDelta::EdgeRemoved { u: a, v: b });
-                            }
-                        }
-                        _ => {
-                            let v = rng.gen_range(0..n as u32);
-                            if reprofiled.contains(&v) {
-                                continue;
-                            }
-                            let count = rng.gen_range(0..=5usize);
-                            let picks: Vec<u32> =
-                                (0..count).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
-                            let p = PTree::from_labels(&tax, picks).unwrap();
-                            if p != profiles[v as usize] {
-                                profiles[v as usize] = p;
-                                reprofiled.push(v);
-                                deltas.push(GraphDelta::ProfileChanged { v });
-                            }
-                        }
-                    }
-                }
-                if deltas.is_empty() {
-                    continue;
-                }
-                let g_after = dyn_g.to_graph();
-                idx.apply_batch(&g_after, &tax, &profiles, &deltas);
-                let fresh = CpTree::build(&g_after, &tax, &profiles).unwrap();
-                assert_semantically_equal(&idx, &fresh, &tax, n);
-                let _ = step;
-            }
-        }
-    }
-
-    #[test]
-    fn invalidation_set_is_tight() {
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        // Edge A-E: both carry {r, IS, DMS, HW} — intersection is
-        // exactly those labels.
-        let touched = idx.invalidation_set(&t, &profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }]);
-        let mut expect = vec![
-            Taxonomy::ROOT,
-            t.id_of("IS").unwrap(),
-            t.id_of("DMS").unwrap(),
-            t.id_of("HW").unwrap(),
-        ];
-        expect.sort_unstable();
-        assert_eq!(touched, expect);
-        let _ = g;
-    }
-
-    #[test]
-    fn memory_accounting_positive() {
-        let (g, t, profiles) = figure1();
-        let idx = CpTree::build(&g, &t, &profiles).unwrap();
-        assert!(idx.memory_bytes() > 0);
-        assert_eq!(idx.num_vertices(), 8);
-        assert!(idx.num_populated_labels() >= 6);
     }
 }

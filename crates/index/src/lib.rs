@@ -8,16 +8,19 @@
 //!   a `vertexNodeMap` locating the ĉore of any query vertex. Built in
 //!   O(m·α(n)) with a union-find over descending core numbers; answers
 //!   `get(q, k)` in time proportional to the answer.
-//! * [`CpTree`] — the *core profiled tree* index (Section 4.2): one node
-//!   per taxonomy label holding the CL-tree of the subgraph induced by
-//!   the vertices whose P-trees contain that label, linked along the
-//!   GP-tree, plus the `headMap` from each vertex to the leaf labels of
-//!   its P-tree (so `T(v)` can be restored from the index alone).
+//! * [`ShardedCpIndex`] — the *core profiled tree* (CP-tree) index
+//!   (Section 4.2): one node per taxonomy label holding the CL-tree of
+//!   the subgraph induced by the vertices whose P-trees contain that
+//!   label. The per-label [`IndexShard`]s are independent, so they
+//!   materialize on demand — the first query pays for the labels it
+//!   touches rather than the whole taxonomy — and `T(v)` is restored
+//!   from the profiles the index shares with its owner (the paper's
+//!   `headMap`).
 //!
 //! ```
 //! use pcs_graph::Graph;
 //! use pcs_ptree::{PTree, Taxonomy};
-//! use pcs_index::CpTree;
+//! use pcs_index::ShardedCpIndex;
 //!
 //! let mut tax = Taxonomy::new("r");
 //! let a = tax.add_child(Taxonomy::ROOT, "a").unwrap();
@@ -27,7 +30,7 @@
 //!     PTree::from_labels(&tax, [a]).unwrap(),
 //!     PTree::root_only(),
 //! ];
-//! let index = CpTree::build(&g, &tax, &profiles).unwrap();
+//! let index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
 //! // 1-ĉore of vertex 0 among vertices labelled `a`: the edge {0, 1}.
 //! // `get_ref` is the zero-copy hot path (borrowed arena slice, set
 //! // order) — the only `I.get` the index exposes; sort a copy when
@@ -36,11 +39,6 @@
 //! members.sort_unstable();
 //! assert_eq!(members, vec![0, 1]);
 //! ```
-//!
-//! Serving systems use the label-sharded shape instead
-//! ([`ShardedCpIndex`]): the same index split into per-label
-//! [`IndexShard`]s that materialize on demand, so the first query pays
-//! for the labels it touches rather than the whole taxonomy.
 
 #![deny(unsafe_code)]
 
@@ -49,8 +47,8 @@ pub mod cptree;
 pub mod sharded;
 
 pub use cltree::{ClTree, ClTreeFlat};
-pub use cptree::{CpPatchStats, CpTree, GraphDelta};
-pub use sharded::{IndexRef, IndexShard, MemberSource, ShardSource, ShardedCpIndex};
+pub use cptree::{CpPatchStats, GraphDelta};
+pub use sharded::{IndexShard, MemberSource, ShardSource, ShardedCpIndex};
 
 /// Errors produced while building or querying indexes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,9 +1,13 @@
-//! The label-sharded CP-tree: per-label shards materialized on demand.
+//! The CP-tree index (Section 4.2 / Algorithm 2 of the paper), sharded
+//! by label: per-label shards materialized on demand.
 //!
-//! The paper's CP-tree is literally a per-label head map of independent
-//! CL-trees, so nothing forces all of them to exist at once. This
-//! module splits the index into one [`IndexShard`] per populated label
-//! behind a [`ShardedCpIndex`] facade:
+//! One node per GP-tree label; each node stores the CL-tree of the
+//! subgraph induced by the vertices whose P-trees contain that label.
+//! The per-label CL-trees are independent, so nothing forces all of
+//! them to exist at once: the index is one [`IndexShard`] per populated
+//! label behind a [`ShardedCpIndex`] facade. Fully materialized, build
+//! cost is `O(|P| · m · α(n))` and space `O(|P| · n)` as analyzed in
+//! the paper.
 //!
 //! * the **facade** (per-label member lists over the epoch's shared
 //!   profile `Arc`) is built eagerly — one bucketing pass, no
@@ -19,13 +23,9 @@
 //!   invalidates absent ones** — a shard nobody queried is never built
 //!   just to be patched;
 //! * shards can be rehydrated from a snapshot through a [`ShardSource`]
-//!   (the store's partial-load mode) instead of rebuilt from the graph,
+//!   (the store's lazy load) instead of rebuilt from the graph,
 //!   falling back to a from-graph build whenever the source cannot
 //!   produce a structurally valid shard for the current members.
-//!
-//! The monolithic [`CpTree`] remains as the reproduction-layer /
-//! differential-testing reference; both shapes classify update batches
-//! through the same helpers, so they cannot drift.
 
 use std::sync::{Arc, OnceLock};
 
@@ -34,11 +34,8 @@ use pcs_graph::{Graph, GraphBuilder, GraphHandle, VertexId};
 use pcs_ptree::{LabelId, PTree, ProfilesHandle, Taxonomy};
 
 use crate::cltree::ClTree;
-use crate::cptree::{
-    classify_batch, edge_change_preserves, invalidation_set_from, CpPatchStats, CpTree, GraphDelta,
-};
+use crate::cptree::{classify_batch, edge_change_preserves, CpPatchStats, GraphDelta};
 use crate::{IndexError, Result};
-use pcs_graph::FxHashSet;
 
 /// One materialized shard: a label and the CL-tree of the subgraph
 /// induced by its carriers. The label's sorted member list is the
@@ -137,13 +134,13 @@ pub struct ShardedCpIndex {
     /// Per label: the materialization slot.
     slots: Vec<OnceLock<Arc<IndexShard>>>,
     /// The epoch's per-vertex P-trees, shared with the owning snapshot
-    /// (the facade stores no copy). Replaces the monolithic index's
+    /// (the facade stores no copy). Stands in for the paper's
     /// `headMap`: `T(v)` restoration is a profile clone, and the update
     /// classifier reads label sets straight from here.
     profiles: ProfilesHandle,
     /// Optional member-table supplier (file-backed lazy load).
     member_source: Option<Arc<dyn MemberSource>>,
-    /// Optional shard supplier (snapshot partial load).
+    /// Optional shard supplier (snapshot lazy load).
     source: Option<Arc<dyn ShardSource>>,
     /// `source_live[l]` — the source's payload for `l` still describes
     /// the current epoch. Cleared per label by `apply_batch` the moment
@@ -161,7 +158,7 @@ impl ShardedCpIndex {
     /// Builds the facade only: one bucketing pass over the (shared)
     /// profiles into per-label member lists. O(Σ|T(v)|), allocation
     /// per populated label only — no CL-tree is constructed and no
-    /// head map is copied; shards materialize on first probe.
+    /// profile is copied; shards materialize on first probe.
     pub fn build(
         graph: Arc<Graph>,
         tax: &Taxonomy,
@@ -196,59 +193,30 @@ impl ShardedCpIndex {
         })
     }
 
-    /// Converts a monolithic [`CpTree`] into a fully resident sharded
-    /// index (the test bridge between the two shapes). `profiles` must
-    /// be the same profiles the monolithic index was built from.
-    pub fn from_cp_tree(
-        idx: CpTree,
-        graph: Arc<Graph>,
-        profiles: Arc<Vec<PTree>>,
-    ) -> ShardedCpIndex {
-        let (nodes, _head_map, n) = idx.into_parts();
-        debug_assert_eq!(n, graph.num_vertices());
-        debug_assert_eq!(n, profiles.len());
-        let mut members_of = Vec::with_capacity(nodes.len());
-        let mut slots = Vec::with_capacity(nodes.len());
-        for node in nodes {
-            match node {
-                Some(node) => {
-                    members_of.push(MemberSlot::resident(node.cl.members().to_vec()));
-                    slots.push(OnceLock::from(Arc::new(IndexShard {
-                        label: node.label,
-                        cl: node.cl,
-                    })));
-                }
-                None => {
-                    members_of.push(MemberSlot::resident(Vec::new()));
-                    slots.push(OnceLock::new());
-                }
-            }
-        }
-        ShardedCpIndex {
-            graph: GraphHandle::ready(graph),
-            source_live: vec![false; members_of.len()],
-            members_of,
-            slots,
-            profiles: ProfilesHandle::dense(profiles),
-            member_source: None,
-            source: None,
-            global_cores: None,
-            n,
-        }
+    /// [`build`](Self::build) over copies of borrowed inputs, with every
+    /// shard materialized (sequentially) before returning — the
+    /// one-call form for reproduction harnesses and tests that hold
+    /// plain `&Graph` / `&[PTree]`.
+    pub fn build_resident(
+        graph: &Graph,
+        tax: &Taxonomy,
+        profiles: &[PTree],
+    ) -> Result<ShardedCpIndex> {
+        let idx = Self::build(Arc::new(graph.clone()), tax, Arc::new(profiles.to_vec()))?;
+        idx.materialize_all(1);
+        Ok(idx)
     }
 
-    /// Assembles an index from loaded (snapshot) parts: the facade
-    /// arrays, any already-decoded resident shards, and an optional
-    /// lazy [`ShardSource`] for the rest. Re-validates the cheap
-    /// structural invariants the query paths rely on; the supplied
-    /// `ClTree`s are assumed structurally validated by their own
-    /// `from_flat`.
+    /// Assembles an index from eagerly loaded (snapshot) parts: the
+    /// facade arrays and the already-decoded resident shards.
+    /// Re-validates the cheap structural invariants the query paths
+    /// rely on; the supplied `ClTree`s are assumed structurally
+    /// validated by their own `from_flat`.
     pub fn from_loaded(
         graph: Arc<Graph>,
         profiles: Arc<Vec<PTree>>,
         members_of: Vec<Vec<VertexId>>,
         resident: Vec<(LabelId, ClTree)>,
-        source: Option<Arc<dyn ShardSource>>,
     ) -> Result<ShardedCpIndex> {
         let corrupt = |detail: String| IndexError::CorruptIndex { detail };
         let n = graph.num_vertices();
@@ -292,12 +260,12 @@ impl ShardedCpIndex {
         }
         Ok(ShardedCpIndex {
             graph: GraphHandle::ready(graph),
-            source_live: vec![source.is_some(); num_labels],
+            source_live: vec![false; num_labels],
             members_of: members_of.into_iter().map(MemberSlot::resident).collect(),
             slots,
             profiles: ProfilesHandle::dense(profiles),
             member_source: None,
-            source,
+            source: None,
             global_cores: None,
             n,
         })
@@ -422,8 +390,9 @@ impl ShardedCpIndex {
     }
 
     /// Materializes every populated shard, fanning out over up to
-    /// `threads` workers (work-stealing over labels, like the
-    /// monolithic shard-parallel build). Idempotent.
+    /// `threads` workers (work-stealing over labels: static chunking
+    /// would strand the few giant labels — root, top-level areas — on
+    /// one worker). Idempotent.
     pub fn materialize_all(&self, threads: usize) {
         let pending: Vec<LabelId> = self
             .members_of
@@ -506,44 +475,45 @@ impl ShardedCpIndex {
         self.shard(label)?.cl.community_ref(q, k)
     }
 
-    /// The epoch's P-tree of `v` — the sharded replacement for the
-    /// monolithic index's headMap restoration (`tax` is unused here;
-    /// kept for signature parity with [`CpTree::restore_ptree`]).
-    pub fn restore_ptree(&self, _tax: &Taxonomy, v: VertexId) -> PTree {
+    /// The epoch's P-tree of `v` — the paper's "restore `T(v)` using
+    /// `I.headMap`", served from the shared profiles.
+    pub fn restore_ptree(&self, v: VertexId) -> PTree {
         // An out-of-range vertex (impossible for vertices of the
         // indexed graph) restores as the trivial root-only profile.
         self.profiles.get(v as usize).cloned().unwrap_or_else(PTree::root_only)
     }
 
-    /// The pre-batch carried-label oracle for the shared maintenance
-    /// classifier: `T(v).nodes()` straight from the profile share.
-    fn labels_of(&self, v: VertexId) -> FxHashSet<LabelId> {
-        self.profiles
-            .get(v as usize)
-            .map(|p| p.nodes().iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// See [`CpTree::invalidation_set`] — identical classification,
-    /// reading this index's shared pre-batch profiles.
+    /// The labels whose shard a batch of deltas can possibly affect,
+    /// deduplicated and sorted (see [`crate::cptree`]). Callers use
+    /// the set's size to decide between patching
+    /// ([`apply_batch`](Self::apply_batch)) and a full rebuild.
     pub fn invalidation_set(
         &self,
         profiles_after: &[PTree],
         deltas: &[GraphDelta],
     ) -> Vec<LabelId> {
-        invalidation_set_from(&|v| self.labels_of(v), profiles_after, deltas)
+        let touch = classify_batch(&self.profiles, profiles_after, deltas);
+        let mut out: Vec<LabelId> =
+            touch.edge_touch.keys().chain(&touch.profile_touch).copied().collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Applies a batch of effective graph deltas: membership tables and
-    /// the `headMap` are always brought up to date, **resident** shards
+    /// the profile share are always brought up to date, **resident** shards
     /// are re-verified (bounded no-op check) or rebuilt, and **absent**
     /// shards are merely invalidated — their slot stays cold and any
     /// snapshot source for them is marked stale, so the cost of a
     /// shard nobody queried is bookkeeping, never a CL-tree build.
     ///
-    /// Same delta contract as [`CpTree::apply_batch`]; after the call
-    /// the index answers exactly like a from-scratch build on the
-    /// post-batch inputs, shard by shard and lazily.
+    /// `g_after` and `profiles_after` describe the graph **after** the
+    /// whole batch; `deltas` lists the applied changes (no no-ops, and
+    /// at most one [`GraphDelta::ProfileChanged`] per vertex). After
+    /// the call the index answers exactly like a from-scratch build on
+    /// the post-batch inputs, shard by shard and lazily (the
+    /// differential suite in `tests/incremental_vs_rebuild.rs` enforces
+    /// this).
     ///
     /// `cores_after` is the post-batch global core decomposition cell,
     /// when the owner maintains one: it replaces the previous epoch's
@@ -569,7 +539,7 @@ impl ShardedCpIndex {
     ) -> CpPatchStats {
         debug_assert_eq!(self.n, g_after.num_vertices(), "vertex set is fixed");
         debug_assert_eq!(self.n, profiles_after.len());
-        let touch = classify_batch(&|v| self.labels_of(v), profiles_after, deltas);
+        let touch = classify_batch(&self.profiles, profiles_after, deltas);
         let mut stats = CpPatchStats::default();
         let mut rebuild: Vec<LabelId> = Vec::new();
         // Membership-changed labels: patch the member table in place,
@@ -908,83 +878,6 @@ impl std::fmt::Debug for ShardedCpIndex {
     }
 }
 
-/// A borrowed view over either index shape, so the query layer serves
-/// both the monolithic reproduction index and the sharded serving
-/// index through one zero-cost (enum-dispatched, `Copy`) handle.
-#[derive(Clone, Copy)]
-pub enum IndexRef<'a> {
-    /// The monolithic [`CpTree`] (reproduction / differential layer).
-    Monolithic(&'a CpTree),
-    /// The sharded serving index (materializes shards on probe).
-    Sharded(&'a ShardedCpIndex),
-}
-
-impl<'a> IndexRef<'a> {
-    /// The paper's `I.get(k, q, t)` as a borrowed slice. On the sharded
-    /// shape this materializes the label's shard on first touch.
-    #[inline]
-    pub fn get_ref(self, k: u32, q: VertexId, label: LabelId) -> Option<&'a [VertexId]> {
-        match self {
-            IndexRef::Monolithic(idx) => idx.get_ref(k, q, label),
-            IndexRef::Sharded(idx) => idx.get_ref(k, q, label),
-        }
-    }
-
-    /// Restores `T(v)`: headMap upward closure on the monolithic
-    /// shape, a shared-profile clone on the sharded one.
-    pub fn restore_ptree(self, tax: &Taxonomy, v: VertexId) -> PTree {
-        match self {
-            IndexRef::Monolithic(idx) => idx.restore_ptree(tax, v),
-            IndexRef::Sharded(idx) => idx.restore_ptree(tax, v),
-        }
-    }
-
-    /// Sorted vertices carrying `label` (never materializes a shard).
-    pub fn vertices_with_label(self, label: LabelId) -> &'a [VertexId] {
-        match self {
-            IndexRef::Monolithic(idx) => idx.vertices_with_label(label),
-            IndexRef::Sharded(idx) => idx.vertices_with_label(label),
-        }
-    }
-
-    /// Number of vertices the index covers.
-    pub fn num_vertices(self) -> usize {
-        match self {
-            IndexRef::Monolithic(idx) => idx.num_vertices(),
-            IndexRef::Sharded(idx) => idx.num_vertices(),
-        }
-    }
-
-    /// Number of populated labels (resident or not).
-    pub fn num_populated_labels(self) -> usize {
-        match self {
-            IndexRef::Monolithic(idx) => idx.num_populated_labels(),
-            IndexRef::Sharded(idx) => idx.num_populated_labels(),
-        }
-    }
-}
-
-impl<'a> From<&'a CpTree> for IndexRef<'a> {
-    fn from(idx: &'a CpTree) -> Self {
-        IndexRef::Monolithic(idx)
-    }
-}
-
-impl<'a> From<&'a ShardedCpIndex> for IndexRef<'a> {
-    fn from(idx: &'a ShardedCpIndex) -> Self {
-        IndexRef::Sharded(idx)
-    }
-}
-
-impl std::fmt::Debug for IndexRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexRef::Monolithic(_) => f.write_str("IndexRef::Monolithic"),
-            IndexRef::Sharded(idx) => write!(f, "IndexRef::Sharded({idx:?})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,34 +930,37 @@ mod tests {
         })
     }
 
-    fn sorted_mono(idx: &CpTree, k: u32, q: VertexId, label: LabelId) -> Option<Vec<u32>> {
-        idx.get_ref(k, q, label).map(|s| {
-            let mut v = s.to_vec();
-            v.sort_unstable();
-            v
-        })
-    }
-
-    /// The full query surface of the sharded index equals the
-    /// monolithic build's.
-    fn assert_matches_monolithic(sharded: &ShardedCpIndex, mono: &CpTree, tax: &Taxonomy) {
-        assert_eq!(sharded.num_vertices(), mono.num_vertices());
-        assert_eq!(sharded.num_populated_labels(), mono.num_populated_labels());
-        for v in 0..sharded.num_vertices() as u32 {
-            assert_eq!(sharded.restore_ptree(tax, v), mono.restore_ptree(tax, v), "headMap {v}");
+    /// The full query surface of `idx` equals that of `fresh`, a
+    /// from-scratch [`ShardedCpIndex::build_resident`] on the same
+    /// inputs.
+    fn assert_matches_fresh(idx: &ShardedCpIndex, fresh: &ShardedCpIndex, tax: &Taxonomy) {
+        assert_eq!(idx.num_vertices(), fresh.num_vertices());
+        assert_eq!(idx.num_populated_labels(), fresh.num_populated_labels());
+        for v in 0..idx.num_vertices() as u32 {
+            assert_eq!(idx.restore_ptree(v), fresh.restore_ptree(v), "profile of {v}");
         }
         for label in 0..tax.len() as u32 {
-            assert_eq!(sharded.vertices_with_label(label), mono.vertices_with_label(label));
-            for q in 0..sharded.num_vertices() as u32 {
+            assert_eq!(idx.vertices_with_label(label), fresh.vertices_with_label(label));
+            for q in 0..idx.num_vertices() as u32 {
                 for k in 0..6 {
                     assert_eq!(
-                        sorted_ref(sharded, k, q, label),
-                        sorted_mono(mono, k, q, label),
+                        sorted_ref(idx, k, q, label),
+                        sorted_ref(fresh, k, q, label),
                         "label={label} q={q} k={k}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn build_validates_inputs() {
+        let (g, t, mut profiles) = figure1();
+        profiles.pop();
+        assert_eq!(
+            ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap_err(),
+            IndexError::ProfileCountMismatch { vertices: 8, profiles: 7 }
+        );
     }
 
     #[test]
@@ -1076,7 +972,9 @@ mod tests {
         // Membership and profile restoration answer from the facade
         // alone — no shard is ever touched.
         assert_eq!(idx.vertices_with_label(Taxonomy::ROOT).len(), 8);
-        assert_eq!(idx.restore_ptree(&t, 1), profiles[1]);
+        for v in 0..8u32 {
+            assert_eq!(idx.restore_ptree(v), profiles[v as usize], "vertex {v}");
+        }
         assert_eq!(idx.resident_shards(), 0);
         // One probe materializes exactly one shard.
         let hw = t.id_of("HW").unwrap();
@@ -1086,12 +984,34 @@ mod tests {
         assert!(idx.shard_if_resident(Taxonomy::ROOT).is_none());
     }
 
+    /// Ground truth: every probe of a cold index equals the k-ĉore
+    /// computed from scratch on the label's induced subgraph.
     #[test]
-    fn lazy_probes_match_monolithic_everywhere() {
+    fn lazy_probes_match_bruteforce_everywhere() {
         let (g, t, profiles) = figure1();
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
-        let sharded = ShardedCpIndex::build(g, &t, Arc::new(profiles)).unwrap();
-        assert_matches_monolithic(&sharded, &mono, &t);
+        let sharded =
+            ShardedCpIndex::build(Arc::clone(&g), &t, Arc::new(profiles.clone())).unwrap();
+        for label in 0..t.len() as u32 {
+            let with_label: Vec<u32> =
+                (0..8u32).filter(|&v| profiles[v as usize].contains(label)).collect();
+            assert_eq!(sharded.vertices_with_label(label), &with_label[..]);
+            let (sub, ids) = g.induced_subgraph(&with_label);
+            let cd = CoreDecomposition::new(&sub);
+            for q in 0..8u32 {
+                for k in 0..4 {
+                    // Vertices without the label are absent.
+                    let expect = ids.binary_search(&q).ok().and_then(|q_local| {
+                        cd.kcore_component(&sub, q_local as u32, k)
+                            .map(|c| c.into_iter().map(|v| ids[v as usize]).collect::<Vec<_>>())
+                    });
+                    assert_eq!(
+                        sorted_ref(&sharded, k, q, label),
+                        expect,
+                        "label={label} q={q} k={k}"
+                    );
+                }
+            }
+        }
         // After the sweep everything is resident, and probing again is
         // stable (same Arc).
         assert_eq!(sharded.resident_shards(), sharded.num_populated_labels());
@@ -1104,38 +1024,68 @@ mod tests {
     #[test]
     fn materialize_all_parallel_matches_sequential() {
         let (g, t, profiles) = figure1();
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
+        let seq = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let sharded = ShardedCpIndex::build(g, &t, Arc::new(profiles)).unwrap();
         sharded.materialize_all(4);
         assert_eq!(sharded.resident_shards(), sharded.num_populated_labels());
-        assert_matches_monolithic(&sharded, &mono, &t);
+        assert_matches_fresh(&sharded, &seq, &t);
         sharded.materialize_all(4); // idempotent
         assert_eq!(sharded.resident_shards(), sharded.num_populated_labels());
+        assert!(sharded.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn nested_label_cores_shrink() {
+        // I.get(k,q,t) ⊆ I.get(k,q,parent(t)) — the containment the
+        // paper's verifyPtree relies on.
+        let (g, t, profiles) = figure1();
+        let idx = ShardedCpIndex::build(g, &t, Arc::new(profiles)).unwrap();
+        for label in 1..t.len() as u32 {
+            let parent = t.parent(label);
+            for q in 0..8u32 {
+                for k in 0..3 {
+                    if let Some(child_core) = sorted_ref(&idx, k, q, label) {
+                        let parent_core =
+                            sorted_ref(&idx, k, q, parent).expect("parent label core must exist");
+                        assert!(
+                            child_core.iter().all(|v| parent_core.binary_search(v).is_ok()),
+                            "label={label} q={q} k={k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpopulated_label_behaviour() {
+        let (g, mut t, mut profiles) = figure1();
+        let lonely = t.add_child(Taxonomy::ROOT, "lonely").unwrap();
+        // Rebuild profiles against the grown taxonomy (ids unchanged).
+        profiles = profiles
+            .into_iter()
+            .map(|p| PTree::from_labels(&t, p.nodes().iter().copied().skip(1)).unwrap())
+            .collect();
+        let idx = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        assert!(idx.shard(lonely).is_none());
+        assert!(idx.get_ref(0, 0, lonely).is_none());
+        assert!(idx.vertices_with_label(lonely).is_empty());
     }
 
     #[test]
     fn root_shard_reuses_shared_cores() {
         let (g, t, profiles) = figure1();
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
+        let peeled = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let mut sharded = ShardedCpIndex::build(Arc::clone(&g), &t, Arc::new(profiles)).unwrap();
         let cell = Arc::new(OnceLock::new());
         cell.set(CoreDecomposition::new(&g)).unwrap();
         sharded.set_global_cores(Arc::clone(&cell));
+        // 2-ĉore of D under the root label = whole graph's 2-ĉore.
         assert_eq!(
-            sorted_ref(&sharded, 2, 3, Taxonomy::ROOT),
-            sorted_mono(&mono, 2, 3, Taxonomy::ROOT)
+            sorted_ref(&sharded, 2, 3, Taxonomy::ROOT).unwrap(),
+            vec![0, 1, 2, 3, 4, 5, 6, 7]
         );
-        assert_matches_monolithic(&sharded, &mono, &t);
-    }
-
-    #[test]
-    fn from_cp_tree_is_fully_resident_and_equal() {
-        let (g, t, profiles) = figure1();
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
-        let sharded =
-            ShardedCpIndex::from_cp_tree(mono.clone(), Arc::clone(&g), Arc::new(profiles));
-        assert_eq!(sharded.resident_shards(), sharded.num_populated_labels());
-        assert_matches_monolithic(&sharded, &mono, &t);
+        assert_matches_fresh(&sharded, &peeled, &t);
     }
 
     #[test]
@@ -1161,13 +1111,51 @@ mod tests {
         );
         assert_eq!(stats.labels_invalidated, 3, "absent shards invalidated, never built");
         // Cold shards now materialize against the *new* graph; the
-        // whole surface equals a monolithic rebuild.
-        let fresh = CpTree::build(&g_after, &t, &profiles).unwrap();
-        assert_matches_monolithic(&patched, &fresh, &t);
+        // whole surface equals a from-scratch rebuild.
+        let fresh = ShardedCpIndex::build_resident(&g_after, &t, &profiles).unwrap();
+        assert_matches_fresh(&patched, &fresh, &t);
         // The original (pre-patch clone source) still answers pre-batch
         // state: resident shard Arcs were shared, not mutated.
-        let before = CpTree::build(&g, &t, &profiles).unwrap();
-        assert_eq!(sorted_ref(&sharded, 1, 0, hw), sorted_mono(&before, 1, 0, hw));
+        let before = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        assert_eq!(sorted_ref(&sharded, 1, 0, hw), sorted_ref(&before, 1, 0, hw));
+    }
+
+    #[test]
+    fn redundant_intra_core_edge_is_skipped() {
+        // A 4-cycle of vertices all sharing one label, plus a pendant:
+        // the diagonal 1-3 joins two vertices already in the same
+        // 2-ĉore and leaves every core number at 2 — provably a no-op.
+        let mut t = Taxonomy::new("r");
+        let a = t.add_child(Taxonomy::ROOT, "a").unwrap();
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]).unwrap();
+        let profiles: Vec<PTree> = (0..5).map(|_| PTree::from_labels(&t, [a]).unwrap()).collect();
+        let mut idx = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let mut dyn_g = DynamicGraph::from_graph(&g);
+        dyn_g.add_edge(1, 3).unwrap();
+        let g_after = Arc::new(dyn_g.to_graph());
+        let deltas = [GraphDelta::EdgeAdded { u: 1, v: 3 }];
+        let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None, 1);
+        assert_eq!(stats.labels_skipped, 2, "root + a both skip");
+        assert_eq!(stats.labels_rebuilt, 0);
+        let fresh = ShardedCpIndex::build_resident(&g_after, &t, &profiles).unwrap();
+        assert_matches_fresh(&idx, &fresh, &t);
+    }
+
+    #[test]
+    fn invalidation_set_is_tight() {
+        let (g, t, profiles) = figure1();
+        let idx = ShardedCpIndex::build(g, &t, Arc::new(profiles.clone())).unwrap();
+        // Edge A-E: both carry {r, IS, DMS, HW} — intersection is
+        // exactly those labels.
+        let touched = idx.invalidation_set(&profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }]);
+        let mut expect = vec![
+            Taxonomy::ROOT,
+            t.id_of("IS").unwrap(),
+            t.id_of("DMS").unwrap(),
+            t.id_of("HW").unwrap(),
+        ];
+        expect.sort_unstable();
+        assert_eq!(touched, expect);
     }
 
     #[test]
@@ -1186,8 +1174,8 @@ mod tests {
         assert_eq!(stats.labels_invalidated, stats.labels_touched);
         assert_eq!(patched.resident_shards(), 0);
         assert!(patched.vertices_with_label(dms).contains(&6));
-        let fresh = CpTree::build(&g, &t, &profiles).unwrap();
-        assert_matches_monolithic(&patched, &fresh, &t);
+        let fresh = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        assert_matches_fresh(&patched, &fresh, &t);
     }
 
     #[test]
@@ -1272,8 +1260,8 @@ mod tests {
                 }
                 let g_after = Arc::new(dyn_g.to_graph());
                 idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None, 2);
-                let fresh = CpTree::build(&g_after, &tax, &profiles).unwrap();
-                assert_matches_monolithic(&idx, &fresh, &tax);
+                let fresh = ShardedCpIndex::build_resident(&g_after, &tax, &profiles).unwrap();
+                assert_matches_fresh(&idx, &fresh, &tax);
             }
         }
     }
@@ -1300,45 +1288,54 @@ mod tests {
                 }
             }
         }
+        /// Serves the member table of a built facade.
+        struct FakeMembers(Vec<Vec<VertexId>>);
+        impl MemberSource for FakeMembers {
+            fn load_members(&self, label: LabelId) -> Option<Vec<VertexId>> {
+                self.0.get(label as usize).cloned()
+            }
+        }
         let (g, t, profiles) = figure1();
         let profiles = Arc::new(profiles);
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
-        let facade = ShardedCpIndex::build(Arc::clone(&g), &t, Arc::clone(&profiles)).unwrap();
+        let full = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         let hw = t.id_of("HW").unwrap();
         let dms = t.id_of("DMS").unwrap();
+        let hw_cl = full.shard(hw).unwrap().cl.clone();
         let source = FakeSource {
             good: hw,
-            good_cl: mono.node(hw).unwrap().cl.clone(),
+            good_cl: hw_cl.clone(),
             lying: dms,
             // Wrong member set for DMS: the CL-tree of HW's members.
-            lying_cl: mono.node(hw).unwrap().cl.clone(),
+            lying_cl: hw_cl,
         };
-        let idx = ShardedCpIndex::from_loaded(
-            Arc::clone(&g),
-            Arc::clone(&profiles),
-            (0..t.len() as u32).map(|l| facade.vertices_with_label(l).to_vec()).collect(),
-            Vec::new(),
+        let members: Vec<Vec<VertexId>> =
+            (0..t.len() as u32).map(|l| full.vertices_with_label(l).to_vec()).collect();
+        let idx = ShardedCpIndex::from_lazy_parts(
+            GraphHandle::ready(Arc::clone(&g)),
+            ProfilesHandle::dense(Arc::clone(&profiles)),
+            members.iter().map(Vec::len).collect(),
+            Arc::new(FakeMembers(members)),
             Some(Arc::new(source)),
         )
         .unwrap();
         // Both shards answer correctly: HW adopted from the source,
         // DMS rejected (member mismatch) and rebuilt from the graph.
-        assert_matches_monolithic(&idx, &mono, &t);
+        assert_matches_fresh(&idx, &full, &t);
     }
 
     #[test]
     fn from_loaded_rejects_malformed_parts() {
         let (g, t, profiles) = figure1();
         let profiles = Arc::new(profiles);
-        let mono = CpTree::build(&g, &t, &profiles).unwrap();
-        let facade = ShardedCpIndex::build(Arc::clone(&g), &t, Arc::clone(&profiles)).unwrap();
+        let full = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let cl_of = |label: LabelId| full.shard(label).unwrap().cl.clone();
         let members: Vec<Vec<VertexId>> =
-            (0..t.len() as u32).map(|l| facade.vertices_with_label(l).to_vec()).collect();
+            (0..t.len() as u32).map(|l| full.vertices_with_label(l).to_vec()).collect();
         let corrupt = |profiles: Arc<Vec<PTree>>,
                        members: Vec<Vec<VertexId>>,
                        resident: Vec<(LabelId, ClTree)>| {
             assert!(matches!(
-                ShardedCpIndex::from_loaded(Arc::clone(&g), profiles, members, resident, None),
+                ShardedCpIndex::from_loaded(Arc::clone(&g), profiles, members, resident),
                 Err(IndexError::CorruptIndex { .. })
             ));
         };
@@ -1355,20 +1352,9 @@ mod tests {
         // Resident shard whose members disagree with the table.
         let hw = t.id_of("HW").unwrap();
         let dms = t.id_of("DMS").unwrap();
-        corrupt(
-            Arc::clone(&profiles),
-            members.clone(),
-            vec![(dms, mono.node(hw).unwrap().cl.clone())],
-        );
+        corrupt(Arc::clone(&profiles), members.clone(), vec![(dms, cl_of(hw))]);
         // Out-of-order resident labels (dms > hw, so hw-after-dms is
         // a descending pair).
-        corrupt(
-            Arc::clone(&profiles),
-            members.clone(),
-            vec![
-                (dms, mono.node(dms).unwrap().cl.clone()),
-                (hw, mono.node(hw).unwrap().cl.clone()),
-            ],
-        );
+        corrupt(Arc::clone(&profiles), members.clone(), vec![(dms, cl_of(dms)), (hw, cl_of(hw))]);
     }
 }

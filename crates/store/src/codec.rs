@@ -14,38 +14,33 @@
 //! | 3 | `TAXONOMY` | parent array + length-prefixed label names |
 //! | 4 | `PROFILES` | per-vertex node counts + flat label array |
 //! | 5 | `CORES` | per-vertex core numbers (optional section) |
-//! | 6 | `INDEX` | the sharded index (optional); layout is versioned |
+//! | 6 | `INDEX` | the CP-tree index (optional) |
 //!
-//! ## The INDEX section, v1 vs v2
+//! ## The INDEX section
 //!
-//! * **v1** (read-only): headMap + every populated label's CL-tree,
-//!   back to back — monolithic, all-or-nothing.
-//! * **v2** (written): no head map (the `PROFILES` section already
-//!   carries every `T(v)` and the sharded runtime shares it by `Arc`)
-//!   — just the full per-label **member table**, then a **shard
-//!   directory** (label, offset, length into a trailing payload blob)
-//!   holding only the shards that were *resident* when the engine
-//!   saved. A partial load maps the directory eagerly and
-//!   decodes individual shard payloads lazily on first touch
-//!   ([`LazyShardStore`]); shards absent from the file (or invalidated
-//!   later) are rebuilt from the graph on demand.
+//! No head map (the `PROFILES` section already carries every `T(v)`
+//! and the index shares it by `Arc`) — just the full per-label **member
+//! table** with per-label checksums, then a **shard directory** (label,
+//! offset, length, checksum into a trailing payload blob) holding only
+//! the shards that were *resident* when the engine saved. Shards absent
+//! from the file (or invalidated later) are rebuilt from the graph on
+//! demand; [`crate::lazy`] reads the same layout range by range.
 
 use crate::format::{
     Result, SectionReader, SectionWriter, SnapshotFile, SnapshotSlices, StoreError,
 };
 use pcs_graph::{Graph, VertexId};
-use pcs_index::{ClTree, ClTreeFlat, CpTree, ShardSource, ShardedCpIndex};
+use pcs_index::{ClTree, ClTreeFlat, ShardedCpIndex};
 use pcs_ptree::{LabelId, PTree, ProfileLoader, Taxonomy};
-use std::sync::Arc;
 
-/// Vertices per `PROFILES` chunk in v3 files. Each chunk is
+/// Vertices per `PROFILES` chunk. Each chunk is
 /// independently checksummed, so a lazy loader faults in
 /// `PROFILE_CHUNK` profiles per touch; the value trades directory
 /// overhead (24 bytes per chunk) against read amplification on
 /// scattered access.
 pub const PROFILE_CHUNK: usize = 1024;
 
-/// Seed for the v3 `PROFILES` chunk checksums: chunk `i` is hashed
+/// Seed for the `PROFILES` chunk checksums: chunk `i` is hashed
 /// under a seed that encodes both the section id and the chunk index,
 /// so a chunk can never validate in another chunk's position.
 #[inline]
@@ -53,14 +48,14 @@ pub fn profile_chunk_seed(chunk: u64) -> u64 {
     (u64::from(section::PROFILES) << 32) ^ chunk
 }
 
-/// Seed for the v3 `INDEX` per-label member checksums (hashed over the
+/// Seed for the `INDEX` per-label member checksums (hashed over the
 /// raw wire bytes of that label's member run).
 #[inline]
 pub fn member_sum_seed(label: LabelId) -> u64 {
     (u64::from(section::INDEX) << 32) ^ u64::from(label)
 }
 
-/// Seed for a v3 `INDEX` shard-payload checksum: distinct from both the
+/// Seed for an `INDEX` shard-payload checksum: distinct from both the
 /// section seed and [`member_sum_seed`] (high bit set), and bound to the
 /// shard's label so one shard's payload cannot answer for another's.
 pub fn shard_sum_seed(label: LabelId) -> u64 {
@@ -83,113 +78,16 @@ pub mod section {
     pub const INDEX: u32 = 6;
 }
 
-/// How [`decode_snapshot_mode`] treats the `INDEX` section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexDecode {
-    /// Leave the section untouched (`contents.index = None`): replicas
-    /// that drop the index anyway skip the dominant decode cost.
-    Skip,
-    /// Decode and structurally validate every shard payload up front.
-    Eager,
-    /// Map the shard directory eagerly but defer each shard payload's
-    /// decode to its first materialization (v2 files only; v1 files
-    /// have no directory and decode eagerly regardless).
-    Partial,
-}
-
-/// The decoded `INDEX` section: the facade member table plus the
-/// shards in whichever residency the decode mode produced. (The v2
-/// wire format carries no head map — `T(v)` restoration reads the
-/// `PROFILES` section's trees, which the engine shares with the index
-/// by `Arc`; v1 files still carry one and it is pin-checked against
-/// the profiles, then dropped.)
+/// The decoded `INDEX` section: the facade member table plus every
+/// persisted shard, decoded and validated. (The wire format carries no
+/// head map — `T(v)` restoration reads the `PROFILES` section's trees,
+/// which the engine shares with the index by `Arc`.)
 #[derive(Debug)]
 pub struct DecodedIndex {
     /// Per label, the sorted vertices carrying it (empty ⇔ unpopulated).
     pub members_of: Vec<Vec<VertexId>>,
-    /// The shard payloads.
-    pub shards: DecodedShards,
-}
-
-/// Shard payloads in decoded or lazily decodable form.
-pub enum DecodedShards {
-    /// Every persisted shard, decoded and validated (v1 files, and v2
-    /// under [`IndexDecode::Eager`]). Ascending label order.
-    Resident(Vec<(LabelId, ClTree)>),
-    /// The v2 partial-load handle: payload bytes retained, decoded per
-    /// shard on first touch.
-    Lazy(Arc<LazyShardStore>),
-}
-
-impl std::fmt::Debug for DecodedShards {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodedShards::Resident(v) => write!(f, "Resident({} shards)", v.len()),
-            DecodedShards::Lazy(store) => write!(f, "Lazy({} shards)", store.entries.len()),
-        }
-    }
-}
-
-/// The retained shard payload region of a v2 snapshot plus its
-/// directory: a [`ShardSource`] that decodes one shard per
-/// [`load_shard`](ShardSource::load_shard) call.
-///
-/// The container already checksummed these bytes at load, so random
-/// damage cannot reach this point; a *forged* (re-checksummed) payload
-/// that fails structural validation here simply yields `None`, and the
-/// owning [`ShardedCpIndex`] rebuilds that shard from the graph — a bad
-/// payload can cost time, never correctness.
-pub struct LazyShardStore {
-    blob: Vec<u8>,
-    /// `(label, offset, len)` into `blob`, ascending labels.
-    entries: Vec<(LabelId, usize, usize)>,
-    narrow: bool,
-}
-
-impl LazyShardStore {
-    /// Labels with a persisted payload, in ascending order.
-    pub fn labels(&self) -> impl Iterator<Item = LabelId> + '_ {
-        self.entries.iter().map(|&(l, _, _)| l)
-    }
-
-    /// Decodes the payload of `label`, if persisted. Structural
-    /// failures surface as a typed error (callers going through
-    /// [`ShardSource`] treat them as "not available").
-    pub fn decode(&self, label: LabelId) -> Result<Option<ClTree>> {
-        let Ok(i) = self.entries.binary_search_by_key(&label, |&(l, _, _)| l) else {
-            return Ok(None);
-        };
-        let Some(&(_, off, len)) = self.entries.get(i) else {
-            return Ok(None);
-        };
-        let end = off
-            .checked_add(len)
-            .ok_or_else(|| corrupt(section::INDEX, "shard extent overflows"))?;
-        let payload = self
-            .blob
-            .get(off..end)
-            .ok_or_else(|| corrupt(section::INDEX, "shard extent out of bounds"))?;
-        let mut r = SectionReader::new(payload, section::INDEX);
-        let flat = decode_cl(&mut r, self.narrow)?;
-        r.finish()?;
-        let cl = ClTree::from_flat(flat).map_err(|e| corrupt(section::INDEX, e.to_string()))?;
-        Ok(Some(cl))
-    }
-}
-
-impl ShardSource for LazyShardStore {
-    fn load_shard(&self, label: LabelId) -> Option<ClTree> {
-        self.decode(label).ok().flatten()
-    }
-}
-
-impl std::fmt::Debug for LazyShardStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LazyShardStore")
-            .field("shards", &self.entries.len())
-            .field("blob_bytes", &self.blob.len())
-            .finish()
-    }
+    /// The persisted shards, in ascending label order.
+    pub shards: Vec<(LabelId, ClTree)>,
 }
 
 /// A fully decoded snapshot: everything an engine needs to warm-start.
@@ -221,8 +119,8 @@ fn corrupt(section: u32, detail: impl Into<String>) -> StoreError {
 /// has already materialized. Only the index's **resident** shards are
 /// persisted — the member table covers every populated label, so a
 /// loader can rebuild the rest on demand. The writer guarantees the
-/// sections agree with each other — [`decode_snapshot`] re-checks the
-/// cheap consistency subset on the way back in.
+/// sections agree with each other — [`decode_snapshot_bytes`] re-checks
+/// the cheap consistency subset on the way back in.
 pub fn encode_snapshot(
     epoch: u64,
     graph: &Graph,
@@ -233,10 +131,15 @@ pub fn encode_snapshot(
 ) -> SnapshotFile {
     let mut file = SnapshotFile::new();
     let narrow = narrow_width(graph, tax);
-    let version = file.version();
-    encode_common_sections(&mut file, epoch, graph, tax, profiles, cores, narrow, version);
+    file.push_section(section::META, encode_meta(epoch, graph, tax, narrow));
+    file.push_section(section::GRAPH, encode_graph(graph, narrow));
+    file.push_section(section::TAXONOMY, encode_taxonomy(tax, narrow));
+    file.push_section(section::PROFILES, encode_profiles_chunked(profiles, narrow));
+    if let Some(core) = cores {
+        file.push_section(section::CORES, encode_cores(core, narrow));
+    }
     if let Some(idx) = index {
-        file.push_section(section::INDEX, encode_index_v2(idx, narrow, true));
+        file.push_section(section::INDEX, encode_index(idx, narrow));
     }
     file
 }
@@ -259,7 +162,7 @@ pub fn write_snapshot(
 ) -> Result<()> {
     let narrow = narrow_width(graph, tax);
     let count = 4 + u32::from(cores.is_some()) + u32::from(index.is_some());
-    let mut w = crate::format::SnapshotWriter::create(path, crate::format::FORMAT_VERSION, count)?;
+    let mut w = crate::format::SnapshotWriter::create(path, count)?;
     // One section payload alive at a time; each drops before the next
     // is built.
     w.put_section(section::META, &encode_meta(epoch, graph, tax, narrow))?;
@@ -270,31 +173,9 @@ pub fn write_snapshot(
         w.put_section(section::CORES, &encode_cores(core, narrow))?;
     }
     if let Some(idx) = index {
-        w.put_section(section::INDEX, &encode_index_v2(idx, narrow, true))?;
+        w.put_section(section::INDEX, &encode_index(idx, narrow))?;
     }
     w.finish()
-}
-
-/// The **legacy v1 writer**, kept so the v1→v2 compatibility path stays
-/// testable without committed binary fixtures (and for tooling that
-/// must produce files an old reader accepts). Writes a version-1
-/// container with the monolithic v1 `INDEX` layout. Production code
-/// writes [`encode_snapshot`]; nothing in the serving path calls this.
-pub fn encode_snapshot_v1(
-    epoch: u64,
-    graph: &Graph,
-    tax: &Taxonomy,
-    profiles: &[PTree],
-    cores: Option<&[u32]>,
-    index: Option<&CpTree>,
-) -> SnapshotFile {
-    let mut file = SnapshotFile::new_versioned(1);
-    let narrow = narrow_width(graph, tax);
-    encode_common_sections(&mut file, epoch, graph, tax, profiles, cores, narrow, 1);
-    if let Some(idx) = index {
-        file.push_section(section::INDEX, encode_index_v1(idx, tax.len(), narrow));
-    }
-    file
 }
 
 /// Narrow (two-byte) id width whenever every id-like value fits:
@@ -312,31 +193,6 @@ fn narrow_width(graph: &Graph, tax: &Taxonomy) -> bool {
 fn wire_u32(x: usize, what: &str) -> u32 {
     // audit:allow(no-panic): writer contract — a wrapped length would serialize a checksum-valid corrupt file
     u32::try_from(x).unwrap_or_else(|_| panic!("{what} {x} overflows the u32 wire width"))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encode_common_sections(
-    file: &mut SnapshotFile,
-    epoch: u64,
-    graph: &Graph,
-    tax: &Taxonomy,
-    profiles: &[PTree],
-    cores: Option<&[u32]>,
-    narrow: bool,
-    version: u32,
-) {
-    file.push_section(section::META, encode_meta(epoch, graph, tax, narrow));
-    file.push_section(section::GRAPH, encode_graph(graph, narrow));
-    file.push_section(section::TAXONOMY, encode_taxonomy(tax, narrow));
-    let p = if version >= 3 {
-        encode_profiles_chunked(profiles, narrow)
-    } else {
-        encode_profiles_flat(profiles, narrow)
-    };
-    file.push_section(section::PROFILES, p);
-    if let Some(core) = cores {
-        file.push_section(section::CORES, encode_cores(core, narrow));
-    }
 }
 
 fn encode_meta(epoch: u64, graph: &Graph, tax: &Taxonomy, narrow: bool) -> Vec<u8> {
@@ -369,22 +225,7 @@ fn encode_taxonomy(tax: &Taxonomy, narrow: bool) -> Vec<u8> {
     t.finish()
 }
 
-/// The v1/v2 `PROFILES` layout: one flat lens/total/ids block.
-fn encode_profiles_flat(profiles: &[PTree], narrow: bool) -> Vec<u8> {
-    let mut p = SectionWriter::new();
-    p.put_u64(profiles.len() as u64);
-    for profile in profiles {
-        p.put_u32(wire_u32(profile.nodes().len(), "profile length"));
-    }
-    let total: usize = profiles.iter().map(|pr| pr.nodes().len()).sum();
-    p.put_u64(total as u64);
-    for profile in profiles {
-        p.put_id_slice(profile.nodes(), narrow);
-    }
-    p.finish()
-}
-
-/// The v3 `PROFILES` layout: the vertex range is cut into
+/// The `PROFILES` layout: the vertex range is cut into
 /// [`PROFILE_CHUNK`]-sized chunks, each a self-contained
 /// lens/total/ids block with its own checksum, listed in a directory
 /// up front:
@@ -439,8 +280,7 @@ fn encode_cores(core: &[u32], narrow: bool) -> Vec<u8> {
     c.finish()
 }
 
-/// One CL-tree's flat arrays (the per-shard payload, shared by both
-/// index layouts).
+/// One CL-tree's flat arrays (the per-shard payload).
 fn encode_cl(w: &mut SectionWriter, cl: &ClTreeFlat, narrow: bool) {
     w.put_u64(cl.core.len() as u64);
     w.put_id_slice(&cl.core, narrow);
@@ -478,41 +318,16 @@ pub(crate) fn decode_cl(r: &mut SectionReader<'_>, narrow: bool) -> Result<ClTre
     })
 }
 
-/// v1 `INDEX`: headMap, then every populated label's CL-tree inline.
-fn encode_index_v1(idx: &CpTree, num_labels: usize, narrow: bool) -> Vec<u8> {
-    let n = wire_u32(idx.num_vertices(), "vertex count");
-    let mut w = SectionWriter::new();
-    w.put_u64(u64::from(n));
-    w.put_u64(num_labels as u64);
-    for v in 0..n {
-        w.put_u32(wire_u32(idx.head(v).len(), "head list length"));
-    }
-    let total: usize = (0..n).map(|v| idx.head(v).len()).sum();
-    w.put_u64(total as u64);
-    for v in 0..n {
-        w.put_id_slice(idx.head(v), narrow);
-    }
-    w.put_u64(idx.num_populated_labels() as u64);
-    for label in 0..wire_u32(num_labels, "label count") {
-        let Some(node) = idx.node(label) else {
-            continue;
-        };
-        w.put_u32(node.label);
-        encode_cl(&mut w, &node.cl.to_flat(), narrow);
-    }
-    w.finish()
-}
-
-/// v2/v3 `INDEX`: the full member table, then a shard directory over a
+/// `INDEX`: the full member table, then a shard directory over a
 /// trailing blob holding only the resident shards' payloads (no head
 /// map — `T(v)` lives in the `PROFILES` section). Serialized one
 /// shard at a time — saving never holds a second copy of the whole
-/// index in memory. With `with_sums` (v3) a per-label checksum of each
-/// label's raw member-run bytes follows the length table, and each
-/// directory entry carries a checksum of its shard payload — so a lazy
-/// loader can fault in and verify one label's members or one shard
-/// without reading the whole section.
-fn encode_index_v2(idx: &ShardedCpIndex, narrow: bool, with_sums: bool) -> Vec<u8> {
+/// index in memory. A per-label checksum of each label's raw
+/// member-run bytes follows the length table, and each directory entry
+/// carries a checksum of its shard payload — so a lazy loader can
+/// fault in and verify one label's members or one shard without
+/// reading the whole section.
+fn encode_index(idx: &ShardedCpIndex, narrow: bool) -> Vec<u8> {
     let n = idx.num_vertices();
     let num_labels = wire_u32(idx.num_labels(), "label count");
     let mut w = SectionWriter::new();
@@ -521,12 +336,10 @@ fn encode_index_v2(idx: &ShardedCpIndex, narrow: bool, with_sums: bool) -> Vec<u
     for label in 0..num_labels {
         w.put_u32(wire_u32(idx.vertices_with_label(label).len(), "member list length"));
     }
-    if with_sums {
-        for label in 0..num_labels {
-            let mut run = SectionWriter::new();
-            run.put_id_slice(idx.vertices_with_label(label), narrow);
-            w.put_u64(crate::format::xxh64(&run.finish(), member_sum_seed(label)));
-        }
+    for label in 0..num_labels {
+        let mut run = SectionWriter::new();
+        run.put_id_slice(idx.vertices_with_label(label), narrow);
+        w.put_u64(crate::format::xxh64(&run.finish(), member_sum_seed(label)));
     }
     let total: usize = (0..num_labels).map(|l| idx.vertices_with_label(l).len()).sum();
     w.put_u64(total as u64);
@@ -534,7 +347,7 @@ fn encode_index_v2(idx: &ShardedCpIndex, narrow: bool, with_sums: bool) -> Vec<u
         w.put_id_slice(idx.vertices_with_label(label), narrow);
     }
     // Directory + blob: encode each resident shard once, recording its
-    // (offset, len[, checksum]) run inside the blob.
+    // (offset, len, checksum) run inside the blob.
     let mut blob = SectionWriter::new();
     let mut directory: Vec<(LabelId, u64, u64, u64)> = Vec::new();
     let mut at = 0u64;
@@ -553,91 +366,52 @@ fn encode_index_v2(idx: &ShardedCpIndex, narrow: bool, with_sums: bool) -> Vec<u
         w.put_u32(label);
         w.put_u64(off);
         w.put_u64(len);
-        if with_sums {
-            w.put_u64(sum);
-        }
+        w.put_u64(sum);
     }
     w.put_u64(blob.len() as u64);
     w.put_bytes(&blob);
     w.finish()
 }
 
-/// Anything the codec can pull sections out of: the owned
-/// [`SnapshotFile`] or the zero-copy [`SnapshotSlices`] view.
-pub trait SectionSource {
-    /// The payload of section `id`, if present.
-    fn section(&self, id: u32) -> Option<&[u8]>;
-
-    /// The container format version (selects the `INDEX` layout).
-    fn version(&self) -> u32;
-}
-
-impl SectionSource for SnapshotFile {
-    fn section(&self, id: u32) -> Option<&[u8]> {
-        SnapshotFile::section(self, id)
-    }
-
-    fn version(&self) -> u32 {
-        SnapshotFile::version(self)
-    }
-}
-
-impl SectionSource for SnapshotSlices<'_> {
-    fn section(&self, id: u32) -> Option<&[u8]> {
-        SnapshotSlices::section(self, id)
-    }
-
-    fn version(&self) -> u32 {
-        SnapshotSlices::version(self)
-    }
-}
-
-/// One-call warm-start path: container-validate `bytes` without
-/// copying payloads, then [`decode_snapshot`].
-pub fn decode_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotContents> {
-    decode_snapshot_bytes_mode(bytes, IndexDecode::Eager)
-}
-
-/// [`decode_snapshot_bytes`] with the index decode made optional:
-/// replicas that will drop the index anyway (`IndexMode::Disabled`)
-/// pass `want_index = false` and skip decoding/validating the INDEX
-/// section — the dominant share of a warm snapshot — entirely. The
-/// container still checksums every section either way.
-pub fn decode_snapshot_bytes_with(bytes: &[u8], want_index: bool) -> Result<SnapshotContents> {
-    decode_snapshot_bytes_mode(
-        bytes,
-        if want_index { IndexDecode::Eager } else { IndexDecode::Skip },
-    )
-}
-
-/// [`decode_snapshot_bytes`] with an explicit [`IndexDecode`] mode
-/// (the engine's lazy load path uses [`IndexDecode::Partial`]).
-pub fn decode_snapshot_bytes_mode(bytes: &[u8], mode: IndexDecode) -> Result<SnapshotContents> {
-    decode_snapshot_mode(&SnapshotSlices::from_bytes(bytes)?, mode)
-}
-
-/// Decodes (and cross-validates) a snapshot file back into engine
+/// The buffered warm-start path: container-validate `bytes` without
+/// copying payloads (magic, version gate, table and payload checksums),
+/// then decode and cross-validate every section back into engine
 /// parts.
 ///
-/// Validation layers, cheapest first: the container already proved
-/// byte integrity via checksums; this function proves *structure*
-/// (graph CSR invariants, taxonomy shape, P-tree closure, CL-tree
-/// arena invariants) and *cross-section agreement* (counts line up,
-/// core numbers fit their degrees, and the index `headMap` restores
-/// exactly the profile section's P-trees). Anything that fails maps to
-/// a typed [`StoreError`] — a decoded snapshot is safe to serve from.
-pub fn decode_snapshot(file: &impl SectionSource) -> Result<SnapshotContents> {
-    decode_snapshot_mode(file, IndexDecode::Eager)
-}
+/// Validation layers, cheapest first: the container proves byte
+/// integrity via checksums; this function proves *structure* (graph
+/// CSR invariants, taxonomy shape, P-tree closure, CL-tree arena
+/// invariants) and *cross-section agreement* (counts line up, core
+/// numbers fit their degrees, and the index member table is exactly
+/// the carrier sets of the profile section's P-trees). Anything that
+/// fails maps to a typed [`StoreError`] — a decoded snapshot is safe to
+/// serve from.
+pub fn decode_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotContents> {
+    let file = SnapshotSlices::from_bytes(bytes)?;
+    let require = |id: u32| file.section(id).ok_or(StoreError::MissingSection { section: id });
 
-/// [`decode_snapshot`] with the index decode made optional (see
-/// [`decode_snapshot_bytes_with`]). With `want_index = false` the
-/// INDEX section is left untouched and `contents.index` is `None`.
-pub fn decode_snapshot_with(
-    file: &impl SectionSource,
-    want_index: bool,
-) -> Result<SnapshotContents> {
-    decode_snapshot_mode(file, if want_index { IndexDecode::Eager } else { IndexDecode::Skip })
+    let meta = decode_meta_payload(require(section::META)?)?;
+    let SnapshotMeta { epoch, narrow, .. } = meta;
+    let graph = decode_graph_payload(require(section::GRAPH)?, &meta)?;
+    let n = graph.num_vertices();
+    let tax = decode_taxonomy_payload(require(section::TAXONOMY)?, &meta)?;
+    let profiles = decode_profiles_chunked(require(section::PROFILES)?, n, &tax, narrow)?;
+
+    let cores = match file.section(section::CORES) {
+        None => None,
+        Some(payload) => {
+            let core = decode_cores_payload(payload, n, narrow)?;
+            pin_cores_against_graph(&core, &graph)?;
+            Some(core)
+        }
+    };
+
+    let index = match file.section(section::INDEX) {
+        Some(payload) => Some(decode_index(payload, n, tax.len(), &profiles, narrow)?),
+        None => None,
+    };
+
+    Ok(SnapshotContents { epoch, graph, tax, profiles, cores, index })
 }
 
 /// The decoded `META` section: the counts every other section is
@@ -751,71 +525,6 @@ pub fn pin_cores_against_graph(core: &[u32], graph: &Graph) -> Result<()> {
     Ok(())
 }
 
-/// [`decode_snapshot`] with an explicit [`IndexDecode`] mode.
-pub fn decode_snapshot_mode(
-    file: &impl SectionSource,
-    mode: IndexDecode,
-) -> Result<SnapshotContents> {
-    let require = |id: u32| file.section(id).ok_or(StoreError::MissingSection { section: id });
-
-    let meta = decode_meta_payload(require(section::META)?)?;
-    let SnapshotMeta { epoch, narrow, .. } = meta;
-    let graph = decode_graph_payload(require(section::GRAPH)?, &meta)?;
-    let n = graph.num_vertices();
-    let tax = decode_taxonomy_payload(require(section::TAXONOMY)?, &meta)?;
-
-    let profiles_payload = require(section::PROFILES)?;
-    let profiles = if file.version() >= 3 {
-        decode_profiles_chunked(profiles_payload, n, &tax, narrow)?
-    } else {
-        decode_profiles_flat(profiles_payload, n, &tax, narrow)?
-    };
-
-    let cores = match file.section(section::CORES) {
-        None => None,
-        Some(payload) => {
-            let core = decode_cores_payload(payload, n, narrow)?;
-            pin_cores_against_graph(&core, &graph)?;
-            Some(core)
-        }
-    };
-
-    let index = match file.section(section::INDEX) {
-        Some(payload) if mode != IndexDecode::Skip => Some(match file.version() {
-            1 => decode_index_v1(payload, n, &tax, &profiles, narrow)?,
-            v => decode_index_v2(payload, n, tax.len(), &profiles, narrow, mode, v >= 3)?,
-        }),
-        _ => None,
-    };
-
-    Ok(SnapshotContents { epoch, graph, tax, profiles, cores, index })
-}
-
-/// Decodes the v1/v2 flat `PROFILES` layout.
-fn decode_profiles_flat(
-    payload: &[u8],
-    n: usize,
-    tax: &Taxonomy,
-    narrow: bool,
-) -> Result<Vec<PTree>> {
-    let mut p = SectionReader::new(payload, section::PROFILES);
-    let profile_count = p.usize64()?;
-    if profile_count != n {
-        return Err(corrupt(section::PROFILES, "profile count disagrees with the graph"));
-    }
-    let lens = p.u32_vec(profile_count)?;
-    let total = p.usize64()?;
-    if lens.iter().map(|&l| l as u64).sum::<u64>() != total as u64 {
-        return Err(corrupt(section::PROFILES, "per-profile lengths disagree with the total"));
-    }
-    let flat = p.id_vec(total, narrow)?;
-    p.finish()?;
-    let mut profiles = Vec::with_capacity(profile_count);
-    let mut loader = ProfileLoader::new(tax);
-    parse_profile_run(&lens, &flat, tax, &mut loader, 0, &mut profiles)?;
-    Ok(profiles)
-}
-
 /// Parses one lens/flat run into P-trees, appending to `out`.
 /// `base` is the id of the run's first vertex (for error messages).
 fn parse_profile_run(
@@ -845,7 +554,7 @@ fn parse_profile_run(
     Ok(())
 }
 
-/// The parsed header + directory of a v3 chunked `PROFILES` section:
+/// The parsed header + directory of the chunked `PROFILES` section:
 /// everything a lazy loader needs before faulting in any chunk.
 /// `data_base` is the byte offset of the data area within the section
 /// payload; directory offsets are relative to it and tile it exactly
@@ -866,7 +575,7 @@ pub struct ProfileChunkDir {
 }
 
 impl ProfileChunkDir {
-    /// Parses and validates the header + directory prefix of a v3
+    /// Parses and validates the header + directory prefix of a
     /// `PROFILES` payload. `prefix` needs to hold at least the first
     /// `24 + 24 × num_chunks` bytes; `section_len` is the full payload
     /// length (for the tiling check).
@@ -919,7 +628,7 @@ impl ProfileChunkDir {
     }
 }
 
-/// Verifies and parses one v3 profile chunk's bytes into P-trees.
+/// Verifies and parses one profile chunk's bytes into P-trees.
 /// `expect` is the vertex count of the chunk, `base` its first vertex.
 pub fn parse_profile_chunk(
     bytes: &[u8],
@@ -952,7 +661,7 @@ pub fn parse_profile_chunk(
     Ok(out)
 }
 
-/// Decodes the v3 chunked `PROFILES` layout eagerly (every chunk
+/// Decodes the chunked `PROFILES` layout eagerly (every chunk
 /// verified and parsed).
 fn decode_profiles_chunked(
     payload: &[u8],
@@ -978,34 +687,6 @@ fn decode_profiles_chunked(
         profiles.extend(parsed);
     }
     Ok(profiles)
-}
-
-/// Shared head-map block of both index layouts.
-fn decode_head_map(
-    r: &mut SectionReader<'_>,
-    n: usize,
-    num_labels: usize,
-    narrow: bool,
-) -> Result<Vec<Vec<LabelId>>> {
-    let head_lens = r.u32_vec(n)?;
-    let total = r.usize64()?;
-    if head_lens.iter().map(|&l| l as u64).sum::<u64>() != total as u64 {
-        return Err(corrupt(section::INDEX, "headMap lengths disagree with the total"));
-    }
-    let flat_heads = r.id_vec(total, narrow)?;
-    if flat_heads.iter().any(|&l| l as usize >= num_labels) {
-        return Err(corrupt(section::INDEX, "headMap references a missing label"));
-    }
-    let mut head_map = Vec::with_capacity(n);
-    let mut rest = flat_heads.as_slice();
-    for &len in &head_lens {
-        let (heads, tail) = rest
-            .split_at_checked(len as usize)
-            .ok_or_else(|| corrupt(section::INDEX, "headMap lengths overrun the data"))?;
-        rest = tail;
-        head_map.push(heads.to_vec());
-    }
-    Ok(head_map)
 }
 
 /// Validates one decoded shard payload against the member table and
@@ -1035,110 +716,16 @@ fn validated_shard(
     Ok(cl)
 }
 
-/// The v1 monolithic layout: every populated label's CL-tree, decoded
-/// eagerly; the member table is derived from the shards themselves.
-/// The wire head map is pin-checked against the profile section (the
-/// v1 proof that the index belongs to this snapshot) and then dropped
-/// — the sharded runtime restores `T(v)` from the profiles directly.
-fn decode_index_v1(
-    payload: &[u8],
-    n: usize,
-    tax: &Taxonomy,
-    profiles: &[PTree],
-    narrow: bool,
-) -> Result<DecodedIndex> {
-    let num_labels = tax.len();
-    let mut r = SectionReader::new(payload, section::INDEX);
-    let idx_n = r.usize64()?;
-    let idx_labels = r.usize64()?;
-    if idx_n != n || idx_labels != num_labels {
-        return Err(corrupt(section::INDEX, "index dimensions disagree with graph/taxonomy"));
-    }
-    let head_map = decode_head_map(&mut r, n, num_labels, narrow)?;
-    // The headMap must restore exactly the profiles section's
-    // P-trees. Restoration is upward closure, so
-    // `closure(head(v)) == T(v)` iff every head is in T(v) (closure ⊆
-    // T(v) follows, T(v) being ancestor-closed) and the closure's size
-    // equals |T(v)|. Counted with one reusable stamp array: no
-    // per-vertex allocation or sort.
-    let mut stamp = vec![usize::MAX; num_labels];
-    for (v, (profile, heads)) in profiles.iter().zip(&head_map).enumerate() {
-        let mut closure_size = 0usize;
-        for &h in heads {
-            if !profile.contains(h) {
-                return Err(corrupt(
-                    section::INDEX,
-                    format!("headMap of vertex {v} escapes its profile"),
-                ));
-            }
-            let mut cur = h;
-            loop {
-                match stamp.get_mut(cur as usize) {
-                    Some(s) if *s != v => {
-                        *s = v;
-                        closure_size += 1;
-                    }
-                    Some(_) => break,
-                    None => {
-                        return Err(corrupt(
-                            section::INDEX,
-                            format!("headMap of vertex {v} references a missing label"),
-                        ))
-                    }
-                }
-                if cur == Taxonomy::ROOT {
-                    break;
-                }
-                cur = tax.parent(cur);
-            }
-        }
-        if closure_size != profile.len() {
-            return Err(corrupt(
-                section::INDEX,
-                format!("headMap of vertex {v} does not restore its profile"),
-            ));
-        }
-    }
-    drop(head_map);
-    let node_count = r.usize64()?;
-    let mut members_of: Vec<Vec<VertexId>> = vec![Vec::new(); num_labels];
-    let mut shards: Vec<(LabelId, ClTree)> = Vec::with_capacity(node_count.min(num_labels));
-    let mut prev: Option<LabelId> = None;
-    for _ in 0..node_count {
-        let label = r.u32()?;
-        // `get_mut` is the bounds check: a label past the taxonomy has no
-        // member-table slot.
-        let Some(slot) = members_of.get_mut(label as usize) else {
-            return Err(corrupt(section::INDEX, format!("populated label {label} out of range")));
-        };
-        if prev.is_some_and(|p| p >= label) {
-            return Err(corrupt(section::INDEX, "populated labels not strictly ascending"));
-        }
-        prev = Some(label);
-        let flat = decode_cl(&mut r, narrow)?;
-        let members = flat.members.clone();
-        let cl = validated_shard(flat, label, &members, n)?;
-        *slot = members;
-        shards.push((label, cl));
-    }
-    r.finish()?;
-    Ok(DecodedIndex { members_of, shards: DecodedShards::Resident(shards) })
-}
-
-/// The v2/v3 sharded layout: member table + shard directory + blob.
-/// The directory is always validated eagerly; payload decode is eager
-/// or deferred per `mode`. With `with_sums` (v3) per-label member
-/// checksums follow the length table and are verified against the raw
-/// member-run bytes.
-#[allow(clippy::too_many_arguments)]
-fn decode_index_v2(
+/// The `INDEX` layout: member table + shard directory + blob, every
+/// part validated and every shard payload decoded. The per-label
+/// member checksums that follow the length table are verified against
+/// the raw member-run bytes.
+fn decode_index(
     payload: &[u8],
     n: usize,
     num_labels: usize,
     profiles: &[PTree],
     narrow: bool,
-    mode: IndexDecode,
-    with_sums: bool,
 ) -> Result<DecodedIndex> {
     let mut r = SectionReader::new(payload, section::INDEX);
     let idx_n = r.usize64()?;
@@ -1147,15 +734,10 @@ fn decode_index_v2(
         return Err(corrupt(section::INDEX, "index dimensions disagree with graph/taxonomy"));
     }
     let member_lens = r.u32_vec(num_labels)?;
-    let member_sums = if with_sums {
-        let mut sums = Vec::with_capacity(num_labels);
-        for _ in 0..num_labels {
-            sums.push(r.u64()?);
-        }
-        Some(sums)
-    } else {
-        None
-    };
+    let mut member_sums = Vec::with_capacity(num_labels);
+    for _ in 0..num_labels {
+        member_sums.push(r.u64()?);
+    }
     let total = r.usize64()?;
     if member_lens.iter().map(|&l| l as u64).sum::<u64>() != total as u64 {
         return Err(corrupt(section::INDEX, "member-table lengths disagree with the total"));
@@ -1164,8 +746,7 @@ fn decode_index_v2(
     // Byte offset of the member runs within the payload, for the
     // per-label sum verification below (the reader is positioned there
     // right now).
-    let members_base =
-        (8 + 8 + 4 * num_labels as u64) + if with_sums { 8 * num_labels as u64 } else { 0 } + 8;
+    let members_base = (8 + 8 + 4 * num_labels as u64) + 8 * num_labels as u64 + 8;
     let flat_members = r.id_vec(total, narrow)?;
     let mut members_of = Vec::with_capacity(num_labels);
     let mut rest = flat_members.as_slice();
@@ -1184,34 +765,31 @@ fn decode_index_v2(
                 format!("label {label} indexes out-of-range vertices"),
             ));
         }
-        if let Some(sums) = &member_sums {
-            let run_len = u64::from(len) * id_width;
-            let start = members_base + run_off;
-            let raw = start
-                .checked_add(run_len)
-                .and_then(|end| payload.get(start as usize..end as usize))
-                .ok_or_else(|| corrupt(section::INDEX, "member run out of bounds"))?;
-            let stored = sums.get(label).copied().unwrap_or(0);
-            let label_id = LabelId::try_from(label)
-                .map_err(|_| corrupt(section::INDEX, "label count overflows u32"))?;
-            let actual = crate::format::xxh64(raw, member_sum_seed(label_id));
-            if actual != stored {
-                return Err(StoreError::ChecksumMismatch {
-                    section: section::INDEX,
-                    expected: stored,
-                    actual,
-                });
-            }
-            run_off += run_len;
+        let run_len = u64::from(len) * id_width;
+        let start = members_base + run_off;
+        let raw = start
+            .checked_add(run_len)
+            .and_then(|end| payload.get(start as usize..end as usize))
+            .ok_or_else(|| corrupt(section::INDEX, "member run out of bounds"))?;
+        let stored = member_sums.get(label).copied().unwrap_or(0);
+        let label_id = LabelId::try_from(label)
+            .map_err(|_| corrupt(section::INDEX, "label count overflows u32"))?;
+        let actual = crate::format::xxh64(raw, member_sum_seed(label_id));
+        if actual != stored {
+            return Err(StoreError::ChecksumMismatch {
+                section: section::INDEX,
+                expected: stored,
+                actual,
+            });
         }
+        run_off += run_len;
         members_of.push(members.to_vec());
     }
     // Cross-section pin: the member table must be exactly the
     // carrier sets of the PROFILES section. Every listed member must
     // carry the label, and the grand totals must agree — since member
     // lists are strictly sorted (no duplicates), containment plus
-    // equal counts forces equality. This is the v2 counterpart of the
-    // v1 headMap↔profiles pin.
+    // equal counts forces equality.
     let carried_total: usize = profiles.iter().map(PTree::len).sum();
     if total != carried_total {
         return Err(corrupt(
@@ -1245,12 +823,10 @@ fn decode_index_v2(
         let label = r.u32()?;
         let off = r.u64()?;
         let len = r.u64()?;
-        if with_sums {
-            // The per-shard payload checksum serves the file-backed lazy
-            // loader (which range-reads the blob unverified); here the
-            // container checksum already proved these bytes.
-            let _shard_sum = r.u64()?;
-        }
+        // The per-shard payload checksum serves the file-backed lazy
+        // loader (which range-reads the blob unverified); here the
+        // container checksum already proved these bytes.
+        let _shard_sum = r.u64()?;
         let Some(shard_members) = members_of.get(label as usize) else {
             return Err(corrupt(section::INDEX, format!("shard label {label} out of range")));
         };
@@ -1281,45 +857,32 @@ fn decode_index_v2(
     }
     let blob = r.bytes(blob_len)?;
     r.finish()?;
-    let shards = match mode {
-        IndexDecode::Eager => {
-            let mut out = Vec::with_capacity(directory.len());
-            for (label, off, len) in directory {
-                // The directory tiling check bounds every run; `get`
-                // keeps the decoder structurally panic-free.
-                let payload = off
-                    .checked_add(len)
-                    .and_then(|end| blob.get(off..end))
-                    .ok_or_else(|| corrupt(section::INDEX, "shard payload out of bounds"))?;
-                let mut sr = SectionReader::new(payload, section::INDEX);
-                let flat = decode_cl(&mut sr, narrow)?;
-                sr.finish()?;
-                let empty: &[VertexId] = &[];
-                let members = members_of.get(label as usize).map_or(empty, Vec::as_slice);
-                let cl = validated_shard(flat, label, members, n)?;
-                out.push((label, cl));
-            }
-            DecodedShards::Resident(out)
-        }
-        IndexDecode::Partial => DecodedShards::Lazy(Arc::new(LazyShardStore {
-            blob: blob.to_vec(),
-            entries: directory,
-            narrow,
-        })),
-        // Unreachable by construction (`decode_snapshot_mode` never routes
-        // Skip here), but a typed error is the contract of this module.
-        IndexDecode::Skip => {
-            return Err(corrupt(section::INDEX, "internal: Skip mode reached the index decoder"))
-        }
-    };
+    let mut shards = Vec::with_capacity(directory.len());
+    for (label, off, len) in directory {
+        // The directory tiling check bounds every run; `get` keeps the
+        // decoder structurally panic-free.
+        let payload = off
+            .checked_add(len)
+            .and_then(|end| blob.get(off..end))
+            .ok_or_else(|| corrupt(section::INDEX, "shard payload out of bounds"))?;
+        let mut sr = SectionReader::new(payload, section::INDEX);
+        let flat = decode_cl(&mut sr, narrow)?;
+        sr.finish()?;
+        let empty: &[VertexId] = &[];
+        let members = members_of.get(label as usize).map_or(empty, Vec::as_slice);
+        shards.push((label, validated_shard(flat, label, members, n)?));
+    }
     Ok(DecodedIndex { members_of, shards })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::FORMAT_VERSION;
     use pcs_graph::core::CoreDecomposition;
+
+    fn decode_snapshot(file: &SnapshotFile) -> Result<SnapshotContents> {
+        decode_snapshot_bytes(&file.to_bytes())
+    }
 
     fn tiny() -> (Graph, Taxonomy, Vec<PTree>) {
         let mut tax = Taxonomy::new("r");
@@ -1337,10 +900,7 @@ mod tests {
     }
 
     fn sharded(g: &Graph, tax: &Taxonomy, profiles: &[PTree]) -> ShardedCpIndex {
-        let idx =
-            ShardedCpIndex::build(Arc::new(g.clone()), tax, Arc::new(profiles.to_vec())).unwrap();
-        idx.materialize_all(1);
-        idx
+        ShardedCpIndex::build_resident(g, tax, profiles).unwrap()
     }
 
     fn assert_index_matches(decoded: &DecodedIndex, idx: &ShardedCpIndex, tax: &Taxonomy) {
@@ -1351,11 +911,8 @@ mod tests {
                 "members of {label}"
             );
         }
-        let DecodedShards::Resident(shards) = &decoded.shards else {
-            panic!("eager decode yields resident shards");
-        };
-        assert_eq!(shards.len(), idx.resident_shards());
-        for (label, cl) in shards {
+        assert_eq!(decoded.shards.len(), idx.resident_shards());
+        for (label, cl) in &decoded.shards {
             let shard = idx.shard_if_resident(*label).expect("persisted shard resident");
             assert_eq!(cl.to_flat(), shard.cl.to_flat(), "shard {label}");
         }
@@ -1368,9 +925,8 @@ mod tests {
         let index = sharded(&g, &tax, &profiles);
         let file =
             encode_snapshot(42, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index));
-        let back = SnapshotFile::from_bytes(&file.to_bytes()).expect("container validates");
-        assert_eq!(back.version(), FORMAT_VERSION);
-        let contents = decode_snapshot(&back).expect("decodes");
+        assert_eq!(file.to_bytes()[8..12], crate::format::FORMAT_VERSION.to_le_bytes());
+        let contents = decode_snapshot(&file).expect("decodes");
         assert_eq!(contents.epoch, 42);
         assert_eq!(&contents.graph, &g);
         assert_eq!(contents.tax.label_names(), tax.label_names());
@@ -1385,8 +941,12 @@ mod tests {
     #[test]
     fn partial_residency_round_trips() {
         let (g, tax, profiles) = tiny();
-        let index =
-            ShardedCpIndex::build(Arc::new(g.clone()), &tax, Arc::new(profiles.clone())).unwrap();
+        let index = ShardedCpIndex::build(
+            std::sync::Arc::new(g.clone()),
+            &tax,
+            std::sync::Arc::new(profiles.clone()),
+        )
+        .unwrap();
         let a = tax.id_of("a").unwrap();
         assert!(index.get_ref(0, 0, a).is_some(), "materialize exactly one shard");
         assert_eq!(index.resident_shards(), 1);
@@ -1395,28 +955,6 @@ mod tests {
         let decoded = contents.index.unwrap();
         assert_index_matches(&decoded, &index, &tax);
         assert_eq!(decoded.members_of[0].len(), 5, "root members present without a shard");
-    }
-
-    /// Partial load defers shard payloads; each decodes on first touch
-    /// and matches the eager decode.
-    #[test]
-    fn lazy_decode_matches_eager() {
-        let (g, tax, profiles) = tiny();
-        let index = sharded(&g, &tax, &profiles);
-        let bytes = encode_snapshot(0, &g, &tax, &profiles, None, Some(&index)).to_bytes();
-        let eager = decode_snapshot_bytes(&bytes).unwrap().index.unwrap();
-        let partial =
-            decode_snapshot_bytes_mode(&bytes, IndexDecode::Partial).unwrap().index.unwrap();
-        let DecodedShards::Resident(eager_shards) = &eager.shards else { panic!() };
-        let DecodedShards::Lazy(store) = &partial.shards else {
-            panic!("partial decode keeps shards lazy");
-        };
-        assert_eq!(store.labels().count(), eager_shards.len());
-        for (label, cl) in eager_shards {
-            let lazy = store.decode(*label).unwrap().expect("persisted shard decodes");
-            assert_eq!(lazy.to_flat(), cl.to_flat(), "shard {label}");
-        }
-        assert!(store.decode(999).unwrap().is_none(), "absent labels decode to None");
     }
 
     /// Graphs too large for two-byte ids take the wide path; both
@@ -1434,40 +972,10 @@ mod tests {
         let index = sharded(&g, &tax, &profiles);
         let file =
             encode_snapshot(7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index));
-        let contents =
-            decode_snapshot(&SnapshotFile::from_bytes(&file.to_bytes()).unwrap()).unwrap();
+        let contents = decode_snapshot(&file).unwrap();
         assert_eq!(&contents.graph, &g);
         assert_eq!(contents.profiles, profiles);
         assert_index_matches(&contents.index.unwrap(), &index, &tax);
-    }
-
-    /// The retained v1 writer produces files this reader still decodes
-    /// into the same parts.
-    #[test]
-    fn v1_files_still_decode() {
-        let (g, tax, profiles) = tiny();
-        let cores = CoreDecomposition::new(&g);
-        let mono = CpTree::build(&g, &tax, &profiles).unwrap();
-        let file =
-            encode_snapshot_v1(9, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&mono));
-        assert_eq!(file.version(), 1);
-        let bytes = file.to_bytes();
-        let back = SnapshotFile::from_bytes(&bytes).unwrap();
-        assert_eq!(back.version(), 1);
-        let contents = decode_snapshot(&back).unwrap();
-        assert_eq!(contents.epoch, 9);
-        assert_eq!(&contents.graph, &g);
-        let decoded = contents.index.unwrap();
-        let DecodedShards::Resident(shards) = &decoded.shards else { panic!() };
-        assert_eq!(shards.len(), mono.num_populated_labels());
-        for (label, cl) in shards {
-            assert_eq!(cl.to_flat(), mono.node(*label).unwrap().cl.to_flat(), "label {label}");
-            assert_eq!(
-                decoded.members_of[*label as usize],
-                mono.vertices_with_label(*label),
-                "members {label}"
-            );
-        }
     }
 
     #[test]
@@ -1477,16 +985,6 @@ mod tests {
         let contents = decode_snapshot(&file).unwrap();
         assert!(contents.cores.is_none());
         assert!(contents.index.is_none());
-    }
-
-    #[test]
-    fn index_decode_can_be_skipped() {
-        let (g, tax, profiles) = tiny();
-        let index = sharded(&g, &tax, &profiles);
-        let file = encode_snapshot(0, &g, &tax, &profiles, None, Some(&index));
-        let contents = decode_snapshot_with(&file, false).unwrap();
-        assert!(contents.index.is_none(), "INDEX section present but not wanted");
-        assert_eq!(&contents.graph, &g, "the rest of the snapshot still decodes");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PCSSNAP1"
-//! 8       4     format version (u32 LE; this build writes 3, reads 1-3)
+//! 8       4     format version (u32 LE; this build reads and writes 3 only)
 //! 12      4     section count (u32 LE)
 //! 16      8     xxh64 of the section table (seeded with the version)
 //! 24      32×c  section table: { id: u32, pad: u32, offset: u64,
@@ -25,19 +25,11 @@ use std::path::Path;
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PCSSNAP1";
 
-/// The format version this build **writes** (and the newest it reads).
-///
-/// v2 changed the `INDEX` section to the label-sharded layout (member
-/// table + per-shard payload directory). v3 chunks the `PROFILES`
-/// section (per-chunk checksums, so a file-backed loader can fault in
-/// vertex ranges without reading the whole section) and adds per-label
-/// member checksums to `INDEX` for the same reason. The container
-/// layout itself is unchanged. Readers still accept
-/// [`MIN_FORMAT_VERSION`]..=v3 — v1/v2 files load transparently.
+/// The one format version this build reads and writes; a file that
+/// declares anything else fails with
+/// [`StoreError::UnsupportedVersion`]. A layout change bumps this and
+/// drops the old reader in the same change.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The oldest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Pseudo section id used in [`StoreError::ChecksumMismatch`] when the
 /// section *table* (not a payload) fails its checksum.
@@ -73,7 +65,7 @@ pub enum StoreError {
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Newest version this build understands.
+        /// The one version this build understands.
         supported: u32,
     },
     /// The file ends before the declared structure does.
@@ -128,7 +120,7 @@ impl std::fmt::Display for StoreError {
                 write!(f, "not a snapshot file (magic {found:02x?})")
             }
             StoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "snapshot format v{found} is newer than supported v{supported}")
+                write!(f, "snapshot format v{found} is not the supported v{supported}")
             }
             StoreError::Truncated { needed, actual } => {
                 write!(f, "snapshot truncated: need {needed} bytes, file has {actual}")
@@ -380,38 +372,15 @@ impl Xxh64 {
 
 /// An in-memory snapshot: an ordered list of `(section id, payload)`
 /// pairs, serializable to the checksummed wire layout above.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SnapshotFile {
     sections: Vec<(u32, Vec<u8>)>,
-    /// The container version `to_bytes` stamps (and section layouts
-    /// follow). Defaults to [`FORMAT_VERSION`]; the legacy writer kept
-    /// for compatibility tests dials it back to 1.
-    version: u32,
-}
-
-impl Default for SnapshotFile {
-    fn default() -> Self {
-        SnapshotFile { sections: Vec::new(), version: FORMAT_VERSION }
-    }
 }
 
 impl SnapshotFile {
     /// An empty snapshot.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty snapshot that will serialize as format `version`.
-    /// Callers are responsible for pushing section payloads in that
-    /// version's layout (this is the compat-test/tooling entry point —
-    /// production code always writes [`FORMAT_VERSION`]).
-    pub fn new_versioned(version: u32) -> Self {
-        SnapshotFile { sections: Vec::new(), version }
-    }
-
-    /// The format version this file parses/serializes as.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Appends a section. Ids must be unique per file (the reader
@@ -444,7 +413,7 @@ impl SnapshotFile {
         let total = table_end + self.sections.iter().map(|(_, p)| p.len() as u64).sum::<u64>();
         let mut out = Vec::with_capacity(total as usize);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&count.to_le_bytes());
         let mut table = Vec::with_capacity((TABLE_ENTRY_LEN * count as u64) as usize);
         let mut offset = table_end;
@@ -456,7 +425,7 @@ impl SnapshotFile {
             table.extend_from_slice(&xxh64(payload, *id as u64).to_le_bytes());
             offset += payload.len() as u64;
         }
-        out.extend_from_slice(&xxh64(&table, self.version as u64).to_le_bytes());
+        out.extend_from_slice(&xxh64(&table, u64::from(FORMAT_VERSION)).to_le_bytes());
         out.extend_from_slice(&table);
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
@@ -470,7 +439,6 @@ impl SnapshotFile {
         let view = SnapshotSlices::from_bytes(bytes)?;
         Ok(SnapshotFile {
             sections: view.sections.iter().map(|&(id, s)| (id, s.to_vec())).collect(),
-            version: view.version,
         })
     }
 
@@ -496,7 +464,7 @@ impl SnapshotFile {
             section: SECTION_TABLE,
             detail: "section count exceeds u32".into(),
         })?;
-        let mut w = SnapshotWriter::create(path.as_ref(), self.version, count)?;
+        let mut w = SnapshotWriter::create(path.as_ref(), count)?;
         for (id, payload) in &self.sections {
             w.put_section(*id, payload)?;
         }
@@ -550,7 +518,6 @@ pub struct SnapshotWriter {
     file: std::fs::File,
     tmp: std::path::PathBuf,
     path: std::path::PathBuf,
-    version: u32,
     declared: u32,
     entries: Vec<(u32, u64, u64, u64)>,
     offset: u64,
@@ -560,7 +527,7 @@ pub struct SnapshotWriter {
 impl SnapshotWriter {
     /// Opens the temporary file and reserves header + table space for
     /// exactly `sections` sections.
-    pub fn create(path: impl AsRef<Path>, version: u32, sections: u32) -> Result<SnapshotWriter> {
+    pub fn create(path: impl AsRef<Path>, sections: u32) -> Result<SnapshotWriter> {
         use std::io::Write as _;
         let path = path.as_ref().to_path_buf();
         let tmp = tmp_path_for(&path);
@@ -568,7 +535,7 @@ impl SnapshotWriter {
         let table_len = TABLE_ENTRY_LEN * u64::from(sections);
         let mut header = Vec::with_capacity((HEADER_LEN + table_len) as usize);
         header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&sections.to_le_bytes());
         header.extend_from_slice(&0u64.to_le_bytes()); // table checksum, backpatched
         header.resize((HEADER_LEN + table_len) as usize, 0); // table, backpatched
@@ -581,7 +548,6 @@ impl SnapshotWriter {
             file,
             tmp,
             path,
-            version,
             declared: sections,
             entries: Vec::with_capacity(sections as usize),
             offset: HEADER_LEN + table_len,
@@ -629,7 +595,7 @@ impl SnapshotWriter {
             table.extend_from_slice(&len.to_le_bytes());
             table.extend_from_slice(&sum.to_le_bytes());
         }
-        let table_sum = xxh64(&table, u64::from(self.version));
+        let table_sum = xxh64(&table, u64::from(FORMAT_VERSION));
         let patch = (|| {
             self.file.seek(SeekFrom::Start(16)).map_err(io_err("seek"))?;
             self.file.write_all(&table_sum.to_le_bytes()).map_err(io_err("write"))?;
@@ -702,7 +668,6 @@ impl SectionSink<'_> {
 #[derive(Debug)]
 pub struct SnapshotSlices<'a> {
     sections: Vec<(u32, &'a [u8])>,
-    version: u32,
 }
 
 impl<'a> SnapshotSlices<'a> {
@@ -725,7 +690,7 @@ impl<'a> SnapshotSlices<'a> {
             return Err(StoreError::BadMagic { found });
         }
         let version = le_u32(version_b);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -749,7 +714,7 @@ impl<'a> SnapshotSlices<'a> {
         let Some(table) = bytes.get(HEADER_LEN as usize..table_end as usize) else {
             return Err(StoreError::Truncated { needed: table_end, actual: file_len });
         };
-        let table_sum = xxh64(table, version as u64);
+        let table_sum = xxh64(table, u64::from(FORMAT_VERSION));
         if table_sum != stored_table_sum {
             return Err(StoreError::ChecksumMismatch {
                 section: SECTION_TABLE,
@@ -795,12 +760,7 @@ impl<'a> SnapshotSlices<'a> {
             }
             sections.push((id, payload));
         }
-        Ok(SnapshotSlices { sections, version })
-    }
-
-    /// The format version the file declared (already range-checked).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotSlices { sections })
     }
 
     /// The payload of section `id`, if present.
@@ -1064,7 +1024,7 @@ mod tests {
         f.push_section(7, vec![1, 2, 3]);
         f.push_section(9, Vec::new());
         f.push_section(2, (0u8..200).collect());
-        let mut w = SnapshotWriter::create(&path, f.version(), 3).unwrap();
+        let mut w = SnapshotWriter::create(&path, 3).unwrap();
         w.put_section(7, &[1, 2, 3]).unwrap();
         // Stream one section in several pieces to exercise the sink.
         w.put_section(9, &[]).unwrap();
@@ -1089,7 +1049,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pcs_swriter_mis_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.pcs");
-        let mut w = SnapshotWriter::create(&path, FORMAT_VERSION, 2).unwrap();
+        let mut w = SnapshotWriter::create(&path, 2).unwrap();
         w.put_section(1, &[0]).unwrap();
         let err = w.finish().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { section: SECTION_TABLE, .. }));

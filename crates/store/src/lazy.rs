@@ -2,9 +2,9 @@
 //! everything else in on first touch.
 //!
 //! [`open_lazy`] is the scale counterpart of
-//! [`decode_snapshot`](crate::decode_snapshot): over a
+//! [`decode_snapshot_bytes`](crate::decode_snapshot_bytes): over a
 //! [`FileSnapshot`] it decodes only the **small, structural** parts of
-//! a v3 file up front — META, TAXONOMY, CORES (structure), the
+//! a file up front — META, TAXONOMY, CORES (structure), the
 //! `PROFILES` chunk directory, and the `INDEX` length table + shard
 //! directory — and returns handles whose payloads materialize on
 //! demand:
@@ -29,15 +29,14 @@
 //! yields a typed error — never a silently wrong community. The one
 //! deliberate exception is a shard payload: a damaged shard is simply
 //! "not available" and the index rebuilds it from the graph, which is
-//! correct (and the in-memory [`LazyShardStore`](crate::LazyShardStore)
-//! contract).
+//! correct.
 
 use crate::codec::{
     decode_cl, decode_cores_payload, decode_meta_payload, decode_taxonomy_payload, member_sum_seed,
     parse_profile_chunk, pin_cores_against_graph, section, shard_sum_seed, ProfileChunkDir,
     SnapshotMeta,
 };
-use crate::format::{xxh64, Result, SectionReader, StoreError, FORMAT_VERSION};
+use crate::format::{xxh64, Result, SectionReader, StoreError};
 use crate::source::FileSnapshot;
 use pcs_graph::{Graph, GraphHandle, GraphSource, VertexId};
 use pcs_index::{ClTree, MemberSource, ShardSource};
@@ -128,25 +127,15 @@ pub struct LazySnapshot {
     pub source: Arc<FileSnapshot>,
 }
 
-/// Opens the lazy view over a validated [`FileSnapshot`].
-///
-/// Requires format v3 (older files lack the per-range checksums the
-/// deferred reads rely on — load those through the eager
-/// [`decode_snapshot`](crate::decode_snapshot) path instead; this
-/// function rejects them with [`StoreError::UnsupportedVersion`]).
-/// With `want_index = false` the `INDEX` section is not touched at all
+/// Opens the lazy view over a validated [`FileSnapshot`] (whose open
+/// already rejected any other format version). With
+/// `want_index = false` the `INDEX` section is not touched at all
 /// and `index` is `None`.
 ///
 /// Everything read here is structural: META, TAXONOMY, CORES, the
 /// profile chunk directory, and the index length table + shard
 /// directory — a few bytes per label/chunk, not per vertex or edge.
 pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapshot> {
-    if src.version() < 3 {
-        return Err(StoreError::UnsupportedVersion {
-            found: src.version(),
-            supported: FORMAT_VERSION,
-        });
-    }
     let require = |id: u32| -> Result<&[u8]> {
         src.section(id)?.ok_or(StoreError::MissingSection { section: id })
     };
@@ -212,10 +201,10 @@ pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapsho
     Ok(LazySnapshot { meta, tax, cores, graph, profiles, index, fault, source: src })
 }
 
-/// Eagerly reads and validates the structural prefix of a v3 `INDEX`
+/// Eagerly reads and validates the structural prefix of the `INDEX`
 /// section — dimensions, member length table (+ per-label checksum
 /// list), shard directory — and wires up the lazy member/shard
-/// readers. Mirrors `decode_index_v2`'s structural checks; the
+/// readers. Mirrors `decode_index`'s structural checks; the
 /// deferred ones (member run checksums, sortedness, vertex range,
 /// shard payload decode) run per label at fault time, and the
 /// member ⇄ profile carrier pin is `verify_deep`'s.
@@ -369,7 +358,7 @@ impl GraphSource for LazyGraphSource {
     }
 }
 
-/// Per-chunk lazy P-tree storage over the v3 chunked `PROFILES`
+/// Per-chunk lazy P-tree storage over the chunked `PROFILES`
 /// layout. Each chunk is read with one positioned range read, verified
 /// against its directory checksum, parsed, and cached.
 pub struct LazyProfileStore {
@@ -477,7 +466,7 @@ impl std::fmt::Debug for LazyProfileStore {
     }
 }
 
-/// Per-label lazy member-run reader over the v3 `INDEX` member table.
+/// Per-label lazy member-run reader over the `INDEX` member table.
 /// Authoritative (see [`MemberSource`]) — so every run is verified
 /// against its per-label checksum and the structural invariants before
 /// it is served, and any failure poisons the fault cell.
@@ -621,9 +610,7 @@ mod tests {
         let path = dir.join("snap.pcs");
         let (g, tax, profiles) = fixture();
         let cores = CoreDecomposition::new(&g);
-        let idx =
-            ShardedCpIndex::build(Arc::new(g.clone()), &tax, Arc::new(profiles.clone())).unwrap();
-        idx.materialize_all(1);
+        let idx = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
         let file = encode_snapshot(7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&idx));
         file.write(&path).unwrap();
         (path, g, tax, profiles)
@@ -666,16 +653,6 @@ mod tests {
         let cl = idx.shards.load_shard(0).unwrap();
         assert_eq!(cl.members(), root_members.as_slice());
         assert!(snap.fault.get().is_none());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v2_files_are_rejected_with_a_typed_error() {
-        let (path, g, tax, profiles) = write_fixture("v2");
-        let file = crate::codec::encode_snapshot_v1(3, &g, &tax, &profiles, None, None);
-        file.write(&path).unwrap();
-        let src = Arc::new(FileSnapshot::open(&path).unwrap());
-        assert!(matches!(open_lazy(src, true), Err(StoreError::UnsupportedVersion { .. })));
         cleanup(&path);
     }
 

@@ -34,7 +34,7 @@
 //! traversal or return a malformed community; **semantic fidelity** —
 //! that the persisted cores/index actually describe the persisted
 //! graph is the writer's contract, spot-checked on load by the cheap
-//! cross-section pins (counts, `core ≤ degree`, `headMap` ⇔ profiles)
+//! cross-section pins (counts, `core ≤ degree`, member table ⇔ profiles)
 //! but not re-derived. Snapshots are a warm-start mechanism, not an
 //! authentication boundary: only load files you (transitively) wrote.
 //!
@@ -45,12 +45,13 @@
 //!
 //! ## Versioning and compatibility
 //!
-//! A reader accepts exactly the [`FORMAT_VERSION`]s it knows how to
-//! decode; newer files fail fast with
+//! A build reads and writes exactly one [`FORMAT_VERSION`]; a file
+//! declaring any other version — older or newer — fails fast with
 //! [`StoreError::UnsupportedVersion`] instead of guessing. Adding new
 //! *sections* is backward-compatible (unknown ids are preserved by the
 //! container and ignored by the codec); changing the layout of an
-//! existing section requires a version bump.
+//! existing section bumps the version and drops the old reader in the
+//! same change.
 
 #![deny(unsafe_code)]
 
@@ -63,19 +64,16 @@ pub mod source;
 pub mod wal;
 
 pub use codec::{
-    decode_snapshot, decode_snapshot_bytes, decode_snapshot_bytes_mode, decode_snapshot_bytes_with,
-    decode_snapshot_mode, decode_snapshot_with, encode_snapshot, encode_snapshot_v1,
-    member_sum_seed, parse_profile_chunk, profile_chunk_seed, section, shard_sum_seed,
-    write_snapshot, DecodedIndex, DecodedShards, IndexDecode, LazyShardStore, ProfileChunkDir,
-    SectionSource, SnapshotContents, PROFILE_CHUNK,
+    decode_snapshot_bytes, encode_snapshot, member_sum_seed, parse_profile_chunk,
+    profile_chunk_seed, section, shard_sum_seed, write_snapshot, DecodedIndex, ProfileChunkDir,
+    SnapshotContents, PROFILE_CHUNK,
 };
 pub use lazy::{open_lazy, FaultCell, LazyIndexParts, LazyProfileStore, LazySnapshot};
 pub use source::FileSnapshot;
 
 pub use format::{
     xxh64, Result, SectionReader, SectionSink, SectionWriter, SnapshotFile, SnapshotSlices,
-    SnapshotWriter, StoreError, Xxh64, FORMAT_VERSION, MAGIC, MAX_SECTIONS, MIN_FORMAT_VERSION,
-    SECTION_TABLE,
+    SnapshotWriter, StoreError, Xxh64, FORMAT_VERSION, MAGIC, MAX_SECTIONS, SECTION_TABLE,
 };
 pub use wal::{
     decode_frames, encode_record, encode_records, list_segments, read_records, read_records_since,

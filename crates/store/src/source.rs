@@ -12,7 +12,7 @@
 //! verified payload is cached so later touches are free.
 //!
 //! [`FileSnapshot::read_range`] additionally serves *sub-section*
-//! ranges **without** checksum verification, for v3 layouts whose
+//! ranges **without** checksum verification, for layouts whose
 //! interior carries its own per-range checksums (`PROFILES` chunks,
 //! `INDEX` member runs and shard payloads). Callers of `read_range`
 //! own the validation of what they read — the typed-error discipline
@@ -26,7 +26,7 @@
 
 use crate::format::{
     le_u32, le_u64, xxh64, Result, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_SECTIONS,
-    MIN_FORMAT_VERSION, SECTION_TABLE, TABLE_ENTRY_LEN,
+    SECTION_TABLE, TABLE_ENTRY_LEN,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +54,6 @@ pub struct FileSnapshot {
     file: std::fs::File,
     path: PathBuf,
     file_len: u64,
-    version: u32,
     entries: Vec<SectionEntry>,
     cache: Vec<SectionSlot>,
     bytes_read: AtomicU64,
@@ -62,7 +61,7 @@ pub struct FileSnapshot {
 
 impl FileSnapshot {
     /// Opens `path` and validates the container prefix: magic, version
-    /// range, section count cap, table checksum, per-entry bounds and
+    /// gate, section count cap, table checksum, per-entry bounds and
     /// duplicate-id scan — everything
     /// [`SnapshotSlices::from_bytes`](crate::SnapshotSlices) checks
     /// *except* the payload checksums, which defer to first touch.
@@ -88,7 +87,7 @@ impl FileSnapshot {
             return Err(StoreError::BadMagic { found });
         }
         let version = le_u32(version_b);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -108,7 +107,7 @@ impl FileSnapshot {
         }
         let mut table = vec![0u8; (TABLE_ENTRY_LEN * count) as usize];
         read_at_into(&file, HEADER_LEN, &mut table, &bytes_read)?;
-        let table_sum = xxh64(&table, u64::from(version));
+        let table_sum = xxh64(&table, u64::from(FORMAT_VERSION));
         if table_sum != stored_table_sum {
             return Err(StoreError::ChecksumMismatch {
                 section: SECTION_TABLE,
@@ -144,12 +143,7 @@ impl FileSnapshot {
             entries.push(SectionEntry { id, offset, len, sum });
         }
         let cache = entries.iter().map(|_| OnceLock::new()).collect();
-        Ok(FileSnapshot { file, path, file_len, version, entries, cache, bytes_read })
-    }
-
-    /// The container format version (already range-checked).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(FileSnapshot { file, path, file_len, entries, cache, bytes_read })
     }
 
     /// Total file length in bytes.
@@ -235,7 +229,7 @@ impl FileSnapshot {
     }
 
     /// Reads `len` bytes at `off` **within** section `id`, without
-    /// checksum verification — for v3 interiors that carry their own
+    /// checksum verification — for interiors that carry their own
     /// per-range checksums (profile chunks, member runs, shard
     /// payloads). The range is bounds-checked against the section's
     /// declared extent; a section already resident in the cache is
@@ -278,34 +272,10 @@ impl std::fmt::Debug for FileSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileSnapshot")
             .field("path", &self.path)
-            .field("version", &self.version)
             .field("file_len", &self.file_len)
             .field("sections", &self.entries.len())
             .field("bytes_read", &self.bytes_read())
             .finish()
-    }
-}
-
-/// The eager escape hatch: a [`FileSnapshot`] is a
-/// [`SectionSource`](crate::SectionSource) whose `section` serves only
-/// **already-resident** payloads (the trait is infallible, so errors
-/// cannot surface through it). Call [`FileSnapshot::section`] — or
-/// sweep every section once — before decoding through the trait; the
-/// codec's `MissingSection` on a present-but-unread section means the
-/// sweep was skipped.
-impl crate::codec::SectionSource for FileSnapshot {
-    fn section(&self, id: u32) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .position(|e| e.id == id)
-            .and_then(|i| self.cache.get(i))
-            .and_then(|slot| slot.get())
-            .and_then(|r| r.as_ref().ok())
-            .map(|b| &**b)
-    }
-
-    fn version(&self) -> u32 {
-        self.version
     }
 }
 
@@ -386,7 +356,6 @@ mod tests {
         let src = FileSnapshot::open(&path).unwrap();
         let prefix = HEADER_LEN + 3 * TABLE_ENTRY_LEN;
         assert_eq!(src.bytes_read(), prefix, "open reads header + table only");
-        assert_eq!(src.version(), file.version());
         assert_eq!(src.section_ids(), vec![1, 2, 5]);
         assert_eq!(src.section_len(2), Some(4096));
         assert_eq!(src.section_len(9), None);

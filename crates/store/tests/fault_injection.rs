@@ -1,7 +1,7 @@
 //! The corruption matrix: every way a snapshot file can be damaged —
 //! truncation at arbitrary points, bit flips in the header, the
-//! section table, and every section payload, wrong magic, a future
-//! format version, and section-length overflows — must surface as a
+//! section table, and every section payload, wrong magic, any format
+//! version but the current one, and section-length overflows — must surface as a
 //! typed [`StoreError`], never as a panic, a hang, or a silently wrong
 //! engine. Each case runs under `std::panic::catch_unwind` so a panic
 //! anywhere in the load path fails the test with the offending case.
@@ -67,9 +67,15 @@ fn healthy_snapshot() -> (Vec<u8>, PcsEngine) {
 /// at load time; the lazy path's deferred-validation contract is
 /// pinned separately by the first-touch tests below.
 fn must_fail_typed(bytes: &[u8], case: &str) -> Error {
+    must_fail_typed_in(IndexMode::Eager, bytes, case)
+}
+
+/// [`must_fail_typed`] under an explicit load mode, for damage the
+/// container prefix check catches on either path.
+fn must_fail_typed_in(mode: IndexMode, bytes: &[u8], case: &str) -> Error {
     let path = tmp_path("case");
     std::fs::write(&path, bytes).unwrap();
-    let result = catch_unwind(|| PcsEngine::builder().index_mode(IndexMode::Eager).load(&path));
+    let result = catch_unwind(|| PcsEngine::builder().index_mode(mode).load(&path));
     std::fs::remove_file(&path).unwrap();
     match result {
         Err(_) => panic!("case {case}: load PANICKED instead of returning an error"),
@@ -175,18 +181,24 @@ fn wrong_magic_is_typed() {
     assert!(matches!(err, Error::Store(StoreError::BadMagic { .. })));
 }
 
+/// Exactly one format version loads: a header declaring a newer one —
+/// or the retired v1/v2 layouts, or 0 — is rejected typed by both the
+/// buffered (eager) and the file-backed (lazy) open, before any section
+/// is interpreted in the wrong layout.
 #[test]
 fn future_format_version_is_typed() {
     let (bytes, _engine) = healthy_snapshot();
-    let mut corrupted = bytes.clone();
-    corrupted[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    assert_eq!(
-        must_fail_typed(&corrupted, "future version"),
-        Error::Store(StoreError::UnsupportedVersion {
-            found: FORMAT_VERSION + 1,
-            supported: FORMAT_VERSION,
-        })
-    );
+    assert_eq!(FORMAT_VERSION, 3);
+    for found in [FORMAT_VERSION + 1, 2, 1, 0] {
+        let mut corrupted = bytes.clone();
+        corrupted[8..12].copy_from_slice(&found.to_le_bytes());
+        for mode in [IndexMode::Eager, IndexMode::Lazy] {
+            assert_eq!(
+                must_fail_typed_in(mode, &corrupted, &format!("version {found}, {mode:?}")),
+                Error::Store(StoreError::UnsupportedVersion { found, supported: 3 })
+            );
+        }
+    }
 }
 
 /// Crafting an *internally consistent* overflow: the table entry's
@@ -449,8 +461,8 @@ fn eager_lazy_and_scratch_engines_agree_under_a_mixed_update_stream() {
 // Sharded-INDEX corruption matrix (v3 layout): forged (re-checksummed)
 // INDEX sections whose shard directory lies must fail with typed
 // errors — the directory is validated eagerly in *both* eager and
-// partial load modes. Forged shard *payloads* are rejected by the
-// eager decode; the partial path defers their decode and transparently
+// lazy load modes. Forged shard *payloads* are rejected by the
+// eager decode; the lazy path defers their decode and transparently
 // rebuilds the shard from the graph instead, so a bad payload can
 // never produce a wrong answer.
 // ---------------------------------------------------------------------

@@ -76,7 +76,7 @@
 //! | before (borrowed) | after (owned) |
 //! |---|---|
 //! | `QueryContext::new(&g, &tax, &profiles)?` | `PcsEngine::builder().graph(g).taxonomy(tax).profiles(profiles).build()?` |
-//! | `let idx = CpTree::build(..)?; ctx.with_index(&idx)` | automatic — lazy by default; `.index_mode(IndexMode::Eager)` to prebuild |
+//! | `let idx = ShardedCpIndex::build_resident(..)?; ctx.with_index(&idx)` | automatic — lazy by default; `.index_mode(IndexMode::Eager)` to prebuild |
 //! | `ctx.query(q, k, Algorithm::AdvP)?` | `engine.query(&QueryRequest::vertex(q).k(k))?` |
 //! | `out.communities` | `resp.communities()` (plus `resp.elapsed`, `resp.index_used`, `resp.stats`) |
 //! | `PcsError` / `IndexError` per call site | one `pcs_engine::Error` |
@@ -117,7 +117,7 @@ pub mod prelude {
         QueryRequest, QueryResponse, Update, UpdateBatch, UpdateReport, WalFollower,
     };
     pub use pcs_graph::{DynamicGraph, Graph, GraphBuilder, VertexId};
-    pub use pcs_index::{ClTree, CpTree, IndexRef, IndexShard, ShardedCpIndex};
+    pub use pcs_index::{ClTree, IndexShard, ShardedCpIndex};
     pub use pcs_metrics::{best_f1, cpf, cps, f1_score, ldr};
     pub use pcs_ptree::{LabelId, PTree, Taxonomy};
     pub use pcs_serve::{

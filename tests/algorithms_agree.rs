@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn all_algorithms_return_identical_communities(seed in 0u64..10_000) {
         let (g, tax, profiles) = random_instance(seed);
-        let index = CpTree::build(&g, &tax, &profiles).unwrap();
+        let index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
         let plain = QueryContext::new(&g, &tax, &profiles).unwrap();
         let indexed = QueryContext::new(&g, &tax, &profiles).unwrap().with_index(&index);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
@@ -189,7 +189,7 @@ fn agreement_on_dataset_generator_output() {
     let tax = pcs::datasets::taxonomy::random_taxonomy(120, 5, 8, 3);
     let spec = DatasetSpec::small("agree", 260, 17);
     let ds = pcs::datasets::gen::generate(&spec, tax);
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let plain = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let indexed = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 5, 8, 5);

@@ -14,7 +14,7 @@ fn tiny_cfg() -> SuiteConfig {
 #[test]
 fn suite_dataset_full_query_pipeline() {
     let ds = build(SuiteDataset::Acmdl, tiny_cfg());
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let ctx = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 6, 10, 1);
     assert_eq!(queries.len(), 10);
@@ -38,7 +38,7 @@ fn suite_dataset_full_query_pipeline() {
 #[test]
 fn baselines_run_on_suite_dataset() {
     let ds = build(SuiteDataset::Acmdl, tiny_cfg());
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let ctx = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 6, 5, 2);
     for &q in &queries {
@@ -69,7 +69,7 @@ fn baselines_run_on_suite_dataset() {
 #[test]
 fn ego_networks_support_f1_workload() {
     let ds = pcs::datasets::ego::build(EgoNetwork::Fb3, 7);
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     let ctx = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 4, 10, 3);
     let mut scored = 0usize;
@@ -104,7 +104,7 @@ fn scalability_axes_compose() {
     let v = subsample_vertices(&ds, 0.6, 1);
     let p = subsample_ptrees(&v, 0.6, 2);
     let gpt = subsample_gptree(&p, 0.6, 3);
-    let index = CpTree::build(&gpt.graph, &gpt.tax, &gpt.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&gpt.graph, &gpt.tax, &gpt.profiles).unwrap();
     let ctx = QueryContext::new(&gpt.graph, &gpt.tax, &gpt.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&gpt, 6, 5, 4);
     for &q in &queries {
@@ -118,20 +118,26 @@ fn scalability_axes_compose() {
 #[test]
 fn index_restores_profiles_on_generated_data() {
     let ds = build(SuiteDataset::Acmdl, tiny_cfg());
-    let index = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let index = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
     for v in 0..ds.graph.num_vertices() as u32 {
-        assert_eq!(index.restore_ptree(&ds.tax, v), ds.profiles[v as usize], "vertex {v}");
+        assert_eq!(index.restore_ptree(v), ds.profiles[v as usize], "vertex {v}");
     }
 }
 
 #[test]
 fn parallel_index_identical_on_generated_data() {
     let ds = build(SuiteDataset::Acmdl, tiny_cfg());
-    let seq = CpTree::build(&ds.graph, &ds.tax, &ds.profiles).unwrap();
-    let par = CpTree::build_with_threads(&ds.graph, &ds.tax, &ds.profiles, 4).unwrap();
-    assert_eq!(seq.num_populated_labels(), par.num_populated_labels());
+    let seq = ShardedCpIndex::build_resident(&ds.graph, &ds.tax, &ds.profiles).unwrap();
+    let par = ShardedCpIndex::build(
+        std::sync::Arc::new(ds.graph.clone()),
+        &ds.tax,
+        std::sync::Arc::new(ds.profiles.clone()),
+    )
+    .unwrap();
+    par.materialize_all(4);
+    assert_eq!(seq.resident_shards(), par.resident_shards());
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 6, 5, 5);
-    let sorted = |idx: &CpTree, q: u32, label: u32| {
+    let sorted = |idx: &ShardedCpIndex, q: u32, label: u32| {
         idx.get_ref(level, q, label).map(|s| {
             let mut v = s.to_vec();
             v.sort_unstable();

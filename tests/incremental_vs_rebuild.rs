@@ -1,10 +1,10 @@
 //! The differential harness for the update subsystem: after randomized
 //! update sequences, the engine's incrementally maintained state —
 //! graph, core decomposition, sharded CP-tree index — must be
-//! indistinguishable from a from-scratch monolithic rebuild, and
-//! queries must agree with a fresh reference engine. Sharded-lazy,
-//! sharded-eager, and monolithic-rebuild shapes are held equivalent at
-//! every checked step, including when cold shards are materialized
+//! indistinguishable from a from-scratch rebuild (a fresh
+//! `ShardedCpIndex::build_resident`), and queries must agree with a
+//! fresh reference engine. Lazily patched, eagerly patched, and
+//! rebuilt indexes are held equivalent at every checked step, including when cold shards are materialized
 //! mid-stream between updates.
 
 use pcs::datasets::taxonomy::random_taxonomy;
@@ -13,21 +13,26 @@ use pcs::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Set-equality of the whole index query surface — generic over the
-/// index shape via [`IndexRef`], so a lazily sharded serving index, an
-/// eagerly materialized one, and a monolithic from-scratch rebuild are
-/// all compared through the same probes: per-label member lists, every
-/// `get_ref(k, q, label)` (sorted copies), and headMap restoration.
-/// Probing a sharded side materializes its cold shards — deliberately:
-/// the contract is that materialization-on-demand answers exactly like
-/// an eager build.
-fn assert_index_equivalent(a: IndexRef<'_>, b: IndexRef<'_>, tax: &Taxonomy, n: usize, max_k: u32) {
+/// Set-equality of the whole index query surface: a lazily patched
+/// serving index, an eagerly materialized one, and a from-scratch
+/// rebuild are all compared through the same probes — per-label member
+/// lists, every `get_ref(k, q, label)` (sorted copies), and profile
+/// restoration. Probing materializes a side's cold shards —
+/// deliberately: the contract is that materialization-on-demand
+/// answers exactly like an eager build.
+fn assert_index_equivalent(
+    a: &ShardedCpIndex,
+    b: &ShardedCpIndex,
+    tax: &Taxonomy,
+    n: usize,
+    max_k: u32,
+) {
     assert_eq!(a.num_vertices(), b.num_vertices());
     assert_eq!(a.num_populated_labels(), b.num_populated_labels());
     for v in 0..n as u32 {
-        assert_eq!(a.restore_ptree(tax, v), b.restore_ptree(tax, v), "headMap of {v}");
+        assert_eq!(a.restore_ptree(v), b.restore_ptree(v), "profile of {v}");
     }
-    let slice_as_set = |idx: IndexRef<'_>, k, q, label| {
+    let slice_as_set = |idx: &ShardedCpIndex, k, q, label| {
         idx.get_ref(k, q, label).map(|s| {
             let mut v = s.to_vec();
             v.sort_unstable();
@@ -122,11 +127,13 @@ fn incremental_state_matches_rebuild_over_500_steps() {
         let index_check_stride = if cfg!(debug_assertions) { 3 } else { 1 };
         if step % index_check_stride == 0 {
             verify_deep(&engine, &format!("step {step}"));
-            let fresh = CpTree::build(snap.graph(), engine.taxonomy(), snap.profiles()).unwrap();
+            let fresh =
+                ShardedCpIndex::build_resident(snap.graph(), engine.taxonomy(), snap.profiles())
+                    .unwrap();
             let max_k = full_cores.max_core() + 1;
             assert_index_equivalent(
-                snap.index().expect("eager engine keeps the index fresh").into(),
-                (&fresh).into(),
+                snap.index().expect("eager engine keeps the index fresh"),
+                &fresh,
                 engine.taxonomy(),
                 snap.graph().num_vertices(),
                 max_k,
@@ -164,7 +171,7 @@ fn incremental_state_matches_rebuild_over_500_steps() {
 }
 
 /// The per-shard laziness differential: a lazy sharded engine absorbs
-/// the same churn as an eager one and a monolithic rebuild, while cold
+/// the same churn as an eager one and a from-scratch rebuild, while cold
 /// shards are deliberately queried mid-stream (materializing them
 /// between patches) and further churn then patches or invalidates
 /// them. At every checked step all three shapes are set-equal across
@@ -229,20 +236,21 @@ fn lazy_sharded_engine_interleaves_cold_queries_with_churn() {
             saw_cold_after_update |= lazy.resident_shards() > snap_resident;
         }
         // Checked steps: all three shapes (lazy sharded, eager sharded,
-        // monolithic rebuild) set-equal across the full surface.
+        // from-scratch rebuild) set-equal across the full surface.
         let stride = if cfg!(debug_assertions) { 9 } else { 3 };
         if step % stride == 0 {
             verify_deep(&lazy, &format!("lazy, step {step}"));
             verify_deep(&eager, &format!("eager, step {step}"));
             let (sl, se) = (lazy.snapshot(), eager.snapshot());
-            let fresh = CpTree::build(sl.graph(), lazy.taxonomy(), sl.profiles()).unwrap();
+            let fresh =
+                ShardedCpIndex::build_resident(sl.graph(), lazy.taxonomy(), sl.profiles()).unwrap();
             let max_k = CoreDecomposition::new(sl.graph()).max_core() + 1;
             let n = sl.graph().num_vertices();
             let lazy_idx = sl.index().expect("facade survives patching");
-            assert_index_equivalent(lazy_idx.into(), (&fresh).into(), lazy.taxonomy(), n, max_k);
+            assert_index_equivalent(lazy_idx, &fresh, lazy.taxonomy(), n, max_k);
             assert_index_equivalent(
-                se.index().expect("eager index fresh").into(),
-                (&fresh).into(),
+                se.index().expect("eager index fresh"),
+                &fresh,
                 lazy.taxonomy(),
                 n,
                 max_k,
@@ -312,23 +320,19 @@ fn engine_saved_and_loaded_mid_stream_stays_equivalent() {
         if step % index_check_stride == 0 {
             verify_deep(&incremental, &format!("incremental, step {step}"));
             verify_deep(&loaded, &format!("loaded, step {step}"));
-            let fresh = CpTree::build(sb.graph(), loaded.taxonomy(), sb.profiles()).unwrap();
+            let fresh =
+                ShardedCpIndex::build_resident(sb.graph(), loaded.taxonomy(), sb.profiles())
+                    .unwrap();
             let max_k = rebuilt_cores.max_core() + 1;
             let n = sb.graph().num_vertices();
             assert_index_equivalent(
-                sb.index().expect("eager loaded engine keeps its index fresh").into(),
-                sa.index().expect("eager incremental engine keeps its index fresh").into(),
+                sb.index().expect("eager loaded engine keeps its index fresh"),
+                sa.index().expect("eager incremental engine keeps its index fresh"),
                 loaded.taxonomy(),
                 n,
                 max_k,
             );
-            assert_index_equivalent(
-                sb.index().unwrap().into(),
-                (&fresh).into(),
-                loaded.taxonomy(),
-                n,
-                max_k,
-            );
+            assert_index_equivalent(sb.index().unwrap(), &fresh, loaded.taxonomy(), n, max_k);
         }
     }
 }
@@ -433,12 +437,13 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     f.poll().unwrap();
     assert_eq!(f.epoch(), primary.epoch());
     let (fs, ps) = (f.engine().snapshot(), primary.snapshot());
-    let fresh = CpTree::build(fs.graph(), f.engine().taxonomy(), fs.profiles()).unwrap();
+    let fresh =
+        ShardedCpIndex::build_resident(fs.graph(), f.engine().taxonomy(), fs.profiles()).unwrap();
     let max_k = CoreDecomposition::new(fs.graph()).max_core() + 1;
     let n = fs.graph().num_vertices();
     // Probing materializes the (lazy) follower index shard by shard;
     // it must answer exactly like the primary's eagerly patched index
-    // and the monolithic rebuild. A follower that was never queried
+    // and the from-scratch rebuild. A follower that was never queried
     // may not have an index facade yet; one indexed query creates it
     // on the snapshot `fs` already holds.
     if fs.index().is_none() {
@@ -446,13 +451,13 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     }
     let follower_idx = fs.index().expect("an indexed query creates the facade");
     assert_index_equivalent(
-        follower_idx.into(),
-        ps.index().expect("eager primary keeps its index fresh").into(),
+        follower_idx,
+        ps.index().expect("eager primary keeps its index fresh"),
         f.engine().taxonomy(),
         n,
         max_k,
     );
-    assert_index_equivalent(follower_idx.into(), (&fresh).into(), f.engine().taxonomy(), n, max_k);
+    assert_index_equivalent(follower_idx, &fresh, f.engine().taxonomy(), n, max_k);
     verify_deep(f.engine(), "follower, final state");
     verify_deep(&primary, "primary, final state");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -673,11 +678,13 @@ fn batched_updates_agree_across_policies_and_fallback() {
     verify_deep(&lazy, "final state, lazy policy");
     // Final state: the always-patched index equals a fresh build.
     let snap = incremental.snapshot();
-    let fresh = CpTree::build(snap.graph(), incremental.taxonomy(), snap.profiles()).unwrap();
+    let fresh =
+        ShardedCpIndex::build_resident(snap.graph(), incremental.taxonomy(), snap.profiles())
+            .unwrap();
     let max_k = CoreDecomposition::new(snap.graph()).max_core() + 1;
     assert_index_equivalent(
-        snap.index().unwrap().into(),
-        (&fresh).into(),
+        snap.index().unwrap(),
+        &fresh,
         incremental.taxonomy(),
         snap.graph().num_vertices(),
         max_k,

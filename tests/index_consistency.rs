@@ -1,19 +1,19 @@
-//! Cross-crate property tests for the CP-tree index: `get` must agree
-//! with a from-scratch computation on arbitrary profiled graphs, and
-//! the headMap must restore every profile exactly.
+//! Cross-crate property tests for the CP-tree index: `get` on a cold
+//! (facade-only) index must agree with a from-scratch computation on
+//! arbitrary profiled graphs, and `restore_ptree` must restore every
+//! profile exactly.
 
 use pcs::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Test-only sorted-copy shim over the zero-copy `get_ref` (the owned
-/// `CpTree::get` wrapper is no longer part of the production surface).
+/// Test-only sorted-copy shim over the zero-copy `get_ref`.
 trait GetSorted {
     fn get(&self, k: u32, q: VertexId, label: LabelId) -> Option<Vec<VertexId>>;
 }
 
-impl GetSorted for CpTree {
+impl GetSorted for ShardedCpIndex {
     fn get(&self, k: u32, q: VertexId, label: LabelId) -> Option<Vec<VertexId>> {
         let mut out = self.get_ref(k, q, label)?.to_vec();
         out.sort_unstable();
@@ -51,11 +51,18 @@ fn random_instance(seed: u64) -> (Graph, Taxonomy, Vec<PTree>) {
     (g, tax, profiles)
 }
 
-/// Drives a lazily sharded index and a monolithic from-scratch rebuild
+/// The production index as a query first meets it: facade only, every
+/// shard materializing on its first probe.
+fn cold_index(g: &Graph, tax: &Taxonomy, profiles: &[PTree]) -> ShardedCpIndex {
+    use std::sync::Arc;
+    ShardedCpIndex::build(Arc::new(g.clone()), tax, Arc::new(profiles.to_vec())).unwrap()
+}
+
+/// Drives a lazily materialized index and a from-scratch rebuild
 /// through the same randomized churn, interleaving cold-shard probes
 /// with patches, and pins the full query surface set-equal after every
 /// effective batch.
-fn sharded_matches_monolithic_after_churn(seed: u64) -> Result<(), TestCaseError> {
+fn patched_matches_rebuild_after_churn(seed: u64) -> Result<(), TestCaseError> {
     use std::sync::Arc;
     let (g, tax, mut profiles) = random_instance(seed);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5a5a);
@@ -115,7 +122,7 @@ fn sharded_matches_monolithic_after_churn(seed: u64) -> Result<(), TestCaseError
             stats.labels_touched,
             "patch accounting must cover every touched label"
         );
-        let fresh = CpTree::build(&g_after, &tax, &profiles).unwrap();
+        let fresh = ShardedCpIndex::build_resident(&g_after, &tax, &profiles).unwrap();
         let sorted = |s: Option<&[VertexId]>| {
             s.map(|s| {
                 let mut v = s.to_vec();
@@ -144,7 +151,7 @@ fn sharded_matches_monolithic_after_churn(seed: u64) -> Result<(), TestCaseError
             }
         }
         for v in 0..profiles.len() as u32 {
-            prop_assert_eq!(&idx.restore_ptree(&tax, v), &profiles[v as usize]);
+            prop_assert_eq!(&idx.restore_ptree(v), &profiles[v as usize]);
         }
     }
     Ok(())
@@ -156,7 +163,7 @@ proptest! {
     #[test]
     fn cptree_get_matches_scratch_computation(seed in 0u64..10_000) {
         let (g, tax, profiles) = random_instance(seed);
-        let index = CpTree::build(&g, &tax, &profiles).unwrap();
+        let index = cold_index(&g, &tax, &profiles);
         let mut sc = pcs::graph::core::SubsetCore::new(g.num_vertices());
         for label in 0..tax.len() as u32 {
             let with_label: Vec<VertexId> = g
@@ -179,15 +186,15 @@ proptest! {
     #[test]
     fn headmap_restores_every_profile(seed in 0u64..10_000) {
         let (g, tax, profiles) = random_instance(seed);
-        let index = CpTree::build(&g, &tax, &profiles).unwrap();
+        let index = cold_index(&g, &tax, &profiles);
         for v in g.vertices() {
-            prop_assert_eq!(&index.restore_ptree(&tax, v), &profiles[v as usize]);
+            prop_assert_eq!(&index.restore_ptree(v), &profiles[v as usize]);
         }
     }
 
     #[test]
-    fn sharded_lazy_index_stays_set_equal_to_monolithic_rebuild(seed in 0u64..10_000) {
-        sharded_matches_monolithic_after_churn(seed)?;
+    fn lazily_patched_index_stays_set_equal_to_rebuild(seed in 0u64..10_000) {
+        patched_matches_rebuild_after_churn(seed)?;
     }
 
     #[test]
@@ -195,7 +202,7 @@ proptest! {
         // I.get(k,q,child) ⊆ I.get(k,q,parent): the containment chain
         // verifyPtree exploits.
         let (g, tax, profiles) = random_instance(seed);
-        let index = CpTree::build(&g, &tax, &profiles).unwrap();
+        let index = cold_index(&g, &tax, &profiles);
         for label in 1..tax.len() as u32 {
             let parent = tax.parent(label);
             for q in g.vertices() {
