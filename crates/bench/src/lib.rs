@@ -1,7 +1,8 @@
 //! # pcs-bench — the paper-reproduction harness
 //!
 //! One binary per table/figure of the paper's evaluation (see
-//! DESIGN.md §4 for the full index) plus Criterion micro-benchmarks.
+//! DESIGN.md §4 for the full index) plus the `bench_snapshot`
+//! perf-trajectory harness.
 //! This library holds the shared plumbing: a tiny CLI parser, timing
 //! helpers, and table printing.
 //!

@@ -19,8 +19,7 @@
 //! * [`scale`] — vertex / P-tree / GP-tree percentage sub-sampling for
 //!   the scalability sweeps (Figs. 13–14);
 //! * [`queries`] — query-vertex sampling from the 6-core, as in the
-//!   paper's setup.
-
+//!   paper's setup;
 //! * [`updates`] — timestamped edge/profile mutation streams for the
 //!   engine's live-update path.
 
@@ -33,12 +32,10 @@ pub mod queries;
 pub mod scale;
 pub mod suite;
 pub mod taxonomy;
-pub mod traffic;
 pub mod updates;
 
 pub use gen::{DatasetSpec, ProfiledDataset};
 pub use io::{load_dataset, save_dataset};
 pub use queries::sample_query_vertices;
 pub use suite::{SuiteConfig, SuiteDataset};
-pub use traffic::{serve_traffic, ServeOp, TrafficSpec, ZipfRanks};
 pub use updates::{update_stream, StreamOp, TimedOp, UpdateStreamSpec};

@@ -431,6 +431,14 @@ impl PcsEngine {
     /// Returns the number of batches applied. Any torn frame, checksum
     /// mismatch, or epoch gap is a typed error; nothing is applied past
     /// the first bad frame.
+    ///
+    /// Unlike [`apply`](Self::apply), a stamped batch is never allowed
+    /// to drift: landing on any epoch other than its record's is
+    /// [`EpochMismatch`](crate::UpdateError::EpochMismatch) and a batch
+    /// with no effect is
+    /// [`ReplayNoEffect`](crate::UpdateError::ReplayNoEffect) — both
+    /// mean the log and this engine have diverged, and both leave the
+    /// engine unchanged.
     pub fn apply_wal_frames(&self, frames: &[u8]) -> Result<usize> {
         let scan = wal::decode_frames(frames, None);
         if let Some(detail) = scan.torn {

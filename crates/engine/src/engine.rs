@@ -6,7 +6,6 @@ use pcs_graph::FxHashSet;
 use pcs_graph::{DynamicGraph, FxHashMap, Graph, GraphHandle, IncrementalCores, VertexId};
 use pcs_index::{GraphDelta, IndexError, ShardedCpIndex};
 use pcs_ptree::{PTree, ProfilesHandle, Taxonomy};
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -65,11 +64,9 @@ pub struct EngineBuilder {
     pub(crate) profiles: Vec<PTree>,
     pub(crate) index_mode: IndexMode,
     pub(crate) index_build_threads: usize,
-    pub(crate) batch_threads: Option<NonZeroUsize>,
     pub(crate) patch_cap_fraction: Option<f64>,
     pub(crate) scratch_pool_cap: Option<usize>,
     pub(crate) cache_mode: CacheMode,
-    pub(crate) cache_capacity: Option<usize>,
     pub(crate) durable_dir: Option<std::path::PathBuf>,
     pub(crate) wal_opts: pcs_store::WalOptions,
 }
@@ -113,13 +110,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker threads [`PcsEngine::query_batch`] fans out over
-    /// (default: the machine's available parallelism).
-    pub fn batch_threads(mut self, threads: usize) -> Self {
-        self.batch_threads = NonZeroUsize::new(threads.max(1));
-        self
-    }
-
     /// Fraction of populated CP-tree labels an update batch may
     /// invalidate before incremental patching falls back to a full
     /// index rebuild (eager engines) or a deferred lazy rebuild
@@ -136,12 +126,12 @@ impl EngineBuilder {
     }
 
     /// Maximum number of [`QueryScratch`] buffers the engine retains
-    /// between queries (default: `2 × batch_threads`, clamped to
-    /// `4..=64`). Each scratch holds O(n) working memory, so the pool
-    /// must track the real concurrency level, not the worst spike ever
-    /// seen: a burst of clients beyond the cap allocates transient
-    /// scratches that are dropped on return instead of retained
-    /// forever. Clamped to at least 1.
+    /// between queries (default: twice the machine's available
+    /// parallelism, clamped to `4..=64`). Each scratch holds O(n)
+    /// working memory, so the pool must track the real concurrency
+    /// level, not the worst spike ever seen: a burst of clients beyond
+    /// the cap allocates transient scratches that are dropped on return
+    /// instead of retained forever. Clamped to at least 1.
     pub fn scratch_pool_cap(mut self, cap: usize) -> Self {
         self.scratch_pool_cap = Some(cap.max(1));
         self
@@ -154,14 +144,6 @@ impl EngineBuilder {
     /// [`cache`](crate::cache) module docs.
     pub fn result_cache(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
-        self
-    }
-
-    /// Maximum resident entries in the result cache (default 4096,
-    /// clamped to at least 2). Only meaningful with
-    /// [`result_cache`](EngineBuilder::result_cache) enabled.
-    pub fn result_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity.max(2));
         self
     }
 
@@ -216,19 +198,14 @@ impl EngineBuilder {
     /// kept in one place so a loaded engine can never drift from a
     /// built one.
     pub(crate) fn assemble(self, tax: Taxonomy, snapshot: Arc<SnapshotInner>) -> Result<PcsEngine> {
-        let batch_threads = self
-            .batch_threads
-            .or_else(|| std::thread::available_parallelism().ok())
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
+        let batch_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cache_stats = Arc::new(CacheStats::default());
-        let cache_capacity = self.cache_capacity.unwrap_or(4096);
         // Attach the epoch-0 cache here, on the shared tail of `build`
         // and `load`, so built and loaded engines cache identically.
         let snapshot = if self.cache_mode == CacheMode::Off {
             snapshot
         } else {
-            let cache = QueryCache::new(cache_capacity, Arc::clone(&cache_stats));
+            let cache = QueryCache::new(CACHE_CAPACITY, Arc::clone(&cache_stats));
             Arc::new(snapshot.as_ref().clone_with_cache(Some(cache)))
         };
         let engine = PcsEngine {
@@ -241,7 +218,6 @@ impl EngineBuilder {
                 .scratch_pool_cap
                 .unwrap_or_else(|| (batch_threads * 2).clamp(4, 64)),
             cache_mode: self.cache_mode,
-            cache_capacity,
             cache_stats,
             state: RwLock::new(snapshot),
             writer: Mutex::new(None),
@@ -282,6 +258,10 @@ pub(crate) struct WriterState {
     cores: IncrementalCores,
     profiles: Vec<PTree>,
 }
+
+/// Maximum resident entries in each snapshot's result cache (only
+/// allocated with [`EngineBuilder::result_cache`] enabled).
+const CACHE_CAPACITY: usize = 4096;
 
 /// How long an [`apply_coalesced`](PcsEngine::apply_coalesced)
 /// follower waits for its group leader before declaring the leader
@@ -427,7 +407,6 @@ pub struct PcsEngine {
     /// [`EngineBuilder::result_cache`]); the stats live here so the
     /// counters survive each epoch's cache replacement.
     cache_mode: CacheMode,
-    cache_capacity: usize,
     cache_stats: Arc<CacheStats>,
     /// Serializes writers and owns the mutable master state.
     pub(crate) writer: Mutex<Option<WriterState>>,
@@ -792,7 +771,7 @@ impl PcsEngine {
     }
 
     /// Answers a batch of requests, fanning out over scoped threads
-    /// (up to the builder's `batch_threads`) while preserving request
+    /// (up to the machine's available parallelism) while preserving request
     /// order in the returned vector: `out[i]` answers `requests[i]`.
     ///
     /// The whole batch runs against **one** snapshot: every response
@@ -900,19 +879,6 @@ impl PcsEngine {
     /// reopening the directory recovers the fsynced prefix.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
         self.apply_inner(batch, None)
-    }
-
-    /// Replays a batch that must land on **exactly** `epoch`: the
-    /// WAL-recovery and replication entry point (see
-    /// [`WalFollower`](crate::WalFollower) and
-    /// [`apply_wal_frames`](Self::apply_wal_frames)). Unlike
-    /// [`apply`](Self::apply), a stamped batch is never allowed to
-    /// drift: landing on any other epoch is
-    /// [`UpdateError::EpochMismatch`] and a batch with no effect is
-    /// [`UpdateError::ReplayNoEffect`] — both mean the log and this
-    /// engine have diverged, and both leave the engine unchanged.
-    pub fn apply_at_epoch(&self, batch: &UpdateBatch, epoch: u64) -> Result<UpdateReport> {
-        self.apply_inner(batch, Some(epoch))
     }
 
     /// Validates every op of `batch` against a fixed vertex count and
@@ -1354,7 +1320,7 @@ impl PcsEngine {
         original_profiles: &FxHashMap<VertexId, PTree>,
         profiles_after: &Arc<Vec<PTree>>,
     ) -> Option<QueryCache> {
-        let fresh = || QueryCache::new(self.cache_capacity, Arc::clone(&self.cache_stats));
+        let fresh = || QueryCache::new(CACHE_CAPACITY, Arc::clone(&self.cache_stats));
         match self.cache_mode {
             CacheMode::Off => None,
             CacheMode::Wholesale => Some(fresh()),
@@ -1376,7 +1342,7 @@ impl PcsEngine {
                     let post_set: FxHashSet<u32> = post.nodes().iter().copied().collect();
                     touched.extend(pre_set.symmetric_difference(&post_set).copied());
                 }
-                Some(prev.carry_surviving(self.cache_capacity, |key| {
+                Some(prev.carry_surviving(CACHE_CAPACITY, |key| {
                     !reprofiled.contains(&key.vertex())
                         && profiles_after
                             .get(key.vertex() as usize)

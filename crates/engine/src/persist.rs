@@ -90,7 +90,6 @@ impl EngineBuilder {
     ///
     /// Configuration methods ([`index_mode`](EngineBuilder::index_mode),
     /// [`index_build_threads`](EngineBuilder::index_build_threads),
-    /// [`batch_threads`](EngineBuilder::batch_threads),
     /// [`incremental_patch_cap`](EngineBuilder::incremental_patch_cap))
     /// apply as usual; data methods must not have been called — a
     /// snapshot supplies the graph, taxonomy, and profiles, and mixing

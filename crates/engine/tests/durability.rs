@@ -13,6 +13,7 @@ use pcs_engine::{
 use pcs_graph::Graph;
 use pcs_ptree::{PTree, Taxonomy};
 use pcs_store::faults;
+use pcs_store::wal::{encode_records, WalRecord};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -496,7 +497,12 @@ fn wal_frame_streaming_replicates_and_rejects_damage() {
 #[test]
 fn stamped_replay_is_strict_about_epochs_and_effects() {
     let engine = reference_engine(2);
-    let err = engine.apply_at_epoch(&UpdateBatch::new().add_edge(4, 5), 7).unwrap_err();
+    let replay = |batch: &UpdateBatch, epoch: u64| {
+        let payload = pcs_engine::encode_update_batch(batch).unwrap();
+        let frames = encode_records(&[WalRecord { epoch, payload }]).unwrap();
+        engine.apply_wal_frames(&frames)
+    };
+    let err = replay(&UpdateBatch::new().add_edge(4, 5), 7).unwrap_err();
     assert!(
         matches!(err, Error::Update(UpdateError::EpochMismatch { expected: 7, next: 3 })),
         "got {err:?}"
@@ -504,7 +510,7 @@ fn stamped_replay_is_strict_about_epochs_and_effects() {
     // Batch 1 (add_edge(5, 1)) is already applied: replaying it at the
     // next epoch is all no-ops — divergence, not silence.
     let scripted = scripted_batches(engine.taxonomy());
-    let err = engine.apply_at_epoch(&scripted[0], 3).unwrap_err();
+    let err = replay(&scripted[0], 3).unwrap_err();
     assert!(matches!(err, Error::Update(UpdateError::ReplayNoEffect { epoch: 3 })), "got {err:?}");
     assert_eq!(engine.epoch(), 2, "rejected replays leave the engine untouched");
 }

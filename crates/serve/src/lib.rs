@@ -2,8 +2,7 @@
 //!
 //! Puts a [`PcsEngine`](pcs_engine::PcsEngine) behind a socket: a
 //! hand-rolled HTTP/1.1 server over `std::net` (no async runtime, no
-//! external dependencies — the container builds offline), plus the
-//! closed-loop load generator that measures it.
+//! external dependencies — the container builds offline).
 //!
 //! The interesting engineering lives at three points:
 //!
@@ -26,22 +25,20 @@
 //!   scale out with the same prefix-consistency guarantee crash
 //!   recovery provides.
 //!
-//! The protocol grammar and the `BENCH_serve.json` schema are
-//! documented in `crates/README.md` ("Serving layer").
+//! The protocol grammar is documented in `crates/README.md`
+//! ("Serving layer").
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod batch;
 pub mod http;
-pub mod loadgen;
 pub mod protocol;
 pub mod replica;
 pub mod server;
 
 pub use batch::Batcher;
 pub use http::{HttpConn, HttpError, Method, Request, Response};
-pub use loadgen::{run_load, LatencyUs, LoadConfig, LoadOp, LoadReport};
 pub use protocol::{ApiError, Route};
 pub use replica::{HttpFollower, ReplicaConfig, ReplicaError};
 pub use server::{PcsServer, ServeConfig, ServeError, ServerStats, StatsSnapshot};

@@ -51,17 +51,18 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// How long the batch dispatcher gathers before executing.
     pub batch_window: Duration,
-    /// Max queries per dispatched batch.
-    pub batch_max: usize,
-    /// Cap on `/apply` body size, bytes.
-    pub max_body_bytes: usize,
     /// Per-socket-read timeout while parsing a request.
     pub read_timeout: Duration,
-    /// Idle keep-alive connections are closed after this long.
-    pub keep_alive_timeout: Duration,
-    /// How long a worker's readiness poll blocks per popped connection.
-    pub poll_window: Duration,
 }
+
+/// Max queries per dispatched batch.
+const BATCH_MAX: usize = 64;
+/// Cap on `/apply` body size, bytes.
+const MAX_BODY_BYTES: usize = 64 * 1024;
+/// Idle keep-alive connections are closed after this long.
+const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a worker's readiness poll blocks per popped connection.
+const POLL_WINDOW: Duration = Duration::from_millis(2);
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -69,11 +70,7 @@ impl Default for ServeConfig {
             workers: thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             max_connections: 128,
             batch_window: Duration::from_micros(200),
-            batch_max: 64,
-            max_body_bytes: 64 * 1024,
             read_timeout: Duration::from_secs(2),
-            keep_alive_timeout: Duration::from_secs(10),
-            poll_window: Duration::from_millis(2),
         }
     }
 }
@@ -336,7 +333,7 @@ impl PcsServer {
         let local_addr = listener.local_addr().map_err(ServeError::Bind)?;
         let vertex_count = engine.snapshot().graph().num_vertices();
         let shared = Arc::new(Shared {
-            batcher: Batcher::new(cfg.batch_window, cfg.batch_max),
+            batcher: Batcher::new(cfg.batch_window, BATCH_MAX),
             engine,
             cfg: cfg.clone(),
             queue: Mutex::new(VecDeque::new()),
@@ -446,12 +443,12 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
 fn worker_loop(shared: &Shared) {
     while let Some(mut conn) = shared.pop_conn() {
         let draining = shared.shutdown.load(Ordering::Acquire);
-        match conn.http.poll_readable(shared.cfg.poll_window) {
+        match conn.http.poll_readable(POLL_WINDOW) {
             Ok(Poll::Closed) | Err(_) => {
                 shared.active.fetch_sub(1, Ordering::AcqRel);
             }
             Ok(Poll::Idle) => {
-                if draining || conn.last_active.elapsed() > shared.cfg.keep_alive_timeout {
+                if draining || conn.last_active.elapsed() > KEEP_ALIVE_TIMEOUT {
                     shared.active.fetch_sub(1, Ordering::AcqRel);
                 } else {
                     shared.push_conn(conn);
@@ -475,7 +472,7 @@ fn worker_loop(shared: &Shared) {
 /// Reads and answers one request. Returns whether to keep the
 /// connection.
 fn serve_one(shared: &Shared, http: &mut HttpConn, allow_keep_alive: bool) -> bool {
-    let req = match http.read_request(shared.cfg.read_timeout, shared.cfg.max_body_bytes) {
+    let req = match http.read_request(shared.cfg.read_timeout, MAX_BODY_BYTES) {
         Ok(req) => req,
         Err(HttpError::Closed) => return false,
         Err(HttpError::Io(_)) => return false,

@@ -1,13 +1,13 @@
 //! End-to-end serving tests over real loopback sockets: protocol
 //! round-trips, typed 4xx rejections, load shedding under an admission
 //! cap, snapshot consistency of concurrent clients against a live
-//! writer, and graceful shutdown.
+//! writer, result-cache answers from the batcher, and graceful shutdown.
 
 use pcs_core::{Algorithm, QueryContext};
-use pcs_engine::{EngineSnapshot, PcsEngine, UpdateBatch};
+use pcs_engine::{CacheMode, EngineSnapshot, PcsEngine, UpdateBatch};
 use pcs_graph::{Graph, VertexId};
 use pcs_ptree::{PTree, Taxonomy};
-use pcs_serve::{LoadConfig, LoadOp, PcsServer, ServeConfig};
+use pcs_serve::{PcsServer, ServeConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -376,41 +376,64 @@ fn concurrent_clients_stay_snapshot_consistent_with_a_live_writer() {
     assert!(stats.batches >= 1);
 }
 
-#[test]
-fn loadgen_round_trips_through_a_live_server() {
-    let engine = engine(23);
+/// Replays a fixed query/apply sequence on one connection. Returns
+/// `(cache_hits, cache_misses)` from `/stats` after each of its three
+/// steps, and the drained server's `cache_answered` (the dispatcher
+/// counts a cache answer after posting it, so `/stats` may lag there).
+fn replay_cache_traffic(engine: Arc<PcsEngine>) -> ([(u64, u64); 3], u64) {
+    let edge_op = if engine.snapshot().graph().has_edge(0, 17) { "remove" } else { "add" };
     let server = PcsServer::start(engine, "127.0.0.1:0", test_config()).unwrap();
-    let mut ops = Vec::new();
-    for i in 0..120u32 {
-        if i % 10 == 9 {
-            let (a, b) = (i % 30, (i + 7) % 30);
-            ops.push(LoadOp::Apply(format!("add {a} {b}\n")));
-        } else {
-            ops.push(LoadOp::Query { vertex: i % 30, k: 1 + i % 3 });
-        }
-    }
-    let report = pcs_serve::run_load(
-        server.local_addr(),
-        &ops,
-        &LoadConfig { concurrency: 3, ..LoadConfig::default() },
-    );
-    assert_eq!(report.total, 120);
-    assert_eq!(report.ok, 120, "{report:?}");
-    assert_eq!(report.http_5xx, 0);
-    assert_eq!(report.failed, 0);
-    assert!(report.qps > 0.0);
-    assert!(report.read_latency.samples > 0 && report.read_latency.p50 > 0);
-    assert!(report.write_latency.samples > 0);
-    assert!(report.read_latency.p50 <= report.read_latency.p99);
-    assert!(report.read_latency.p99 <= report.read_latency.p999);
+    let mut conn = connect(&server);
+    let counters = |conn: &mut TcpStream| {
+        let (status, body) = get(conn, "/stats");
+        assert_eq!(status, 200);
+        (json_u64(&body, "cache_hits"), json_u64(&body, "cache_misses"))
+    };
+
+    // The same query twice: the repeat is the same answer.
+    let (status, first) = get(&mut conn, "/query?v=3&k=2");
+    assert_eq!(status, 200, "{first}");
+    let (status, repeat) = get(&mut conn, "/query?v=3&k=2");
+    assert_eq!(status, 200, "{repeat}");
+    assert_eq!(parse_communities(&first), parse_communities(&repeat));
+    let after_repeat = counters(&mut conn);
+
+    // Opting out of the cache.
+    assert_eq!(get(&mut conn, "/query?v=3&k=2&cache=0").0, 200);
+    let after_bypass = counters(&mut conn);
+
+    // An effective write publishes a new epoch, which the next answer
+    // carries.
+    let (status, report) = post(&mut conn, "/apply", &format!("{edge_op} 0 17\n"));
+    assert_eq!(status, 200, "{report}");
+    let epoch = json_u64(&report, "epoch");
+    assert_eq!(epoch, json_u64(&first, "epoch") + 1, "{report}");
+    let (status, body) = get(&mut conn, "/query?v=3&k=2");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "epoch"), epoch);
+    let after_write = counters(&mut conn);
 
     let stats = server.shutdown();
-    // Dedup across concurrent repeats of the small hot set is the
-    // batcher's whole point; with 3 closed-loop clients it usually
-    // fires, but a slow machine may never overlap twins — so only
-    // sanity-check the counters' consistency here.
-    assert!(stats.batched_requests >= stats.batches);
     assert_eq!(stats.http_5xx, 0);
+    ([after_repeat, after_bypass, after_write], stats.cache_answered)
+}
+
+#[test]
+fn batcher_answers_repeats_from_the_result_cache_until_a_write() {
+    let (g, tax, profiles) = random_instance(23);
+    let cached = PcsEngine::builder()
+        .graph(g)
+        .taxonomy(tax)
+        .profiles(profiles)
+        .result_cache(CacheMode::Wholesale)
+        .build()
+        .unwrap();
+    // The first query misses and fills, the repeat is a hit answered by
+    // the batcher; a bypassing request moves no counter; after the write
+    // the entry is gone, so the query misses again.
+    assert_eq!(replay_cache_traffic(Arc::new(cached)), ([(1, 1), (1, 1), (1, 2)], 1));
+    // The default engine has no cache and never touches the counters.
+    assert_eq!(replay_cache_traffic(engine(23)), ([(0, 0); 3], 0));
 }
 
 #[test]

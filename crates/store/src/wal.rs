@@ -44,7 +44,8 @@
 //! issues one `fdatasync` covering every record buffered so far —
 //! concurrent committers park on a condvar and are released by that
 //! single fsync. Under write concurrency the fsync-per-record ratio
-//! drops well below one (measured by `bench_wal`).
+//! drops below one (asserted by the unit test
+//! `group_commit_coalesces_concurrent_writers`).
 //!
 //! ## Failure model
 //!

@@ -24,7 +24,7 @@
 //! | [`metrics`] | `pcs-metrics` | CPS, LDR, CPF, F1 |
 //! | [`datasets`] | `pcs-datasets` | paper-calibrated synthetic datasets |
 //! | [`store`] | `pcs-store` | versioned, checksummed on-disk engine snapshots |
-//! | [`serve`] | `pcs-serve` | std-only HTTP/1.1 serving layer + closed-loop load generator |
+//! | [`serve`] | `pcs-serve` | std-only HTTP/1.1 serving layer |
 //!
 //! ## Quickstart
 //!
@@ -120,9 +120,6 @@ pub mod prelude {
     pub use pcs_index::{ClTree, IndexShard, ShardedCpIndex};
     pub use pcs_metrics::{best_f1, cpf, cps, f1_score, ldr};
     pub use pcs_ptree::{LabelId, PTree, Taxonomy};
-    pub use pcs_serve::{
-        run_load, HttpFollower, LoadConfig, LoadOp, LoadReport, PcsServer, ReplicaConfig,
-        ServeConfig, StatsSnapshot,
-    };
+    pub use pcs_serve::{HttpFollower, PcsServer, ReplicaConfig, ServeConfig, StatsSnapshot};
     pub use pcs_store::{SnapshotFile, StoreError, WalOptions};
 }
