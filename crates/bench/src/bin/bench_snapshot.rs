@@ -11,18 +11,14 @@
 //!
 //! ```text
 //! cargo run -p pcs-bench --release --bin bench_snapshot            # full run, writes ./BENCH_*.json
-//! cargo run -p pcs-bench --release --bin bench_snapshot -- --record-baseline
 //! cargo run -p pcs-bench --release --bin bench_snapshot -- --quick # CI smoke: tiny dataset, target/
 //! cargo run -p pcs-bench --release --bin bench_snapshot -- --quick --assert-lazy-wins
 //! ```
 //!
-//! `--record-baseline` re-reads the existing JSON files first and
-//! stores their current results under `"baseline"` in the fresh files,
-//! so a PR that changes performance commits before *and* after numbers
-//! in one artifact. `--reps N` controls repetitions; every repeated
-//! metric reports `{min, median, stddev}` so the shared 1-core
-//! container's timing noise is visible in the JSON instead of silently
-//! folded into one number. `--quick` is the CI bit-rot guard: a
+//! `--reps N` controls repetitions; every repeated metric reports
+//! `{min, median, stddev}` so the shared 1-core container's timing
+//! noise is visible in the JSON instead of silently folded into one
+//! number. `--quick` is the CI bit-rot guard: a
 //! seconds-long run on a tiny dataset that exercises every code path
 //! and the JSON writer (into `target/`, leaving the committed files
 //! alone) and fails only on panic — except under `--assert-lazy-wins`,
@@ -42,7 +38,6 @@ use pcs_index::ShardedCpIndex;
 
 struct Config {
     quick: bool,
-    record_baseline: bool,
     assert_lazy_wins: bool,
     scale_sweep: bool,
     out_dir: PathBuf,
@@ -56,7 +51,6 @@ impl Config {
     fn parse() -> Config {
         let mut cfg = Config {
             quick: false,
-            record_baseline: false,
             assert_lazy_wins: false,
             scale_sweep: false,
             out_dir: PathBuf::from("."),
@@ -71,7 +65,6 @@ impl Config {
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--quick" => cfg.quick = true,
-                "--record-baseline" => cfg.record_baseline = true,
                 "--assert-lazy-wins" => cfg.assert_lazy_wins = true,
                 "--scale-sweep" => cfg.scale_sweep = true,
                 "--reps" => {
@@ -87,7 +80,7 @@ impl Config {
                 }
                 "--help" | "-h" => {
                     eprintln!(
-                        "options: --quick --record-baseline --assert-lazy-wins --scale-sweep \
+                        "options: --quick --assert-lazy-wins --scale-sweep \
                          --reps <n> --out-dir <dir>"
                     );
                     std::process::exit(0);
@@ -192,35 +185,7 @@ fn json_obj(pairs: &[(String, Metric)]) -> String {
     out
 }
 
-/// Pulls the `"results"` object back out of a previously written file
-/// (verbatim, as text) so it can be re-embedded as `"baseline"`.
-fn previous_results(path: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.find("\"results\":")? + "\"results\":".len();
-    let open = text[start..].find('{')? + start;
-    let mut depth = 0usize;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(text[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn write_snapshot(
-    path: &Path,
-    dataset: &str,
-    cfg: &Config,
-    results: &str,
-    baseline: Option<String>,
-) {
+fn write_snapshot(path: &Path, dataset: &str, cfg: &Config, results: &str) {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"pcs-bench-snapshot/v2\",");
     let _ = writeln!(
@@ -228,9 +193,7 @@ fn write_snapshot(
         "  \"config\": {{\"dataset\": {}, \"scale\": {}, \"k\": {}, \"queries\": {}, \"reps\": {}, \"quick\": {}}},",
         json_str(dataset), cfg.scale, cfg.k, cfg.queries, cfg.reps, cfg.quick
     );
-    let _ = writeln!(out, "  \"results\": {results},");
-    let baseline = baseline.unwrap_or_else(|| "null".into());
-    let _ = writeln!(out, "  \"baseline\": {baseline}");
+    let _ = writeln!(out, "  \"results\": {results}");
     out.push_str("}\n");
     std::fs::create_dir_all(path.parent().unwrap_or(Path::new("."))).expect("create out dir");
     std::fs::write(path, out).expect("write snapshot file");
@@ -445,8 +408,8 @@ fn main() {
     // (facade pass plus every shard, inputs shared rather than copied).
     let mut index_results: Vec<(String, Metric)> = Vec::new();
     let m = Metric::from_samples(&sample_us(cfg.reps, build_index));
-    report("index_construction/cptree_seq_us", &m);
-    index_results.push(("cptree_seq_us".into(), m));
+    report("index_construction/index_build_seq_us", &m);
+    index_results.push(("index_build_seq_us".into(), m));
 
     // ---- sharding: time-to-first-query (lazy, per-shard) vs eager
     // full build, measured in-run. The lazy engine's first queries pay
@@ -766,8 +729,6 @@ fn main() {
         cfg.out_dir.join(if cfg.quick { "BENCH_query.quick.json" } else { "BENCH_query.json" });
     let index_path =
         cfg.out_dir.join(if cfg.quick { "BENCH_index.quick.json" } else { "BENCH_index.json" });
-    let query_baseline = cfg.record_baseline.then(|| previous_results(&query_path)).flatten();
-    let index_baseline = cfg.record_baseline.then(|| previous_results(&index_path)).flatten();
-    write_snapshot(&query_path, &ds.name, &cfg, &json_obj(&query_results), query_baseline);
-    write_snapshot(&index_path, &ds.name, &cfg, &json_obj(&index_results), index_baseline);
+    write_snapshot(&query_path, &ds.name, &cfg, &json_obj(&query_results));
+    write_snapshot(&index_path, &ds.name, &cfg, &json_obj(&index_results));
 }

@@ -104,11 +104,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (v, start.elapsed())
 }
 
-/// Milliseconds with two decimals, right-aligned to 12 columns.
-pub fn ms(d: Duration) -> String {
-    format!("{:>12.2}", d.as_secs_f64() * 1e3)
-}
-
 /// Prints a header row followed by a separator.
 pub fn header(cols: &[&str]) {
     let line: Vec<String> = cols.iter().map(|c| format!("{c:>14}")).collect();
@@ -157,7 +152,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f(0.5), "0.500");
         assert_eq!(pct(0.43), "43%");
-        assert!(ms(Duration::from_millis(5)).trim().starts_with('5'));
     }
 }
 

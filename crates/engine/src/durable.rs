@@ -284,7 +284,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Tunes the WAL (segment size, group-commit window). Defaults are
+    /// Tunes the WAL (segment size). Defaults are
     /// [`WalOptions::default`]; only meaningful together with
     /// [`durable`](Self::durable).
     pub fn wal_options(mut self, opts: WalOptions) -> Self {

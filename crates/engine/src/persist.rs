@@ -9,14 +9,15 @@
 //! loaded engine exactly as on a built one, because the writer state is
 //! materialized lazily from the current snapshot either way).
 //!
-//! Loading is *validate-then-bulk-copy*: the store layer proves byte
-//! integrity (checksums) and structural soundness (CSR invariants,
-//! arena invariants, cross-section agreement), after which the arrays
-//! are adopted wholesale — no union-find, no peeling, no per-label
-//! construction. That is what makes a warm start one to two orders of
-//! magnitude cheaper than `EngineBuilder::build` with an eager index.
+//! Loading is *validate-then-bulk-copy*: the store layer's one reader
+//! proves byte integrity (checksums) and structural soundness (CSR
+//! invariants, arena invariants, cross-section agreement), after which
+//! the arrays are adopted wholesale — no union-find, no peeling, no
+//! per-label construction. That is what makes a warm start one to two
+//! orders of magnitude cheaper than `EngineBuilder::build` with an eager
+//! index. The index mode only decides how much of the file that reader
+//! drains before `load` returns.
 
-use pcs_store::{decode_snapshot_bytes, StoreError};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -99,12 +100,15 @@ impl EngineBuilder {
     /// (`engine.snapshot().epoch` picks up where the source left off),
     /// answers queries bit-identically to the source engine, and
     /// accepts [`apply`](PcsEngine::apply) exactly as a built engine
-    /// does. How the file is read follows the index mode:
+    /// does. The file is always opened the same way (container prefix
+    /// validated with positioned reads); how much of it is drained
+    /// before `load` returns follows the index mode:
     ///
-    /// * [`IndexMode::Eager`] — the whole file is read, checksummed,
-    ///   and decoded up front (every persisted shard validated), and
-    ///   any missing shard is built here, preserving the eager
-    ///   guarantee.
+    /// * [`IndexMode::Eager`] — everything: every section checksummed,
+    ///   every profile chunk, member run and persisted shard decoded
+    ///   and cross-validated, and any missing shard built here,
+    ///   preserving the eager guarantee. The file is closed before
+    ///   `load` returns ([`PcsEngine::snapshot_io`] is `None`).
     /// * [`IndexMode::Lazy`] — **deferred load**: META, the taxonomy,
     ///   and the profile/index directories decode now; the graph,
     ///   profile chunks, member runs, and shard payloads fault in on
@@ -125,40 +129,29 @@ impl EngineBuilder {
         if self.graph.is_some() || self.tax.is_some() || !self.profiles.is_empty() {
             return Err(BuildError::DataWithSnapshot.into());
         }
+        // One open for every mode: validates the container prefix
+        // (magic, version, section table) with positioned reads.
+        let src = Arc::new(pcs_store::FileSnapshot::open(path.as_ref())?);
         if self.index_mode != IndexMode::Eager {
-            // Validate the container prefix (magic, version, section
-            // table) with positioned reads — no whole-file read.
-            return self.load_lazy(Arc::new(pcs_store::FileSnapshot::open(path.as_ref())?));
+            return self.load_lazy(src);
         }
-        let bytes = std::fs::read(path)
-            .map_err(|e| StoreError::Io { op: "read", detail: e.to_string() })?;
-        let contents = decode_snapshot_bytes(&bytes)?;
-        drop(bytes);
-        // The store layer has already validated structure and
-        // cross-section agreement (the same invariants `build` checks,
-        // plus the index↔profiles pin), so the parts are adopted
-        // directly.
-        let graph = Arc::new(contents.graph);
-        let profiles = Arc::new(contents.profiles);
+        // The store layer validates structure and cross-section
+        // agreement (the same invariants `build` checks, plus the
+        // index↔profiles pin) and closes the file, so the parts are
+        // adopted directly.
+        let contents = pcs_store::load_eager(src)?;
         let cores_cell = Arc::new(OnceLock::new());
         if let Some(core) = contents.cores {
             let _ = cores_cell.set(CoreDecomposition::from_core_numbers(core));
         }
         let index_cell = OnceLock::new();
-        if let Some(decoded) = contents.index {
-            let mut idx = ShardedCpIndex::from_loaded(
-                Arc::clone(&graph),
-                Arc::clone(&profiles),
-                decoded.members_of,
-                decoded.shards,
-            )
-            .map_err(Error::Index)?;
+        if let Some(mut idx) = contents.index {
             idx.set_global_cores(Arc::clone(&cores_cell));
             let _ = index_cell.set(Ok(idx));
         }
         let snapshot = Arc::new(SnapshotInner {
-            graph: GraphHandle::ready(graph),
-            profiles: ProfilesHandle::dense(profiles),
+            graph: GraphHandle::ready(contents.graph),
+            profiles: ProfilesHandle::dense(contents.profiles),
             cores: cores_cell,
             index: index_cell,
             cache: None,
@@ -259,6 +252,8 @@ mod tests {
 
         assert_eq!(loaded.epoch(), 1, "epoch resumes where the source left off");
         assert!(loaded.index_built(), "persisted index adopted without a rebuild");
+        assert_eq!(loaded.resident_shards(), engine.resident_shards());
+        assert_eq!(loaded.snapshot_io(), None, "an eager load keeps no file open");
         for q in 0..6u32 {
             for k in 1..4u32 {
                 let a = engine.query(&QueryRequest::vertex(q).k(k)).unwrap();

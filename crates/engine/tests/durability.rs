@@ -15,7 +15,6 @@ use pcs_ptree::{PTree, Taxonomy};
 use pcs_store::faults;
 use pcs_store::wal::{encode_records, WalRecord};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Two triangles sharing vertex 0 plus an isolated vertex 5; labels
 /// `a`, `b` under the root.
@@ -332,7 +331,7 @@ fn death_during_fresh_init_is_retryable() {
 fn checkpoint_rotates_and_reclaims_covered_segments() {
     let dir = tmp_dir("reclaim");
     // Tiny segments: every batch rotates, so reclaim has work to do.
-    let engine = durable_engine(&dir, WalOptions { segment_bytes: 40, ..WalOptions::default() });
+    let engine = durable_engine(&dir, WalOptions { segment_bytes: 40 });
     let batches = scripted_batches(engine.taxonomy());
     for batch in &batches {
         engine.apply(batch).unwrap();
@@ -377,7 +376,6 @@ fn concurrent_durable_appliers_share_group_commits() {
         .taxonomy(tax)
         .profiles(profiles)
         .durable(&dir)
-        .wal_options(WalOptions { group_window: Duration::from_millis(2), ..WalOptions::default() })
         .build()
         .unwrap();
     std::thread::scope(|s| {
@@ -438,7 +436,7 @@ fn follower_tails_the_primary_log() {
 #[test]
 fn follower_reseeds_lazily_after_a_reclaimed_gap() {
     let dir = tmp_dir("reseed");
-    let opts = WalOptions { segment_bytes: 40, ..WalOptions::default() };
+    let opts = WalOptions { segment_bytes: 40 };
     let primary = durable_engine(&dir, opts);
     let batches = scripted_batches(primary.taxonomy());
     let mut follower = PcsEngine::builder().follow(&dir).unwrap();

@@ -240,18 +240,17 @@ impl Batcher {
         // skips dedup and execution entirely. Bypassing requests and
         // cache-less engines fall straight through (lookup is `None`).
         let mut misses: Vec<PendingQuery> = Vec::with_capacity(batch.len());
-        let mut hits = 0u64;
         for p in batch {
             match engine.cache_lookup(&p.req) {
                 Some(cached) => {
-                    hits += 1;
+                    // Count before posting: the waiter may read `/stats`
+                    // the moment it has its reply, and must find itself
+                    // counted.
+                    self.stats.cache_answered.fetch_add(1, Ordering::Relaxed);
                     p.slot.post(Ok(cached));
                 }
                 None => misses.push(p),
             }
-        }
-        if hits > 0 {
-            self.stats.cache_answered.fetch_add(hits, Ordering::Relaxed);
         }
         if misses.is_empty() {
             return;

@@ -1,11 +1,14 @@
 //! Section encodings: engine state ⇄ flat little-endian payloads.
 //!
 //! Every section is a sequence of length-prefixed flat arrays — the
-//! load path is *validate-then-bulk-copy*: checksums (the container's
-//! job) prove the bytes are what the writer produced, structural
-//! validation (each component's `from_*` constructor) proves the arrays
-//! describe a legal value, and the arrays themselves are adopted
-//! wholesale rather than decoded element by element.
+//! load path is *validate-then-bulk-copy*: checksums prove the bytes
+//! are what the writer produced, structural validation (each
+//! component's `from_*` constructor) proves the arrays describe a legal
+//! value, and the arrays themselves are adopted wholesale rather than
+//! decoded element by element. This module holds the encoders behind
+//! [`write_snapshot`] and the per-section decoders and cross-section
+//! pins; [`crate::lazy`] is the one reader that drives them over a
+//! [`FileSnapshot`](crate::FileSnapshot).
 //!
 //! | id | section | contents |
 //! |---|---|---|
@@ -24,13 +27,11 @@
 //! offset, length, checksum into a trailing payload blob) holding only
 //! the shards that were *resident* when the engine saved. Shards absent
 //! from the file (or invalidated later) are rebuilt from the graph on
-//! demand; [`crate::lazy`] reads the same layout range by range.
+//! demand; [`crate::lazy`] reads this layout range by range.
 
-use crate::format::{
-    Result, SectionReader, SectionWriter, SnapshotFile, SnapshotSlices, StoreError,
-};
+use crate::format::{Result, SectionReader, SectionWriter, StoreError};
 use pcs_graph::{Graph, VertexId};
-use pcs_index::{ClTree, ClTreeFlat, ShardedCpIndex};
+use pcs_index::{ClTreeFlat, ShardedCpIndex};
 use pcs_ptree::{LabelId, PTree, ProfileLoader, Taxonomy};
 
 /// Vertices per `PROFILES` chunk. Each chunk is
@@ -78,79 +79,22 @@ pub mod section {
     pub const INDEX: u32 = 6;
 }
 
-/// The decoded `INDEX` section: the facade member table plus every
-/// persisted shard, decoded and validated. (The wire format carries no
-/// head map — `T(v)` restoration reads the `PROFILES` section's trees,
-/// which the engine shares with the index by `Arc`.)
-#[derive(Debug)]
-pub struct DecodedIndex {
-    /// Per label, the sorted vertices carrying it (empty ⇔ unpopulated).
-    pub members_of: Vec<Vec<VertexId>>,
-    /// The persisted shards, in ascending label order.
-    pub shards: Vec<(LabelId, ClTree)>,
-}
-
-/// A fully decoded snapshot: everything an engine needs to warm-start.
-#[derive(Debug)]
-pub struct SnapshotContents {
-    /// The epoch the source engine was at when saved.
-    pub epoch: u64,
-    /// The host graph (structurally validated on decode).
-    pub graph: Graph,
-    /// The GP-tree.
-    pub tax: Taxonomy,
-    /// Per-vertex P-trees.
-    pub profiles: Vec<PTree>,
-    /// Core numbers, when the source snapshot had them computed.
-    pub cores: Option<Vec<u32>>,
-    /// The sharded index parts, when the source snapshot had a facade
-    /// built (resident shards only; the rest rebuild on demand).
-    pub index: Option<DecodedIndex>,
-}
-
 fn corrupt(section: u32, detail: impl Into<String>) -> StoreError {
     StoreError::Corrupt { section, detail: detail.into() }
 }
 
-/// Serializes one engine snapshot into a (current-version)
-/// [`SnapshotFile`].
+/// Streams one engine snapshot straight to `path` through a
+/// [`SnapshotWriter`](crate::format::SnapshotWriter) (which owns the
+/// atomicity and durability contract): each section is encoded,
+/// written, and dropped before the next is built, so saving never
+/// holds more than one section's payload in memory.
 ///
 /// `cores` and `index` are optional: pass whatever the source snapshot
 /// has already materialized. Only the index's **resident** shards are
 /// persisted — the member table covers every populated label, so a
 /// loader can rebuild the rest on demand. The writer guarantees the
-/// sections agree with each other — [`decode_snapshot_bytes`] re-checks
-/// the cheap consistency subset on the way back in.
-pub fn encode_snapshot(
-    epoch: u64,
-    graph: &Graph,
-    tax: &Taxonomy,
-    profiles: &[PTree],
-    cores: Option<&[u32]>,
-    index: Option<&ShardedCpIndex>,
-) -> SnapshotFile {
-    let mut file = SnapshotFile::new();
-    let narrow = narrow_width(graph, tax);
-    file.push_section(section::META, encode_meta(epoch, graph, tax, narrow));
-    file.push_section(section::GRAPH, encode_graph(graph, narrow));
-    file.push_section(section::TAXONOMY, encode_taxonomy(tax, narrow));
-    file.push_section(section::PROFILES, encode_profiles_chunked(profiles, narrow));
-    if let Some(core) = cores {
-        file.push_section(section::CORES, encode_cores(core, narrow));
-    }
-    if let Some(idx) = index {
-        file.push_section(section::INDEX, encode_index(idx, narrow));
-    }
-    file
-}
-
-/// Streams one engine snapshot straight to `path` through a
-/// [`SnapshotWriter`](crate::format::SnapshotWriter): each section is
-/// encoded, written, and dropped before the next is built, so saving
-/// never holds more than one section's payload in memory (the
-/// [`encode_snapshot`]`+to_bytes` path holds every section **plus** the
-/// full serialized file). Atomicity/durability are identical to
-/// [`SnapshotFile::write`].
+/// sections agree with each other — the reader re-checks the cheap
+/// consistency subset on the way back in.
 pub fn write_snapshot(
     path: impl AsRef<std::path::Path>,
     epoch: u64,
@@ -371,47 +315,6 @@ fn encode_index(idx: &ShardedCpIndex, narrow: bool) -> Vec<u8> {
     w.put_u64(blob.len() as u64);
     w.put_bytes(&blob);
     w.finish()
-}
-
-/// The buffered warm-start path: container-validate `bytes` without
-/// copying payloads (magic, version gate, table and payload checksums),
-/// then decode and cross-validate every section back into engine
-/// parts.
-///
-/// Validation layers, cheapest first: the container proves byte
-/// integrity via checksums; this function proves *structure* (graph
-/// CSR invariants, taxonomy shape, P-tree closure, CL-tree arena
-/// invariants) and *cross-section agreement* (counts line up, core
-/// numbers fit their degrees, and the index member table is exactly
-/// the carrier sets of the profile section's P-trees). Anything that
-/// fails maps to a typed [`StoreError`] — a decoded snapshot is safe to
-/// serve from.
-pub fn decode_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotContents> {
-    let file = SnapshotSlices::from_bytes(bytes)?;
-    let require = |id: u32| file.section(id).ok_or(StoreError::MissingSection { section: id });
-
-    let meta = decode_meta_payload(require(section::META)?)?;
-    let SnapshotMeta { epoch, narrow, .. } = meta;
-    let graph = decode_graph_payload(require(section::GRAPH)?, &meta)?;
-    let n = graph.num_vertices();
-    let tax = decode_taxonomy_payload(require(section::TAXONOMY)?, &meta)?;
-    let profiles = decode_profiles_chunked(require(section::PROFILES)?, n, &tax, narrow)?;
-
-    let cores = match file.section(section::CORES) {
-        None => None,
-        Some(payload) => {
-            let core = decode_cores_payload(payload, n, narrow)?;
-            pin_cores_against_graph(&core, &graph)?;
-            Some(core)
-        }
-    };
-
-    let index = match file.section(section::INDEX) {
-        Some(payload) => Some(decode_index(payload, n, tax.len(), &profiles, narrow)?),
-        None => None,
-    };
-
-    Ok(SnapshotContents { epoch, graph, tax, profiles, cores, index })
 }
 
 /// The decoded `META` section: the counts every other section is
@@ -661,135 +564,16 @@ pub fn parse_profile_chunk(
     Ok(out)
 }
 
-/// Decodes the chunked `PROFILES` layout eagerly (every chunk
-/// verified and parsed).
-fn decode_profiles_chunked(
-    payload: &[u8],
-    n: usize,
-    tax: &Taxonomy,
-    narrow: bool,
-) -> Result<Vec<PTree>> {
-    let dir = ProfileChunkDir::parse(payload, n, payload.len() as u64)?;
-    let data = payload
-        .get(dir.data_base as usize..)
-        .ok_or_else(|| corrupt(section::PROFILES, "data area out of bounds"))?;
-    let mut profiles = Vec::with_capacity(n);
-    for (i, &(off, len, sum)) in dir.entries.iter().enumerate() {
-        let end = off
-            .checked_add(len)
-            .ok_or_else(|| corrupt(section::PROFILES, "profile chunk extent overflows"))?;
-        let bytes = data
-            .get(off as usize..end as usize)
-            .ok_or_else(|| corrupt(section::PROFILES, "profile chunk out of bounds"))?;
-        let base = i * dir.chunk_size;
-        let parsed =
-            parse_profile_chunk(bytes, i as u64, sum, dir.chunk_vertices(i), base, tax, narrow)?;
-        profiles.extend(parsed);
-    }
-    Ok(profiles)
-}
-
-/// Validates one decoded shard payload against the member table and
-/// structural invariants.
-fn validated_shard(
-    flat: ClTreeFlat,
-    label: LabelId,
-    members: &[VertexId],
-    n: usize,
-) -> Result<ClTree> {
-    let cl = ClTree::from_flat(flat).map_err(|e| corrupt(section::INDEX, e.to_string()))?;
-    if cl.members().is_empty() {
-        return Err(corrupt(section::INDEX, format!("label {label} is populated but empty")));
-    }
-    if cl.members().last().is_some_and(|&v| v as usize >= n) {
-        return Err(corrupt(
-            section::INDEX,
-            format!("label {label} indexes out-of-range vertices"),
-        ));
-    }
-    if cl.members() != members {
-        return Err(corrupt(
-            section::INDEX,
-            format!("shard {label} member list disagrees with the member table"),
-        ));
-    }
-    Ok(cl)
-}
-
-/// The `INDEX` layout: member table + shard directory + blob, every
-/// part validated and every shard payload decoded. The per-label
-/// member checksums that follow the length table are verified against
-/// the raw member-run bytes.
-fn decode_index(
-    payload: &[u8],
-    n: usize,
-    num_labels: usize,
+/// Cross-section pin: the `INDEX` member table must be exactly the
+/// carrier sets of the `PROFILES` section. Every listed member must
+/// carry the label, and the grand totals must agree — since member
+/// lists are strictly sorted (no duplicates), containment plus equal
+/// counts forces equality.
+pub(crate) fn pin_members_against_profiles(
+    members_of: &[Vec<VertexId>],
     profiles: &[PTree],
-    narrow: bool,
-) -> Result<DecodedIndex> {
-    let mut r = SectionReader::new(payload, section::INDEX);
-    let idx_n = r.usize64()?;
-    let idx_labels = r.usize64()?;
-    if idx_n != n || idx_labels != num_labels {
-        return Err(corrupt(section::INDEX, "index dimensions disagree with graph/taxonomy"));
-    }
-    let member_lens = r.u32_vec(num_labels)?;
-    let mut member_sums = Vec::with_capacity(num_labels);
-    for _ in 0..num_labels {
-        member_sums.push(r.u64()?);
-    }
-    let total = r.usize64()?;
-    if member_lens.iter().map(|&l| l as u64).sum::<u64>() != total as u64 {
-        return Err(corrupt(section::INDEX, "member-table lengths disagree with the total"));
-    }
-    let id_width: u64 = if narrow { 2 } else { 4 };
-    // Byte offset of the member runs within the payload, for the
-    // per-label sum verification below (the reader is positioned there
-    // right now).
-    let members_base = (8 + 8 + 4 * num_labels as u64) + 8 * num_labels as u64 + 8;
-    let flat_members = r.id_vec(total, narrow)?;
-    let mut members_of = Vec::with_capacity(num_labels);
-    let mut rest = flat_members.as_slice();
-    let mut run_off = 0u64;
-    for (label, &len) in member_lens.iter().enumerate() {
-        let (members, tail) = rest
-            .split_at_checked(len as usize)
-            .ok_or_else(|| corrupt(section::INDEX, "member-table lengths overrun the data"))?;
-        rest = tail;
-        if members.windows(2).any(|w| w.first() >= w.last()) {
-            return Err(corrupt(section::INDEX, format!("members of label {label} unsorted")));
-        }
-        if members.last().is_some_and(|&v| v as usize >= n) {
-            return Err(corrupt(
-                section::INDEX,
-                format!("label {label} indexes out-of-range vertices"),
-            ));
-        }
-        let run_len = u64::from(len) * id_width;
-        let start = members_base + run_off;
-        let raw = start
-            .checked_add(run_len)
-            .and_then(|end| payload.get(start as usize..end as usize))
-            .ok_or_else(|| corrupt(section::INDEX, "member run out of bounds"))?;
-        let stored = member_sums.get(label).copied().unwrap_or(0);
-        let label_id = LabelId::try_from(label)
-            .map_err(|_| corrupt(section::INDEX, "label count overflows u32"))?;
-        let actual = crate::format::xxh64(raw, member_sum_seed(label_id));
-        if actual != stored {
-            return Err(StoreError::ChecksumMismatch {
-                section: section::INDEX,
-                expected: stored,
-                actual,
-            });
-        }
-        run_off += run_len;
-        members_of.push(members.to_vec());
-    }
-    // Cross-section pin: the member table must be exactly the
-    // carrier sets of the PROFILES section. Every listed member must
-    // carry the label, and the grand totals must agree — since member
-    // lists are strictly sorted (no duplicates), containment plus
-    // equal counts forces equality.
+) -> Result<()> {
+    let total: usize = members_of.iter().map(Vec::len).sum();
     let carried_total: usize = profiles.iter().map(PTree::len).sum();
     if total != carried_total {
         return Err(corrupt(
@@ -810,78 +594,28 @@ fn decode_index(
             }
         }
     }
-    // The shard directory: labels strictly ascending and populated,
-    // payload runs exactly tiling the blob.
-    let shard_count = r.usize64()?;
-    if shard_count > num_labels {
-        return Err(corrupt(section::INDEX, "more shards than labels"));
-    }
-    let mut directory: Vec<(LabelId, usize, usize)> = Vec::with_capacity(shard_count);
-    let mut prev: Option<LabelId> = None;
-    let mut expect_off = 0u64;
-    for _ in 0..shard_count {
-        let label = r.u32()?;
-        let off = r.u64()?;
-        let len = r.u64()?;
-        // The per-shard payload checksum serves the file-backed lazy
-        // loader (which range-reads the blob unverified); here the
-        // container checksum already proved these bytes.
-        let _shard_sum = r.u64()?;
-        let Some(shard_members) = members_of.get(label as usize) else {
-            return Err(corrupt(section::INDEX, format!("shard label {label} out of range")));
-        };
-        if prev.is_some_and(|p| p >= label) {
-            return Err(corrupt(section::INDEX, "shard labels not strictly ascending"));
-        }
-        prev = Some(label);
-        if shard_members.is_empty() {
-            return Err(corrupt(section::INDEX, format!("shard {label} has no members")));
-        }
-        if off != expect_off {
-            return Err(corrupt(section::INDEX, format!("shard {label} payload does not tile")));
-        }
-        expect_off = off
-            .checked_add(len)
-            .ok_or_else(|| corrupt(section::INDEX, "shard payload length overflows"))?;
-        let (off, len) = (
-            usize::try_from(off)
-                .map_err(|_| corrupt(section::INDEX, "shard offset exceeds address space"))?,
-            usize::try_from(len)
-                .map_err(|_| corrupt(section::INDEX, "shard length exceeds address space"))?,
-        );
-        directory.push((label, off, len));
-    }
-    let blob_len = r.usize64()?;
-    if expect_off != blob_len as u64 {
-        return Err(corrupt(section::INDEX, "shard directory does not cover the blob"));
-    }
-    let blob = r.bytes(blob_len)?;
-    r.finish()?;
-    let mut shards = Vec::with_capacity(directory.len());
-    for (label, off, len) in directory {
-        // The directory tiling check bounds every run; `get` keeps the
-        // decoder structurally panic-free.
-        let payload = off
-            .checked_add(len)
-            .and_then(|end| blob.get(off..end))
-            .ok_or_else(|| corrupt(section::INDEX, "shard payload out of bounds"))?;
-        let mut sr = SectionReader::new(payload, section::INDEX);
-        let flat = decode_cl(&mut sr, narrow)?;
-        sr.finish()?;
-        let empty: &[VertexId] = &[];
-        let members = members_of.get(label as usize).map_or(empty, Vec::as_slice);
-        shards.push((label, validated_shard(flat, label, members, n)?));
-    }
-    Ok(DecodedIndex { members_of, shards })
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::SnapshotWriter;
+    use crate::lazy::{load_eager, SnapshotContents};
+    use crate::FileSnapshot;
     use pcs_graph::core::CoreDecomposition;
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
 
-    fn decode_snapshot(file: &SnapshotFile) -> Result<SnapshotContents> {
-        decode_snapshot_bytes(&file.to_bytes())
+    fn tmp(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("pcs_codec_{}_{tag}.pcs", std::process::id()))
+    }
+
+    /// Reads `path` through the one reader, fully drained, and removes it.
+    fn load(path: &Path) -> Result<SnapshotContents> {
+        let contents = FileSnapshot::open(path).and_then(|f| load_eager(Arc::new(f)));
+        std::fs::remove_file(path).unwrap();
+        contents
     }
 
     fn tiny() -> (Graph, Taxonomy, Vec<PTree>) {
@@ -903,18 +637,18 @@ mod tests {
         ShardedCpIndex::build_resident(g, tax, profiles).unwrap()
     }
 
-    fn assert_index_matches(decoded: &DecodedIndex, idx: &ShardedCpIndex, tax: &Taxonomy) {
+    fn assert_index_matches(decoded: &ShardedCpIndex, idx: &ShardedCpIndex, tax: &Taxonomy) {
         for label in 0..tax.len() as u32 {
             assert_eq!(
-                decoded.members_of[label as usize],
+                decoded.vertices_with_label(label),
                 idx.vertices_with_label(label),
                 "members of {label}"
             );
         }
-        assert_eq!(decoded.shards.len(), idx.resident_shards());
-        for (label, cl) in &decoded.shards {
-            let shard = idx.shard_if_resident(*label).expect("persisted shard resident");
-            assert_eq!(cl.to_flat(), shard.cl.to_flat(), "shard {label}");
+        assert_eq!(decoded.resident_shards(), idx.resident_shards());
+        for shard in decoded.resident_iter() {
+            let want = idx.shard_if_resident(shard.label).expect("persisted shard resident");
+            assert_eq!(shard.cl.to_flat(), want.cl.to_flat(), "shard {}", shard.label);
         }
     }
 
@@ -923,15 +657,17 @@ mod tests {
         let (g, tax, profiles) = tiny();
         let cores = CoreDecomposition::new(&g);
         let index = sharded(&g, &tax, &profiles);
-        let file =
-            encode_snapshot(42, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index));
-        assert_eq!(file.to_bytes()[8..12], crate::format::FORMAT_VERSION.to_le_bytes());
-        let contents = decode_snapshot(&file).expect("decodes");
+        let path = tmp("full");
+        write_snapshot(&path, 42, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index))
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[8..12], crate::format::FORMAT_VERSION.to_le_bytes());
+        let contents = load(&path).expect("decodes");
         assert_eq!(contents.epoch, 42);
-        assert_eq!(&contents.graph, &g);
+        assert_eq!(contents.graph.as_ref(), &g);
         assert_eq!(contents.tax.label_names(), tax.label_names());
         assert_eq!(contents.tax.parents(), tax.parents());
-        assert_eq!(contents.profiles, profiles);
+        assert_eq!(contents.profiles.as_ref(), &profiles);
         assert_eq!(contents.cores.as_deref(), Some(cores.core_numbers()));
         assert_index_matches(&contents.index.expect("index section present"), &index, &tax);
     }
@@ -941,20 +677,16 @@ mod tests {
     #[test]
     fn partial_residency_round_trips() {
         let (g, tax, profiles) = tiny();
-        let index = ShardedCpIndex::build(
-            std::sync::Arc::new(g.clone()),
-            &tax,
-            std::sync::Arc::new(profiles.clone()),
-        )
-        .unwrap();
+        let index =
+            ShardedCpIndex::build(Arc::new(g.clone()), &tax, Arc::new(profiles.clone())).unwrap();
         let a = tax.id_of("a").unwrap();
         assert!(index.get_ref(0, 0, a).is_some(), "materialize exactly one shard");
         assert_eq!(index.resident_shards(), 1);
-        let file = encode_snapshot(0, &g, &tax, &profiles, None, Some(&index));
-        let contents = decode_snapshot(&file).unwrap();
-        let decoded = contents.index.unwrap();
+        let path = tmp("partial");
+        write_snapshot(&path, 0, &g, &tax, &profiles, None, Some(&index)).unwrap();
+        let decoded = load(&path).unwrap().index.unwrap();
         assert_index_matches(&decoded, &index, &tax);
-        assert_eq!(decoded.members_of[0].len(), 5, "root members present without a shard");
+        assert_eq!(decoded.vertices_with_label(0).len(), 5, "root members present without a shard");
     }
 
     /// Graphs too large for two-byte ids take the wide path; both
@@ -970,19 +702,21 @@ mod tests {
         profiles[n - 1] = PTree::from_labels(&tax, [a]).unwrap();
         let cores = CoreDecomposition::new(&g);
         let index = sharded(&g, &tax, &profiles);
-        let file =
-            encode_snapshot(7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index));
-        let contents = decode_snapshot(&file).unwrap();
-        assert_eq!(&contents.graph, &g);
-        assert_eq!(contents.profiles, profiles);
+        let path = tmp("wide");
+        write_snapshot(&path, 7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&index))
+            .unwrap();
+        let contents = load(&path).unwrap();
+        assert_eq!(contents.graph.as_ref(), &g);
+        assert_eq!(contents.profiles.as_ref(), &profiles);
         assert_index_matches(&contents.index.unwrap(), &index, &tax);
     }
 
     #[test]
     fn optional_sections_really_optional() {
         let (g, tax, profiles) = tiny();
-        let file = encode_snapshot(0, &g, &tax, &profiles, None, None);
-        let contents = decode_snapshot(&file).unwrap();
+        let path = tmp("optional");
+        write_snapshot(&path, 0, &g, &tax, &profiles, None, None).unwrap();
+        let contents = load(&path).unwrap();
         assert!(contents.cores.is_none());
         assert!(contents.index.is_none());
     }
@@ -990,19 +724,19 @@ mod tests {
     #[test]
     fn missing_required_section_is_typed() {
         let (g, tax, profiles) = tiny();
-        let full = encode_snapshot(0, &g, &tax, &profiles, None, None);
+        let full_path = tmp("missing_full");
+        write_snapshot(&full_path, 0, &g, &tax, &profiles, None, None).unwrap();
+        let full = FileSnapshot::open(&full_path).unwrap();
         for drop_id in [section::META, section::GRAPH, section::TAXONOMY, section::PROFILES] {
-            let mut partial = SnapshotFile::new();
-            for id in full.section_ids() {
-                if id != drop_id {
-                    partial.push_section(id, full.section(id).unwrap().to_vec());
-                }
+            let path = tmp(&format!("missing_{drop_id}"));
+            let mut partial = SnapshotWriter::create(&path, 3).unwrap();
+            for id in full.section_ids().into_iter().filter(|&id| id != drop_id) {
+                partial.put_section(id, full.section(id).unwrap().unwrap()).unwrap();
             }
-            assert_eq!(
-                decode_snapshot(&partial).unwrap_err(),
-                StoreError::MissingSection { section: drop_id }
-            );
+            partial.finish().unwrap();
+            assert_eq!(load(&path).unwrap_err(), StoreError::MissingSection { section: drop_id });
         }
+        std::fs::remove_file(&full_path).unwrap();
     }
 
     #[test]
@@ -1015,9 +749,11 @@ mod tests {
         )
         .unwrap();
         let wrong_cores = CoreDecomposition::new(&other);
-        let file = encode_snapshot(0, &g, &tax, &profiles, Some(wrong_cores.core_numbers()), None);
+        let path = tmp("wrong_cores");
+        write_snapshot(&path, 0, &g, &tax, &profiles, Some(wrong_cores.core_numbers()), None)
+            .unwrap();
         assert!(matches!(
-            decode_snapshot(&file).unwrap_err(),
+            load(&path).unwrap_err(),
             StoreError::Corrupt { section: section::CORES, .. }
         ));
     }

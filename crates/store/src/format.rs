@@ -39,7 +39,7 @@ pub(crate) const HEADER_LEN: u64 = 24;
 pub(crate) const TABLE_ENTRY_LEN: u64 = 32;
 
 /// Most sections a file may declare (defense against forged headers;
-/// see the count check in [`SnapshotSlices::from_bytes`]).
+/// see the count check in [`FileSnapshot::open`](crate::FileSnapshot::open)).
 pub const MAX_SECTIONS: u64 = 1024;
 
 /// Everything that can go wrong writing or reading a snapshot file.
@@ -197,65 +197,16 @@ fn le_u16(b: &[u8]) -> u16 {
 /// craft adversarial-but-internally-consistent files, and so external
 /// tooling can verify snapshots without this crate's reader.
 pub fn xxh64(input: &[u8], seed: u64) -> u64 {
-    let len = input.len() as u64;
-    let mut rest = input;
-    let mut h = if rest.len() >= 32 {
-        let mut v1 = seed.wrapping_add(P1).wrapping_add(P2);
-        let mut v2 = seed.wrapping_add(P2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(P1);
-        while rest.len() >= 32 {
-            let (c1, r) = rest.split_at(8);
-            let (c2, r) = r.split_at(8);
-            let (c3, r) = r.split_at(8);
-            let (c4, r) = r.split_at(8);
-            v1 = xxh_round(v1, le_u64(c1));
-            v2 = xxh_round(v2, le_u64(c2));
-            v3 = xxh_round(v3, le_u64(c3));
-            v4 = xxh_round(v4, le_u64(c4));
-            rest = r;
-        }
-        let mut h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = xxh_merge(h, v1);
-        h = xxh_merge(h, v2);
-        h = xxh_merge(h, v3);
-        xxh_merge(h, v4)
-    } else {
-        seed.wrapping_add(P5)
-    };
-    h = h.wrapping_add(len);
-    while rest.len() >= 8 {
-        let (c, r) = rest.split_at(8);
-        h = (h ^ xxh_round(0, le_u64(c))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        rest = r;
-    }
-    if rest.len() >= 4 {
-        let (c, r) = rest.split_at(4);
-        h = (h ^ u64::from(le_u32(c)).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
-        rest = r;
-    }
-    for &b in rest {
-        h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
+    let mut h = Xxh64::new(seed);
+    h.update(input);
+    h.finish()
 }
 
 /// Incremental XXH64: feed bytes with [`Xxh64::update`], read the
-/// digest with [`Xxh64::finish`]. Produces bit-identical output to the
-/// one-shot [`xxh64`] for any split of the input — the streaming save
-/// path hashes each section while writing it, so a payload never has to
-/// exist contiguously in memory just to be checksummed.
+/// digest with [`Xxh64::finish`]. The digest is the same for any split
+/// of the input — the streaming save path hashes each section while
+/// writing it, so a payload never has to exist contiguously in memory
+/// just to be checksummed.
 #[derive(Debug, Clone)]
 pub struct Xxh64 {
     v1: u64,
@@ -370,115 +321,6 @@ impl Xxh64 {
 // The section container.
 // ---------------------------------------------------------------------
 
-/// An in-memory snapshot: an ordered list of `(section id, payload)`
-/// pairs, serializable to the checksummed wire layout above.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotFile {
-    sections: Vec<(u32, Vec<u8>)>,
-}
-
-impl SnapshotFile {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a section. Ids must be unique per file (the reader
-    /// rejects duplicates).
-    pub fn push_section(&mut self, id: u32, payload: Vec<u8>) {
-        debug_assert!(!self.sections.iter().any(|(i, _)| *i == id), "duplicate section {id}");
-        self.sections.push((id, payload));
-    }
-
-    /// The payload of section `id`, if present.
-    pub fn section(&self, id: u32) -> Option<&[u8]> {
-        self.sections.iter().find(|(i, _)| *i == id).map(|(_, p)| p.as_slice())
-    }
-
-    /// Ids of all sections, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.sections.iter().map(|(i, _)| *i).collect()
-    }
-
-    /// Serializes to the wire layout.
-    ///
-    /// # Panics
-    /// If more than `u32::MAX` sections were pushed — a writer contract
-    /// violation that would otherwise serialize a checksum-valid lie
-    /// (the reader's `MAX_SECTIONS` cap is orders of magnitude lower).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        // audit:allow(no-panic): writer contract — a wrapped section count would produce a checksum-valid corrupt file
-        let count = u32::try_from(self.sections.len()).expect("section count fits u32");
-        let table_end = HEADER_LEN + TABLE_ENTRY_LEN * u64::from(count);
-        let total = table_end + self.sections.iter().map(|(_, p)| p.len() as u64).sum::<u64>();
-        let mut out = Vec::with_capacity(total as usize);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
-        let mut table = Vec::with_capacity((TABLE_ENTRY_LEN * count as u64) as usize);
-        let mut offset = table_end;
-        for (id, payload) in &self.sections {
-            table.extend_from_slice(&id.to_le_bytes());
-            table.extend_from_slice(&0u32.to_le_bytes());
-            table.extend_from_slice(&offset.to_le_bytes());
-            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            table.extend_from_slice(&xxh64(payload, *id as u64).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-        out.extend_from_slice(&xxh64(&table, u64::from(FORMAT_VERSION)).to_le_bytes());
-        out.extend_from_slice(&table);
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
-    /// Parses and fully validates the wire layout: magic, version,
-    /// table checksum, per-entry bounds, and every payload checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile> {
-        let view = SnapshotSlices::from_bytes(bytes)?;
-        Ok(SnapshotFile {
-            sections: view.sections.iter().map(|&(id, s)| (id, s.to_vec())).collect(),
-        })
-    }
-
-    /// Writes the snapshot to `path` atomically and durably: the bytes
-    /// go to a unique temporary file in the same directory, are synced
-    /// to disk (`sync_all` — the rename must never be journaled ahead
-    /// of the data it points at), and then renamed over the target —
-    /// so an interrupted save (crash, power loss) can never destroy a
-    /// previous good snapshot, and a reader never observes a
-    /// half-written file. The parent directory is then fsynced so the
-    /// rename itself survives power loss; a directory-sync *failure*
-    /// is a real error (the caller believes the save durable), and
-    /// only platforms that refuse to open directories at all skip it.
-    ///
-    /// Kill points (crash-fault tests): `snapshot.before_rename` —
-    /// the temp file is synced but the target still holds the old
-    /// bytes; `snapshot.after_rename` — the rename happened but its
-    /// directory entry was never synced. At either point the target
-    /// path parses as a complete snapshot (old or new) — never a
-    /// half-written one.
-    pub fn write(&self, path: impl AsRef<Path>) -> Result<()> {
-        let count = u32::try_from(self.sections.len()).map_err(|_| StoreError::Corrupt {
-            section: SECTION_TABLE,
-            detail: "section count exceeds u32".into(),
-        })?;
-        let mut w = SnapshotWriter::create(path.as_ref(), count)?;
-        for (id, payload) in &self.sections {
-            w.put_section(*id, payload)?;
-        }
-        w.finish()
-    }
-
-    /// Reads and fully validates a snapshot from `path`.
-    pub fn read(path: impl AsRef<Path>) -> Result<SnapshotFile> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| StoreError::Io { op: "read", detail: e.to_string() })?;
-        Self::from_bytes(&bytes)
-    }
-}
-
 static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 fn tmp_path_for(path: &Path) -> std::path::PathBuf {
@@ -496,20 +338,29 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> StoreError {
     move |e| StoreError::Io { op, detail: e.to_string() }
 }
 
-/// Streams a snapshot to disk section by section, so a payload never
-/// has to be buffered alongside the full serialized file (the old
-/// `to_bytes` path held every section **twice** — once in the section
-/// `Vec`s and once in the output buffer — which at scale is the
-/// difference between fitting in memory and not).
+/// Streams a snapshot to disk section by section, so a save never holds
+/// more than one section's payload in memory.
 ///
 /// The writer lays down the header and a zeroed section table up
 /// front, appends each payload while hashing it incrementally
 /// ([`Xxh64`]), then seeks back and backpatches the table (checksum
-/// included) in [`SnapshotWriter::finish`]. Atomicity and durability
-/// are identical to [`SnapshotFile::write`]: bytes go to a unique
-/// temporary, `sync_all`, rename over the target, parent-directory
-/// fsync — with the same `snapshot.before_rename` /
-/// `snapshot.after_rename` kill points.
+/// included) in [`SnapshotWriter::finish`].
+///
+/// Saves are atomic and durable: the bytes go to a unique temporary
+/// file in the same directory, are synced to disk (`sync_all` — the
+/// rename must never be journaled ahead of the data it points at), and
+/// then renamed over the target — so an interrupted save (crash, power
+/// loss) can never destroy a previous good snapshot, and a reader never
+/// observes a half-written file. The parent directory is then fsynced
+/// so the rename itself survives power loss; a directory-sync *failure*
+/// is a real error (the caller believes the save durable), and only
+/// platforms that refuse to open directories at all skip it.
+///
+/// Kill points (crash-fault tests): `snapshot.before_rename` — the temp
+/// file is synced but the target still holds the old bytes;
+/// `snapshot.after_rename` — the rename happened but its directory
+/// entry was never synced. At either point the target path parses as a
+/// complete snapshot (old or new) — never a half-written one.
 ///
 /// The number of sections is declared at [`SnapshotWriter::create`]
 /// time (it fixes the table size); `finish` rejects a mismatch.
@@ -655,122 +506,6 @@ impl SectionSink<'_> {
         self.w.offset += self.len;
         self.w.entries.push((self.id, offset, self.len, sum));
         Ok(())
-    }
-}
-
-/// A zero-copy view of a snapshot's sections, borrowing the file bytes.
-///
-/// Validation is identical to [`SnapshotFile::from_bytes`] (magic,
-/// version, table checksum, bounds, payload checksums) but payloads
-/// stay borrowed slices — the warm-start hot path: one `fs::read`, one
-/// checksum pass, and the decoders bulk-copy straight out of the file
-/// buffer.
-#[derive(Debug)]
-pub struct SnapshotSlices<'a> {
-    sections: Vec<(u32, &'a [u8])>,
-}
-
-impl<'a> SnapshotSlices<'a> {
-    /// Parses and fully validates the wire layout without copying any
-    /// payload.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<SnapshotSlices<'a>> {
-        let file_len = bytes.len() as u64;
-        // One length check admits the whole fixed-size header; every
-        // field below comes off `split_at` within it, so no later read
-        // can go out of bounds.
-        let Some(header) = bytes.get(..HEADER_LEN as usize) else {
-            return Err(StoreError::Truncated { needed: HEADER_LEN, actual: file_len });
-        };
-        let (magic, header) = header.split_at(8);
-        let (version_b, header) = header.split_at(4);
-        let (count_b, table_sum_b) = header.split_at(4);
-        if magic != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(magic);
-            return Err(StoreError::BadMagic { found });
-        }
-        let version = le_u32(version_b);
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let count = u64::from(le_u32(count_b));
-        // Cap the declared section count before it sizes anything: a
-        // forged header could otherwise drive the duplicate-id scan
-        // quadratic and the table allocation huge long before any
-        // checksum gets a chance to reject the file. Real snapshots
-        // have single-digit counts; the cap leaves two orders of
-        // magnitude of headroom for future sections.
-        if count > MAX_SECTIONS {
-            return Err(StoreError::Corrupt {
-                section: SECTION_TABLE,
-                detail: format!("{count} sections declared (limit {MAX_SECTIONS})"),
-            });
-        }
-        let stored_table_sum = le_u64(table_sum_b);
-        let table_end = HEADER_LEN + TABLE_ENTRY_LEN * count; // cannot overflow: count < 2^32
-        let Some(table) = bytes.get(HEADER_LEN as usize..table_end as usize) else {
-            return Err(StoreError::Truncated { needed: table_end, actual: file_len });
-        };
-        let table_sum = xxh64(table, u64::from(FORMAT_VERSION));
-        if table_sum != stored_table_sum {
-            return Err(StoreError::ChecksumMismatch {
-                section: SECTION_TABLE,
-                expected: stored_table_sum,
-                actual: table_sum,
-            });
-        }
-        let mut sections: Vec<(u32, &'a [u8])> = Vec::with_capacity(count as usize);
-        for entry in table.chunks_exact(TABLE_ENTRY_LEN as usize) {
-            let (id_b, entry) = entry.split_at(4);
-            let (_reserved, entry) = entry.split_at(4);
-            let (offset_b, entry) = entry.split_at(8);
-            let (len_b, sum_b) = entry.split_at(8);
-            let id = le_u32(id_b);
-            let offset = le_u64(offset_b);
-            let len = le_u64(len_b);
-            let stored_sum = le_u64(sum_b);
-            let end = offset.checked_add(len).ok_or(StoreError::SectionOverflow {
-                section: id,
-                offset,
-                len,
-                file_len,
-            })?;
-            if end > file_len {
-                return Err(StoreError::SectionOverflow { section: id, offset, len, file_len });
-            }
-            if sections.iter().any(|(i, _)| *i == id) {
-                return Err(StoreError::Corrupt {
-                    section: id,
-                    detail: "section id appears twice".into(),
-                });
-            }
-            let Some(payload) = bytes.get(offset as usize..end as usize) else {
-                return Err(StoreError::SectionOverflow { section: id, offset, len, file_len });
-            };
-            let sum = xxh64(payload, u64::from(id));
-            if sum != stored_sum {
-                return Err(StoreError::ChecksumMismatch {
-                    section: id,
-                    expected: stored_sum,
-                    actual: sum,
-                });
-            }
-            sections.push((id, payload));
-        }
-        Ok(SnapshotSlices { sections })
-    }
-
-    /// The payload of section `id`, if present.
-    pub fn section(&self, id: u32) -> Option<&'a [u8]> {
-        self.sections.iter().find(|(i, _)| *i == id).map(|&(_, p)| p)
-    }
-
-    /// Ids of all sections, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.sections.iter().map(|(i, _)| *i).collect()
     }
 }
 
@@ -992,9 +727,9 @@ mod tests {
         assert_ne!(xxh64(&long, 0), xxh64(&flipped, 0));
     }
 
-    /// The incremental hasher must agree with the one-shot function for
-    /// every split of the input, including splits inside the 32-byte
-    /// stripe buffer and inputs shorter than one stripe.
+    /// Any chunking of the input hashes like the whole, including
+    /// splits inside the 32-byte stripe buffer and inputs shorter than
+    /// one stripe.
     #[test]
     fn streaming_hasher_matches_one_shot() {
         let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
@@ -1013,35 +748,6 @@ mod tests {
         }
     }
 
-    /// The streaming writer must produce byte-identical files to the
-    /// buffered `to_bytes` path (same table, same checksums).
-    #[test]
-    fn streaming_writer_matches_to_bytes() {
-        let dir = std::env::temp_dir().join(format!("pcs_swriter_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.pcs");
-        let mut f = SnapshotFile::new();
-        f.push_section(7, vec![1, 2, 3]);
-        f.push_section(9, Vec::new());
-        f.push_section(2, (0u8..200).collect());
-        let mut w = SnapshotWriter::create(&path, 3).unwrap();
-        w.put_section(7, &[1, 2, 3]).unwrap();
-        // Stream one section in several pieces to exercise the sink.
-        w.put_section(9, &[]).unwrap();
-        let mut sink = w.begin_section(2);
-        let data: Vec<u8> = (0u8..200).collect();
-        for piece in data.chunks(7) {
-            sink.write(piece).unwrap();
-        }
-        sink.end().unwrap();
-        w.finish().unwrap();
-        let on_disk = std::fs::read(&path).unwrap();
-        assert_eq!(on_disk, f.to_bytes());
-        let back = SnapshotFile::read(&path).unwrap();
-        assert_eq!(back.section_ids(), vec![7, 9, 2]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Declaring the wrong section count must fail typed and leave no
     /// temp file behind.
     #[test]
@@ -1058,19 +764,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// What the writer lays down — one section streamed in pieces
+    /// through the sink — is what the reader hands back.
     #[test]
     fn container_round_trips() {
-        let mut f = SnapshotFile::new();
-        f.push_section(7, vec![1, 2, 3]);
-        f.push_section(9, Vec::new());
-        f.push_section(2, (0u8..200).collect());
-        let bytes = f.to_bytes();
-        let back = SnapshotFile::from_bytes(&bytes).unwrap();
-        assert_eq!(back.section(7), Some(&[1u8, 2, 3][..]));
-        assert_eq!(back.section(9), Some(&[][..]));
-        assert_eq!(back.section(2).unwrap().len(), 200);
-        assert_eq!(back.section(1), None);
+        let dir = std::env::temp_dir().join(format!("pcs_swriter_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.pcs");
+        let data: Vec<u8> = (0u8..200).collect();
+        let mut w = SnapshotWriter::create(&path, 3).unwrap();
+        w.put_section(7, &[1, 2, 3]).unwrap();
+        w.put_section(9, &[]).unwrap();
+        let mut sink = w.begin_section(2);
+        for piece in data.chunks(7) {
+            sink.write(piece).unwrap();
+        }
+        sink.end().unwrap();
+        w.finish().unwrap();
+        let back = crate::FileSnapshot::open(&path).unwrap();
         assert_eq!(back.section_ids(), vec![7, 9, 2]);
+        assert_eq!(back.section(7).unwrap(), Some(&[1u8, 2, 3][..]));
+        assert_eq!(back.section(9).unwrap(), Some(&[][..]));
+        assert_eq!(back.section(2).unwrap(), Some(data.as_slice()));
+        assert_eq!(back.section(1).unwrap(), None);
+        assert_eq!(back.file_len(), HEADER_LEN + 3 * TABLE_ENTRY_LEN + 203);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

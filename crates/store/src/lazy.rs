@@ -1,13 +1,11 @@
-//! Lazy snapshot loading: decode META + directories eagerly, fault
-//! everything else in on first touch.
+//! The one snapshot reader: decode META + directories eagerly, fault
+//! everything else in on first touch — or drain it all before returning.
 //!
-//! [`open_lazy`] is the scale counterpart of
-//! [`decode_snapshot_bytes`](crate::decode_snapshot_bytes): over a
-//! [`FileSnapshot`] it decodes only the **small, structural** parts of
-//! a file up front — META, TAXONOMY, CORES (structure), the
-//! `PROFILES` chunk directory, and the `INDEX` length table + shard
-//! directory — and returns handles whose payloads materialize on
-//! demand:
+//! Over a [`FileSnapshot`], [`open_lazy`] decodes only the **small,
+//! structural** parts of a file up front — META, TAXONOMY, CORES
+//! (structure), the `PROFILES` chunk directory, and the `INDEX` length
+//! table + shard directory — and returns handles whose payloads
+//! materialize on demand:
 //!
 //! * the graph decodes (and is count-pinned against META, plus the
 //!   deferred `core ≤ degree` pin) on its first adjacency access;
@@ -18,6 +16,11 @@
 //! * each shard payload reads, checksums, and decodes on its first
 //!   probe.
 //!
+//! [`load_eager`] is the same readers drained: every container checksum
+//! verified, every chunk, member run and shard decoded through the
+//! readers' fallible methods, the cross-section pins run on the result,
+//! and the file closed — all before it returns.
+//!
 //! **Fault discipline.** The hot-path traits these handles implement
 //! ([`GraphSource`], [`ProfileSource`], [`MemberSource`],
 //! [`ShardSource`]) are infallible or stringly-typed by design. Every
@@ -27,19 +30,19 @@
 //! returns the typed error instead of the answer. Damage in a range a
 //! query never touches costs nothing; damage in a range it does touch
 //! yields a typed error — never a silently wrong community. The one
-//! deliberate exception is a shard payload: a damaged shard is simply
-//! "not available" and the index rebuilds it from the graph, which is
-//! correct.
+//! deliberate exception is a shard payload: behind [`open_lazy`] a
+//! damaged shard is simply "not available" and the index rebuilds it
+//! from the graph, which is correct ([`load_eager`] reports it typed).
 
 use crate::codec::{
     decode_cl, decode_cores_payload, decode_meta_payload, decode_taxonomy_payload, member_sum_seed,
-    parse_profile_chunk, pin_cores_against_graph, section, shard_sum_seed, ProfileChunkDir,
-    SnapshotMeta,
+    parse_profile_chunk, pin_cores_against_graph, pin_members_against_profiles, section,
+    shard_sum_seed, ProfileChunkDir, SnapshotMeta,
 };
 use crate::format::{xxh64, Result, SectionReader, StoreError};
 use crate::source::FileSnapshot;
 use pcs_graph::{Graph, GraphHandle, GraphSource, VertexId};
-use pcs_index::{ClTree, MemberSource, ShardSource};
+use pcs_index::{ClTree, MemberSource, ShardSource, ShardedCpIndex};
 use pcs_ptree::{LabelId, PTree, ProfileSource, ProfilesHandle, Taxonomy};
 use std::sync::{Arc, OnceLock};
 
@@ -127,15 +130,22 @@ pub struct LazySnapshot {
     pub source: Arc<FileSnapshot>,
 }
 
-/// Opens the lazy view over a validated [`FileSnapshot`] (whose open
-/// already rejected any other format version). With
-/// `want_index = false` the `INDEX` section is not touched at all
-/// and `index` is `None`.
-///
+/// The concrete readers over one open file, before [`open_lazy`] hides
+/// them behind the hot-path traits or [`load_eager`] drains them.
+struct Readers {
+    meta: SnapshotMeta,
+    tax: Taxonomy,
+    cores: Option<Arc<Vec<u32>>>,
+    graph: LazyGraphSource,
+    profiles: LazyProfileStore,
+    index: Option<(LazyMemberStore, LazyShardReader)>,
+    fault: FaultCell,
+}
+
 /// Everything read here is structural: META, TAXONOMY, CORES, the
 /// profile chunk directory, and the index length table + shard
 /// directory — a few bytes per label/chunk, not per vertex or edge.
-pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapshot> {
+fn open_readers(src: &Arc<FileSnapshot>, want_index: bool) -> Result<Readers> {
     let require = |id: u32| -> Result<&[u8]> {
         src.section(id)?.ok_or(StoreError::MissingSection { section: id })
     };
@@ -155,16 +165,8 @@ pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapsho
         .ok_or(StoreError::MissingSection { section: section::PROFILES })?;
 
     let fault = FaultCell::new();
-    let graph = GraphHandle::lazy(
-        Arc::new(LazyGraphSource {
-            src: Arc::clone(&src),
-            meta,
-            cores: cores.clone(),
-            fault: fault.clone(),
-        }),
-        meta.n,
-        meta.m,
-    );
+    let graph =
+        LazyGraphSource { src: Arc::clone(src), meta, cores: cores.clone(), fault: fault.clone() };
 
     // Profile chunk directory: first the 24-byte header (for the chunk
     // count), then the full prefix through the shared validator.
@@ -183,38 +185,141 @@ pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapsho
     let prefix = src.read_range(section::PROFILES, 0, dir_bytes)?;
     let dir = ProfileChunkDir::parse(&prefix, meta.n, profiles_len)?;
     let chunks = dir.entries.iter().map(|_| OnceLock::new()).collect();
-    let profiles = ProfilesHandle::lazy(Arc::new(LazyProfileStore {
-        src: Arc::clone(&src),
+    let profiles = LazyProfileStore {
+        src: Arc::clone(src),
         tax: tax.clone(),
         dir,
         narrow: meta.narrow,
         chunks,
         dense: OnceLock::new(),
         fault: fault.clone(),
-    }));
+    };
 
     let index = match (want_index, src.section_len(section::INDEX)) {
-        (true, Some(index_len)) => Some(open_lazy_index(&src, &meta, &tax, index_len, &fault)?),
+        (true, Some(index_len)) => Some(open_lazy_index(src, &meta, &tax, index_len, &fault)?),
         _ => None,
     };
 
-    Ok(LazySnapshot { meta, tax, cores, graph, profiles, index, fault, source: src })
+    Ok(Readers { meta, tax, cores, graph, profiles, index, fault })
+}
+
+/// Opens the lazy view over a validated [`FileSnapshot`] (whose open
+/// already rejected any other format version). With
+/// `want_index = false` the `INDEX` section is not touched at all
+/// and `index` is `None`.
+pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapshot> {
+    let Readers { meta, tax, cores, graph, profiles, index, fault } =
+        open_readers(&src, want_index)?;
+    Ok(LazySnapshot {
+        meta,
+        tax,
+        cores,
+        graph: GraphHandle::lazy(Arc::new(graph), meta.n, meta.m),
+        profiles: ProfilesHandle::lazy(Arc::new(profiles)),
+        index: index.map(|(members, shards)| LazyIndexParts {
+            member_lens: members.lens.iter().map(|&l| l as usize).collect(),
+            members: Arc::new(members),
+            shards: Arc::new(shards),
+        }),
+        fault,
+        source: src,
+    })
+}
+
+/// A fully decoded snapshot: everything an engine needs to warm-start.
+#[derive(Debug)]
+pub struct SnapshotContents {
+    /// The epoch the source engine was at when saved.
+    pub epoch: u64,
+    /// The host graph (structurally validated on decode).
+    pub graph: Arc<Graph>,
+    /// The GP-tree.
+    pub tax: Taxonomy,
+    /// Per-vertex P-trees.
+    pub profiles: Arc<Vec<PTree>>,
+    /// Core numbers, when the source snapshot had them computed.
+    pub cores: Option<Vec<u32>>,
+    /// The sharded index, when the source snapshot had a facade built
+    /// (the persisted shards resident; the rest rebuild on demand).
+    pub index: Option<ShardedCpIndex>,
+}
+
+/// [`open_lazy`] drained: reads, verifies and decodes the whole file
+/// before returning, then drops it — the result holds no file handle
+/// and no lazy reader.
+///
+/// Validation layers, cheapest first: every container checksum is
+/// verified up front, so any damaged byte names its section (later
+/// range reads are served from that verified cache); the readers then
+/// prove *structure* (graph CSR invariants, taxonomy shape, P-tree
+/// closure, CL-tree arena invariants, the interior per-chunk / per-run
+/// / per-shard checksums) and *cross-section agreement* (counts line
+/// up, core numbers fit their degrees, the index member table is
+/// exactly the carrier sets of the profile section's P-trees, and every
+/// shard's member list is its label's row of that table). Anything that
+/// fails maps to a typed [`StoreError`] — including a bad shard payload,
+/// which the lazy view would silently rebuild — so a decoded snapshot
+/// is safe to serve from.
+pub fn load_eager(src: Arc<FileSnapshot>) -> Result<SnapshotContents> {
+    for id in src.section_ids() {
+        src.section(id)?;
+    }
+    let Readers { meta, tax, cores, graph, profiles: store, index, .. } = open_readers(&src, true)?;
+    let graph = Arc::new(graph.load()?);
+    let mut profiles = Vec::with_capacity(meta.n);
+    for i in 0..store.dir.entries.len() {
+        profiles.extend(store.load_chunk(i)?.into_vec());
+    }
+    let profiles = Arc::new(profiles);
+    let index = match index {
+        None => None,
+        Some((members, shards)) => {
+            let mut members_of = Vec::with_capacity(members.lens.len());
+            for label in 0..members.lens.len() {
+                let label = LabelId::try_from(label)
+                    .map_err(|_| corrupt(section::INDEX, "label count overflows u32"))?;
+                members_of.push(members.load(label)?);
+            }
+            pin_members_against_profiles(&members_of, &profiles)?;
+            let mut resident = Vec::with_capacity(shards.entries.len());
+            for &entry in &shards.entries {
+                resident.push((entry.label, shards.decode(entry)?));
+            }
+            // `from_loaded` pins every shard's member list to its
+            // label's row of the member table.
+            let idx = ShardedCpIndex::from_loaded(
+                Arc::clone(&graph),
+                Arc::clone(&profiles),
+                members_of,
+                resident,
+            );
+            Some(idx.map_err(|e| corrupt(section::INDEX, e.to_string()))?)
+        }
+    };
+    Ok(SnapshotContents {
+        epoch: meta.epoch,
+        graph,
+        tax,
+        profiles,
+        cores: cores.map(Arc::unwrap_or_clone),
+        index,
+    })
 }
 
 /// Eagerly reads and validates the structural prefix of the `INDEX`
 /// section — dimensions, member length table (+ per-label checksum
-/// list), shard directory — and wires up the lazy member/shard
-/// readers. Mirrors `decode_index`'s structural checks; the
-/// deferred ones (member run checksums, sortedness, vertex range,
-/// shard payload decode) run per label at fault time, and the
-/// member ⇄ profile carrier pin is `verify_deep`'s.
+/// list), shard directory — and wires up the member/shard readers.
+/// The deferred checks (member run checksums, sortedness, vertex
+/// range, shard payload decode) run per label at fault time; the
+/// member ⇄ profile carrier pin is [`load_eager`]'s at load time and
+/// `verify_deep`'s under [`open_lazy`].
 fn open_lazy_index(
     src: &Arc<FileSnapshot>,
     meta: &SnapshotMeta,
     tax: &Taxonomy,
     section_len: u64,
     fault: &FaultCell,
-) -> Result<LazyIndexParts> {
+) -> Result<(LazyMemberStore, LazyShardReader)> {
     let bad = |detail: &str| corrupt(section::INDEX, detail);
     let dims = src.read_range(section::INDEX, 0, 16)?;
     let (idx_n, idx_labels) = {
@@ -310,8 +415,7 @@ fn open_lazy_index(
     if blob_base.checked_add(blob_len) != Some(section_len) {
         return Err(bad("shard blob does not end the section"));
     }
-    let member_lens = lens.iter().map(|&l| l as usize).collect();
-    let members: Arc<dyn MemberSource> = Arc::new(LazyMemberStore {
+    let members = LazyMemberStore {
         src: Arc::clone(src),
         lens,
         sums,
@@ -320,10 +424,9 @@ fn open_lazy_index(
         narrow: meta.narrow,
         n: meta.n,
         fault: fault.clone(),
-    });
-    let shards: Arc<dyn ShardSource> =
-        Arc::new(LazyShardReader { src: Arc::clone(src), entries, blob_base, narrow: meta.narrow });
-    Ok(LazyIndexParts { member_lens, members, shards })
+    };
+    let shards = LazyShardReader { src: Arc::clone(src), entries, blob_base, narrow: meta.narrow };
+    Ok((members, shards))
 }
 
 /// Decodes the `GRAPH` section on first adjacency access, running the
@@ -546,19 +649,13 @@ struct LazyShardReader {
 }
 
 impl LazyShardReader {
-    fn decode(&self, label: LabelId) -> Result<Option<ClTree>> {
-        let Ok(i) = self.entries.binary_search_by_key(&label, |e| e.label) else {
-            return Ok(None);
-        };
-        let Some(entry) = self.entries.get(i).copied() else {
-            return Ok(None);
-        };
+    fn decode(&self, entry: ShardEntry) -> Result<ClTree> {
         let at = self
             .blob_base
             .checked_add(entry.off)
             .ok_or_else(|| corrupt(section::INDEX, "shard extent overflows"))?;
         let bytes = self.src.read_range(section::INDEX, at, entry.len)?;
-        let actual = xxh64(&bytes, shard_sum_seed(label));
+        let actual = xxh64(&bytes, shard_sum_seed(entry.label));
         if actual != entry.sum {
             return Err(StoreError::ChecksumMismatch {
                 section: section::INDEX,
@@ -569,21 +666,21 @@ impl LazyShardReader {
         let mut r = SectionReader::new(&bytes, section::INDEX);
         let flat = decode_cl(&mut r, self.narrow)?;
         r.finish()?;
-        let cl = ClTree::from_flat(flat).map_err(|e| corrupt(section::INDEX, e.to_string()))?;
-        Ok(Some(cl))
+        ClTree::from_flat(flat).map_err(|e| corrupt(section::INDEX, e.to_string()))
     }
 }
 
 impl ShardSource for LazyShardReader {
     fn load_shard(&self, label: LabelId) -> Option<ClTree> {
-        self.decode(label).ok().flatten()
+        let i = self.entries.binary_search_by_key(&label, |e| e.label).ok()?;
+        self.decode(self.entries.get(i).copied()?).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_snapshot, section};
+    use crate::codec::{section, write_snapshot};
     use pcs_graph::core::CoreDecomposition;
     use pcs_index::ShardedCpIndex;
     use std::path::PathBuf;
@@ -611,9 +708,19 @@ mod tests {
         let (g, tax, profiles) = fixture();
         let cores = CoreDecomposition::new(&g);
         let idx = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
-        let file = encode_snapshot(7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&idx));
-        file.write(&path).unwrap();
+        write_snapshot(&path, 7, &g, &tax, &profiles, Some(cores.core_numbers()), Some(&idx))
+            .unwrap();
         (path, g, tax, profiles)
+    }
+
+    /// File offset of section `id`'s payload, from the raw section table.
+    fn section_offset(bytes: &[u8], id: u32) -> usize {
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let at = (0..count)
+            .map(|i| 24 + 32 * i)
+            .find(|&at| bytes[at..at + 4] == id.to_le_bytes())
+            .expect("section present");
+        u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize
     }
 
     fn cleanup(path: &std::path::Path) {
@@ -662,9 +769,7 @@ mod tests {
         // Find the PROFILES payload and flip a byte inside the data
         // area (past the 24-byte header + one 24-byte chunk dir entry).
         let pristine = std::fs::read(&path).unwrap();
-        let slices = crate::SnapshotSlices::from_bytes(&pristine).unwrap();
-        let payload = slices.section(section::PROFILES).unwrap();
-        let target = payload.as_ptr() as usize - pristine.as_ptr() as usize + 48 + 3;
+        let target = section_offset(&pristine, section::PROFILES) + 48 + 3;
         let mut bytes = pristine.clone();
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
@@ -686,9 +791,7 @@ mod tests {
     fn damaged_member_run_poisons_and_damaged_shard_rebuilds() {
         let (path, _g, tax, _profiles) = write_fixture("memdmg");
         let pristine = std::fs::read(&path).unwrap();
-        let slices = crate::SnapshotSlices::from_bytes(&pristine).unwrap();
-        let payload = slices.section(section::INDEX).unwrap();
-        let base = payload.as_ptr() as usize - pristine.as_ptr() as usize;
+        let base = section_offset(&pristine, section::INDEX);
         let num_labels = tax.len();
         // Flip one byte inside the root label's member run.
         let members_base = 16 + 12 * num_labels + 8;

@@ -8,12 +8,17 @@
 //! replica warm-starts by validating and bulk-copying flat arrays
 //! instead of rebuilding indexes:
 //!
-//! * [`SnapshotFile`] — the container: magic + format version + section
+//! * [`mod@format`] — the container: magic + format version + section
 //!   table, one xxHash64 checksum per section (and one for the table),
-//!   little-endian, hand-rolled, zero external dependencies.
+//!   little-endian, hand-rolled, zero external dependencies. One
+//!   writer ([`SnapshotWriter`], streaming) and one reader
+//!   ([`FileSnapshot`], positioned reads).
 //! * [`codec`] — section encodings for the CSR graph, taxonomy,
-//!   P-trees, core numbers, and the CP-tree's flat DFS arenas; every
-//!   decode re-validates structure *and* cross-section agreement.
+//!   P-trees, core numbers, and the CP-tree's flat DFS arenas, behind
+//!   [`write_snapshot`]; every decode re-validates structure.
+//! * [`lazy`] — the readers over a [`FileSnapshot`]: [`open_lazy`]
+//!   faults payloads in on first touch, [`load_eager`] drains them all
+//!   (and runs the cross-section pins) before returning.
 //! * [`StoreError`] — one typed error for every way a file can be
 //!   wrong: truncation, bit flips, version skew, length overflows,
 //!   structural corruption. Corrupt input can never panic, hang, or
@@ -41,7 +46,8 @@
 //! Applications normally reach this crate through
 //! `pcs_engine::PcsEngine::save` / `EngineBuilder::load`; the types
 //! here are the layer underneath (and the integration surface for
-//! external tooling that inspects snapshots).
+//! external tooling, which inspects snapshot files through
+//! [`FileSnapshot`]).
 //!
 //! ## Versioning and compatibility
 //!
@@ -64,16 +70,18 @@ pub mod source;
 pub mod wal;
 
 pub use codec::{
-    decode_snapshot_bytes, encode_snapshot, member_sum_seed, parse_profile_chunk,
-    profile_chunk_seed, section, shard_sum_seed, write_snapshot, DecodedIndex, ProfileChunkDir,
-    SnapshotContents, PROFILE_CHUNK,
+    member_sum_seed, parse_profile_chunk, profile_chunk_seed, section, shard_sum_seed,
+    write_snapshot, ProfileChunkDir, PROFILE_CHUNK,
 };
-pub use lazy::{open_lazy, FaultCell, LazyIndexParts, LazyProfileStore, LazySnapshot};
+pub use lazy::{
+    load_eager, open_lazy, FaultCell, LazyIndexParts, LazyProfileStore, LazySnapshot,
+    SnapshotContents,
+};
 pub use source::FileSnapshot;
 
 pub use format::{
-    xxh64, Result, SectionReader, SectionSink, SectionWriter, SnapshotFile, SnapshotSlices,
-    SnapshotWriter, StoreError, Xxh64, FORMAT_VERSION, MAGIC, MAX_SECTIONS, SECTION_TABLE,
+    xxh64, Result, SectionReader, SectionSink, SectionWriter, SnapshotWriter, StoreError, Xxh64,
+    FORMAT_VERSION, MAGIC, MAX_SECTIONS, SECTION_TABLE,
 };
 pub use wal::{
     decode_frames, encode_record, encode_records, list_segments, read_records, read_records_since,

@@ -1,15 +1,13 @@
-//! The file-backed snapshot source: positioned reads instead of
+//! The file-backed snapshot source — the one parser of the container
+//! layout in [`crate::format`]: positioned reads instead of
 //! `fs::read`-the-world.
 //!
-//! [`SnapshotFile::read`](crate::SnapshotFile::read) materializes and
-//! checksums the entire file even when the caller only wants the shard
-//! directory. [`FileSnapshot`] is the scale-friendly alternative: it
-//! validates the **container prefix** (magic, version, section table +
-//! checksum, entry bounds) eagerly — a few hundred bytes — and then
-//! serves each section's payload on demand with positioned
-//! `read_at`-style reads (page-cache-served, no `unsafe`, no mmap).
-//! A section's checksum is verified on its **first touch**, and the
-//! verified payload is cached so later touches are free.
+//! [`FileSnapshot`] validates the **container prefix** (magic, version,
+//! section table + checksum, entry bounds) eagerly — a few hundred
+//! bytes — and then serves each section's payload on demand with
+//! positioned `read_at`-style reads (page-cache-served, no `unsafe`, no
+//! mmap). A section's checksum is verified on its **first touch**, and
+//! the verified payload is cached so later touches are free.
 //!
 //! [`FileSnapshot::read_range`] additionally serves *sub-section*
 //! ranges **without** checksum verification, for layouts whose
@@ -62,9 +60,8 @@ pub struct FileSnapshot {
 impl FileSnapshot {
     /// Opens `path` and validates the container prefix: magic, version
     /// gate, section count cap, table checksum, per-entry bounds and
-    /// duplicate-id scan — everything
-    /// [`SnapshotSlices::from_bytes`](crate::SnapshotSlices) checks
-    /// *except* the payload checksums, which defer to first touch.
+    /// duplicate-id scan — everything *except* the payload checksums,
+    /// which defer to first touch.
     pub fn open(path: impl AsRef<Path>) -> Result<FileSnapshot> {
         let path = path.as_ref().to_path_buf();
         let io = |op: &'static str| {
@@ -94,6 +91,10 @@ impl FileSnapshot {
             });
         }
         let count = u64::from(le_u32(count_b));
+        // Cap the declared section count before it sizes anything: a
+        // forged header could otherwise drive the duplicate-id scan
+        // quadratic and the table allocation huge long before any
+        // checksum gets a chance to reject the file.
         if count > MAX_SECTIONS {
             return Err(StoreError::Corrupt {
                 section: SECTION_TABLE,
@@ -336,23 +337,25 @@ fn read_at_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SnapshotFile;
+    use crate::format::SnapshotWriter;
 
-    fn snapshot_on_disk(tag: &str) -> (PathBuf, SnapshotFile) {
+    /// Three sections on disk; returns the path and section 1's payload.
+    fn snapshot_on_disk(tag: &str) -> (PathBuf, Vec<u8>) {
         let dir = std::env::temp_dir().join(format!("pcs_source_{}_{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.pcs");
-        let mut f = SnapshotFile::new();
-        f.push_section(1, (0u8..100).collect());
-        f.push_section(2, vec![0xAB; 4096]);
-        f.push_section(5, Vec::new());
-        f.write(&path).unwrap();
-        (path, f)
+        let first: Vec<u8> = (0u8..100).collect();
+        let mut w = SnapshotWriter::create(&path, 3).unwrap();
+        w.put_section(1, &first).unwrap();
+        w.put_section(2, &[0xAB; 4096]).unwrap();
+        w.put_section(5, &[]).unwrap();
+        w.finish().unwrap();
+        (path, first)
     }
 
     #[test]
     fn open_reads_only_the_prefix() {
-        let (path, file) = snapshot_on_disk("prefix");
+        let (path, first) = snapshot_on_disk("prefix");
         let src = FileSnapshot::open(&path).unwrap();
         let prefix = HEADER_LEN + 3 * TABLE_ENTRY_LEN;
         assert_eq!(src.bytes_read(), prefix, "open reads header + table only");
@@ -360,7 +363,7 @@ mod tests {
         assert_eq!(src.section_len(2), Some(4096));
         assert_eq!(src.section_len(9), None);
         // First touch reads + verifies exactly that section.
-        assert_eq!(src.section(1).unwrap().unwrap(), file.section(1).unwrap());
+        assert_eq!(src.section(1).unwrap().unwrap(), first);
         assert_eq!(src.bytes_read(), prefix + 100);
         // Second touch is a cache hit.
         assert!(src.section(1).unwrap().is_some());
@@ -373,7 +376,7 @@ mod tests {
 
     #[test]
     fn deferred_checksum_catches_payload_damage_on_first_touch() {
-        let (path, _file) = snapshot_on_disk("damage");
+        let (path, _) = snapshot_on_disk("damage");
         // Flip a byte inside section 2's payload on disk.
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() - 2000;
@@ -391,25 +394,25 @@ mod tests {
 
     #[test]
     fn range_reads_are_unverified_but_bounded() {
-        let (path, file) = snapshot_on_disk("range");
+        let (path, first) = snapshot_on_disk("range");
         let src = FileSnapshot::open(&path).unwrap();
         let base = src.bytes_read();
         let range = src.read_range(1, 10, 20).unwrap();
-        assert_eq!(range, file.section(1).unwrap()[10..30]);
+        assert_eq!(range, first[10..30]);
         assert_eq!(src.bytes_read(), base + 20, "range read pulls exactly the range");
         assert!(src.read_range(1, 90, 20).is_err(), "range past the section end");
         assert!(src.read_range(9, 0, 1).is_err(), "missing section");
         // Once the section is resident, ranges come from memory.
         src.section(1).unwrap();
         let after_fault = src.bytes_read();
-        assert_eq!(src.read_range(1, 0, 5).unwrap(), &file.section(1).unwrap()[..5]);
+        assert_eq!(src.read_range(1, 0, 5).unwrap(), &first[..5]);
         assert_eq!(src.bytes_read(), after_fault, "cached range costs no IO");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn prefix_damage_is_caught_at_open() {
-        let (path, _file) = snapshot_on_disk("prefixdmg");
+        let (path, _) = snapshot_on_disk("prefixdmg");
         let pristine = std::fs::read(&path).unwrap();
         // Magic.
         let mut b = pristine.clone();

@@ -39,13 +39,13 @@
 //!
 //! [`Wal::append`] buffers the frame into the active segment under a
 //! mutex and returns a ticket; [`Wal::commit`] makes it durable. The
-//! first committer becomes the *sync leader*: it optionally waits out
-//! a short commit window, snapshots the highest written ticket, and
-//! issues one `fdatasync` covering every record buffered so far —
-//! concurrent committers park on a condvar and are released by that
-//! single fsync. Under write concurrency the fsync-per-record ratio
-//! drops below one (asserted by the unit test
-//! `group_commit_coalesces_concurrent_writers`).
+//! first committer becomes the *sync leader*: it snapshots the highest
+//! written ticket and issues one `fdatasync` covering every record
+//! buffered so far — concurrent committers park on a condvar and are
+//! released by that single fsync; while one fsync is in flight, later
+//! appends pile up and the next leader covers them all. Under write
+//! concurrency the fsync-per-record ratio drops below one (asserted by
+//! the unit test `group_commit_coalesces_concurrent_writers`).
 //!
 //! ## Failure model
 //!
@@ -63,7 +63,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// First eight bytes of every WAL segment.
 pub const WAL_MAGIC: [u8; 8] = *b"PCSWAL01";
@@ -105,17 +104,11 @@ pub struct WalOptions {
     /// bytes. Small values force rotation in tests; the default keeps
     /// segments big enough that rotation cost is noise.
     pub segment_bytes: u64,
-    /// How long the sync leader waits before issuing its fsync, to
-    /// coalesce more concurrent committers into one flush. Zero (the
-    /// default) still coalesces naturally: while one fsync is in
-    /// flight, later appends pile up and the next leader covers them
-    /// all.
-    pub group_window: Duration,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions { segment_bytes: 8 << 20, group_window: Duration::ZERO }
+        WalOptions { segment_bytes: 8 << 20 }
     }
 }
 
@@ -722,11 +715,6 @@ impl Wal {
             }
             if !inner.syncing {
                 inner.syncing = true;
-                if !self.shared.opts.group_window.is_zero() {
-                    drop(inner);
-                    std::thread::sleep(self.shared.opts.group_window);
-                    inner = self.lock();
-                }
                 let upto_seq = inner.written_seq;
                 let upto_epoch = inner.last_epoch;
                 let file = Arc::clone(&inner.file);
@@ -895,7 +883,7 @@ mod tests {
     #[test]
     fn rotation_and_reclaim() {
         let dir = tmpdir("rotate");
-        let opts = WalOptions { segment_bytes: 128, ..WalOptions::default() };
+        let opts = WalOptions { segment_bytes: 128 };
         let (wal, _) = Wal::open(&dir, opts.clone(), 0).unwrap();
         for e in 1..=40u64 {
             wal.append_durable(e, &[0u8; 32]).unwrap();

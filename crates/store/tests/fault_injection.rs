@@ -10,10 +10,12 @@ use pcs_engine::UpdateBatch;
 use pcs_engine::{Error, IndexMode, PcsEngine, QueryRequest, StoreError};
 use pcs_graph::Graph;
 use pcs_ptree::{PTree, Taxonomy};
-use pcs_store::{xxh64, SnapshotFile, FORMAT_VERSION, SECTION_TABLE};
+use pcs_store::{xxh64, FORMAT_VERSION, SECTION_TABLE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+mod common;
 
 fn tmp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -62,10 +64,11 @@ fn healthy_snapshot() -> (Vec<u8>, PcsEngine) {
 
 /// Loads corrupted bytes through the full *eager* engine path inside
 /// `catch_unwind`; returns the typed error. Panics (= test failure)
-/// when the load panicked or — worse — succeeded. Eager mode decodes
-/// and checksums every section up front, so all damage must be caught
-/// at load time; the lazy path's deferred-validation contract is
-/// pinned separately by the first-touch tests below.
+/// when the load panicked or — worse — succeeded. Eager mode drains
+/// the reader (every section checksummed and decoded) before `load`
+/// returns, so all damage must be caught at load time; the lazy path's
+/// deferred-validation contract is pinned separately by the
+/// first-touch tests below.
 fn must_fail_typed(bytes: &[u8], case: &str) -> Error {
     must_fail_typed_in(IndexMode::Eager, bytes, case)
 }
@@ -82,6 +85,22 @@ fn must_fail_typed_in(mode: IndexMode, bytes: &[u8], case: &str) -> Error {
         Ok(Ok(_)) => panic!("case {case}: corrupted snapshot loaded successfully"),
         Ok(Err(e)) => e,
     }
+}
+
+/// `bytes` with section `target`'s payload passed through `mutate` and
+/// the container re-serialized around it (production reader and
+/// writer, so table and section checksums are valid again): only the
+/// validators behind the container can catch the change.
+fn reforge(bytes: &[u8], target: u32, mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let path = tmp_path("forge");
+    std::fs::write(&path, bytes).unwrap();
+    let mut sections = common::read_sections(&path);
+    let (_, payload) = sections.iter_mut().find(|(id, _)| *id == target).unwrap();
+    mutate(payload);
+    common::write_sections(&path, &sections);
+    let forged = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    forged
 }
 
 /// The section table region, as (start, end) byte offsets.
@@ -182,9 +201,9 @@ fn wrong_magic_is_typed() {
 }
 
 /// Exactly one format version loads: a header declaring a newer one —
-/// or the retired v1/v2 layouts, or 0 — is rejected typed by both the
-/// buffered (eager) and the file-backed (lazy) open, before any section
-/// is interpreted in the wrong layout.
+/// or the retired v1/v2 layouts, or 0 — is rejected typed under both
+/// the eager and the lazy load, before any section is interpreted in
+/// the wrong layout.
 #[test]
 fn future_format_version_is_typed() {
     let (bytes, _engine) = healthy_snapshot();
@@ -268,22 +287,16 @@ fn save_over_existing_snapshot_is_atomic_and_clean() {
 #[test]
 fn internally_inconsistent_sections_are_typed() {
     let (bytes, _engine) = healthy_snapshot();
-    let file = SnapshotFile::from_bytes(&bytes).unwrap();
-    let mut forged = SnapshotFile::new();
-    for id in file.section_ids() {
-        if id == pcs_store::section::CORES {
-            // Degree-violating core numbers for vertex 7 (isolated),
-            // written at the file's (narrow) id width so the decode
-            // reaches the semantic degree check.
-            let mut w = pcs_store::SectionWriter::new();
-            w.put_u64(8);
-            w.put_id_slice(&[2, 2, 3, 2, 3, 2, 2, 9], true);
-            forged.push_section(id, w.finish());
-        } else {
-            forged.push_section(id, file.section(id).unwrap().to_vec());
-        }
-    }
-    let err = must_fail_typed(&forged.to_bytes(), "forged cores");
+    // Degree-violating core numbers for vertex 7 (isolated), written
+    // at the file's (narrow) id width so the decode reaches the
+    // semantic degree check.
+    let forged = reforge(&bytes, pcs_store::section::CORES, |payload| {
+        let mut w = pcs_store::SectionWriter::new();
+        w.put_u64(8);
+        w.put_id_slice(&[2, 2, 3, 2, 3, 2, 2, 9], true);
+        *payload = w.finish();
+    });
+    let err = must_fail_typed(&forged, "forged cores");
     assert!(
         matches!(err, Error::Store(StoreError::Corrupt { section: pcs_store::section::CORES, .. })),
         "unexpected error {err:?}"
@@ -462,9 +475,10 @@ fn eager_lazy_and_scratch_engines_agree_under_a_mixed_update_stream() {
 // INDEX sections whose shard directory lies must fail with typed
 // errors — the directory is validated eagerly in *both* eager and
 // lazy load modes. Forged shard *payloads* are rejected by the
-// eager decode; the lazy path defers their decode and transparently
-// rebuilds the shard from the graph instead, so a bad payload can
-// never produce a wrong answer.
+// eager load (per-shard checksum, then `ClTree::from_flat`); the lazy
+// path defers their decode and transparently rebuilds the shard from
+// the graph instead, so a bad payload can never produce a wrong
+// answer.
 // ---------------------------------------------------------------------
 
 /// Byte offset of the shard directory inside the healthy v3 INDEX
@@ -484,35 +498,21 @@ fn index_directory_offset(index_payload: &[u8], num_labels: usize, narrow: bool)
 }
 
 /// Rebuilds the container around a mutated INDEX payload (checksums
-/// recomputed, so only the structural validators can catch it) and
-/// asserts the typed rejection — under the eager load path, where
-/// every shard is decoded up front.
-fn forge_index(bytes: &[u8], case: &str, mutate: impl Fn(&mut Vec<u8>)) -> Error {
-    let file = SnapshotFile::from_bytes(bytes).unwrap();
-    let mut forged = SnapshotFile::new();
-    for id in file.section_ids() {
-        let mut payload = file.section(id).unwrap().to_vec();
-        if id == pcs_store::section::INDEX {
-            mutate(&mut payload);
-        }
-        forged.push_section(id, payload);
-    }
-    let path = tmp_path("v2idx");
-    std::fs::write(&path, forged.to_bytes()).unwrap();
-    let result = catch_unwind(|| PcsEngine::builder().index_mode(IndexMode::Eager).load(&path));
-    std::fs::remove_file(&path).unwrap();
-    match result {
-        Err(_) => panic!("case {case}: eager load PANICKED instead of returning an error"),
-        Ok(Ok(_)) => panic!("case {case}: forged shard table loaded successfully"),
-        Ok(Err(e)) => e,
-    }
+/// recomputed, so only the validators behind the container can catch
+/// it) and returns the typed rejection — under the eager load path,
+/// where every shard is decoded up front.
+fn forge_index(bytes: &[u8], case: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> Error {
+    must_fail_typed(&reforge(bytes, pcs_store::section::INDEX, mutate), case)
 }
 
 #[test]
 fn v2_shard_table_corruptions_are_typed() {
     let (bytes, _engine) = healthy_snapshot();
-    let file = SnapshotFile::from_bytes(&bytes).unwrap();
-    let payload = file.section(pcs_store::section::INDEX).unwrap();
+    let (_, start, end) = section_ranges(&bytes)
+        .into_iter()
+        .find(|(id, ..)| *id == pcs_store::section::INDEX)
+        .unwrap();
+    let payload = &bytes[start..end];
     let num_labels = u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize;
     let (dir_at, shard_count) = index_directory_offset(payload, num_labels, true);
     assert!(shard_count >= 2, "healthy eager snapshot persists several shards");
@@ -585,13 +585,32 @@ fn v2_shard_table_corruptions_are_typed() {
             p[sums_at + 8 * 2..sums_at + 8 * 3].copy_from_slice(&sum.to_le_bytes());
         }),
     );
-    // Forged shard payload (flip one byte inside the blob): the eager
-    // decode rejects it...
+    // Forged shard payload (flip the last byte of the blob, inside the
+    // final shard): the eager load rejects it — by the shard's own
+    // directory checksum when only the container was re-summed...
     let blob_last = payload.len() - 1;
-    let err = forge_index(&bytes, "forged payload", |p| {
-        p[blob_last] ^= 0x01;
-    });
-    expect_corrupt("forged payload", err);
+    let err = forge_index(&bytes, "forged payload", |p| p[blob_last] ^= 0x01);
+    assert!(
+        matches!(
+            err,
+            Error::Store(StoreError::ChecksumMismatch { section: pcs_store::section::INDEX, .. })
+        ),
+        "forged payload: unexpected error {err:?}"
+    );
+    // ...and by the structural validator (`ClTree::from_flat`) when the
+    // forger re-sums that directory entry too.
+    let entry = dir_at + 28 * (shard_count - 1);
+    let blob_at = dir_at + 28 * shard_count + 8;
+    expect_corrupt(
+        "forged payload, shard re-summed",
+        forge_index(&bytes, "forged payload, shard re-summed", |p| {
+            p[blob_last] ^= 0x01;
+            let label = u32::from_le_bytes(p[entry..entry + 4].try_into().unwrap());
+            let off = u64::from_le_bytes(p[entry + 4..entry + 12].try_into().unwrap()) as usize;
+            let sum = xxh64(&p[blob_at + off..], pcs_store::shard_sum_seed(label));
+            p[entry + 20..entry + 28].copy_from_slice(&sum.to_le_bytes());
+        }),
+    );
 }
 
 /// ...while the partial (lazy) load defers the payload decode, spots
@@ -601,18 +620,12 @@ fn v2_shard_table_corruptions_are_typed() {
 #[test]
 fn v2_forged_shard_payload_is_rebuilt_under_partial_load() {
     let (bytes, engine) = healthy_snapshot();
-    let file = SnapshotFile::from_bytes(&bytes).unwrap();
-    let mut forged = SnapshotFile::new();
-    for id in file.section_ids() {
-        let mut payload = file.section(id).unwrap().to_vec();
-        if id == pcs_store::section::INDEX {
-            let last = payload.len() - 1;
-            payload[last] ^= 0x01; // inside the final shard's blob
-        }
-        forged.push_section(id, payload);
-    }
+    let forged = reforge(&bytes, pcs_store::section::INDEX, |payload| {
+        let last = payload.len() - 1;
+        payload[last] ^= 0x01; // inside the final shard's blob
+    });
     let path = tmp_path("lazyrepair");
-    std::fs::write(&path, forged.to_bytes()).unwrap();
+    std::fs::write(&path, forged).unwrap();
     let loaded = PcsEngine::builder().index_mode(IndexMode::Lazy).load(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     for q in 0..8u32 {

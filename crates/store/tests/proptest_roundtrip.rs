@@ -12,6 +12,8 @@ use pcs_ptree::{PTree, Taxonomy};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod common;
+
 /// Unique-per-case snapshot path (cases may run concurrently).
 fn tmp_path() -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -152,8 +154,9 @@ proptest! {
         }
     }
 
-    /// The raw byte container also round-trips: parse(serialize(f)) has
-    /// exactly the original sections.
+    /// The raw byte container also round-trips: what the reader parses
+    /// out of what the writer serialized is exactly the original
+    /// sections.
     #[test]
     fn container_round_trips_random_sections(
         payloads in proptest::collection::vec(
@@ -161,13 +164,12 @@ proptest! {
             0..6
         )
     ) {
-        let mut file = pcs_store::SnapshotFile::new();
-        for (i, p) in payloads.iter().enumerate() {
-            file.push_section(i as u32 + 1, p.clone());
-        }
-        let back = pcs_store::SnapshotFile::from_bytes(&file.to_bytes()).unwrap();
-        for (i, p) in payloads.iter().enumerate() {
-            prop_assert_eq!(back.section(i as u32 + 1), Some(p.as_slice()));
-        }
+        let sections: Vec<(u32, Vec<u8>)> =
+            payloads.into_iter().enumerate().map(|(i, p)| (i as u32 + 1, p)).collect();
+        let path = tmp_path();
+        common::write_sections(&path, &sections);
+        let back = common::read_sections(&path);
+        std::fs::remove_file(&path).unwrap();
+        prop_assert_eq!(back, sections);
     }
 }

@@ -121,5 +121,5 @@ pub mod prelude {
     pub use pcs_metrics::{best_f1, cpf, cps, f1_score, ldr};
     pub use pcs_ptree::{LabelId, PTree, Taxonomy};
     pub use pcs_serve::{HttpFollower, PcsServer, ReplicaConfig, ServeConfig, StatsSnapshot};
-    pub use pcs_store::{SnapshotFile, StoreError, WalOptions};
+    pub use pcs_store::{StoreError, WalOptions};
 }
