@@ -6,9 +6,11 @@
 //! storage *before* its epoch is published to readers:
 //!
 //! ```text
-//!   apply:    validate → mutate master → encode batch
-//!           → WAL append (epoch N) → group-commit fsync
+//!   apply:    coalesce queued batches → take the writer lock
+//!           → validate → mutate master → encode batch
+//!           → WAL append + fsync (epoch N)
 //!           → publish snapshot N        (readers see N only after fsync)
+//!           → release the writer lock
 //!   recover:  load snapshot (epoch S) → replay WAL records S+1.. → serve
 //! ```
 //!
@@ -34,6 +36,7 @@
 //! follower's state at epoch N is byte-for-byte the primary's: the same
 //! batches, applied in the same order, through the same `apply` path
 //! the differential harness proves equivalent to a from-scratch build.
+//! Recovery and both followers share one loop, `PcsEngine::replay`.
 //!
 //! ## Failure contract
 //!
@@ -48,9 +51,8 @@
 use pcs_graph::VertexId;
 use pcs_ptree::{LabelId, PTree, Taxonomy};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard};
 
-use pcs_store::wal::{self, Wal, WalOptions};
+use pcs_store::wal::{self, Wal, WalOptions, WalRecord};
 use pcs_store::{SectionReader, SectionWriter, StoreError, WAL_SECTION};
 
 use crate::engine::{EngineBuilder, PcsEngine};
@@ -184,82 +186,10 @@ pub fn decode_update_batch(
     Ok(batch)
 }
 
-/// The engine's attachment to its durable directory: the open WAL plus
-/// the publication sequencer that keeps snapshot swaps in epoch order
-/// even though appliers release the writer lock before their fsync.
+/// The engine's attachment to its durable directory.
 pub(crate) struct DurableState {
     pub(crate) dir: PathBuf,
     pub(crate) wal: Wal,
-    /// Highest epoch published to readers. Appliers wait here until
-    /// every earlier epoch is published, so a fast fsync can never
-    /// publish ahead of a slower predecessor.
-    published: Mutex<u64>,
-    publish_cv: Condvar,
-}
-
-impl DurableState {
-    pub(crate) fn new(dir: PathBuf, wal: Wal, published: u64) -> Self {
-        DurableState { dir, wal, published: Mutex::new(published), publish_cv: Condvar::new() }
-    }
-
-    /// Path of the WAL subdirectory.
-    pub(crate) fn wal_dir(&self) -> PathBuf {
-        self.dir.join(WAL_DIR)
-    }
-
-    fn lock_published(&self) -> MutexGuard<'_, u64> {
-        // A poisoned publish lock means an applier panicked mid-swap;
-        // the WAL fail-stops (matching its own poisoning policy) so
-        // later appends error instead of publishing over unknown state.
-        match self.published.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.wal.fail_stop();
-                poisoned.into_inner()
-            }
-        }
-    }
-
-    /// Publishes epoch `epoch` via `swap`, strictly after epoch
-    /// `epoch - 1`. Returns a typed error (without swapping) if the
-    /// pipeline fail-stopped while waiting — a predecessor died between
-    /// its fsync and its publish, so this epoch's base state will never
-    /// become visible.
-    pub(crate) fn publish_in_order(&self, epoch: u64, swap: impl FnOnce()) -> Result<()> {
-        let mut published = self.lock_published();
-        while *published != epoch - 1 {
-            if self.wal.is_failed() || *published >= epoch {
-                self.publish_cv.notify_all();
-                return Err(Error::Store(StoreError::Io {
-                    op: "wal-publish",
-                    detail: format!(
-                        "epoch {epoch} cannot be published: pipeline fail-stopped at \
-                         published epoch {}",
-                        *published
-                    ),
-                }));
-            }
-            published = match self.publish_cv.wait(published) {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    self.wal.fail_stop();
-                    poisoned.into_inner()
-                }
-            };
-        }
-        swap();
-        *published = epoch;
-        self.publish_cv.notify_all();
-        Ok(())
-    }
-
-    /// Fail-stops the whole durable pipeline: refuses further WAL
-    /// appends and wakes every applier parked on the publication
-    /// sequencer so they return typed errors instead of hanging.
-    pub(crate) fn abort(&self) {
-        self.wal.fail_stop();
-        self.publish_cv.notify_all();
-    }
 }
 
 impl std::fmt::Debug for DurableState {
@@ -309,21 +239,11 @@ impl EngineBuilder {
         let dir = self.durable_dir.take().ok_or(BuildError::MissingDurableDir)?;
         let opts = std::mem::take(&mut self.wal_opts);
         let mut engine = self.load(dir.join(SNAPSHOT_FILE))?;
-        let snap_epoch = engine.epoch();
-        let (wal, replay) = Wal::open(dir.join(WAL_DIR), opts, snap_epoch)?;
-        for rec in replay.records {
-            // Records at or below the snapshot's epoch are already in
-            // the checkpoint; they linger only until the next reclaim.
-            if rec.epoch <= snap_epoch {
-                continue;
-            }
-            let batch = decode_update_batch(&rec.payload, engine.taxonomy())?;
-            // `durable` is still unset here, so replay publishes
-            // in-memory without re-logging the record it came from.
-            engine.apply_inner(&batch, Some(rec.epoch))?;
-        }
-        let published = engine.epoch();
-        engine.durable = Some(DurableState::new(dir, wal, published));
+        let (wal, replay) = Wal::open(dir.join(WAL_DIR), opts, engine.epoch())?;
+        // `durable` is still unset here, so replay publishes in-memory
+        // without re-logging the records it came from.
+        engine.replay(&replay.records)?;
+        engine.durable = Some(DurableState { dir, wal });
         Ok(engine)
     }
 
@@ -365,7 +285,7 @@ pub(crate) fn init_fresh(engine: &mut PcsEngine, dir: PathBuf, opts: WalOptions)
     }
     engine.save(&snap_path)?;
     let (wal, _replay) = Wal::open(dir.join(WAL_DIR), opts, engine.epoch())?;
-    engine.durable = Some(DurableState::new(dir, wal, engine.epoch()));
+    engine.durable = Some(DurableState { dir, wal });
     Ok(())
 }
 
@@ -419,7 +339,7 @@ impl PcsEngine {
         if after_epoch >= durable {
             return Ok(Vec::new());
         }
-        let records = wal::read_records_since(&ds.wal_dir(), after_epoch, durable, max_bytes)?;
+        let records = wal::read_records_since(ds.wal.dir(), after_epoch, durable, max_bytes)?;
         Ok(wal::encode_records(&records)?)
     }
 
@@ -447,8 +367,18 @@ impl PcsEngine {
                 detail: format!("replication stream damaged: {detail}"),
             }));
         }
+        self.replay(&scan.records)
+    }
+
+    /// The one replay loop behind recovery ([`EngineBuilder::open`]),
+    /// [`apply_wal_frames`](Self::apply_wal_frames) and
+    /// [`WalFollower::poll`]: skips records at or below this engine's
+    /// epoch (already in the checkpoint, or already applied), decodes
+    /// the rest and applies each stamped with its record's epoch.
+    /// Returns the number of batches applied.
+    fn replay(&self, records: &[WalRecord]) -> Result<usize> {
         let mut applied = 0usize;
-        for rec in &scan.records {
+        for rec in records {
             if rec.epoch <= self.epoch() {
                 continue;
             }
@@ -497,16 +427,7 @@ impl WalFollower {
         let after = self.engine.epoch();
         let records =
             wal::read_records_since(&self.source.join(WAL_DIR), after, u64::MAX, u64::MAX)?;
-        let mut applied = 0usize;
-        for rec in &records {
-            if rec.epoch <= self.engine.epoch() {
-                continue;
-            }
-            let batch = decode_update_batch(&rec.payload, self.engine.taxonomy())?;
-            self.engine.apply_inner(&batch, Some(rec.epoch))?;
-            applied += 1;
-        }
-        Ok(applied)
+        self.engine.replay(&records)
     }
 
     /// Re-seeds the replica in place from the primary's *current*

@@ -6,11 +6,12 @@ use pcs_graph::FxHashSet;
 use pcs_graph::{DynamicGraph, FxHashMap, Graph, GraphHandle, IncrementalCores, VertexId};
 use pcs_index::{GraphDelta, IndexError, ShardedCpIndex};
 use pcs_ptree::{PTree, ProfilesHandle, Taxonomy};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheKey, CacheMode, CacheStats, CacheStatsSnapshot, QueryCache};
 use crate::error::{BuildError, Error, Result};
+use crate::oneshot::OneShot;
 use crate::request::{QueryRequest, QueryResponse};
 use crate::snapshot::{EngineSnapshot, SnapshotInner};
 use crate::update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateReport};
@@ -65,7 +66,6 @@ pub struct EngineBuilder {
     pub(crate) index_mode: IndexMode,
     pub(crate) index_build_threads: usize,
     pub(crate) patch_cap_fraction: Option<f64>,
-    pub(crate) scratch_pool_cap: Option<usize>,
     pub(crate) cache_mode: CacheMode,
     pub(crate) durable_dir: Option<std::path::PathBuf>,
     pub(crate) wal_opts: pcs_store::WalOptions,
@@ -122,18 +122,6 @@ impl EngineBuilder {
     /// benchmarking the rebuild baseline).
     pub fn incremental_patch_cap(mut self, fraction: f64) -> Self {
         self.patch_cap_fraction = Some(fraction.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Maximum number of [`QueryScratch`] buffers the engine retains
-    /// between queries (default: twice the machine's available
-    /// parallelism, clamped to `4..=64`). Each scratch holds O(n)
-    /// working memory, so the pool must track the real concurrency
-    /// level, not the worst spike ever seen: a burst of clients beyond
-    /// the cap allocates transient scratches that are dropped on return
-    /// instead of retained forever. Clamped to at least 1.
-    pub fn scratch_pool_cap(mut self, cap: usize) -> Self {
-        self.scratch_pool_cap = Some(cap.max(1));
         self
     }
 
@@ -214,9 +202,7 @@ impl EngineBuilder {
             index_build_threads: self.index_build_threads.max(1),
             batch_threads,
             patch_cap_fraction: self.patch_cap_fraction.unwrap_or(0.5),
-            scratch_pool_cap: self
-                .scratch_pool_cap
-                .unwrap_or_else(|| (batch_threads * 2).clamp(4, 64)),
+            scratch_pool_cap: (batch_threads * 2).clamp(4, 64),
             cache_mode: self.cache_mode,
             cache_stats,
             state: RwLock::new(snapshot),
@@ -243,17 +229,14 @@ fn profile_is_valid(tax: &Taxonomy, p: &PTree) -> bool {
 /// The writer's mutable master copy of the data. Materialized on the
 /// first `apply` so read-only engines pay nothing.
 ///
-/// `base` is the snapshot the master state currently equals — the last
-/// snapshot *built* by an applier, which on a durable engine may run
-/// ahead of the published one: appliers release the writer lock before
-/// their fsync completes, so the next applier must stack on the
-/// pending snapshot, not the published one. On the non-durable path
-/// the two never diverge. If a durable applier dies after mutating the
-/// master (failed append, fsync, or publish), the whole `WriterState`
-/// is discarded (`writer = None`) so the next `apply` rebuilds it from
+/// The writer lock is held from the first mutation through the
+/// snapshot swap (and, on a durable engine, the WAL fsync in between),
+/// so whenever the lock is free the master state equals the published
+/// snapshot. If an applier fails after mutating the master (damaged
+/// lazy read, failed append or fsync), the whole `WriterState` is
+/// discarded (`writer = None`) so the next `apply` rebuilds it from
 /// the snapshot readers actually see.
 pub(crate) struct WriterState {
-    base: Arc<SnapshotInner>,
     graph: DynamicGraph,
     cores: IncrementalCores,
     profiles: Vec<PTree>,
@@ -263,75 +246,64 @@ pub(crate) struct WriterState {
 /// allocated with [`EngineBuilder::result_cache`] enabled).
 const CACHE_CAPACITY: usize = 4096;
 
-/// How long an [`apply_coalesced`](PcsEngine::apply_coalesced)
-/// follower waits for its group leader before declaring the leader
-/// lost. Generous: a leader holds the writer path for at most one
-/// batch apply (plus fsync on durable engines).
+/// How long a coalesced [`apply`](PcsEngine::apply) member waits for
+/// its group leader before declaring the leader lost. Generous: a
+/// leader holds the writer path for at most one batch apply (plus
+/// fsync on durable engines).
 const COALESCE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One waiting participant in a coalesced apply group: the leader
 /// posts the shared group result here.
-#[derive(Default)]
-struct ApplySlot {
-    result: Mutex<Option<Result<UpdateReport>>>,
-    done: Condvar,
-}
+type ApplySlot = OneShot<Result<UpdateReport>>;
 
-impl ApplySlot {
-    fn post(&self, result: Result<UpdateReport>) {
-        match self.result.lock() {
-            Ok(mut guard) => {
-                *guard = Some(result);
-                self.done.notify_all();
-            }
-            Err(poisoned) => {
-                *poisoned.into_inner() = Some(result);
-                self.result.clear_poison();
-                self.done.notify_all();
-            }
-        }
-    }
-
-    fn wait(&self, deadline: Duration) -> Result<UpdateReport> {
-        let lost = || Error::Internal {
-            component: "apply-coalesce",
-            detail: format!("group leader did not publish a result within {deadline:?}"),
-        };
-        let mut guard = match self.result.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.result.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        let wait_started = Instant::now();
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            let remaining = match deadline.checked_sub(wait_started.elapsed()) {
-                Some(rem) if !rem.is_zero() => rem,
-                _ => return Err(lost()),
-            };
-            guard = match self.done.wait_timeout(guard, remaining) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => {
-                    self.result.clear_poison();
-                    poisoned.into_inner().0
-                }
-            };
-        }
-    }
-}
-
-/// The shared group-commit queue of
-/// [`apply_coalesced`](PcsEngine::apply_coalesced): the first writer
-/// to find `leader_active == false` becomes leader and drains
-/// `pending` in merged groups until it runs dry.
+/// The shared queue [`apply`](PcsEngine::apply) coalesces through: the
+/// first writer to find `leader_active == false` becomes leader and
+/// drains `pending` in merged groups until it runs dry.
 #[derive(Default)]
 struct CoalesceQueue {
     pending: Vec<(UpdateBatch, Arc<ApplySlot>)>,
     leader_active: bool,
+}
+
+impl CoalesceQueue {
+    /// Fails every queued member and hands leadership back: the writer
+    /// that owed them a result unwound.
+    fn abandon(&mut self) {
+        for (_, slot) in self.pending.drain(..) {
+            slot.post(Err(coalescer_panicked()));
+        }
+        self.leader_active = false;
+    }
+}
+
+/// Held by the coalescing leader while it drains the queue. The leader
+/// applies each group *outside* the queue lock, so if it unwinds there
+/// the lock is not poisoned and nothing else would ever clear
+/// `leader_active`: this guard does, and fails every member still
+/// waiting on the lost leader.
+struct LeaderGuard<'a> {
+    engine: &'a PcsEngine,
+    /// Members of the group being applied, not yet posted.
+    in_flight: Vec<Arc<ApplySlot>>,
+}
+
+impl Drop for LeaderGuard<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for slot in self.in_flight.drain(..) {
+            slot.post(Err(coalescer_panicked()));
+        }
+        self.engine.lock_coalesce().abandon();
+    }
+}
+
+fn coalescer_panicked() -> Error {
+    Error::Internal {
+        component: "apply-coalesce",
+        detail: "a coalescing writer panicked; batch was not applied".into(),
+    }
 }
 
 /// Monotonic counters of the write-coalescing path (see
@@ -356,8 +328,7 @@ pub struct SnapshotIo {
 /// A point-in-time copy of the engine's write-coalescing counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalesceStatsSnapshot {
-    /// Batches submitted through
-    /// [`apply_coalesced`](PcsEngine::apply_coalesced).
+    /// Valid batches submitted through [`apply`](PcsEngine::apply).
     pub submitted: u64,
     /// Merged groups actually applied (each publishes one epoch).
     pub groups: u64,
@@ -410,7 +381,7 @@ pub struct PcsEngine {
     cache_stats: Arc<CacheStats>,
     /// Serializes writers and owns the mutable master state.
     pub(crate) writer: Mutex<Option<WriterState>>,
-    /// The group-commit queue of [`apply_coalesced`](Self::apply_coalesced).
+    /// The queue [`apply`](Self::apply) coalesces concurrent writers through.
     coalesce: Mutex<CoalesceQueue>,
     coalesce_stats: CoalesceStats,
     /// The WAL attachment (durable engines only): set once during
@@ -557,8 +528,10 @@ impl PcsEngine {
         self.lock_scratch_pool().len()
     }
 
-    /// The retention cap on the scratch pool (see
-    /// [`EngineBuilder::scratch_pool_cap`]).
+    /// The retention cap on the scratch pool: twice the machine's
+    /// available parallelism, clamped to `4..=64`. Each scratch holds
+    /// O(n) working memory, so the pool tracks the real concurrency
+    /// level, not the worst spike ever seen.
     pub fn pooled_scratch_cap(&self) -> usize {
         self.scratch_pool_cap
     }
@@ -600,8 +573,7 @@ impl PcsEngine {
         self.cache_stats.snapshot()
     }
 
-    /// Write-coalescing counters of
-    /// [`apply_coalesced`](Self::apply_coalesced).
+    /// Write-coalescing counters of [`apply`](Self::apply).
     pub fn coalesce_stats(&self) -> CoalesceStatsSnapshot {
         use std::sync::atomic::Ordering;
         CoalesceStatsSnapshot {
@@ -845,14 +817,30 @@ impl PcsEngine {
     }
 
     /// Applies a batch of mutations atomically and publishes a new
-    /// epoch snapshot.
+    /// epoch snapshot. The one write entry: concurrent callers
+    /// **coalesce**.
     ///
     /// The batch is validated up front (any rejection leaves the engine
-    /// untouched), applied to the writer's master state with
-    /// incremental core maintenance (bounded subcore traversals per
-    /// edge, never a full re-decomposition), and published as one new
-    /// snapshot. Concurrent queries keep reading the previous epoch
-    /// until the swap; concurrent writers queue on an internal mutex.
+    /// untouched and returns this caller's own typed error), then
+    /// queued. The first writer to find the queue leaderless becomes
+    /// the group leader: it merges every queued batch into one
+    /// application — incremental core maintenance (bounded subcore
+    /// traversals per edge, never a full re-decomposition), one index
+    /// maintenance pass, one WAL record on durable engines, one epoch
+    /// publish — and hands the shared [`UpdateReport`] to every member.
+    /// A sustained update stream thereby amortizes the per-epoch costs
+    /// (CSR export, index maintenance, fsync) over the whole group.
+    /// Concurrent queries keep reading the previous epoch until the
+    /// swap.
+    ///
+    /// * The returned report describes the **merged** group: its
+    ///   `epoch` is the group's published epoch and its counters
+    ///   (edges added/removed, no-ops, …) aggregate every member's
+    ///   ops. A lone caller always forms a group of one, whose report
+    ///   describes exactly its own batch.
+    /// * Ops keep their submission order within a batch and groups
+    ///   preserve queue order, so the merged history is a legal
+    ///   serialization of the member batches.
     ///
     /// Index maintenance follows the builder's
     /// [`incremental_patch_cap`](EngineBuilder::incremental_patch_cap):
@@ -862,31 +850,72 @@ impl PcsEngine {
     ///
     /// No-op operations (duplicate edge inserts, absent removals,
     /// identical profiles) are counted in the report, not errors. A
-    /// batch of only no-ops publishes nothing and keeps the epoch.
+    /// group of only no-ops publishes nothing and keeps the epoch.
     ///
     /// # Durability
     ///
     /// On an engine opened with
     /// [`EngineBuilder::durable`](crate::EngineBuilder::durable) the
-    /// batch is appended to the WAL and **fsynced before its epoch is
-    /// published**: once `apply` returns `Ok`, the batch survives a
-    /// crash, and a reader can never observe an epoch the engine could
-    /// still lose. Concurrent appliers coalesce into shared group
-    /// commits; snapshots still publish strictly in epoch order. Any
-    /// failure on that pipeline (I/O error, injected kill point)
-    /// fail-stops the log — this and every later `apply` return typed
-    /// errors, already-published epochs keep serving reads, and
-    /// reopening the directory recovers the fsynced prefix.
+    /// group's record is appended to the WAL and **fsynced before its
+    /// epoch is published**, all under the writer lock: once `apply`
+    /// returns `Ok`, the batch survives a crash, and a reader can never
+    /// observe an epoch the engine could still lose. Any failure on
+    /// that pipeline (I/O error, injected kill point) fail-stops the
+    /// log — this and every later `apply` return typed errors,
+    /// already-published epochs keep serving reads, and reopening the
+    /// directory recovers the fsynced prefix.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        self.apply_inner(batch, None)
+        use std::sync::atomic::Ordering;
+        self.validate_ops(batch, self.snapshot_arc().graph.num_vertices())?;
+        self.coalesce_stats.submitted.fetch_add(1, Ordering::Relaxed);
+        let slot = Arc::new(ApplySlot::default());
+        let is_leader = {
+            let mut queue = self.lock_coalesce();
+            queue.pending.push((batch.clone(), Arc::clone(&slot)));
+            !std::mem::replace(&mut queue.leader_active, true)
+        };
+        if is_leader {
+            let mut lead = LeaderGuard { engine: self, in_flight: Vec::new() };
+            loop {
+                let group = {
+                    let mut queue = self.lock_coalesce();
+                    if queue.pending.is_empty() {
+                        queue.leader_active = false;
+                        break;
+                    }
+                    std::mem::take(&mut queue.pending)
+                };
+                let merged: UpdateBatch =
+                    group.iter().flat_map(|(b, _)| b.ops().iter().cloned()).collect();
+                lead.in_flight = group.into_iter().map(|(_, member)| member).collect();
+                let result = self.apply_inner(&merged, None);
+                self.coalesce_stats.groups.fetch_add(1, Ordering::Relaxed);
+                self.coalesce_stats
+                    .coalesced
+                    .fetch_add(lead.in_flight.len() as u64 - 1, Ordering::Relaxed);
+                for member in lead.in_flight.drain(..) {
+                    member.post(result.clone());
+                }
+            }
+        }
+        // A leader's own result was posted (to its own slot) by its
+        // first loop iteration.
+        slot.wait(COALESCE_DEADLINE).unwrap_or_else(|| {
+            Err(Error::Internal {
+                component: "apply-coalesce",
+                detail: format!(
+                    "group leader did not publish a result within {COALESCE_DEADLINE:?}"
+                ),
+            })
+        })
     }
 
     /// Validates every op of `batch` against a fixed vertex count and
     /// this engine's (immutable) taxonomy, touching nothing. The
     /// checks are state-independent beyond `n` — the vertex set never
-    /// grows or shrinks — which is what lets
-    /// [`apply_coalesced`](Self::apply_coalesced) pre-validate each
-    /// batch *individually* before merging: one malformed batch is
+    /// grows or shrinks — which is what lets [`apply`](Self::apply)
+    /// pre-validate each batch *individually* before merging: one
+    /// malformed batch is
     /// rejected to its own caller and can never poison the group it
     /// would have joined.
     fn validate_ops(&self, batch: &UpdateBatch, n: usize) -> Result<()> {
@@ -919,67 +948,6 @@ impl PcsEngine {
         Ok(())
     }
 
-    /// Applies `batch` through the **write-coalescing** path: when
-    /// several threads submit concurrently, one becomes the group
-    /// leader, merges every queued batch into a single
-    /// [`apply`](Self::apply) (one epoch publish, one WAL record on
-    /// durable engines), and hands the shared [`UpdateReport`] to all
-    /// participants. A sustained update stream thereby amortizes the
-    /// per-epoch costs — CSR export, index maintenance, fsync — over
-    /// the whole group instead of paying them per batch.
-    ///
-    /// Semantics relative to `apply`:
-    /// * Each batch is validated **individually** before it joins a
-    ///   group; a rejected batch returns its own typed error and
-    ///   cannot fail innocent co-grouped writers.
-    /// * The returned report describes the **merged** group: its
-    ///   `epoch` is the group's published epoch and its counters
-    ///   (edges added/removed, no-ops, …) aggregate every member's
-    ///   ops. Single-writer callers always form a group of one, whose
-    ///   report is identical to `apply`'s.
-    /// * Ops keep their submission order within a batch and groups
-    ///   preserve queue order, so the merged history is a legal
-    ///   serialization of the member batches.
-    pub fn apply_coalesced(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        use std::sync::atomic::Ordering;
-        self.validate_ops(batch, self.snapshot_arc().graph.num_vertices())?;
-        self.coalesce_stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ApplySlot::default());
-        let is_leader = {
-            let mut queue = self.lock_coalesce();
-            queue.pending.push((batch.clone(), Arc::clone(&slot)));
-            let lead = !queue.leader_active;
-            if lead {
-                queue.leader_active = true;
-            }
-            lead
-        };
-        if !is_leader {
-            return slot.wait(COALESCE_DEADLINE);
-        }
-        loop {
-            let group = {
-                let mut queue = self.lock_coalesce();
-                if queue.pending.is_empty() {
-                    queue.leader_active = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let merged: UpdateBatch =
-                group.iter().flat_map(|(b, _)| b.ops().iter().cloned()).collect();
-            let result = self.apply_inner(&merged, None);
-            self.coalesce_stats.groups.fetch_add(1, Ordering::Relaxed);
-            self.coalesce_stats.coalesced.fetch_add(group.len() as u64 - 1, Ordering::Relaxed);
-            for (_, member) in &group {
-                member.post(result.clone());
-            }
-        }
-        // The leader's own result was posted (to its own slot) by the
-        // first loop iteration.
-        slot.wait(COALESCE_DEADLINE)
-    }
-
     /// Locks the coalesce queue, recovering from poisoning: a panic in
     /// one writer must not wedge the write path forever. Pending
     /// members left by the panicking thread are failed explicitly so
@@ -989,13 +957,7 @@ impl PcsEngine {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                for (_, slot) in guard.pending.drain(..) {
-                    slot.post(Err(Error::Internal {
-                        component: "apply-coalesce",
-                        detail: "a coalescing writer panicked; batch was not applied".into(),
-                    }));
-                }
-                guard.leader_active = false;
+                guard.abandon();
                 self.coalesce.clear_poison();
                 guard
             }
@@ -1009,27 +971,24 @@ impl PcsEngine {
     ) -> Result<UpdateReport> {
         let start = Instant::now();
         let mut guard = self.writer.lock().expect("engine writer lock poisoned");
+        // Only a writer swaps the published snapshot, and the lock is
+        // held through the swap: this is the state the master equals.
+        let base = self.snapshot_arc();
         if guard.is_none() {
             // The master state needs full residency (CSR export,
             // per-vertex profile writes), so a lazily loaded engine
             // densifies here, on its first update — with typed errors
             // if the backing file turns out damaged, before any state
             // is mutated.
-            let snap = self.snapshot_arc();
-            let graph = Arc::clone(snap.materialized_graph()?);
-            let profiles = snap.dense_profiles()?;
+            let graph = Arc::clone(base.materialized_graph()?);
+            let profiles = base.dense_profiles()?;
             *guard = Some(WriterState {
-                base: Arc::clone(&snap),
                 graph: DynamicGraph::from_graph(&graph),
-                cores: IncrementalCores::new(snap.cores().core_numbers().to_vec()),
+                cores: IncrementalCores::new(base.cores().core_numbers().to_vec()),
                 profiles: profiles.as_ref().clone(),
             });
         }
         let ws = guard.as_mut().expect("writer state initialized above");
-        // The snapshot the master state currently equals: the pending
-        // one on a durable engine mid-pipeline, the published one
-        // otherwise.
-        let base = Arc::clone(&ws.base);
         let epoch = base.epoch + 1;
         if let Some(expected) = expect_epoch {
             if epoch != expected {
@@ -1204,8 +1163,7 @@ impl PcsEngine {
         // state (the next apply re-materializes from the published
         // snapshot) and surface the typed fault.
         if let Some(e) = base.fault.as_ref().and_then(pcs_store::FaultCell::get) {
-            drop(guard);
-            *self.writer.lock().expect("engine writer lock poisoned") = None;
+            *guard = None;
             return Err(Error::Store(e));
         }
         let cache =
@@ -1222,58 +1180,25 @@ impl PcsEngine {
             fault: base.fault.clone(),
             epoch,
         });
-        let mut durable_epoch = None;
-        match self.durable.as_ref() {
-            // Recovery replay runs before `durable` is attached, so a
-            // replayed record is never re-logged.
-            Some(ds) => {
-                // Log → fsync → publish. The master state is already
-                // mutated, so from here every failure must discard the
-                // writer state (the next `apply` re-materializes it
-                // from the published snapshot) and fail-stop the
-                // pipeline — otherwise an unlogged mutation could leak
-                // into a later epoch's base.
-                let append = crate::durable::encode_update_batch(batch)
-                    .and_then(|payload| ds.wal.append(epoch, &payload));
-                let ticket = match append {
-                    Ok(t) => t,
-                    Err(e) => {
-                        *guard = None;
-                        ds.abort();
-                        return Err(e.into());
-                    }
-                };
-                // Hand the writer lock to the next applier before the
-                // fsync: it stacks on `next` (pending, unpublished) and
-                // joins the same group commit instead of serializing
-                // behind this one's disk wait.
-                ws.base = Arc::clone(&next);
-                drop(guard);
-                let committed = ds
-                    .wal
-                    .commit(&ticket)
-                    .map_err(Error::from)
-                    .and_then(|()| {
-                        pcs_store::faults::hit("engine.before_publish").map_err(Error::from)
-                    })
-                    .and_then(|()| {
-                        ds.publish_in_order(epoch, || {
-                            *self.state.write().expect("engine state lock poisoned") =
-                                Arc::clone(&next);
-                        })
-                    });
-                if let Err(e) = committed {
-                    ds.abort();
-                    *self.writer.lock().expect("engine writer lock poisoned") = None;
-                    return Err(e);
-                }
-                durable_epoch = Some(ds.wal.durable_epoch());
-            }
-            None => {
-                ws.base = Arc::clone(&next);
-                *self.state.write().expect("engine state lock poisoned") = next;
+        // Recovery replay runs before `durable` is attached, so a
+        // replayed record is never re-logged.
+        if let Some(ds) = self.durable.as_ref() {
+            // Log → fsync → publish, all under the writer lock. The
+            // master state is already mutated, so a failure here must
+            // discard the writer state (the next `apply` re-materializes
+            // it from the published snapshot) and fail-stop the log —
+            // otherwise an unlogged mutation could leak into a later
+            // epoch's base.
+            let logged = crate::durable::encode_update_batch(batch)
+                .and_then(|payload| ds.wal.append_durable(epoch, &payload))
+                .and_then(|()| pcs_store::faults::hit("engine.before_publish"));
+            if let Err(e) = logged {
+                *guard = None;
+                ds.wal.fail_stop();
+                return Err(e.into());
             }
         }
+        *self.state.write().expect("engine state lock poisoned") = next;
         Ok(UpdateReport {
             epoch,
             edges_added,
@@ -1282,7 +1207,7 @@ impl PcsEngine {
             noops,
             cores_changed,
             index: maintenance,
-            durable_epoch,
+            durable_epoch: self.durable_epoch(),
             elapsed: start.elapsed(),
         })
     }
@@ -1506,5 +1431,51 @@ impl std::fmt::Debug for PcsEngine {
             .field("index_built", &snap.index.get().is_some())
             .field("batch_threads", &self.batch_threads)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The coalescing leader applies its group outside the queue lock,
+    /// so a leader that unwinds there must still hand leadership back
+    /// and fail the members it had taken: otherwise every later writer
+    /// queues behind a leader that no longer exists and parks for the
+    /// full `COALESCE_DEADLINE`.
+    #[test]
+    fn unwinding_leader_fails_its_group_and_releases_leadership() {
+        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
+        let engine = PcsEngine::builder()
+            .graph(g)
+            .taxonomy(Taxonomy::new("r"))
+            .profiles(vec![PTree::root_only(); 3])
+            .build()
+            .unwrap();
+        // Poison the writer lock, so `apply_inner` unwinds on entry.
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = engine.writer.lock().unwrap();
+                panic!("deliberate writer-lock poisoning");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        // A member already queued when the doomed leader arrives.
+        let batch = UpdateBatch::new().add_edge(1, 2);
+        let member = Arc::new(ApplySlot::default());
+        engine.lock_coalesce().pending.push((batch.clone(), Arc::clone(&member)));
+
+        assert!(catch_unwind(AssertUnwindSafe(|| engine.apply(&batch))).is_err());
+        assert!(!engine.lock_coalesce().leader_active, "leadership must be handed back");
+        match member.wait(Duration::ZERO) {
+            Some(Err(Error::Internal { component: "apply-coalesce", .. })) => {}
+            other => panic!("queued member must fail at once, got {other:?}"),
+        }
+        // The next writer leads (and meets the same poisoned lock)
+        // instead of waiting out the deadline as a follower.
+        let started = Instant::now();
+        assert!(catch_unwind(AssertUnwindSafe(|| engine.apply(&batch))).is_err());
+        assert!(started.elapsed() < COALESCE_DEADLINE / 2, "writer parked behind a lost leader");
     }
 }

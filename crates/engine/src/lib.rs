@@ -19,16 +19,15 @@
 //!   (`add_edge`, `remove_edge`, `update_profile`, batched
 //!   [`apply`](PcsEngine::apply)) with **incremental** maintenance of
 //!   the core decomposition and CP-tree index: only the vertices and
-//!   labels an update can affect are revisited.
+//!   labels an update can affect are revisited. `apply` is the one
+//!   write entry; concurrent callers coalesce into one epoch publish.
 //! * [`EngineSnapshot`] — a consistent immutable view at one epoch;
 //!   queries are lock-free against the snapshot current when they
 //!   started, while updates publish the next epoch.
 //! * [`CacheMode`] / [`PcsEngine::query_cached`] — an epoch-keyed
 //!   result cache for zipfian read traffic, invalidated wholesale on
 //!   every publish or surgically via the same label-lattice reasoning
-//!   the index patcher uses (see the [`mod@cache`] docs), plus
-//!   [`PcsEngine::apply_coalesced`], the group-committing write path
-//!   that amortizes epoch publishes across concurrent writers.
+//!   the index patcher uses (see the [`mod@cache`] docs).
 //! * [`PcsEngine::save`] / [`EngineBuilder::load`] — versioned,
 //!   checksummed on-disk snapshots (via `pcs-store`): a replica
 //!   warm-starts by bulk-loading the persisted graph, cores, and
@@ -75,6 +74,7 @@ pub mod cache;
 pub mod durable;
 mod engine;
 mod error;
+mod oneshot;
 mod persist;
 mod request;
 mod snapshot;
@@ -84,6 +84,7 @@ pub use cache::{CacheMode, CacheStatsSnapshot};
 pub use durable::{decode_update_batch, encode_update_batch, WalFollower, SNAPSHOT_FILE, WAL_DIR};
 pub use engine::{CoalesceStatsSnapshot, EngineBuilder, IndexMode, PcsEngine, SnapshotIo};
 pub use error::{BuildError, Error, Result};
+pub use oneshot::OneShot;
 pub use request::{QueryRequest, QueryResponse};
 pub use snapshot::EngineSnapshot;
 pub use update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateReport};

@@ -174,8 +174,8 @@ fn readers_stay_consistent_under_lazy_updates() {
     stress(IndexMode::Lazy, 42);
 }
 
-/// The group-commit write path: every concurrent `apply_coalesced`
-/// caller gets a report, all effects land, a malformed batch fails
+/// The coalescing write path: every concurrent `apply` caller gets a
+/// report, all effects land, a malformed batch fails
 /// only its own submitter, and the coalesce counters balance
 /// (`groups + coalesced == submitted`).
 #[test]
@@ -211,7 +211,7 @@ fn coalesced_writers_each_get_a_report_and_bad_batches_fail_alone() {
                 let full =
                     PTree::from_labels(tax, (1..tax.len() as u32).collect::<Vec<_>>()).unwrap();
                 let batch = UpdateBatch::new().set_profile(t, full);
-                let report = engine.apply_coalesced(&batch).expect("valid batch applies");
+                let report = engine.apply(&batch).expect("valid batch applies");
                 reports.lock().unwrap().push(report);
             });
         }
@@ -223,7 +223,7 @@ fn coalesced_writers_each_get_a_report_and_bad_batches_fail_alone() {
             let bad = &bad;
             s.spawn(move || {
                 let batch = UpdateBatch::new().add_edge(0, n + 100);
-                bad.lock().unwrap().push(engine.apply_coalesced(&batch));
+                bad.lock().unwrap().push(engine.apply(&batch));
             });
         }
     });
@@ -252,7 +252,8 @@ fn coalesced_writers_each_get_a_report_and_bad_batches_fail_alone() {
     }
 
     let cs = engine.coalesce_stats();
-    assert_eq!(cs.submitted, writers as u64, "rejected batches never count as submitted");
+    // The serial warm-up write went through the same entry, so it counts.
+    assert_eq!(cs.submitted, writers as u64 + 1, "rejected batches never count as submitted");
     assert!(cs.groups >= 1 && cs.groups <= cs.submitted);
     assert_eq!(cs.groups + cs.coalesced, cs.submitted, "coalesce counters must balance");
 }

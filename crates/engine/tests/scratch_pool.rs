@@ -8,7 +8,7 @@ use pcs_graph::Graph;
 use pcs_ptree::{PTree, Taxonomy};
 
 /// A small instance every query succeeds on.
-fn engine_with(scratch_cap: Option<usize>) -> PcsEngine {
+fn engine() -> PcsEngine {
     let mut tax = Taxonomy::new("r");
     let a = tax.add_child(Taxonomy::ROOT, "a").unwrap();
     let b = tax.add_child(Taxonomy::ROOT, "b").unwrap();
@@ -27,16 +27,12 @@ fn engine_with(scratch_cap: Option<usize>) -> PcsEngine {
     let profiles: Vec<PTree> = (0..n)
         .map(|v| PTree::from_labels(&tax, if v % 2 == 0 { [a] } else { [b] }).unwrap())
         .collect();
-    let mut builder = PcsEngine::builder().graph(g).taxonomy(tax).profiles(profiles);
-    if let Some(cap) = scratch_cap {
-        builder = builder.scratch_pool_cap(cap);
-    }
-    builder.build().unwrap()
+    PcsEngine::builder().graph(g).taxonomy(tax).profiles(profiles).build().unwrap()
 }
 
 #[test]
 fn queries_survive_a_poisoned_scratch_pool() {
-    let engine = engine_with(None);
+    let engine = engine();
     // Seed the pool with a scratch so recovery demonstrably discards
     // the poisoned contents rather than just limping along empty.
     let before = engine.query(&QueryRequest::vertex(0).k(2)).unwrap();
@@ -61,7 +57,7 @@ fn queries_survive_a_poisoned_scratch_pool() {
 
 #[test]
 fn poisoning_between_queries_is_recovered_repeatedly() {
-    let engine = engine_with(None);
+    let engine = engine();
     for round in 0..3 {
         engine.poison_scratch_pool_for_test();
         let resp = engine.query(&QueryRequest::vertex(1).k(2));
@@ -71,15 +67,14 @@ fn poisoning_between_queries_is_recovered_repeatedly() {
 
 #[test]
 fn scratch_pool_never_exceeds_its_cap_under_a_spike() {
-    let cap = 3usize;
-    let engine = engine_with(Some(cap));
-    assert_eq!(engine.pooled_scratch_cap(), cap);
+    let engine = engine();
+    let cap = engine.pooled_scratch_cap();
     let engine = &engine;
 
-    // Spike: far more concurrent query threads than the cap, several
+    // Spike: more concurrent query threads than the cap, several
     // rounds so returns land on a full pool repeatedly.
     std::thread::scope(|s| {
-        for t in 0..(cap * 4) as u32 {
+        for t in 0..(cap + 4) as u32 {
             s.spawn(move || {
                 for i in 0..8u32 {
                     let v = (t * 7 + i) % 24;
@@ -104,7 +99,7 @@ fn scratch_pool_never_exceeds_its_cap_under_a_spike() {
 
 #[test]
 fn default_cap_tracks_batch_threads() {
-    let engine = engine_with(None);
+    let engine = engine();
     let cap = engine.pooled_scratch_cap();
     assert!((4..=64).contains(&cap), "default cap {cap} outside 4..=64");
 }

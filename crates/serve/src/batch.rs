@@ -26,13 +26,13 @@
 //! requests differing only in that field would then dedup together —
 //! serving one client another client's answer.
 //!
-//! The submitting worker blocks on a per-request slot (condvar) until
-//! the dispatcher posts its result. A slot that is still empty after
+//! The submitting worker blocks on a per-request slot (the engine's
+//! [`OneShot`] cell) until the dispatcher posts its result. A slot that is still empty after
 //! [`SUBMIT_DEADLINE`] returns `None` — the server maps that to a 500
 //! rather than parking a connection forever; it cannot happen unless
 //! the dispatcher thread has died.
 
-use pcs_engine::{Error as EngineError, PcsEngine, QueryRequest, QueryResponse};
+use pcs_engine::{Error as EngineError, OneShot, PcsEngine, QueryRequest, QueryResponse};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,26 +46,7 @@ pub const SUBMIT_DEADLINE: Duration = Duration::from_secs(30);
 pub type BatchOutcome = Result<Arc<QueryResponse>, EngineError>;
 
 /// One waiting request's result cell.
-struct Slot {
-    result: Mutex<Option<BatchOutcome>>,
-    done: Condvar,
-}
-
-impl Slot {
-    /// Posts the outcome and wakes the waiting submitter.
-    fn post(&self, outcome: BatchOutcome) {
-        let mut cell = match self.result.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.result.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        *cell = Some(outcome);
-        drop(cell);
-        self.done.notify_all();
-    }
-}
+type Slot = OneShot<BatchOutcome>;
 
 struct PendingQuery {
     req: QueryRequest,
@@ -135,7 +116,7 @@ impl Batcher {
     /// posts the result. Returns `None` only on dispatcher death
     /// (deadline) or post-shutdown submission.
     pub fn submit(&self, req: QueryRequest) -> Option<BatchOutcome> {
-        let slot = Arc::new(Slot { result: Mutex::new(None), done: Condvar::new() });
+        let slot = Arc::new(Slot::default());
         {
             let mut state = self.lock_state();
             if state.shutdown {
@@ -144,40 +125,7 @@ impl Batcher {
             state.pending.push(PendingQuery { req, slot: Arc::clone(&slot) });
         }
         self.arrived.notify_all();
-
-        let deadline = Instant::now() + SUBMIT_DEADLINE;
-        let mut result = match slot.result.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                slot.result.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        loop {
-            if let Some(r) = result.take() {
-                return Some(r);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self.done_wait(result, &slot.done, deadline - now).ok()?;
-            result = guard;
-        }
-    }
-
-    /// One condvar wait with poison recovery.
-    #[allow(clippy::type_complexity)]
-    fn done_wait<'a>(
-        &self,
-        guard: std::sync::MutexGuard<'a, Option<BatchOutcome>>,
-        done: &Condvar,
-        dur: Duration,
-    ) -> Result<(std::sync::MutexGuard<'a, Option<BatchOutcome>>, bool), ()> {
-        match done.wait_timeout(guard, dur) {
-            Ok((g, t)) => Ok((g, t.timed_out())),
-            Err(_) => Err(()),
-        }
+        slot.wait(SUBMIT_DEADLINE)
     }
 
     /// The dispatcher loop. Run on a dedicated thread; returns when
@@ -435,14 +383,14 @@ mod tests {
         let pending: Vec<PendingQuery> = (0..2)
             .map(|v| PendingQuery {
                 req: QueryRequest::vertex(v).k(1),
-                slot: Arc::new(Slot { result: Mutex::new(None), done: Condvar::new() }),
+                slot: Arc::new(Slot::default()),
             })
             .collect();
         let resp = Arc::new(engine().query(&QueryRequest::vertex(0).k(1)).expect("query ok"));
         // Two waiters, two assignments — but only one result made it.
         Batcher::distribute(&pending, &[0, 1], &[Ok(resp)]);
 
-        let take = |p: &PendingQuery| p.slot.result.lock().unwrap().take().expect("posted");
+        let take = |p: &PendingQuery| p.slot.wait(Duration::ZERO).expect("posted");
         assert!(take(&pending[0]).is_ok(), "covered slot gets its result");
         match take(&pending[1]) {
             Err(EngineError::Internal { component, .. }) => {

@@ -168,8 +168,8 @@ pub struct StatsSnapshot {
     pub epoch: u64,
     /// The engine's durable (fsynced-WAL) epoch; `None` without a
     /// durable directory. The engine fsyncs before it publishes, so
-    /// this never lags `epoch` — transiently it may *lead* by the
-    /// batches sitting between their group commit and publication.
+    /// this never lags `epoch` — transiently it may *lead* by the one
+    /// group sitting between its fsync and its publication.
     pub durable_epoch: Option<u64>,
 }
 
@@ -540,10 +540,10 @@ fn dispatch(shared: &Shared, req: &crate::http::Request) -> (u16, Payload) {
         }
         Ok(Route::Apply(batch)) => {
             shared.stats.updates.fetch_add(1, Ordering::Relaxed);
-            // Coalesced: concurrent `/apply` calls group-commit into
-            // one epoch publish (and, on a durable engine, share its
-            // fsync) instead of serializing full publishes.
-            match shared.engine.apply_coalesced(&batch) {
+            // Concurrent `/apply` calls coalesce into one epoch publish
+            // (and, on a durable engine, one WAL record and fsync)
+            // instead of serializing full publishes.
+            match shared.engine.apply(&batch) {
                 Ok(report) => (200, render_update_report(&report)),
                 Err(e) => {
                     if matches!(e, EngineError::Internal { .. }) {

@@ -75,11 +75,6 @@ impl FaultCell {
     pub fn get(&self) -> Option<StoreError> {
         self.cell.get().cloned()
     }
-
-    /// True once any fault is recorded.
-    pub fn is_set(&self) -> bool {
-        self.cell.get().is_some()
-    }
 }
 
 /// The lazily decodable parts of the `INDEX` section: eager member

@@ -25,8 +25,8 @@
 //!   yield a silently wrong engine.
 //! * [`wal`] — the write-ahead log that closes the gap *between*
 //!   snapshots: segmented, epoch-stamped, checksummed update records
-//!   with group commit on the append side and torn-tail truncation on
-//!   recovery, under the same typed-error contract.
+//!   with one fsynced append ([`Wal::append_durable`]) and torn-tail
+//!   truncation on recovery, under the same typed-error contract.
 //!
 //! ## Trust model
 //!
@@ -85,6 +85,6 @@ pub use format::{
 };
 pub use wal::{
     decode_frames, encode_record, encode_records, list_segments, read_records, read_records_since,
-    FrameScan, SegmentInfo, Wal, WalOptions, WalRecord, WalReplay, WalStats, WalTail, WalTicket,
-    MAX_RECORD_LEN, WAL_MAGIC, WAL_SECTION, WAL_VERSION,
+    FrameScan, SegmentInfo, Wal, WalOptions, WalRecord, WalReplay, WalTail, MAX_RECORD_LEN,
+    WAL_MAGIC, WAL_SECTION, WAL_VERSION,
 };

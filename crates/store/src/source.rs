@@ -152,11 +152,6 @@ impl FileSnapshot {
         self.file_len
     }
 
-    /// The path this snapshot was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Bytes pulled from disk so far (header, table, sections, range
     /// reads — everything). Cache hits do not count.
     pub fn bytes_read(&self) -> u64 {

@@ -1,5 +1,5 @@
 //! Write-ahead log for `UpdateBatch` records: segmented, checksummed,
-//! group-committed.
+//! fsynced per record.
 //!
 //! A snapshot (see [`crate::format`]) persists the engine's state at
 //! one epoch; the WAL persists every effective update batch *since*
@@ -35,17 +35,16 @@
 //! [`StoreError`]s, never a panic, hang, or silently wrong replay:
 //! the same contract the snapshot fault-injection matrix enforces.
 //!
-//! ## Group commit
+//! ## One append
 //!
-//! [`Wal::append`] buffers the frame into the active segment under a
-//! mutex and returns a ticket; [`Wal::commit`] makes it durable. The
-//! first committer becomes the *sync leader*: it snapshots the highest
-//! written ticket and issues one `fdatasync` covering every record
-//! buffered so far — concurrent committers park on a condvar and are
-//! released by that single fsync; while one fsync is in flight, later
-//! appends pile up and the next leader covers them all. Under write
-//! concurrency the fsync-per-record ratio drops below one (asserted by
-//! the unit test `group_commit_coalesces_concurrent_writers`).
+//! [`Wal::append_durable`] is the only way a record enters the log:
+//! under the log mutex it writes the frame into the active segment and
+//! issues one `fdatasync` before returning, so a record is either
+//! acknowledged and durable or the log has fail-stopped. There is no
+//! buffering and no group commit at this layer — the engine's `apply`
+//! coalesces concurrent writers into one record *above* the log, so at
+//! most one append is ever in flight and an fsync-sharing scheme here
+//! would have nothing to share.
 //!
 //! ## Failure model
 //!
@@ -62,7 +61,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// First eight bytes of every WAL segment.
 pub const WAL_MAGIC: [u8; 8] = *b"PCSWAL01";
@@ -402,35 +401,12 @@ fn scan(dir: &Path, after: Option<u64>, max_epoch: u64, max_bytes: u64) -> Resul
 // Append side.
 // ---------------------------------------------------------------------
 
-/// Commit ticket: proof that a record is buffered, redeemable for
-/// durability via [`Wal::commit`].
-#[derive(Debug, Clone, Copy)]
-pub struct WalTicket {
-    seq: u64,
-    /// Epoch of the buffered record.
-    pub epoch: u64,
-}
-
-/// Counters exposed for benchmarking and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Records appended.
-    pub records: u64,
-    /// `fdatasync` calls issued.
-    pub fsyncs: u64,
-    /// Segment rotations performed.
-    pub rotations: u64,
-}
-
 struct Inner {
-    file: Arc<File>,
+    file: File,
     /// First epoch of the active segment (its filename).
     seg_first: u64,
     seg_len: u64,
     last_epoch: u64,
-    written_seq: u64,
-    synced_seq: u64,
-    syncing: bool,
 }
 
 struct Shared {
@@ -438,18 +414,13 @@ struct Shared {
     opts: WalOptions,
     durable_epoch: AtomicU64,
     failed: AtomicBool,
-    records: AtomicU64,
-    fsyncs: AtomicU64,
-    rotations: AtomicU64,
     inner: Mutex<Inner>,
-    sync_cv: Condvar,
 }
 
 /// An append-mode write-ahead log over one directory of segments.
 ///
-/// Cloning is cheap (shared handle); all methods take `&self` and are
-/// safe under full concurrency — `append`/`commit` implement group
-/// commit as described in the module docs.
+/// Cloning is cheap (shared handle); all methods take `&self` and
+/// serialize on one internal mutex.
 #[derive(Clone)]
 pub struct Wal {
     shared: Arc<Shared>,
@@ -465,7 +436,7 @@ impl std::fmt::Debug for Wal {
     }
 }
 
-fn create_segment(dir: &Path, first_epoch: u64) -> Result<(Arc<File>, u64)> {
+fn create_segment(dir: &Path, first_epoch: u64) -> Result<(File, u64)> {
     let path = dir.join(segment_name(first_epoch));
     let mut file = OpenOptions::new()
         .create_new(true)
@@ -479,7 +450,7 @@ fn create_segment(dir: &Path, first_epoch: u64) -> Result<(Arc<File>, u64)> {
     file.write_all(&header).map_err(|e| io_err("wal-create", e))?;
     file.sync_all().map_err(|e| io_err("wal-create", e))?;
     sync_dir(dir)?;
-    Ok((Arc::new(file), SEG_HEADER_LEN))
+    Ok((file, SEG_HEADER_LEN))
 }
 
 /// Fsyncs a directory so a just-created/renamed/removed entry survives
@@ -546,7 +517,7 @@ impl Wal {
                     .append(true)
                     .open(&seg.path)
                     .map_err(|e| io_err("wal-open", e))?;
-                (Arc::new(file), seg.first_epoch, seg.file_len)
+                (file, seg.first_epoch, seg.file_len)
             }
             None => {
                 let (file, len) = create_segment(&dir, last_epoch.saturating_add(1))?;
@@ -558,19 +529,7 @@ impl Wal {
             opts,
             durable_epoch: AtomicU64::new(last_epoch),
             failed: AtomicBool::new(false),
-            records: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                file,
-                seg_first,
-                seg_len,
-                last_epoch,
-                written_seq: 0,
-                synced_seq: 0,
-                syncing: false,
-            }),
-            sync_cv: Condvar::new(),
+            inner: Mutex::new(Inner { file, seg_first, seg_len, last_epoch }),
         };
         Ok((Wal { shared: Arc::new(shared) }, replay))
     }
@@ -591,24 +550,13 @@ impl Wal {
         self.shared.failed.load(Ordering::Acquire)
     }
 
-    /// Fail-stops the log explicitly and wakes every committer waiting
-    /// on the group-commit condvar. The engine calls this when a step
+    /// Fail-stops the log explicitly. The engine calls this when a step
     /// *outside* the log (snapshot publish, payload encoding) dies
     /// mid-pipeline: once the in-memory engine state can no longer be
     /// trusted to match the log tail, every subsequent append must be
     /// refused until the directory is re-opened and recovered.
     pub fn fail_stop(&self) {
         self.shared.failed.store(true, Ordering::Release);
-        self.shared.sync_cv.notify_all();
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> WalStats {
-        WalStats {
-            records: self.shared.records.load(Ordering::Relaxed),
-            fsyncs: self.shared.fsyncs.load(Ordering::Relaxed),
-            rotations: self.shared.rotations.load(Ordering::Relaxed),
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -618,182 +566,85 @@ impl Wal {
         match self.shared.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => {
-                self.shared.failed.store(true, Ordering::Release);
+                self.fail_stop();
                 poisoned.into_inner()
             }
         }
-    }
-
-    fn fail<T>(&self, err: StoreError) -> Result<T> {
-        self.shared.failed.store(true, Ordering::Release);
-        self.shared.sync_cv.notify_all();
-        Err(err)
     }
 
     fn failed_err(op: &'static str) -> StoreError {
         StoreError::Io { op, detail: "write-ahead log has fail-stopped; reopen to recover".into() }
     }
 
-    /// Buffers one record into the active segment and returns a commit
-    /// ticket. `epoch` must exceed every previously appended epoch
-    /// (the engine's writer lock guarantees contiguity; the log only
-    /// enforces monotonicity so that concurrent benchmark writers can
-    /// pre-assign epochs).
+    /// Appends one record and makes it durable: the frame is written
+    /// into the active segment and `fdatasync`ed before this returns
+    /// `Ok`. `epoch` must exceed every previously appended epoch (the
+    /// engine's writer lock guarantees contiguity; the log enforces
+    /// monotonicity). Any error — real or injected — fail-stops the
+    /// log.
     ///
-    /// Kill points: `wal.append` (before anything is written),
-    /// `wal.torn_append` (half the frame reaches the file — the
-    /// classic torn write), `wal.after_append` (the whole frame is in
-    /// the file, not yet fsynced).
-    pub fn append(&self, epoch: u64, payload: &[u8]) -> Result<WalTicket> {
-        self.append_impl(Some(epoch), payload)
-    }
-
-    fn append_impl(&self, epoch: Option<u64>, payload: &[u8]) -> Result<WalTicket> {
+    /// Kill points, in order: `wal.append` (before anything is
+    /// written), `wal.torn_append` (half the frame reaches the file —
+    /// the classic torn write), `wal.after_append` (the whole frame is
+    /// in the file, not yet fsynced), `wal.before_fsync` (frame
+    /// written, never flushed), `wal.after_fsync` (flushed, but the
+    /// caller "dies" before observing it).
+    pub fn append_durable(&self, epoch: u64, payload: &[u8]) -> Result<()> {
+        let mut inner = self.lock();
         if self.is_failed() {
             return Err(Self::failed_err("wal-append"));
         }
-        if let Err(e) = faults::hit("wal.append") {
-            return self.fail(e);
-        }
-        let mut inner = self.lock();
-        let epoch = epoch.unwrap_or_else(|| inner.last_epoch.saturating_add(1));
+        self.append_locked(&mut inner, epoch, payload).inspect_err(|_| self.fail_stop())
+    }
+
+    fn append_locked(&self, inner: &mut Inner, epoch: u64, payload: &[u8]) -> Result<()> {
+        faults::hit("wal.append")?;
         if epoch <= inner.last_epoch {
-            let last = inner.last_epoch;
-            drop(inner);
-            return self.fail(corrupt(format!("append of epoch {epoch} after {last}")));
+            return Err(corrupt(format!("append of epoch {epoch} after {}", inner.last_epoch)));
         }
-        let frame = match encode_record(epoch, payload) {
-            Ok(f) => f,
-            Err(e) => {
-                drop(inner);
-                return self.fail(e);
-            }
-        };
+        let frame = encode_record(epoch, payload)?;
         if inner.seg_len >= self.shared.opts.segment_bytes && inner.seg_len > SEG_HEADER_LEN {
-            if let Err(e) = self.rotate_locked(&mut inner) {
-                drop(inner);
-                return self.fail(e);
-            }
+            self.rotate_locked(inner)?;
         }
         if let Err(e) = faults::hit("wal.torn_append") {
             // Simulate a crash mid-frame: a prefix of the record
             // reaches the file, then the "process dies".
-            let half = frame.len() / 2;
-            let torn = frame.get(..half).unwrap_or(&frame);
-            let _ = (&*inner.file).write_all(torn);
-            drop(inner);
-            return self.fail(e);
+            let torn = frame.get(..frame.len() / 2).unwrap_or(&frame);
+            let _ = inner.file.write_all(torn);
+            return Err(e);
         }
-        if let Err(e) = (&*inner.file).write_all(&frame) {
-            drop(inner);
-            return self.fail(io_err("wal-append", e));
-        }
-        if let Err(e) = faults::hit("wal.after_append") {
-            drop(inner);
-            return self.fail(e);
-        }
+        inner.file.write_all(&frame).map_err(|e| io_err("wal-append", e))?;
+        faults::hit("wal.after_append")?;
         inner.seg_len += frame.len() as u64;
         inner.last_epoch = epoch;
-        inner.written_seq += 1;
-        let seq = inner.written_seq;
-        self.shared.records.fetch_add(1, Ordering::Relaxed);
-        Ok(WalTicket { seq, epoch })
-    }
-
-    /// Blocks until the ticket's record is durable (group commit; see
-    /// module docs). Kill points: `wal.before_fsync` (frame written,
-    /// never flushed), `wal.after_fsync` (flushed, but the caller
-    /// "dies" before observing it).
-    pub fn commit(&self, ticket: &WalTicket) -> Result<()> {
-        let mut inner = self.lock();
-        loop {
-            if inner.synced_seq >= ticket.seq {
-                return Ok(());
-            }
-            if self.is_failed() {
-                return Err(Self::failed_err("wal-commit"));
-            }
-            if !inner.syncing {
-                inner.syncing = true;
-                let upto_seq = inner.written_seq;
-                let upto_epoch = inner.last_epoch;
-                let file = Arc::clone(&inner.file);
-                drop(inner);
-                let res = faults::hit("wal.before_fsync")
-                    .and_then(|()| file.sync_data().map_err(|e| io_err("wal-fsync", e)))
-                    .and_then(|()| faults::hit("wal.after_fsync"));
-                inner = self.lock();
-                inner.syncing = false;
-                match res {
-                    Ok(()) => {
-                        inner.synced_seq = inner.synced_seq.max(upto_seq);
-                        self.shared.durable_epoch.fetch_max(upto_epoch, Ordering::AcqRel);
-                        self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        self.shared.sync_cv.notify_all();
-                    }
-                    Err(e) => {
-                        drop(inner);
-                        return self.fail(e);
-                    }
-                }
-            } else {
-                inner = match self.shared.sync_cv.wait(inner) {
-                    Ok(g) => g,
-                    Err(poisoned) => {
-                        self.shared.failed.store(true, Ordering::Release);
-                        poisoned.into_inner()
-                    }
-                };
-            }
-        }
-    }
-
-    /// Appends and makes durable in one call (the convenience path for
-    /// benchmarks and tests; the engine splits the two so publishes
-    /// can overlap the fsync window).
-    pub fn append_durable(&self, epoch: u64, payload: &[u8]) -> Result<()> {
-        let ticket = self.append(epoch, payload)?;
-        self.commit(&ticket)
-    }
-
-    /// Appends with the next epoch (`last + 1`), assigned atomically
-    /// under the append lock — the entry point for concurrent writers
-    /// that have no external epoch authority (benchmarks, tests). The
-    /// engine instead assigns epochs under its writer lock and calls
-    /// [`Wal::append`].
-    pub fn append_next(&self, payload: &[u8]) -> Result<WalTicket> {
-        self.append_impl(None, payload)
+        faults::hit("wal.before_fsync")?;
+        inner.file.sync_data().map_err(|e| io_err("wal-fsync", e))?;
+        faults::hit("wal.after_fsync")?;
+        self.shared.durable_epoch.fetch_max(epoch, Ordering::AcqRel);
+        Ok(())
     }
 
     fn rotate_locked(&self, inner: &mut Inner) -> Result<()> {
-        // Everything buffered in the old segment becomes durable at
-        // rotation: the old handle is dropped, so its bytes must not
-        // depend on a future fsync of the new file.
+        // The old handle is dropped below, so nothing in the old
+        // segment may depend on a later fsync.
         inner.file.sync_data().map_err(|e| io_err("wal-rotate", e))?;
-        inner.synced_seq = inner.written_seq;
-        self.shared.durable_epoch.fetch_max(inner.last_epoch, Ordering::AcqRel);
-        self.shared.sync_cv.notify_all();
         let first = inner.last_epoch.saturating_add(1);
         let (file, len) = create_segment(&self.shared.dir, first)?;
         inner.file = file;
         inner.seg_first = first;
         inner.seg_len = len;
-        self.shared.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Forces a rotation (a checkpoint closes the epoch range of the
     /// active segment so reclamation can retire it later).
     pub fn rotate(&self) -> Result<()> {
+        let mut inner = self.lock();
         if self.is_failed() {
             return Err(Self::failed_err("wal-rotate"));
         }
-        let mut inner = self.lock();
         if inner.seg_len > SEG_HEADER_LEN {
-            if let Err(e) = self.rotate_locked(&mut inner) {
-                drop(inner);
-                return self.fail(e);
-            }
+            self.rotate_locked(&mut inner).inspect_err(|_| self.fail_stop())?;
         }
         Ok(())
     }
@@ -804,9 +655,7 @@ impl Wal {
     /// `watermark`). The active segment always stays. Returns the
     /// number of segments removed.
     pub fn reclaim(&self, watermark: u64) -> Result<usize> {
-        let inner = self.lock();
-        let active_first = inner.seg_first;
-        drop(inner);
+        let active_first = self.lock().seg_first;
         let segments = list_segments(&self.shared.dir)?;
         let mut removed = 0usize;
         for pair in segments.windows(2) {
@@ -890,7 +739,6 @@ mod tests {
         }
         let segs = list_segments(&dir).unwrap();
         assert!(segs.len() > 2, "small cap must force rotation, got {}", segs.len());
-        assert!(wal.stats().rotations > 0);
         // Everything replays across rotations.
         let replay = read_records(&dir).unwrap();
         assert_eq!(replay.records.len(), 40);
@@ -908,34 +756,6 @@ mod tests {
         let tail = read_records_since(&dir, 30, u64::MAX, u64::MAX).unwrap();
         assert_eq!(tail.first().unwrap().epoch, 31);
         assert_eq!(tail.last().unwrap().epoch, 40);
-    }
-
-    #[test]
-    fn group_commit_coalesces_concurrent_writers() {
-        let dir = tmpdir("group");
-        let (wal, _) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for i in 0..50u64 {
-                        let t = wal.append_next(&i.to_le_bytes()).unwrap();
-                        wal.commit(&t).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = wal.stats();
-        assert_eq!(stats.records, 400);
-        assert_eq!(wal.durable_epoch(), 400);
-        assert!(
-            stats.fsyncs < stats.records,
-            "8 writers must coalesce fsyncs: {} fsyncs for {} records",
-            stats.fsyncs,
-            stats.records
-        );
-        let replay = read_records(&dir).unwrap();
-        assert_eq!(replay.records.len(), 400);
-        assert!(replay.records.windows(2).all(|w| w[0].epoch < w[1].epoch));
     }
 
     #[test]
