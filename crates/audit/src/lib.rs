@@ -91,6 +91,7 @@ impl RuleConfig {
             "crates/core/src/basic.rs",
             "crates/core/src/advanced.rs",
             "crates/core/src/incre.rs",
+            "crates/core/src/closed.rs",
             // pcs-index read / materialization path
             "crates/index/src/cltree.rs",
             "crates/index/src/sharded.rs",
@@ -126,6 +127,7 @@ impl RuleConfig {
             "crates/core/src/basic.rs",
             "crates/core/src/advanced.rs",
             "crates/core/src/incre.rs",
+            "crates/core/src/closed.rs",
         ];
         let mut instant: Vec<String> = hot.iter().map(|s| s.to_string()).collect();
         instant.push("crates/engine/src/engine.rs".to_string());

@@ -376,7 +376,7 @@ fn main() {
     };
 
     // ---- query_efficiency: mean us per query, distribution over reps.
-    // All five algorithms answer the *same* query vertices the same
+    // Every algorithm answers the *same* query vertices the same
     // number of times, so the per-algorithm numbers are comparable.
     let (graph, profiles) =
         (std::sync::Arc::new(ds.graph.clone()), std::sync::Arc::new(ds.profiles.clone()));

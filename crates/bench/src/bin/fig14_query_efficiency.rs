@@ -2,7 +2,9 @@
 //! algorithms, plus the find-function comparison.
 //!
 //! Sections (select with `--section`):
-//! * `k`      — (a-d)  total query time while k varies 4..8;
+//! * `k`      — (a-d)  total query time while k varies 4..8, with the
+//!   closed-subtree search (`Algorithm::Auto`'s choice) as a sixth
+//!   column and the search effort behind the k = 6 row;
 //! * `vertex` — (e-h)  20-100 % of the vertices (k fixed);
 //! * `ptree`  — (i-l)  20-100 % of each P-tree;
 //! * `gptree` — (m-p)  20-100 % of the GP-tree;
@@ -30,6 +32,12 @@ use pcs_graph::VertexId;
 
 const FRACTIONS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 const KS: [u32; 5] = [4, 5, 6, 7, 8];
+/// The `k` whose search effort the `k` section prints (the paper's
+/// default degree bound).
+const EFFORT_K: u32 = 6;
+/// The index-based columns of the `k` section, in print order.
+const INDEXED: [Algorithm; 5] =
+    [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP, Algorithm::Closed];
 
 fn main() {
     let args = parse_args();
@@ -54,23 +62,40 @@ fn main() {
     }
 }
 
-/// Total time to answer `queries` with `algo` (sequential, one request
-/// at a time — per-query latency is what Fig. 14 reports).
-fn run_algo(engine: &PcsEngine, queries: &[VertexId], k: u32, algo: Algorithm) -> Duration {
+/// What answering a query set with one algorithm cost.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    time: Duration,
+    verifications: u64,
+    generated: u64,
+}
+
+/// Total time and search effort to answer `queries` with `algo`
+/// (sequential, one request at a time — per-query latency is what
+/// Fig. 14 reports).
+fn run_algo(engine: &PcsEngine, queries: &[VertexId], k: u32, algo: Algorithm) -> Run {
+    let mut run = Run::default();
     let start = Instant::now();
     for &q in queries {
-        let _ =
+        let resp =
             engine.query(&QueryRequest::vertex(q).k(k).algorithm(algo)).expect("query in range");
+        run.verifications += resp.outcome.stats.verifications;
+        run.generated += resp.outcome.stats.subtrees_generated;
     }
-    start.elapsed()
+    run.time = start.elapsed();
+    run
 }
 
 fn section_vary_k(datasets: &[ProfiledDataset], args: &HarnessArgs) {
     println!("\nFig. 14(a-d) — query time (ms) while k varies\n");
+    // Time per INDEXED column over every dataset and k, for the
+    // closing ratios.
+    let mut totals = [Duration::ZERO; INDEXED.len()];
     for ds in datasets {
         println!("dataset: {} ({} queries; basic limited to 2)\n", ds.name, args.queries);
-        header(&["k", "basic", "incre", "adv-I", "adv-D", "adv-P"]);
+        header(&["k", "basic", "incre", "adv-I", "adv-D", "adv-P", "closed"]);
         let engine = engine_for(ds);
+        let mut effort = String::new();
         for k in KS {
             let (queries, _) = sample_query_vertices(ds, k, args.queries, args.seed ^ 0x14);
             let basic_queries = &queries[..queries.len().min(2)];
@@ -79,16 +104,47 @@ fn section_vary_k(datasets: &[ProfiledDataset], args: &HarnessArgs) {
             // the magnitudes stay comparable.
             let basic = run_algo(&engine, basic_queries, k, Algorithm::Basic);
             let scale = queries.len() as f64 / basic_queries.len().max(1) as f64;
-            cells.push(format!("{:.1}", basic.as_secs_f64() * 1e3 * scale));
-            for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
-                let took = run_algo(&engine, &queries, k, algo);
-                cells.push(format!("{:.1}", took.as_secs_f64() * 1e3));
+            cells.push(format!("{:.1}", basic.time.as_secs_f64() * 1e3 * scale));
+            let runs = INDEXED.map(|algo| run_algo(&engine, &queries, k, algo));
+            for (total, run) in totals.iter_mut().zip(&runs) {
+                *total += run.time;
+                cells.push(format!("{:.1}", run.time.as_secs_f64() * 1e3));
             }
             row(&cells);
+            if k == EFFORT_K {
+                let per_query = |total: u64| total as f64 / queries.len().max(1) as f64;
+                let line = |of: fn(&Run) -> u64| {
+                    let cells: Vec<String> = INDEXED
+                        .iter()
+                        .zip(&runs)
+                        .map(|(a, r)| format!("{} {:.0}", a.name(), per_query(of(r))))
+                        .collect();
+                    cells.join(", ")
+                };
+                effort = format!(
+                    "k = {EFFORT_K}, mean per query — verifications: {}\n\
+                     k = {EFFORT_K}, mean per query — subtrees generated: {}",
+                    line(|r| r.verifications),
+                    line(|r| r.generated)
+                );
+            }
         }
-        println!();
+        println!("\n{effort}\n");
     }
-    println!("Paper: basic is 100x+ slower than incre; adv-D/adv-P are ~10x faster than incre.");
+    let total = |algo: Algorithm| {
+        let at = INDEXED.iter().position(|&a| a == algo);
+        at.and_then(|i| totals.get(i)).map_or(0.0, Duration::as_secs_f64)
+    };
+    let over_incre = |algo: Algorithm| total(algo) / total(Algorithm::Incre).max(f64::MIN_POSITIVE);
+    println!(
+        "Paper: basic is 100x+ slower than incre; adv-D/adv-P are ~10x faster than incre \
+         (adv-P / incre ≈ 0.1)."
+    );
+    println!(
+        "Here (total time over the tables above): adv-P / incre = {:.2}, closed / incre = {:.2}.",
+        over_incre(Algorithm::AdvP),
+        over_incre(Algorithm::Closed)
+    );
 }
 
 fn section_fraction(datasets: &[ProfiledDataset], args: &HarnessArgs, axis: &str, title: &str) {
@@ -108,7 +164,7 @@ fn section_fraction(datasets: &[ProfiledDataset], args: &HarnessArgs, axis: &str
             // engine instead of cloning a second copy.
             let engine = engine_owning(sub);
             for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
-                let took = run_algo(&engine, &queries, args.k, algo);
+                let took = run_algo(&engine, &queries, args.k, algo).time;
                 cells.push(format!("{:.1}", took.as_secs_f64() * 1e3));
             }
             row(&cells);

@@ -1,0 +1,168 @@
+//! The closed-subtree search — what [`Algorithm::Auto`] runs when an
+//! index exists.
+//!
+//! The lattice of feasible subtrees is large, the set of *distinct
+//! communities* behind it is small: most feasible subtrees of `T(q)`
+//! share their `Gk[T]` with a neighbour. For feasible `T` with
+//! community `C = Gk[T]`, the **closure** `cl(T)` is every node of
+//! `T(q)` that all of `C` carries ([`Verifier::close_id`]). `cl(T)` is
+//! the largest subtree with community `C`, so no subtree strictly
+//! between `T` and `cl(T)` can be maximal, and `Gk[cl(T)] = C` needs no
+//! verification. The search therefore visits closed subtrees only:
+//!
+//! * start at `cl(root-only)` with community `Gk`;
+//! * from a closed `t` with community `C`, narrow `C` by each lattice
+//!   child's label ĉore (Lemma 3, as `incre` does) and jump straight to
+//!   the closure of every feasible child, deduplicated by id;
+//! * `t` is maximal — and reported — iff no child was feasible.
+//!
+//! Every maximal feasible subtree is closed, and every closed feasible
+//! `S` is reached: for a reached closed `t ⊂ S` some lattice child
+//! `p ∈ S \ t` exists, `t + p ⊆ S` is feasible by anti-monotonicity,
+//! and `cl(t + p) ⊆ cl(S) = S` by monotonicity — strictly larger than
+//! `t`, so the chain ends at `S`. One verification per (closed subtree,
+//! lattice child) pair instead of one per feasible subtree, and no
+//! separate maximality pass.
+//!
+//! [`Algorithm::Auto`]: crate::Algorithm::Auto
+
+use std::rc::Rc;
+
+use pcs_graph::VertexId;
+use pcs_ptree::{SubtreeId, SubtreeIdSet};
+
+use crate::problem::{PcsOutcome, QueryContext};
+use crate::verify::{QueryScratch, Verifier};
+use crate::Result;
+
+/// Runs the closed-subtree search for `(q, k)` on one-shot scratch.
+/// Requires an index in the context.
+pub fn query(ctx: &QueryContext<'_>, q: VertexId, k: u32) -> Result<PcsOutcome> {
+    query_scratch(ctx, q, k, &mut QueryScratch::new(ctx.graph.num_vertices()))
+}
+
+/// Runs the closed-subtree search on pooled scratch (the engine hot
+/// path).
+pub fn query_scratch(
+    ctx: &QueryContext<'_>,
+    q: VertexId,
+    k: u32,
+    scratch: &mut QueryScratch,
+) -> Result<PcsOutcome> {
+    debug_assert!(ctx.index.is_some(), "checked by QueryContext::query");
+    let space = ctx.space_for(q)?;
+    let ver = Verifier::with_scratch(ctx, &space, q, k, scratch);
+    Ok(run(ver))
+}
+
+fn run(mut ver: Verifier<'_>) -> PcsOutcome {
+    let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
+
+    if let Some(gk) = ver.gk() {
+        let root = ver.ids_mut().root_only();
+        ver.note_generated(1);
+        let start = ver.close_id(root, &gk);
+        let mut seen = SubtreeIdSet::new();
+        seen.insert(start);
+        let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(start, gk)];
+        let mut children: Vec<u32> = Vec::new();
+        while let Some((t, community)) = stack.pop() {
+            let mut maximal = true;
+            ver.ids().lattice_children_into(t, &mut children);
+            ver.note_generated(children.len() as u64);
+            for &pos in &children {
+                let child = ver.ids_mut().with(t, pos);
+                if let Some(sub) = ver.verify_from_base_id(child, &community, pos) {
+                    maximal = false;
+                    let closed = ver.close_id(child, &sub);
+                    if seen.insert(closed) {
+                        stack.push((closed, sub));
+                    }
+                }
+            }
+            if maximal {
+                results.push((t, community));
+            }
+        }
+    }
+    crate::basic::assemble(results, ver)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::problem::{Algorithm, QueryContext};
+    use pcs_graph::Graph;
+    use pcs_index::ShardedCpIndex;
+    use pcs_ptree::{PTree, Taxonomy};
+
+    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
+        let g = Graph::from_edges(
+            8,
+            &[
+                (0, 1),
+                (0, 3),
+                (0, 4),
+                (1, 3),
+                (1, 4),
+                (3, 4),
+                (1, 2),
+                (2, 3),
+                (4, 5),
+                (5, 6),
+                (5, 7),
+                (6, 7),
+            ],
+        )
+        .unwrap();
+        let mut t = Taxonomy::new("r");
+        let cm = t.add_child(0, "CM").unwrap();
+        let is = t.add_child(0, "IS").unwrap();
+        let hw = t.add_child(0, "HW").unwrap();
+        let ml = t.add_child(cm, "ML").unwrap();
+        let ai = t.add_child(cm, "AI").unwrap();
+        let dms = t.add_child(is, "DMS").unwrap();
+        let profiles = vec![
+            PTree::from_labels(&t, [dms, hw]).unwrap(),
+            PTree::from_labels(&t, [ml, ai]).unwrap(),
+            PTree::from_labels(&t, [ml, ai, is]).unwrap(),
+            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(),
+            PTree::from_labels(&t, [dms, hw]).unwrap(),
+            PTree::from_labels(&t, [is, hw]).unwrap(),
+            PTree::from_labels(&t, [hw, cm]).unwrap(),
+            PTree::from_labels(&t, [is, hw]).unwrap(),
+        ];
+        (g, t, profiles)
+    }
+
+    #[test]
+    fn closed_equals_basic_on_paper_example() {
+        let (g, t, profiles) = figure1();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let plain = QueryContext::new(&g, &t, &profiles).unwrap();
+        let indexed = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
+        for q in 0..8u32 {
+            for k in 0..=3u32 {
+                let a = plain.query(q, k, Algorithm::Basic).unwrap();
+                let b = indexed.query(q, k, Algorithm::Closed).unwrap();
+                assert_eq!(a.communities, b.communities, "q={q} k={k}");
+            }
+        }
+    }
+
+    /// Fig. 2 at q = D, k = 2: one feasible step into `CM` closes to
+    /// {B,C,D}'s whole theme `CM → {ML, AI}`, one into `IS` or `HW` to
+    /// {A,D,E}'s `{IS → DMS, HW}`; the bottom-up sweep verifies every
+    /// subtree on the way there.
+    #[test]
+    fn closure_jumps_straight_to_the_themes() {
+        let (g, t, profiles) = figure1();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
+        let closed = ctx.query(3, 2, Algorithm::Closed).unwrap();
+        let incre = ctx.query(3, 2, Algorithm::Incre).unwrap();
+        assert_eq!(closed.communities, incre.communities);
+        assert_eq!(closed.communities.len(), 2);
+        assert!(closed.stats.verifications < incre.stats.verifications);
+        assert!(closed.stats.subtrees_generated < incre.stats.subtrees_generated);
+    }
+}

@@ -12,7 +12,8 @@
 //! (feasible ⇔ `Gk[T]`, the k-ĉore of `q` among vertices whose P-trees
 //! contain `T`, is non-empty), report `Gk[T]`.
 //!
-//! Five query algorithms are provided, matching the paper's evaluation:
+//! Six query algorithms are provided — the five of the paper's
+//! evaluation, and the closed-subtree search [`Algorithm::Auto`] runs:
 //!
 //! | name | paper | strategy |
 //! |---|---|---|
@@ -21,8 +22,9 @@
 //! | [`Algorithm::AdvI`]  | Alg. 8 + `find-I` | MARGIN-style boundary walking seeded by an incremental initial cut |
 //! | [`Algorithm::AdvD`]  | Alg. 8 + `find-D` | … seeded decrementally from `T(q)` |
 //! | [`Algorithm::AdvP`]  | Alg. 8 + `find-P` | … seeded by root-to-leaf path probes |
+//! | [`Algorithm::Closed`] | — | `incre`'s narrowing over **closed** subtrees only: after each feasible step jump to `cl(T)`, every node of `T(q)` all of `Gk[T]` carries ([`closed`]) |
 //!
-//! All five provably return the same community set (the workspace's
+//! All six provably return the same community set (the workspace's
 //! integration tests check this on randomized profiled graphs).
 //!
 //! ```
@@ -47,6 +49,7 @@
 
 pub mod advanced;
 pub mod basic;
+pub mod closed;
 pub mod incre;
 pub mod problem;
 pub mod stats;

@@ -63,8 +63,9 @@ impl From<pcs_index::IndexError> for PcsError {
 /// Which PCS algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Pick automatically: [`Algorithm::AdvP`] when a CP-tree index is
-    /// available, [`Algorithm::Basic`] otherwise. Resolved by
+    /// Pick the fastest search for what is attached:
+    /// [`Algorithm::Closed`] when a CP-tree index is available,
+    /// [`Algorithm::Basic`] otherwise. Resolved by
     /// [`Algorithm::resolve`] before dispatch, so it never reaches the
     /// algorithm implementations.
     Auto,
@@ -78,16 +79,27 @@ pub enum Algorithm {
     AdvD,
     /// Algorithm 8 seeded by `find-P` (Algorithm 7).
     AdvP,
+    /// The closed-subtree search ([`crate::closed`]): `incre`'s
+    /// narrowing, but over closed subtrees only — one verification per
+    /// (distinct community, lattice child) instead of one per feasible
+    /// subtree. Not in the paper; index-based.
+    Closed,
 }
 
 impl Algorithm {
-    /// The five concrete algorithms, in the paper's order
-    /// ([`Algorithm::Auto`] is a dispatch policy, not a sixth
-    /// algorithm, so it is deliberately absent).
-    pub const ALL: [Algorithm; 5] =
-        [Algorithm::Basic, Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP];
+    /// The six concrete algorithms: the paper's five in the paper's
+    /// order, then `closed` ([`Algorithm::Auto`] is a dispatch policy,
+    /// not an algorithm, so it is deliberately absent).
+    pub const ALL: [Algorithm; 6] = [
+        Algorithm::Basic,
+        Algorithm::Incre,
+        Algorithm::AdvI,
+        Algorithm::AdvD,
+        Algorithm::AdvP,
+        Algorithm::Closed,
+    ];
 
-    /// The paper's display name.
+    /// The display and wire name (the paper's, where it has one).
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Auto => "auto",
@@ -96,21 +108,23 @@ impl Algorithm {
             Algorithm::AdvI => "adv-I",
             Algorithm::AdvD => "adv-D",
             Algorithm::AdvP => "adv-P",
+            Algorithm::Closed => "closed",
         }
     }
 
-    /// True when the algorithm needs a CP-tree index. `Auto` reports
-    /// `false` because it degrades to `Basic` when no index exists.
+    /// True when the algorithm cannot run without a CP-tree index:
+    /// every concrete algorithm but `Basic`. `Auto` reports `false`
+    /// because it degrades to `Basic` when no index exists.
     pub fn needs_index(self) -> bool {
         !matches!(self, Algorithm::Basic | Algorithm::Auto)
     }
 
     /// Collapses [`Algorithm::Auto`] onto a concrete algorithm:
-    /// `AdvP` when `has_index`, `Basic` otherwise. Concrete variants
+    /// `Closed` when `has_index`, `Basic` otherwise. Concrete variants
     /// pass through unchanged.
     pub fn resolve(self, has_index: bool) -> Algorithm {
         match self {
-            Algorithm::Auto if has_index => Algorithm::AdvP,
+            Algorithm::Auto if has_index => Algorithm::Closed,
             Algorithm::Auto => Algorithm::Basic,
             other => other,
         }
@@ -332,6 +346,7 @@ impl<'a> QueryContext<'a> {
             Algorithm::AdvP => {
                 crate::advanced::query_scratch(self, q, k, FindStrategy::Path, scratch)
             }
+            Algorithm::Closed => crate::closed::query_scratch(self, q, k, scratch),
         }
     }
 }
@@ -343,12 +358,15 @@ mod tests {
 
     #[test]
     fn algorithm_metadata() {
-        assert_eq!(Algorithm::ALL.len(), 5);
+        assert_eq!(Algorithm::ALL.len(), 6);
         assert_eq!(Algorithm::Basic.name(), "basic");
-        assert!(!Algorithm::Basic.needs_index());
-        for a in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
-            assert!(a.needs_index());
+        assert_eq!(Algorithm::Closed.name(), "closed");
+        for a in Algorithm::ALL {
+            assert_eq!(a.needs_index(), a != Algorithm::Basic);
+            assert_eq!(a.resolve(true), a);
         }
+        assert_eq!(Algorithm::Auto.resolve(true), Algorithm::Closed);
+        assert_eq!(Algorithm::Auto.resolve(false), Algorithm::Basic);
     }
 
     #[test]

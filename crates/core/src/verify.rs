@@ -202,6 +202,10 @@ pub struct Verifier<'a> {
     scratch: ScratchSlot<'a>,
     /// Scratch for `is_maximal_feasible_id`'s child scan.
     maximal_buf: Vec<u32>,
+    /// Scratch for `close_id`: the community's `Gk` positions and the
+    /// closure's word image under construction.
+    member_buf: Vec<u32>,
+    closure_words: Vec<u64>,
     /// `Gk`: the global k-ĉore containing `q` (feasibility of the
     /// root-only candidate — and of the empty tree).
     gk: Community,
@@ -258,6 +262,8 @@ impl<'a> Verifier<'a> {
             leaf_buf: Vec::new(),
             scratch,
             maximal_buf: Vec::new(),
+            member_buf: Vec::new(),
+            closure_words: Vec::new(),
             gk,
             stats,
         }
@@ -495,7 +501,9 @@ impl<'a> Verifier<'a> {
     /// where `t` is the label at the freshly added position. The
     /// intersection never walks the label's (potentially huge) ĉore:
     /// each `base` vertex is one bit test against the label's cached
-    /// `Gk` bitset — total O(|base|), allocation-free.
+    /// `Gk` bitset — total O(|base|), allocation-free. The peel is
+    /// skipped whenever one side contains the other (`base ⊆ ĉore` or
+    /// `ĉore ⊆ base`): the smaller set is then the answer as it stands.
     pub fn verify_from_base_id(
         &mut self,
         id: SubtreeId,
@@ -512,7 +520,8 @@ impl<'a> Verifier<'a> {
         );
         self.ensure_label_set(added_pos);
         let result = match label_set(&self.label_sets, added_pos) {
-            LabelCoreSet::Built { bits, .. } => {
+            LabelCoreSet::Built { bits, count } => {
+                let label_core_len = *count as usize;
                 self.stats.seed_scanned += base.len() as u64;
                 // candidates = base ∩ I.get(k, q, t): one O(1) bit test
                 // per base member, never a walk of the label's ĉore.
@@ -523,8 +532,8 @@ impl<'a> Verifier<'a> {
                 for &v in base.iter() {
                     let vi = v as usize;
                     if gk_pos_epoch.get(vi).copied() == Some(epoch) {
-                        let i = gk_pos.get(vi).copied().unwrap_or(u32::MAX) as usize;
-                        if bits.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0) {
+                        let i = gk_pos.get(vi).copied().unwrap_or(u32::MAX);
+                        if bit_is_set(bits, i) {
                             seed.push(v);
                         }
                     }
@@ -536,6 +545,15 @@ impl<'a> Verifier<'a> {
                     // the Rc, skip the peel.
                     self.stats.verifications += 1;
                     Some(Rc::clone(base))
+                } else if seed.len() == label_core_len {
+                    // The mirror case: the label's ĉore lies inside
+                    // `base`, so its members all carry the parent
+                    // subtree too — a connected k-core containing q of
+                    // carriers of the grown subtree, and nothing outside
+                    // it carries the label. It IS the answer; `base` is
+                    // sorted, so the seed already is.
+                    self.stats.verifications += 1;
+                    Some(Rc::new(seed.clone()))
                 } else {
                     self.peel()
                 }
@@ -549,6 +567,54 @@ impl<'a> Verifier<'a> {
         }
         self.memo_set(id, result.clone());
         result
+    }
+
+    /// The closure `cl(T) = { p ∈ T(q) : C ⊆ I.get(k, q, label(p)) }`
+    /// of a feasible `T = id` whose community is `C = Gk[T]`: every
+    /// node of `T(q)` that all of `C` carries. Extensive, idempotent,
+    /// monotone and ancestor-closed, and `Gk[cl(T)] = C` with no peel
+    /// (⊇: `C` is a connected k-core containing q whose members carry
+    /// `cl(T)`; ⊆: anti-monotonicity) — recorded in the memo, so the
+    /// closed subtree is never verified.
+    ///
+    /// Reads only the cached per-label `Gk` bitsets, never a profile.
+    /// Positions run in DFS preorder, so a position is tested only
+    /// once its parent is in; a ĉore smaller than `C` is rejected by
+    /// its count, the rest by one bit test per member, stopping at the
+    /// first miss.
+    pub fn close_id(&mut self, id: SubtreeId, community: &Rc<Vec<VertexId>>) -> SubtreeId {
+        debug_assert!(self.ctx.index.is_some(), "close_id reads the index's label ĉores");
+        let mut members = std::mem::take(&mut self.member_buf);
+        let scr = self.scratch.get();
+        members.clear();
+        members.extend(community.iter().filter_map(|&v| scr.gk_pos_of(v)));
+        let mut words = std::mem::take(&mut self.closure_words);
+        words.clear();
+        words.extend_from_slice(self.interner.words_of(id));
+        let space = self.space;
+        for p in 1..space.len() as u32 {
+            if bit_is_set(&words, p) || !bit_is_set(&words, space.parent_of(p)) {
+                continue;
+            }
+            let carried = match self.ensure_label_set(p) {
+                LabelCoreSet::Built { bits, count } => {
+                    *count as usize >= members.len() && members.iter().all(|&i| bit_is_set(bits, i))
+                }
+                _ => false,
+            };
+            if carried {
+                if let Some(w) = words.get_mut(p as usize / 64) {
+                    *w |= 1 << (p % 64);
+                }
+            }
+        }
+        let closed = self.interner.intern_words(&words);
+        self.member_buf = members;
+        self.closure_words = words;
+        if closed != id && self.memo_get(closed).is_none() {
+            self.memo_set(closed, Some(Rc::clone(community)));
+        }
+        closed
     }
 
     /// Localized peel over the candidates currently in `scratch.seed`.
@@ -708,23 +774,10 @@ fn filter_seed(
     }
 }
 
-/// Intersection of two sorted vertex lists (kept for callers outside
-/// the hot path; the verifier itself intersects via `Gk` bitsets).
-pub fn intersect_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(x);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
+/// Checked bit test on a word image (out of range reads as unset).
+#[inline]
+fn bit_is_set(words: &[u64], i: u32) -> bool {
+    words.get(i as usize / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
 }
 
 #[cfg(test)]
@@ -773,13 +826,6 @@ mod tests {
             PTree::from_labels(&t, [is, hw]).unwrap(),
         ];
         (g, t, profiles)
-    }
-
-    #[test]
-    fn intersect_sorted_works() {
-        assert_eq!(intersect_sorted(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), vec![3, 7]);
-        assert_eq!(intersect_sorted(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(intersect_sorted(&[1, 2], &[1, 2]), vec![1, 2]);
     }
 
     #[test]

@@ -550,8 +550,8 @@ impl PcsEngine {
     }
 
     /// Resolves [`Algorithm::Auto`] against this engine's index
-    /// policy: `AdvP` whenever an index exists or may be built lazily,
-    /// `Basic` when the index is disabled.
+    /// policy: `Closed` whenever an index exists or may be built
+    /// lazily, `Basic` when the index is disabled.
     pub fn resolve_algorithm(&self, algorithm: Algorithm) -> Algorithm {
         algorithm.resolve(self.index_mode != IndexMode::Disabled)
     }
@@ -656,9 +656,9 @@ impl PcsEngine {
             // exactly the shards its subtree lattice probes.
             Some(self.ensure_index(snap)?)
         } else {
-            // `basic` ignores the index, but an already-built one still
-            // serves P-tree restoration (no shard needed); never
-            // *trigger* a facade build for it.
+            // `basic` never *triggers* a facade build, but an
+            // already-built one is attached: it restores T(q) and the
+            // verifier seeds from it (`index_used` says so).
             snap.index_if_built()
         };
         // Materialize the graph first (lazy loads decode the GRAPH
@@ -710,7 +710,7 @@ impl PcsEngine {
         Ok(QueryResponse {
             outcome,
             algorithm,
-            index_used: algorithm.needs_index(),
+            index_used: index.is_some(),
             elapsed,
             stats,
             total_communities,

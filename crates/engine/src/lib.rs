@@ -61,7 +61,8 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! // Algorithm::Auto picks adv-P (the index is built lazily here).
+//! // Algorithm::Auto picks the closed-subtree search (the index is
+//! // built lazily here).
 //! let resp = engine.query(&QueryRequest::vertex(0).k(2)).unwrap();
 //! assert_eq!(resp.communities().len(), 1);
 //! assert_eq!(resp.communities()[0].vertices, vec![0, 1, 2]);

@@ -19,7 +19,9 @@ use std::time::Duration;
 /// ```
 ///
 /// Defaults: `k = 6` (the paper's evaluation default),
-/// [`Algorithm::Auto`], no community cap, stats off, cache allowed.
+/// [`Algorithm::Auto`] (the closed-subtree search when the engine may
+/// use an index, `basic` otherwise), no community cap, stats off, cache
+/// allowed.
 ///
 /// The struct derives `Hash` + `Eq` so deduplication layers (the
 /// serving batcher, caches) can key on the request **itself** instead
@@ -54,7 +56,8 @@ impl QueryRequest {
         self
     }
 
-    /// Picks the algorithm (default [`Algorithm::Auto`]).
+    /// Picks the algorithm (default [`Algorithm::Auto`]: the fastest
+    /// search the engine's index policy allows).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
@@ -128,7 +131,9 @@ pub struct QueryResponse {
     pub outcome: PcsOutcome,
     /// The concrete algorithm that ran ([`Algorithm::Auto`] resolved).
     pub algorithm: Algorithm,
-    /// True when the CP-tree index answered the query.
+    /// True exactly when a CP-tree index was attached to the context
+    /// that answered — so also for a `basic` request on an engine whose
+    /// facade is already built, which seeds its verifications from it.
     pub index_used: bool,
     /// Wall-clock time of the algorithm run. One-time lazy index
     /// construction is excluded; to pay (and measure) that cost up

@@ -79,14 +79,29 @@ fn builder_rejects_profiles_outside_taxonomy() {
 }
 
 #[test]
-fn auto_resolves_to_advp_when_index_allowed() {
+fn auto_resolves_to_closed_when_index_allowed() {
     let engine = engine_with(IndexMode::Lazy);
-    assert_eq!(engine.resolve_algorithm(Algorithm::Auto), Algorithm::AdvP);
+    assert_eq!(engine.resolve_algorithm(Algorithm::Auto), Algorithm::Closed);
     assert!(!engine.index_built(), "lazy mode builds nothing up front");
     let resp = engine.query(&QueryRequest::vertex(0).k(2)).unwrap();
-    assert_eq!(resp.algorithm, Algorithm::AdvP);
+    assert_eq!(resp.algorithm, Algorithm::Closed);
     assert!(resp.index_used);
     assert!(engine.index_built(), "first Auto query built the index");
+}
+
+/// `index_used` reports what was attached to the context that
+/// answered, not what the algorithm's name suggests: `basic` on a warm
+/// engine seeds its verifications from the built facade.
+#[test]
+fn index_used_is_true_exactly_when_an_index_was_attached() {
+    let basic = QueryRequest::vertex(0).k(2).algorithm(Algorithm::Basic);
+    let warm = engine_with(IndexMode::Eager);
+    assert!(warm.query(&basic).unwrap().index_used);
+    assert!(warm.query(&QueryRequest::vertex(0).k(2)).unwrap().index_used);
+    let cold = engine_with(IndexMode::Lazy);
+    assert!(!cold.query(&basic).unwrap().index_used, "basic never triggers the build");
+    let disabled = engine_with(IndexMode::Disabled);
+    assert!(!disabled.query(&basic).unwrap().index_used);
 }
 
 #[test]

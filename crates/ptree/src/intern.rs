@@ -152,8 +152,7 @@ impl<'s> SubtreeInterner<'s> {
 
     /// Interns a subtree, hashing its word image at most once ever.
     pub fn intern(&mut self, s: &Subtree) -> SubtreeId {
-        debug_assert_eq!(s.words().len(), self.words_per);
-        self.intern_words_slice(s.words())
+        self.intern_words(s.words())
     }
 
     /// The id of the root-only subtree `{0}`.
@@ -162,7 +161,7 @@ impl<'s> SubtreeInterner<'s> {
         tmp.clear();
         tmp.resize(self.words_per, 0);
         tmp[0] = 1;
-        let id = self.intern_words_slice(&tmp);
+        let id = self.intern_words(&tmp);
         self.tmp = tmp;
         id
     }
@@ -175,12 +174,17 @@ impl<'s> SubtreeInterner<'s> {
         for p in 0..self.len {
             tmp[p / 64] |= 1 << (p % 64);
         }
-        let id = self.intern_words_slice(&tmp);
+        let id = self.intern_words(&tmp);
         self.tmp = tmp;
         id
     }
 
-    fn intern_words_slice(&mut self, image: &[u64]) -> SubtreeId {
+    /// Interns a raw word image (one bit per DFS position, as
+    /// [`SubtreeInterner::words_of`] returns it) — for callers that
+    /// assemble an image in their own scratch, so a derived subtree
+    /// costs one hash and no intermediate [`Subtree`].
+    pub fn intern_words(&mut self, image: &[u64]) -> SubtreeId {
+        debug_assert_eq!(image.len(), self.words_per);
         if let Some(&id) = self.map.get(image) {
             return SubtreeId(id);
         }
@@ -205,7 +209,7 @@ impl<'s> SubtreeInterner<'s> {
         tmp.clear();
         tmp.extend_from_slice(self.words_of(id));
         tmp[pos as usize / 64] |= 1 << (pos as usize % 64);
-        let out = self.intern_words_slice(&tmp);
+        let out = self.intern_words(&tmp);
         self.tmp = tmp;
         self.with_cache[slot] = out.raw();
         out
@@ -222,7 +226,7 @@ impl<'s> SubtreeInterner<'s> {
         tmp.clear();
         tmp.extend_from_slice(self.words_of(id));
         tmp[pos as usize / 64] &= !(1 << (pos as usize % 64));
-        let out = self.intern_words_slice(&tmp);
+        let out = self.intern_words(&tmp);
         self.tmp = tmp;
         self.without_cache[slot] = out.raw();
         out
@@ -236,7 +240,7 @@ impl<'s> SubtreeInterner<'s> {
         let mut tmp = std::mem::take(&mut self.tmp);
         tmp.clear();
         tmp.extend(self.words_of(a).iter().zip(self.words_of(b)).map(|(x, y)| x | y));
-        let out = self.intern_words_slice(&tmp);
+        let out = self.intern_words(&tmp);
         self.tmp = tmp;
         out
     }

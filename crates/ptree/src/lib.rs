@@ -51,7 +51,7 @@ pub use profiles::{ProfileSource, ProfilesHandle, ProfilesRef};
 pub use ptree::{PTree, ProfileLoader};
 pub use query::{QuerySpace, Subtree};
 pub use taxonomy::{LabelId, Taxonomy};
-pub use ted::{symmetric_difference_distance, tree_edit_distance, OrderedTree};
+pub use ted::{tree_edit_distance, OrderedTree};
 
 /// Errors produced by the profile-tree substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

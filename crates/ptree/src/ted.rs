@@ -157,35 +157,35 @@ pub fn tree_edit_distance(a: &OrderedTree, b: &OrderedTree) -> usize {
     td[n - 1][m - 1]
 }
 
-/// Size of the node-set symmetric difference of two P-trees of one
-/// taxonomy. This is an upper bound on [`tree_edit_distance`] (delete
-/// `a \ b`, insert `b \ a`), and exactly equals it when one tree is a
-/// subtree of the other.
-pub fn symmetric_difference_distance(a: &PTree, b: &PTree) -> usize {
-    let (mut i, mut j, mut diff) = (0usize, 0usize, 0usize);
-    let (an, bn) = (a.nodes(), b.nodes());
-    while i < an.len() && j < bn.len() {
-        match an[i].cmp(&bn[j]) {
-            std::cmp::Ordering::Less => {
-                diff += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                diff += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    diff + (an.len() - i) + (bn.len() - j)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size of the node-set symmetric difference of two P-trees of one
+    /// taxonomy. This is an upper bound on [`tree_edit_distance`] (delete
+    /// `a \ b`, insert `b \ a`), and exactly equals it when one tree is a
+    /// subtree of the other.
+    fn symmetric_difference_distance(a: &PTree, b: &PTree) -> usize {
+        let (mut i, mut j, mut diff) = (0usize, 0usize, 0usize);
+        let (an, bn) = (a.nodes(), b.nodes());
+        while i < an.len() && j < bn.len() {
+            match an[i].cmp(&bn[j]) {
+                std::cmp::Ordering::Less => {
+                    diff += 1;
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    diff += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        diff + (an.len() - i) + (bn.len() - j)
+    }
 
     fn leaf_tree(label: u32) -> OrderedTree {
         OrderedTree::new(vec![label], vec![vec![]], 0)

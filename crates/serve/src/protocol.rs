@@ -5,7 +5,8 @@
 //!
 //! * `GET /query?v=<u32>&k=<u32>[&algo=<name>][&max=<n>][&stats=0|1]`
 //!   `[&cache=0|1]` — one community search. `algo` is one of `auto`,
-//!   `basic`, `incre`, `adv-I`, `adv-D`, `adv-P` (case-insensitive).
+//!   `basic`, `incre`, `adv-I`, `adv-D`, `adv-P`, `closed`
+//!   (case-insensitive).
 //!   `cache=0` opts this request out of the engine's result cache
 //!   (never read, never filled); the default participates.
 //! * `POST /apply` — a newline-separated batch of mutations:
@@ -168,7 +169,8 @@ impl std::fmt::Display for ApiError {
             }
             ApiError::UnknownAlgorithm(a) => write!(
                 f,
-                "unknown algorithm '{a}' (expected auto, basic, incre, adv-I, adv-D or adv-P)"
+                "unknown algorithm '{a}' \
+                 (expected auto, basic, incre, adv-I, adv-D, adv-P or closed)"
             ),
             ApiError::MalformedBody { line, detail } => {
                 write!(f, "apply body line {line}: {detail}")
@@ -342,17 +344,10 @@ fn parse_wal(query: &str) -> Result<Route, ApiError> {
 
 /// Case-insensitive algorithm name lookup.
 fn parse_algorithm(name: &str) -> Result<Algorithm, ApiError> {
-    [
-        Algorithm::Auto,
-        Algorithm::Basic,
-        Algorithm::Incre,
-        Algorithm::AdvI,
-        Algorithm::AdvD,
-        Algorithm::AdvP,
-    ]
-    .into_iter()
-    .find(|a| a.name().eq_ignore_ascii_case(name))
-    .ok_or_else(|| ApiError::UnknownAlgorithm(name.to_string()))
+    std::iter::once(Algorithm::Auto)
+        .chain(Algorithm::ALL)
+        .find(|a| a.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| ApiError::UnknownAlgorithm(name.to_string()))
 }
 
 /// Parses the `/apply` body: one op per line, `#`-comments and blank

@@ -31,7 +31,8 @@
 //! Load (or generate) a profiled graph once, hand it to the engine,
 //! then serve queries — the CP-tree index and the core decomposition
 //! are built lazily and cached; `Algorithm::Auto` routes each query to
-//! `adv-P` when the index is available and `basic` otherwise.
+//! the closed-subtree search when the index is available and `basic`
+//! otherwise.
 //!
 //! ```
 //! use pcs::prelude::*;

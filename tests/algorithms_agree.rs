@@ -1,6 +1,7 @@
-//! The workspace's central correctness property: all five PCS query
-//! algorithms return exactly the same community set, and every returned
-//! community satisfies Problem 1 of the paper.
+//! The workspace's central correctness property: all six PCS query
+//! algorithms return exactly the community set index-free `basic`
+//! computes, and every returned community satisfies Problem 1 of the
+//! paper.
 
 use pcs::prelude::*;
 use proptest::prelude::*;
@@ -101,7 +102,7 @@ proptest! {
 
         let reference = plain.query(q, k, Algorithm::Basic).unwrap().communities;
         check_problem1(&g, &profiles, q, k, &reference);
-        for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
+        for algo in Algorithm::ALL {
             let got = indexed.query(q, k, algo).unwrap().communities;
             prop_assert_eq!(
                 &reference, &got,
@@ -113,9 +114,9 @@ proptest! {
 
     /// The central property extends to *mutated* graphs: after a
     /// random update batch flows through the engine's incremental
-    /// maintenance, all five algorithms still return the same
-    /// communities, and those communities satisfy Problem 1 on the
-    /// post-update graph.
+    /// maintenance, all six algorithms still return what index-free
+    /// `basic` computes from scratch on the post-update graph, and
+    /// those communities satisfy Problem 1 there.
     #[test]
     fn all_algorithms_agree_after_mutation(seed in 0u64..10_000) {
         let (g, tax, profiles) = random_instance(seed);
@@ -145,14 +146,16 @@ proptest! {
         let snap = engine.snapshot();
         let q = rng.gen_range(0..n);
         let k = rng.gen_range(0..4u32);
-        let reference = engine
-            .query(&QueryRequest::vertex(q).k(k).algorithm(Algorithm::Basic))
-            .unwrap();
-        check_problem1(snap.graph(), snap.profiles(), q, k, &reference.outcome.communities);
-        for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
+        let reference = QueryContext::new(snap.graph(), engine.taxonomy(), snap.profiles())
+            .unwrap()
+            .query(q, k, Algorithm::Basic)
+            .unwrap()
+            .communities;
+        check_problem1(snap.graph(), snap.profiles(), q, k, &reference);
+        for algo in Algorithm::ALL {
             let got = engine.query(&QueryRequest::vertex(q).k(k).algorithm(algo)).unwrap();
             prop_assert_eq!(
-                &reference.outcome.communities, &got.outcome.communities,
+                &reference, &got.outcome.communities,
                 "algorithm {} disagrees with basic after mutation (seed {}, q {}, k {})",
                 algo.name(), seed, q, k
             );
@@ -194,13 +197,22 @@ fn agreement_on_dataset_generator_output() {
     let indexed = QueryContext::new(&ds.graph, &ds.tax, &ds.profiles).unwrap().with_index(&index);
     let (queries, level) = pcs::datasets::sample_query_vertices(&ds, 5, 8, 5);
     assert!(!queries.is_empty());
+    // Effort gate: the closed-subtree search never verifies more than
+    // `incre` on a query, and strictly less over the sample.
+    let (mut closed_total, mut incre_total) = (0u64, 0u64);
     for &q in &queries {
         let reference = plain.query(q, level, Algorithm::Basic).unwrap().communities;
         check_problem1(&ds.graph, &ds.profiles, q, level, &reference);
         assert!(!reference.is_empty(), "queries come from the {level}-core");
-        for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
+        for algo in Algorithm::ALL {
             let got = indexed.query(q, level, algo).unwrap().communities;
             assert_eq!(reference, got, "q={q} algo={}", algo.name());
         }
+        let verified = |algo| indexed.query(q, level, algo).unwrap().stats.verifications;
+        let (closed, incre) = (verified(Algorithm::Closed), verified(Algorithm::Incre));
+        assert!(closed <= incre, "q={q}: closed verified {closed} subtrees, incre {incre}");
+        closed_total += closed;
+        incre_total += incre;
     }
+    assert!(closed_total < incre_total, "closed {closed_total} vs incre {incre_total}");
 }

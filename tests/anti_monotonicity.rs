@@ -1,4 +1,6 @@
-//! Property tests for the paper's Lemmas 1-3 across crate boundaries.
+//! Property tests for the paper's Lemmas 1-3 across crate boundaries,
+//! and for the two facts the closed-subtree search adds to them: the
+//! closure operator and the no-peel narrowing.
 
 use pcs::prelude::*;
 use pcs::ptree::enumerate::{count_all_subtrees, enumerate_rooted_subtrees, lemma1_upper_bound};
@@ -84,6 +86,57 @@ proptest! {
         let all = enumerate_rooted_subtrees(&space);
         prop_assert_eq!(all.len() as u128 + 1, total); // +1 = the empty tree
     }
+
+    /// `close_id` is a closure operator on the feasible subtrees of
+    /// `T(q)`, it equals `T(q) ∩ ⋂_{v ∈ Gk[T]} T(v)` read off the raw
+    /// profiles, and closing changes no community.
+    #[test]
+    fn closure_is_a_closure_operator_and_keeps_the_community(seed in 0u64..5_000) {
+        let (g, tax, profiles) = random_instance(seed);
+        let index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
+        let ctx = QueryContext::new(&g, &tax, &profiles).unwrap().with_index(&index);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x33);
+        let q = rng.gen_range(0..g.num_vertices() as u32);
+        let k = rng.gen_range(0..4u32);
+        let space = ctx.space_for(q).unwrap();
+        let mut ver = pcs::core::Verifier::new(&ctx, &space, q, k);
+        // A second oracle that never sees a closure, so its verdict on
+        // cl(T) is a real verification and not `close_id`'s memo entry.
+        let mut direct = pcs::core::Verifier::new(&ctx, &space, q, k);
+        for s in enumerate_rooted_subtrees(&space) {
+            let Some(comm) = ver.verify(&s) else { continue };
+            let id = ver.ids_mut().intern(&s);
+            let closed = ver.close_id(id, &comm);
+            let closed_tree = ver.ids().subtree(closed);
+            prop_assert!(s.is_subset_of(&closed_tree), "not extensive (seed {seed})");
+            prop_assert_eq!(ver.close_id(closed, &comm), closed, "not idempotent (seed {})", seed);
+            let mut carried_by_all = space.empty();
+            for pos in 0..space.len() as u32 {
+                if comm.iter().all(|&v| profiles[v as usize].contains(space.label_at(pos))) {
+                    carried_by_all.insert(pos);
+                }
+            }
+            prop_assert_eq!(
+                &closed_tree, &carried_by_all,
+                "cl(T) ≠ T(q) ∩ ⋂ T(v) (seed {})", seed
+            );
+            prop_assert_eq!(direct.verify(&closed_tree), Some(comm), "Gk[cl(T)] ≠ Gk[T]");
+            // Monotone: along every cover T' ⊂ T, hence along every chain.
+            for leaf in space.lattice_parents(&s) {
+                let smaller = s.without(leaf);
+                if smaller.is_empty() {
+                    continue;
+                }
+                let parent_comm = ver.verify(&smaller).expect("anti-monotonicity");
+                let smaller_id = ver.ids_mut().intern(&smaller);
+                let smaller_closed = ver.close_id(smaller_id, &parent_comm);
+                prop_assert!(
+                    ver.ids().is_subset(smaller_closed, closed),
+                    "not monotone (seed {seed})"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -107,4 +160,41 @@ fn gk_monotone_in_k() {
             }
         }
     }
+}
+
+/// Lemma-3 narrowing answers exactly like a from-scratch verification
+/// whichever way it gets there: the peel, the `base ⊆ ĉore` shortcut
+/// (the label removed nothing) or the `ĉore ⊆ base` one (the label's
+/// ĉore is the answer) — and the instances reach both shortcuts.
+#[test]
+fn narrowing_from_a_base_matches_direct_verification() {
+    let (mut core_inside_base, mut base_inside_core) = (0usize, 0usize);
+    for seed in 0..60u64 {
+        let (g, tax, profiles) = random_instance(seed);
+        let index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
+        let ctx = QueryContext::new(&g, &tax, &profiles).unwrap().with_index(&index);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x44);
+        let q = rng.gen_range(0..g.num_vertices() as u32);
+        let k = rng.gen_range(0..4u32);
+        let space = ctx.space_for(q).unwrap();
+        let mut direct = pcs::core::Verifier::new(&ctx, &space, q, k);
+        for s in enumerate_rooted_subtrees(&space) {
+            let Some(base) = direct.verify(&s) else { continue };
+            for p in space.lattice_children(&s) {
+                let child = s.with(p);
+                // Fresh memo, so the narrowing itself runs.
+                let mut fresh = pcs::core::Verifier::new(&ctx, &space, q, k);
+                let got = fresh.verify_from_base(&child, &base, p);
+                assert_eq!(got, direct.verify(&child), "seed {seed} q {q} k {k}");
+                let core = index.get_ref(k, q, space.label_at(p)).map_or(0, <[_]>::len);
+                match got {
+                    Some(c) if c.len() == core && core < base.len() => core_inside_base += 1,
+                    Some(c) if c.len() == base.len() && core > base.len() => base_inside_core += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(core_inside_base > 0, "no case with the label ĉore strictly inside the base");
+    assert!(base_inside_core > 0, "no case with the base strictly inside the label ĉore");
 }
