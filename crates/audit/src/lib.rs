@@ -92,6 +92,7 @@ impl RuleConfig {
             "crates/core/src/advanced.rs",
             "crates/core/src/incre.rs",
             "crates/core/src/closed.rs",
+            "crates/core/src/indexed.rs",
             // pcs-index read / materialization path
             "crates/index/src/cltree.rs",
             "crates/index/src/sharded.rs",
@@ -128,6 +129,7 @@ impl RuleConfig {
             "crates/core/src/advanced.rs",
             "crates/core/src/incre.rs",
             "crates/core/src/closed.rs",
+            "crates/core/src/indexed.rs",
         ];
         let mut instant: Vec<String> = hot.iter().map(|s| s.to_string()).collect();
         instant.push("crates/engine/src/engine.rs".to_string());

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use pcs_bench::{engine_for, engine_owning, header, parse_args, row, HarnessArgs};
 use pcs_core::advanced::{find_cut, FindStrategy};
-use pcs_core::{Algorithm, Verifier};
+use pcs_core::{Algorithm, IndexVerifier, QueryScratch};
 use pcs_datasets::scale::{subsample_gptree, subsample_ptrees, subsample_vertices};
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{gen::ProfiledDataset, sample_query_vertices, SuiteDataset};
@@ -181,6 +181,7 @@ fn section_find(datasets: &[ProfiledDataset], args: &HarnessArgs) {
         let engine = engine_for(ds);
         engine
             .with_context(|ctx| {
+                let index = ctx.index.expect("engine_for builds the index eagerly");
                 for k in KS {
                     let (queries, _) =
                         sample_query_vertices(ds, k, args.queries, args.seed ^ 0x14f);
@@ -189,7 +190,9 @@ fn section_find(datasets: &[ProfiledDataset], args: &HarnessArgs) {
                         let start = Instant::now();
                         for &q in &queries {
                             let space = ctx.space_for(q).expect("query in range");
-                            let mut ver = Verifier::new(ctx, &space, q, k);
+                            let mut scratch = QueryScratch::new(ctx.graph.num_vertices());
+                            let mut ver =
+                                IndexVerifier::new(ctx, index, &space, q, k, &mut scratch);
                             if ver.gk().is_some() {
                                 let _ = find_cut(&mut ver, strategy);
                             }

@@ -23,10 +23,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use pcs_graph::VertexId;
+use pcs_index::ShardedCpIndex;
 use pcs_ptree::{SubtreeId, SubtreeIdSet};
 
+use crate::indexed::IndexVerifier;
 use crate::problem::{PcsOutcome, QueryContext};
-use crate::verify::{QueryScratch, Verifier};
+use crate::verify::QueryScratch;
 use crate::Result;
 
 /// How the advanced method finds its initial cut.
@@ -62,7 +64,7 @@ impl FindStrategy {
 /// present, is `feasible` plus exactly one node and is infeasible.
 /// `infeasible == None` encodes the degenerate case `F = T(q)` (the
 /// whole query tree is feasible, so it is the unique maximal subtree).
-/// Both sides are ids into the query's interner ([`Verifier::ids`]).
+/// Both sides are ids into the query's interner ([`IndexVerifier::ids`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cut {
     /// The infeasible upper side of the cut, if any.
@@ -71,43 +73,32 @@ pub struct Cut {
     pub feasible: SubtreeId,
 }
 
-/// Runs the advanced method (Algorithm 8) for `(q, k)` on one-shot
-/// scratch.
-pub fn query(
+/// Runs the advanced method (Algorithm 8) for `(q, k)` against `ctx`'s
+/// `index` on `scratch`.
+pub(crate) fn query_scratch(
     ctx: &QueryContext<'_>,
-    q: VertexId,
-    k: u32,
-    strategy: FindStrategy,
-) -> Result<PcsOutcome> {
-    query_scratch(ctx, q, k, strategy, &mut QueryScratch::new(ctx.graph.num_vertices()))
-}
-
-/// Runs Algorithm 8 on pooled scratch (the engine hot path).
-pub fn query_scratch(
-    ctx: &QueryContext<'_>,
+    index: &ShardedCpIndex,
     q: VertexId,
     k: u32,
     strategy: FindStrategy,
     scratch: &mut QueryScratch,
 ) -> Result<PcsOutcome> {
-    debug_assert!(ctx.index.is_some(), "checked by QueryContext::query");
     let space = ctx.space_for(q)?;
-    let ver = Verifier::with_scratch(ctx, &space, q, k, scratch);
-    Ok(run(ver, strategy))
+    Ok(run(IndexVerifier::new(ctx, index, &space, q, k, scratch), strategy))
 }
 
-fn run(mut ver: Verifier<'_>, strategy: FindStrategy) -> PcsOutcome {
+fn run(mut ver: IndexVerifier<'_>, strategy: FindStrategy) -> PcsOutcome {
     let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
     if ver.gk().is_some() {
         let cut = find_cut(&mut ver, strategy);
         expand_ptree(&mut ver, cut, &mut results);
     }
-    crate::basic::assemble(results, ver)
+    crate::basic::assemble(results, ver.core)
 }
 
 /// Dispatches to the chosen `find` function. The caller guarantees
 /// `Gk ≠ ∅` (so the root-only subtree is feasible and a cut exists).
-pub fn find_cut(ver: &mut Verifier<'_>, strategy: FindStrategy) -> Cut {
+pub fn find_cut(ver: &mut IndexVerifier<'_>, strategy: FindStrategy) -> Cut {
     match strategy {
         FindStrategy::Incremental => find_i(ver),
         FindStrategy::Decremental => find_d(ver),
@@ -117,7 +108,7 @@ pub fn find_cut(ver: &mut Verifier<'_>, strategy: FindStrategy) -> Cut {
 
 /// Algorithm 5 (`find-I`): run the `incre` enumeration until the first
 /// maximal feasible subtree, and pair it with one infeasible child.
-fn find_i(ver: &mut Verifier<'_>) -> Cut {
+fn find_i(ver: &mut IndexVerifier<'_>) -> Cut {
     let root = ver.ids_mut().root_only();
     let Some(gk) = ver.gk() else {
         // Callers guarantee Gk ≠ ∅; degrade to the trivially feasible
@@ -126,13 +117,13 @@ fn find_i(ver: &mut Verifier<'_>) -> Cut {
         return Cut { infeasible: None, feasible: root };
     };
     let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(root, gk)];
-    ver.note_generated(1);
+    ver.core.note_generated(1);
     let mut ext: Vec<u32> = Vec::new();
     while let Some((t_prime, community)) = stack.pop() {
         let mut flag = true;
         let mut last_infeasible: Option<SubtreeId> = None;
         ver.ids().rightmost_extensions_into(t_prime, &mut ext);
-        ver.note_generated(ext.len() as u64);
+        ver.core.note_generated(ext.len() as u64);
         for &pos in &ext {
             let t = ver.ids_mut().with(t_prime, pos);
             match ver.verify_from_base_id(t, &community, pos) {
@@ -170,9 +161,9 @@ fn find_i(ver: &mut Verifier<'_>) -> Cut {
 
 /// Algorithm 6 (`find-D`): descend from `T(q)`, removing one leaf at a
 /// time, until a feasible subtree appears.
-fn find_d(ver: &mut Verifier<'_>) -> Cut {
+fn find_d(ver: &mut IndexVerifier<'_>) -> Cut {
     let full = ver.ids_mut().full();
-    ver.note_generated(1);
+    ver.core.note_generated(1);
     if ver.verify_id(full).is_some() {
         return Cut { infeasible: None, feasible: full };
     }
@@ -183,7 +174,7 @@ fn find_d(ver: &mut Verifier<'_>) -> Cut {
         ver.ids().lattice_parents_into(t, &mut parents);
         for &leaf in &parents {
             let smaller = ver.ids_mut().without(t, leaf);
-            ver.note_generated(1);
+            ver.core.note_generated(1);
             if ver.verify_id(smaller).is_some() {
                 return Cut { infeasible: Some(t), feasible: smaller };
             }
@@ -203,8 +194,8 @@ fn find_d(ver: &mut Verifier<'_>) -> Cut {
 /// `P` ending at leaf `t`, `Gk[P] = I.get(k, q, t)` — then grow a
 /// feasible union of paths and walk the first failing path down to the
 /// boundary.
-fn find_p(ver: &mut Verifier<'_>) -> Cut {
-    let space = ver.space();
+fn find_p(ver: &mut IndexVerifier<'_>) -> Cut {
+    let space = ver.core.space;
     // S starts as the leaf positions of T(q); while no single path is
     // feasible, lift S to the parents (lines 12-14 of Algorithm 7).
     let full = ver.ids_mut().full();
@@ -213,7 +204,7 @@ fn find_p(ver: &mut Verifier<'_>) -> Cut {
     let mut f = 'seed: loop {
         for &t in &s {
             let path = ver.ids_mut().intern(&space.path_to(t));
-            ver.note_generated(1);
+            ver.core.note_generated(1);
             if ver.verify_id(path).is_some() {
                 break 'seed path;
             }
@@ -237,7 +228,7 @@ fn find_p(ver: &mut Verifier<'_>) -> Cut {
         if target == f {
             continue;
         }
-        ver.note_generated(1);
+        ver.core.note_generated(1);
         if ver.verify_id(target).is_some() {
             f = target;
             continue;
@@ -250,7 +241,7 @@ fn find_p(ver: &mut Verifier<'_>) -> Cut {
         let mut boundary: Option<Cut> = None;
         for p in missing {
             let cand = ver.ids_mut().with(cur, p);
-            ver.note_generated(1);
+            ver.core.note_generated(1);
             if ver.verify_id(cand).is_some() {
                 cur = cand;
             } else {
@@ -281,7 +272,7 @@ fn find_p(ver: &mut Verifier<'_>) -> Cut {
         let mut first_infeasible = None;
         for &p in &children {
             let cand = ver.ids_mut().with(f, p);
-            ver.note_generated(1);
+            ver.core.note_generated(1);
             if ver.verify_id(cand).is_some() {
                 f = cand;
                 grew = true;
@@ -309,7 +300,7 @@ fn find_p(ver: &mut Verifier<'_>) -> Cut {
 /// neighbourhood exactly once while provably recording the same result
 /// set as pair-keyed dedup.
 pub fn expand_ptree(
-    ver: &mut Verifier<'_>,
+    ver: &mut IndexVerifier<'_>,
     cut: Cut,
     results: &mut Vec<(SubtreeId, Rc<Vec<VertexId>>)>,
 ) {
@@ -356,7 +347,7 @@ pub fn expand_ptree(
                 ver.ids().lattice_children_into(yi, &mut children);
                 for &pos in &children {
                     let k_sub = ver.ids_mut().with(yi, pos);
-                    ver.note_generated(1);
+                    ver.core.note_generated(1);
                     // Lemma-3 narrowing: K = Yi + one node, and Yi's
                     // community is in hand — candidates shrink to
                     // `Gk[Yi] ∩ I.get(k, q, t)`.
@@ -381,7 +372,7 @@ pub fn expand_ptree(
                 ver.ids().lattice_parents_into(yi, &mut parents2);
                 for &leaf2 in &parents2 {
                     let k_sub = ver.ids_mut().without(yi, leaf2);
-                    ver.note_generated(1);
+                    ver.core.note_generated(1);
                     if ver.verify_id(k_sub).is_some() {
                         if seen.insert(yi) {
                             queue.push_back(yi);
@@ -397,49 +388,10 @@ pub fn expand_ptree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Algorithm, QueryContext};
+    use crate::problem::Algorithm;
+    use crate::testkit::figure1;
     use pcs_graph::Graph;
-    use pcs_index::ShardedCpIndex;
     use pcs_ptree::{PTree, Taxonomy};
-
-    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4),
-                (3, 4),
-                (1, 2),
-                (2, 3),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let mut t = Taxonomy::new("r");
-        let cm = t.add_child(0, "CM").unwrap();
-        let is = t.add_child(0, "IS").unwrap();
-        let hw = t.add_child(0, "HW").unwrap();
-        let ml = t.add_child(cm, "ML").unwrap();
-        let ai = t.add_child(cm, "AI").unwrap();
-        let dms = t.add_child(is, "DMS").unwrap();
-        let profiles = vec![
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [ml, ai]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, is]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(),
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-            PTree::from_labels(&t, [hw, cm]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-        ];
-        (g, t, profiles)
-    }
 
     #[test]
     fn strategies_have_names() {
@@ -475,7 +427,8 @@ mod tests {
             for k in 1..=3u32 {
                 let space = ctx.space_for(q).unwrap();
                 for strategy in FindStrategy::ALL {
-                    let mut ver = Verifier::new(&ctx, &space, q, k);
+                    let mut scratch = QueryScratch::new(g.num_vertices());
+                    let mut ver = IndexVerifier::new(&ctx, &index, &space, q, k, &mut scratch);
                     if ver.gk().is_none() {
                         continue;
                     }
@@ -511,7 +464,8 @@ mod tests {
         let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
         let space = ctx.space_for(0).unwrap();
         for strategy in FindStrategy::ALL {
-            let mut ver = Verifier::new(&ctx, &space, 0, 3);
+            let mut scratch = QueryScratch::new(g.num_vertices());
+            let mut ver = IndexVerifier::new(&ctx, &index, &space, 0, 3, &mut scratch);
             let cut = find_cut(&mut ver, strategy);
             assert_eq!(cut.infeasible, None, "{strategy:?}");
             assert_eq!(ver.ids().subtree(cut.feasible), space.full());
@@ -536,22 +490,5 @@ mod tests {
         // Not a strict guarantee on tiny instances, but stats must at
         // least be tracked for both.
         assert!(a.stats.verifications > 0 && b.stats.verifications > 0);
-    }
-
-    #[test]
-    fn scratch_path_matches_owned_path() {
-        let (g, t, profiles) = figure1();
-        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
-        let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
-        let mut scratch = QueryScratch::new(g.num_vertices());
-        for strategy in FindStrategy::ALL {
-            for q in 0..8u32 {
-                for k in 0..=3u32 {
-                    let owned = query(&ctx, q, k, strategy).unwrap();
-                    let pooled = query_scratch(&ctx, q, k, strategy, &mut scratch).unwrap();
-                    assert_eq!(owned.communities, pooled.communities, "q={q} k={k} {strategy:?}");
-                }
-            }
-        }
     }
 }

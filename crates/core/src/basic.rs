@@ -3,8 +3,9 @@
 //! Bottom-up enumeration of the subtrees of `T(q)` by rightmost-path
 //! extension, pruned by anti-monotonicity (Lemma 2: once a candidate is
 //! infeasible, nothing above it can be feasible). Each verification
-//! recomputes `Gk[T]` from the global k-ĉore `Gk` — no index needed.
-//! Worst case `O(2^{|T(q)|} · m)` as analyzed in the paper.
+//! recomputes `Gk[T]` from the global k-ĉore `Gk` with the index-free
+//! [`Verifier`] — `basic` cannot reach an index. Worst case
+//! `O(2^{|T(q)|} · m)` as analyzed in the paper.
 //!
 //! The enumeration runs in [`SubtreeId`] space: the stack, the memo,
 //! and the result set are all id-keyed, so no `Subtree` is cloned or
@@ -16,24 +17,18 @@ use pcs_graph::VertexId;
 use pcs_ptree::SubtreeId;
 
 use crate::problem::{PcsOutcome, ProfiledCommunity, QueryContext};
-use crate::verify::{QueryScratch, Verifier};
+use crate::verify::{QueryScratch, Verifier, VerifyCore};
 use crate::Result;
 
-/// Runs Algorithm 1 for `(q, k)` on one-shot scratch.
-pub fn query(ctx: &QueryContext<'_>, q: VertexId, k: u32) -> Result<PcsOutcome> {
-    query_scratch(ctx, q, k, &mut QueryScratch::new(ctx.graph.num_vertices()))
-}
-
-/// Runs Algorithm 1 on pooled scratch (the engine hot path).
-pub fn query_scratch(
+/// Runs Algorithm 1 for `(q, k)` on `scratch`.
+pub(crate) fn query_scratch(
     ctx: &QueryContext<'_>,
     q: VertexId,
     k: u32,
     scratch: &mut QueryScratch,
 ) -> Result<PcsOutcome> {
     let space = ctx.space_for(q)?;
-    let ver = Verifier::with_scratch(ctx, &space, q, k, scratch);
-    Ok(run(ver))
+    Ok(run(Verifier::new(ctx, &space, q, k, scratch)))
 }
 
 fn run(mut ver: Verifier<'_>) -> PcsOutcome {
@@ -45,13 +40,13 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
         // (feasible because every P-tree contains the taxonomy root).
         let root = ver.ids_mut().root_only();
         let mut stack: Vec<SubtreeId> = vec![root];
-        ver.note_generated(1);
+        ver.core.note_generated(1);
         let mut ext: Vec<u32> = Vec::new();
         // Lines 6-13.
         while let Some(t_prime) = stack.pop() {
             let mut flag = true;
             ver.ids().rightmost_extensions_into(t_prime, &mut ext);
-            ver.note_generated(ext.len() as u64);
+            ver.core.note_generated(ext.len() as u64);
             for &pos in &ext {
                 let t = ver.ids_mut().with(t_prime, pos);
                 if ver.verify_id(t).is_some() {
@@ -69,7 +64,7 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
             }
         }
     }
-    assemble(results, ver)
+    assemble(results, ver.core)
 }
 
 /// Turns the list of maximal feasible subtrees into a sorted outcome.
@@ -77,13 +72,12 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
 /// materialized back into owned [`pcs_ptree::PTree`]s.
 pub(crate) fn assemble(
     results: Vec<(SubtreeId, Rc<Vec<VertexId>>)>,
-    ver: Verifier<'_>,
+    core: VerifyCore<'_>,
 ) -> PcsOutcome {
-    let space = ver.space();
     let mut communities: Vec<ProfiledCommunity> = results
         .into_iter()
         .map(|(id, vs)| ProfiledCommunity {
-            subtree: space.to_ptree(&ver.ids().subtree(id)),
+            subtree: core.space.to_ptree(&core.interner.subtree(id)),
             vertices: vs.as_ref().clone(),
         })
         .collect();
@@ -96,55 +90,14 @@ pub(crate) fn assemble(
             .filter(|b| a.subtree != b.subtree)
             .all(|b| !a.subtree.is_subtree_of(&b.subtree))
     }));
-    PcsOutcome { communities, stats: ver.stats }
+    PcsOutcome { communities, stats: core.stats }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::problem::Algorithm;
-    use pcs_graph::Graph;
-    use pcs_ptree::{PTree, Taxonomy};
-
-    /// The running example of the paper (Fig. 1 + Fig. 2).
-    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4),
-                (3, 4),
-                (1, 2),
-                (2, 3),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let mut t = Taxonomy::new("r");
-        let cm = t.add_child(0, "CM").unwrap();
-        let is = t.add_child(0, "IS").unwrap();
-        let hw = t.add_child(0, "HW").unwrap();
-        let ml = t.add_child(cm, "ML").unwrap();
-        let ai = t.add_child(cm, "AI").unwrap();
-        let dms = t.add_child(is, "DMS").unwrap();
-        let profiles = vec![
-            PTree::from_labels(&t, [dms, hw]).unwrap(),         // A
-            PTree::from_labels(&t, [ml, ai]).unwrap(),          // B
-            PTree::from_labels(&t, [ml, ai, is]).unwrap(),      // C
-            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(), // D
-            PTree::from_labels(&t, [dms, hw]).unwrap(),         // E
-            PTree::from_labels(&t, [is, hw]).unwrap(),          // F
-            PTree::from_labels(&t, [hw, cm]).unwrap(),          // G
-            PTree::from_labels(&t, [is, hw]).unwrap(),          // H
-        ];
-        (g, t, profiles)
-    }
+    use crate::problem::{Algorithm, QueryContext};
+    use crate::testkit::figure1;
+    use pcs_ptree::PTree;
 
     #[test]
     fn paper_example_two_pcs_of_d() {
@@ -207,20 +160,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_path_matches_owned_path() {
-        let (g, t, profiles) = figure1();
-        let ctx = QueryContext::new(&g, &t, &profiles).unwrap();
-        let mut scratch = QueryScratch::new(g.num_vertices());
-        for q in 0..8u32 {
-            for k in 0..=3u32 {
-                let owned = query(&ctx, q, k).unwrap();
-                let pooled = query_scratch(&ctx, q, k, &mut scratch).unwrap();
-                assert_eq!(owned.communities, pooled.communities, "q={q} k={k}");
             }
         }
     }

@@ -5,7 +5,7 @@
 //! communities* behind it is small: most feasible subtrees of `T(q)`
 //! share their `Gk[T]` with a neighbour. For feasible `T` with
 //! community `C = Gk[T]`, the **closure** `cl(T)` is every node of
-//! `T(q)` that all of `C` carries ([`Verifier::close_id`]). `cl(T)` is
+//! `T(q)` that all of `C` carries ([`IndexVerifier::close_id`]). `cl(T)` is
 //! the largest subtree with community `C`, so no subtree strictly
 //! between `T` and `cl(T)` can be maximal, and `Gk[cl(T)] = C` needs no
 //! verification. The search therefore visits closed subtrees only:
@@ -29,38 +29,33 @@
 use std::rc::Rc;
 
 use pcs_graph::VertexId;
+use pcs_index::ShardedCpIndex;
 use pcs_ptree::{SubtreeId, SubtreeIdSet};
 
+use crate::indexed::IndexVerifier;
 use crate::problem::{PcsOutcome, QueryContext};
-use crate::verify::{QueryScratch, Verifier};
+use crate::verify::QueryScratch;
 use crate::Result;
 
-/// Runs the closed-subtree search for `(q, k)` on one-shot scratch.
-/// Requires an index in the context.
-pub fn query(ctx: &QueryContext<'_>, q: VertexId, k: u32) -> Result<PcsOutcome> {
-    query_scratch(ctx, q, k, &mut QueryScratch::new(ctx.graph.num_vertices()))
-}
-
-/// Runs the closed-subtree search on pooled scratch (the engine hot
-/// path).
-pub fn query_scratch(
+/// Runs the closed-subtree search for `(q, k)` against `ctx`'s `index`
+/// on `scratch`.
+pub(crate) fn query_scratch(
     ctx: &QueryContext<'_>,
+    index: &ShardedCpIndex,
     q: VertexId,
     k: u32,
     scratch: &mut QueryScratch,
 ) -> Result<PcsOutcome> {
-    debug_assert!(ctx.index.is_some(), "checked by QueryContext::query");
     let space = ctx.space_for(q)?;
-    let ver = Verifier::with_scratch(ctx, &space, q, k, scratch);
-    Ok(run(ver))
+    Ok(run(IndexVerifier::new(ctx, index, &space, q, k, scratch)))
 }
 
-fn run(mut ver: Verifier<'_>) -> PcsOutcome {
+fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
     let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
 
     if let Some(gk) = ver.gk() {
         let root = ver.ids_mut().root_only();
-        ver.note_generated(1);
+        ver.core.note_generated(1);
         let start = ver.close_id(root, &gk);
         let mut seen = SubtreeIdSet::new();
         seen.insert(start);
@@ -69,7 +64,7 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
         while let Some((t, community)) = stack.pop() {
             let mut maximal = true;
             ver.ids().lattice_children_into(t, &mut children);
-            ver.note_generated(children.len() as u64);
+            ver.core.note_generated(children.len() as u64);
             for &pos in &children {
                 let child = ver.ids_mut().with(t, pos);
                 if let Some(sub) = ver.verify_from_base_id(child, &community, pos) {
@@ -85,54 +80,14 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
             }
         }
     }
-    crate::basic::assemble(results, ver)
+    crate::basic::assemble(results, ver.core)
 }
 
 #[cfg(test)]
 mod tests {
     use crate::problem::{Algorithm, QueryContext};
-    use pcs_graph::Graph;
+    use crate::testkit::figure1;
     use pcs_index::ShardedCpIndex;
-    use pcs_ptree::{PTree, Taxonomy};
-
-    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4),
-                (3, 4),
-                (1, 2),
-                (2, 3),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let mut t = Taxonomy::new("r");
-        let cm = t.add_child(0, "CM").unwrap();
-        let is = t.add_child(0, "IS").unwrap();
-        let hw = t.add_child(0, "HW").unwrap();
-        let ml = t.add_child(cm, "ML").unwrap();
-        let ai = t.add_child(cm, "AI").unwrap();
-        let dms = t.add_child(is, "DMS").unwrap();
-        let profiles = vec![
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [ml, ai]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, is]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(),
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-            PTree::from_labels(&t, [hw, cm]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-        ];
-        (g, t, profiles)
-    }
 
     #[test]
     fn closed_equals_basic_on_paper_example() {

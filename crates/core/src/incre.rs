@@ -10,32 +10,27 @@
 use std::rc::Rc;
 
 use pcs_graph::VertexId;
+use pcs_index::ShardedCpIndex;
 use pcs_ptree::SubtreeId;
 
+use crate::indexed::IndexVerifier;
 use crate::problem::{PcsOutcome, QueryContext};
-use crate::verify::{QueryScratch, Verifier};
+use crate::verify::QueryScratch;
 use crate::Result;
 
-/// Runs Algorithm 3 for `(q, k)` on one-shot scratch. Requires an
-/// index in the context.
-pub fn query(ctx: &QueryContext<'_>, q: VertexId, k: u32) -> Result<PcsOutcome> {
-    query_scratch(ctx, q, k, &mut QueryScratch::new(ctx.graph.num_vertices()))
-}
-
-/// Runs Algorithm 3 on pooled scratch (the engine hot path).
-pub fn query_scratch(
+/// Runs Algorithm 3 for `(q, k)` against `ctx`'s `index` on `scratch`.
+pub(crate) fn query_scratch(
     ctx: &QueryContext<'_>,
+    index: &ShardedCpIndex,
     q: VertexId,
     k: u32,
     scratch: &mut QueryScratch,
 ) -> Result<PcsOutcome> {
-    debug_assert!(ctx.index.is_some(), "checked by QueryContext::query");
     let space = ctx.space_for(q)?;
-    let ver = Verifier::with_scratch(ctx, &space, q, k, scratch);
-    Ok(run(ver))
+    Ok(run(IndexVerifier::new(ctx, index, &space, q, k, scratch)))
 }
 
-fn run(mut ver: Verifier<'_>) -> PcsOutcome {
+fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
     let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
 
     if let Some(gk) = ver.gk() {
@@ -43,13 +38,13 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
         // community is Gk itself.
         let root = ver.ids_mut().root_only();
         let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(root, gk)];
-        ver.note_generated(1);
+        ver.core.note_generated(1);
         let mut ext: Vec<u32> = Vec::new();
         // Lines 4-11.
         while let Some((t_prime, community)) = stack.pop() {
             let mut flag = true;
             ver.ids().rightmost_extensions_into(t_prime, &mut ext);
-            ver.note_generated(ext.len() as u64);
+            ver.core.note_generated(ext.len() as u64);
             for &pos in &ext {
                 let t = ver.ids_mut().with(t_prime, pos);
                 // Line 8: Gk[T] from Gk[T'] ∩ I.get(k, q, T\T').
@@ -63,54 +58,14 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
             }
         }
     }
-    crate::basic::assemble(results, ver)
+    crate::basic::assemble(results, ver.core)
 }
 
 #[cfg(test)]
 mod tests {
     use crate::problem::{Algorithm, QueryContext};
-    use pcs_graph::Graph;
+    use crate::testkit::figure1;
     use pcs_index::ShardedCpIndex;
-    use pcs_ptree::{PTree, Taxonomy};
-
-    fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
-        let g = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4),
-                (3, 4),
-                (1, 2),
-                (2, 3),
-                (4, 5),
-                (5, 6),
-                (5, 7),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let mut t = Taxonomy::new("r");
-        let cm = t.add_child(0, "CM").unwrap();
-        let is = t.add_child(0, "IS").unwrap();
-        let hw = t.add_child(0, "HW").unwrap();
-        let ml = t.add_child(cm, "ML").unwrap();
-        let ai = t.add_child(cm, "AI").unwrap();
-        let dms = t.add_child(is, "DMS").unwrap();
-        let profiles = vec![
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [ml, ai]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, is]).unwrap(),
-            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(),
-            PTree::from_labels(&t, [dms, hw]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-            PTree::from_labels(&t, [hw, cm]).unwrap(),
-            PTree::from_labels(&t, [is, hw]).unwrap(),
-        ];
-        (g, t, profiles)
-    }
 
     #[test]
     fn incre_equals_basic_on_paper_example() {

@@ -8,7 +8,7 @@ use pcs_index::ShardedCpIndex;
 use pcs_ptree::{PTree, ProfilesRef, QuerySpace, Taxonomy};
 
 use crate::advanced::FindStrategy;
-use crate::Result;
+use crate::{advanced, basic, closed, incre, Result};
 
 /// Errors surfaced by PCS queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,9 +202,9 @@ pub struct QueryContext<'a> {
     /// in on first touch (see [`pcs_ptree::ProfilesRef`]).
     pub profiles: ProfilesRef<'a>,
     /// Optional CP-tree index (required by every algorithm but
-    /// `basic`).
+    /// `basic`, which never reads it).
     pub index: Option<&'a ShardedCpIndex>,
-    /// Core numbers of the whole graph (used by `basic`'s `Gk`).
+    /// Core numbers of the whole graph (every verifier's `Gk`).
     /// Owned when computed by [`QueryContext::new`]; borrowed when an
     /// engine shares one precomputed decomposition across queries.
     pub cores: Cow<'a, CoreDecomposition>,
@@ -330,23 +330,24 @@ impl<'a> QueryContext<'a> {
         scratch: &mut crate::verify::QueryScratch,
     ) -> Result<PcsOutcome> {
         let algorithm = algorithm.resolve(self.index.is_some());
-        if algorithm.needs_index() && self.index.is_none() {
-            return Err(PcsError::IndexRequired(algorithm.name()));
+        if !algorithm.needs_index() {
+            // `basic` never sees the index, even when one is attached.
+            return basic::query_scratch(self, q, k, scratch);
         }
+        let index = self.index.ok_or(PcsError::IndexRequired(algorithm.name()))?;
         match algorithm {
-            Algorithm::Auto => unreachable!("Auto resolves to a concrete algorithm above"),
-            Algorithm::Basic => crate::basic::query_scratch(self, q, k, scratch),
-            Algorithm::Incre => crate::incre::query_scratch(self, q, k, scratch),
+            Algorithm::Basic | Algorithm::Auto => unreachable!("dispatched to basic above"),
+            Algorithm::Incre => incre::query_scratch(self, index, q, k, scratch),
             Algorithm::AdvI => {
-                crate::advanced::query_scratch(self, q, k, FindStrategy::Incremental, scratch)
+                advanced::query_scratch(self, index, q, k, FindStrategy::Incremental, scratch)
             }
             Algorithm::AdvD => {
-                crate::advanced::query_scratch(self, q, k, FindStrategy::Decremental, scratch)
+                advanced::query_scratch(self, index, q, k, FindStrategy::Decremental, scratch)
             }
             Algorithm::AdvP => {
-                crate::advanced::query_scratch(self, q, k, FindStrategy::Path, scratch)
+                advanced::query_scratch(self, index, q, k, FindStrategy::Path, scratch)
             }
-            Algorithm::Closed => crate::closed::query_scratch(self, q, k, scratch),
+            Algorithm::Closed => closed::query_scratch(self, index, q, k, scratch),
         }
     }
 }
@@ -367,6 +368,26 @@ mod tests {
         }
         assert_eq!(Algorithm::Auto.resolve(true), Algorithm::Closed);
         assert_eq!(Algorithm::Auto.resolve(false), Algorithm::Basic);
+    }
+
+    /// One pooled scratch, reused across every `(q, k, algorithm)` in
+    /// sequence, answers exactly like a fresh one-shot query.
+    #[test]
+    fn pooled_scratch_matches_one_shot_query() {
+        let (g, t, profiles) = crate::testkit::figure1();
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
+        let mut scratch = crate::verify::QueryScratch::new(g.num_vertices());
+        for q in 0..8u32 {
+            for k in 0..=3u32 {
+                for algorithm in Algorithm::ALL {
+                    let one_shot = ctx.query(q, k, algorithm).unwrap();
+                    let pooled = ctx.query_with_scratch(q, k, algorithm, &mut scratch).unwrap();
+                    assert_eq!(one_shot.communities, pooled.communities, "q={q} k={k}");
+                    assert_eq!(one_shot.stats, pooled.stats, "{} q={q} k={k}", algorithm.name());
+                }
+            }
+        }
     }
 
     #[test]

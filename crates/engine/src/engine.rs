@@ -656,10 +656,7 @@ impl PcsEngine {
             // exactly the shards its subtree lattice probes.
             Some(self.ensure_index(snap)?)
         } else {
-            // `basic` never *triggers* a facade build, but an
-            // already-built one is attached: it restores T(q) and the
-            // verifier seeds from it (`index_used` says so).
-            snap.index_if_built()
+            None
         };
         // Materialize the graph first (lazy loads decode the GRAPH
         // section here, on the first query), so `cores()` below never

@@ -132,8 +132,8 @@ pub struct QueryResponse {
     /// The concrete algorithm that ran ([`Algorithm::Auto`] resolved).
     pub algorithm: Algorithm,
     /// True exactly when a CP-tree index was attached to the context
-    /// that answered — so also for a `basic` request on an engine whose
-    /// facade is already built, which seeds its verifications from it.
+    /// that answered, which is exactly when the resolved algorithm
+    /// needs one: `basic` never gets an index, even on a warm engine.
     pub index_used: bool,
     /// Wall-clock time of the algorithm run. One-time lazy index
     /// construction is excluded; to pay (and measure) that cost up

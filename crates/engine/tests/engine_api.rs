@@ -6,6 +6,8 @@ use pcs_engine::{BuildError, EngineBuilder, Error, IndexMode, PcsEngine, QueryRe
 use pcs_graph::Graph;
 use pcs_index::ShardedCpIndex;
 use pcs_ptree::{PTree, Taxonomy};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Compile-time proof that the engine crosses threads: the whole point
 /// of the owned facade.
@@ -90,18 +92,125 @@ fn auto_resolves_to_closed_when_index_allowed() {
 }
 
 /// `index_used` reports what was attached to the context that
-/// answered, not what the algorithm's name suggests: `basic` on a warm
-/// engine seeds its verifications from the built facade.
+/// answered: an index-based algorithm gets the index, `basic` never
+/// does — not even from an engine whose facade is already built.
 #[test]
 fn index_used_is_true_exactly_when_an_index_was_attached() {
     let basic = QueryRequest::vertex(0).k(2).algorithm(Algorithm::Basic);
     let warm = engine_with(IndexMode::Eager);
-    assert!(warm.query(&basic).unwrap().index_used);
+    assert!(!warm.query(&basic).unwrap().index_used);
     assert!(warm.query(&QueryRequest::vertex(0).k(2)).unwrap().index_used);
     let cold = engine_with(IndexMode::Lazy);
     assert!(!cold.query(&basic).unwrap().index_used, "basic never triggers the build");
     let disabled = engine_with(IndexMode::Disabled);
     assert!(!disabled.query(&basic).unwrap().index_used);
+}
+
+/// The paper's running example (Fig. 1): eight authors under a
+/// seven-label taxonomy.
+fn figure1() -> (Graph, Taxonomy, Vec<PTree>) {
+    let g = Graph::from_edges(
+        8,
+        &[
+            (0, 1),
+            (0, 3),
+            (0, 4),
+            (1, 3),
+            (1, 4),
+            (3, 4),
+            (1, 2),
+            (2, 3),
+            (4, 5),
+            (5, 6),
+            (5, 7),
+            (6, 7),
+        ],
+    )
+    .unwrap();
+    let mut t = Taxonomy::new("r");
+    let cm = t.add_child(0, "CM").unwrap();
+    let is = t.add_child(0, "IS").unwrap();
+    let hw = t.add_child(0, "HW").unwrap();
+    let ml = t.add_child(cm, "ML").unwrap();
+    let ai = t.add_child(cm, "AI").unwrap();
+    let dms = t.add_child(is, "DMS").unwrap();
+    let profiles = [
+        vec![dms, hw],
+        vec![ml, ai],
+        vec![ml, ai, is],
+        vec![ml, ai, dms, hw],
+        vec![dms, hw],
+        vec![is, hw],
+        vec![hw, cm],
+        vec![is, hw],
+    ]
+    .into_iter()
+    .map(|labels| PTree::from_labels(&t, labels).unwrap())
+    .collect();
+    (g, t, profiles)
+}
+
+/// A seeded random profiled graph: 30 vertices, a 10-label taxonomy.
+fn generated(seed: u64) -> (Graph, Taxonomy, Vec<PTree>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut tax = Taxonomy::new("r");
+    let mut ids = vec![Taxonomy::ROOT];
+    for i in 1..10 {
+        let parent = ids[rng.gen_range(0..ids.len())];
+        ids.push(tax.add_child(parent, &format!("n{i}")).unwrap());
+    }
+    let n = 30usize;
+    let edges: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|a| ((a + 1)..n as u32).map(move |b| (a, b)))
+        .filter(|_| rng.gen_bool(0.2))
+        .collect();
+    let g = Graph::from_edges(n, &edges).unwrap();
+    let profiles = (0..n)
+        .map(|_| {
+            let picks: Vec<u32> =
+                (0..rng.gen_range(0..=5usize)).map(|_| ids[rng.gen_range(0..ids.len())]).collect();
+            PTree::from_labels(&tax, picks).unwrap()
+        })
+        .collect();
+    (g, tax, profiles)
+}
+
+/// `basic` is Algorithm 1 on every engine: a built index changes
+/// neither its communities nor any of its effort counters.
+#[test]
+fn basic_answers_and_effort_do_not_depend_on_the_index_mode() {
+    for (g, tax, profiles) in [figure1(), generated(7)] {
+        let engines: Vec<PcsEngine> = [IndexMode::Disabled, IndexMode::Lazy, IndexMode::Eager]
+            .into_iter()
+            .map(|mode| {
+                PcsEngine::builder()
+                    .graph(g.clone())
+                    .taxonomy(tax.clone())
+                    .profiles(profiles.clone())
+                    .index_mode(mode)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        for q in 0..g.num_vertices() as u32 {
+            for k in 0..=3u32 {
+                let request =
+                    QueryRequest::vertex(q).k(k).algorithm(Algorithm::Basic).collect_stats(true);
+                let answers: Vec<_> = engines
+                    .iter()
+                    .map(|engine| {
+                        let resp = engine.query(&request).unwrap();
+                        assert!(resp.stats.is_some());
+                        (resp.outcome.communities, resp.stats)
+                    })
+                    .collect();
+                assert_eq!(answers[0], answers[1], "cold Lazy vs Disabled, q={q} k={k}");
+                assert_eq!(answers[0], answers[2], "warm Eager vs Disabled, q={q} k={k}");
+            }
+        }
+        assert!(!engines[1].index_built(), "basic never triggers the build");
+        assert!(engines[2].index_built());
+    }
 }
 
 #[test]

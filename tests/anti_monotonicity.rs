@@ -2,6 +2,10 @@
 //! and for the two facts the closed-subtree search adds to them: the
 //! closure operator and the no-peel narrowing.
 
+mod common;
+
+use common::{OwnedNarrow, OwnedVerify};
+use pcs::core::{IndexVerifier, QueryScratch, Verifier};
 use pcs::prelude::*;
 use pcs::ptree::enumerate::{count_all_subtrees, enumerate_rooted_subtrees, lemma1_upper_bound};
 use pcs::ptree::QuerySpace;
@@ -52,7 +56,8 @@ proptest! {
         let q = rng.gen_range(0..g.num_vertices() as u32);
         let k = rng.gen_range(1..3u32);
         let space = ctx.space_for(q).unwrap();
-        let mut ver = pcs::core::Verifier::new(&ctx, &space, q, k);
+        let mut scratch = QueryScratch::new(g.num_vertices());
+        let mut ver = Verifier::new(&ctx, &space, q, k, &mut scratch);
         for s in enumerate_rooted_subtrees(&space) {
             if let Some(comm) = ver.verify(&s) {
                 // Every lattice parent is feasible and contains Gk[T].
@@ -99,10 +104,12 @@ proptest! {
         let q = rng.gen_range(0..g.num_vertices() as u32);
         let k = rng.gen_range(0..4u32);
         let space = ctx.space_for(q).unwrap();
-        let mut ver = pcs::core::Verifier::new(&ctx, &space, q, k);
+        let mut scratch = QueryScratch::new(g.num_vertices());
+        let mut ver = IndexVerifier::new(&ctx, &index, &space, q, k, &mut scratch);
         // A second oracle that never sees a closure, so its verdict on
         // cl(T) is a real verification and not `close_id`'s memo entry.
-        let mut direct = pcs::core::Verifier::new(&ctx, &space, q, k);
+        let mut direct_scratch = QueryScratch::new(g.num_vertices());
+        let mut direct = IndexVerifier::new(&ctx, &index, &space, q, k, &mut direct_scratch);
         for s in enumerate_rooted_subtrees(&space) {
             let Some(comm) = ver.verify(&s) else { continue };
             let id = ver.ids_mut().intern(&s);
@@ -148,7 +155,8 @@ fn gk_monotone_in_k() {
         let mut prev: Option<Vec<VertexId>> = None;
         for k in (0..5u32).rev() {
             let space = ctx.space_for(q).unwrap();
-            let ver = pcs::core::Verifier::new(&ctx, &space, q, k);
+            let mut scratch = QueryScratch::new(g.num_vertices());
+            let ver = Verifier::new(&ctx, &space, q, k, &mut scratch);
             let cur = ver.gk().map(|rc| rc.as_ref().clone());
             if let (Some(p), Some(c)) = (&prev, &cur) {
                 for v in p {
@@ -177,13 +185,15 @@ fn narrowing_from_a_base_matches_direct_verification() {
         let q = rng.gen_range(0..g.num_vertices() as u32);
         let k = rng.gen_range(0..4u32);
         let space = ctx.space_for(q).unwrap();
-        let mut direct = pcs::core::Verifier::new(&ctx, &space, q, k);
+        let mut direct_scratch = QueryScratch::new(g.num_vertices());
+        let mut direct = IndexVerifier::new(&ctx, &index, &space, q, k, &mut direct_scratch);
+        let mut fresh_scratch = QueryScratch::new(g.num_vertices());
         for s in enumerate_rooted_subtrees(&space) {
             let Some(base) = direct.verify(&s) else { continue };
             for p in space.lattice_children(&s) {
                 let child = s.with(p);
                 // Fresh memo, so the narrowing itself runs.
-                let mut fresh = pcs::core::Verifier::new(&ctx, &space, q, k);
+                let mut fresh = IndexVerifier::new(&ctx, &index, &space, q, k, &mut fresh_scratch);
                 let got = fresh.verify_from_base(&child, &base, p);
                 assert_eq!(got, direct.verify(&child), "seed {seed} q {q} k {k}");
                 let core = index.get_ref(k, q, space.label_at(p)).map_or(0, <[_]>::len);

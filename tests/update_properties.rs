@@ -11,6 +11,10 @@
 //! * **differential agreement**: the mutated engine answers exactly
 //!   like an engine built from scratch on the mutated data.
 
+mod common;
+
+use common::OwnedVerify;
+use pcs::core::{QueryScratch, Verifier};
 use pcs::graph::core::SubsetCore;
 use pcs::prelude::*;
 use pcs::ptree::enumerate::enumerate_rooted_subtrees;
@@ -117,7 +121,8 @@ proptest! {
         let q = rng.gen_range(0..n);
         let k = rng.gen_range(1..3u32);
         let space = ctx.space_for(q).unwrap();
-        let mut ver = pcs::core::Verifier::new(&ctx, &space, q, k);
+        let mut scratch = QueryScratch::new(snap.graph().num_vertices());
+        let mut ver = Verifier::new(&ctx, &space, q, k, &mut scratch);
         for s in enumerate_rooted_subtrees(&space) {
             if let Some(comm) = ver.verify(&s) {
                 for leaf in space.lattice_parents(&s) {
