@@ -47,9 +47,9 @@ impl CohesivenessMetric {
     }
 }
 
-/// Runs one community query under the chosen metric. The context must
-/// carry an index when `CommonSubtree` is requested (it delegates to
-/// the advanced PCS method).
+/// Runs one community query under the chosen metric. `CommonSubtree`
+/// is PCS itself, through [`Algorithm::Auto`]: the closed-subtree
+/// search when the context carries an index, `basic` otherwise.
 pub fn variant_query(
     ctx: &QueryContext<'_>,
     q: VertexId,
@@ -64,8 +64,7 @@ pub fn variant_query(
             .collect(),
         CohesivenessMetric::CommonPaths => common_paths_query(ctx, q, k),
         CohesivenessMetric::CommonSubtree => {
-            let algo = if ctx.index.is_some() { Algorithm::AdvP } else { Algorithm::Basic };
-            ctx.query(q, k, algo).map(|o| o.communities).unwrap_or_default()
+            ctx.query(q, k, Algorithm::Auto).map(|o| o.communities).unwrap_or_default()
         }
         CohesivenessMetric::Similarity { beta } => similarity_query(ctx, q, k, beta),
     }

@@ -8,7 +8,6 @@
 
 use pcs_bench::{engine_owning, header, parse_args, pct, row};
 use pcs_core::stats::LevelHistogram;
-use pcs_core::Algorithm;
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{sample_query_vertices, SuiteDataset};
 use pcs_engine::QueryRequest;
@@ -27,10 +26,8 @@ fn main() {
         let (queries, _) = sample_query_vertices(&ds, args.k, args.queries, args.seed ^ 0x717);
         // The dataset is fully sampled; move it into the owned engine.
         let engine = engine_owning(ds);
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&q| QueryRequest::vertex(q).k(args.k).algorithm(Algorithm::AdvP))
-            .collect();
+        let requests: Vec<QueryRequest> =
+            queries.iter().map(|&q| QueryRequest::vertex(q).k(args.k)).collect();
         let mut hist = LevelHistogram::new();
         for result in engine.query_batch(&requests) {
             let resp = result.expect("query in range");

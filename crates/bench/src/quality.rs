@@ -6,7 +6,7 @@
 //! PCS and ACQ) and `PCs*` (communities only PCS finds).
 
 use pcs_baselines::{acq_query, global_query, local_query};
-use pcs_core::{Algorithm, ProfiledCommunity};
+use pcs_core::ProfiledCommunity;
 use pcs_engine::{PcsEngine, QueryRequest};
 use pcs_graph::VertexId;
 
@@ -93,7 +93,7 @@ pub fn run_all_methods(engine: &PcsEngine, queries: &[VertexId], k: u32) -> Vec<
     let snap = engine.snapshot();
     let (g, tax, profiles) = (snap.graph(), engine.taxonomy(), snap.profiles());
     let requests: Vec<QueryRequest> =
-        queries.iter().map(|&q| QueryRequest::vertex(q).k(k).algorithm(Algorithm::AdvP)).collect();
+        queries.iter().map(|&q| QueryRequest::vertex(q).k(k)).collect();
     let batch = engine.query_batch(&requests);
     queries
         .iter()

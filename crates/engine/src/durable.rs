@@ -232,8 +232,8 @@ impl EngineBuilder {
     /// aborts recovery with a typed error rather than serving a wrong
     /// engine.
     ///
-    /// Configuration methods (index mode, thread counts, patch cap)
-    /// apply as with [`load`](Self::load); data methods must not have
+    /// Configuration methods (index mode, result cache) apply as with
+    /// [`load`](Self::load); data methods must not have
     /// been called.
     pub fn open(mut self) -> Result<PcsEngine> {
         let dir = self.durable_dir.take().ok_or(BuildError::MissingDurableDir)?;

@@ -28,9 +28,9 @@ pub enum IndexMode {
     #[default]
     Lazy,
     /// Build every shard inside [`EngineBuilder::build`] and keep the
-    /// index fresh across updates (incremental patch when the
-    /// invalidation set is small, synchronous rebuild otherwise),
-    /// trading update latency for predictable query latency.
+    /// index fully resident across updates (every write patches it and
+    /// re-materializes whatever the patch left cold), trading update
+    /// latency for predictable query latency.
     Eager,
     /// Never build; index-dependent algorithms fail with
     /// [`Error::IndexDisabled`] and [`Algorithm::Auto`] resolves to
@@ -64,8 +64,6 @@ pub struct EngineBuilder {
     pub(crate) tax: Option<Taxonomy>,
     pub(crate) profiles: Vec<PTree>,
     pub(crate) index_mode: IndexMode,
-    pub(crate) index_build_threads: usize,
-    pub(crate) patch_cap_fraction: Option<f64>,
     pub(crate) cache_mode: CacheMode,
     pub(crate) durable_dir: Option<std::path::PathBuf>,
     pub(crate) wal_opts: pcs_store::WalOptions,
@@ -100,28 +98,6 @@ impl EngineBuilder {
     /// [`IndexMode::Lazy`]).
     pub fn index_mode(mut self, mode: IndexMode) -> Self {
         self.index_mode = mode;
-        self
-    }
-
-    /// Number of worker threads for CP-tree construction
-    /// (default 1).
-    pub fn index_build_threads(mut self, threads: usize) -> Self {
-        self.index_build_threads = threads.max(1);
-        self
-    }
-
-    /// Fraction of populated CP-tree labels an update batch may
-    /// invalidate before incremental patching falls back to a full
-    /// index rebuild (eager engines) or a deferred lazy rebuild
-    /// (default 0.5, clamped to `0.0..=1.0`). Below the cap each
-    /// invalidated label is revisited individually; above it, patching
-    /// would approach full-build cost anyway, so the engine rebuilds.
-    /// Positive fractions carry a floor of 4 labels so tiny indexes
-    /// always patch; `0.0` disables incremental patching entirely
-    /// (every effective batch takes the fallback path — useful for
-    /// benchmarking the rebuild baseline).
-    pub fn incremental_patch_cap(mut self, fraction: f64) -> Self {
-        self.patch_cap_fraction = Some(fraction.clamp(0.0, 1.0));
         self
     }
 
@@ -199,9 +175,7 @@ impl EngineBuilder {
         let engine = PcsEngine {
             tax,
             index_mode: self.index_mode,
-            index_build_threads: self.index_build_threads.max(1),
             batch_threads,
-            patch_cap_fraction: self.patch_cap_fraction.unwrap_or(0.5),
             scratch_pool_cap: (batch_threads * 2).clamp(4, 64),
             cache_mode: self.cache_mode,
             cache_stats,
@@ -355,8 +329,8 @@ pub struct CoalesceStatsSnapshot {
 /// Writers are serialized among themselves and maintain the core
 /// decomposition and CP-tree *incrementally* — only the vertices and
 /// labels an update can affect are revisited (bounded subcore
-/// traversals), falling back to targeted per-label rebuilds and
-/// finally to a full index rebuild as the delta grows.
+/// traversals, then per-label shard rebuilds), however large the
+/// delta.
 ///
 /// Internally each query still runs through the borrowed
 /// [`QueryContext`] layer, assembled per call via
@@ -364,9 +338,7 @@ pub struct CoalesceStatsSnapshot {
 pub struct PcsEngine {
     tax: Taxonomy,
     index_mode: IndexMode,
-    index_build_threads: usize,
     batch_threads: usize,
-    patch_cap_fraction: f64,
     /// Upper bound on `scratch_pool.len()`: scratches returned to a
     /// full pool are dropped, so a transient concurrency spike cannot
     /// permanently pin `spike × O(n)` working memory.
@@ -450,7 +422,7 @@ impl PcsEngine {
         let snap = self.snapshot_arc();
         snap.cores();
         if self.index_mode != IndexMode::Disabled {
-            self.ensure_index(&snap)?.materialize_all(self.index_build_threads);
+            self.ensure_index(&snap)?.materialize_all(1);
         }
         Ok(())
     }
@@ -839,11 +811,9 @@ impl PcsEngine {
     ///   preserve queue order, so the merged history is a legal
     ///   serialization of the member batches.
     ///
-    /// Index maintenance follows the builder's
-    /// [`incremental_patch_cap`](EngineBuilder::incremental_patch_cap):
-    /// a built index is cloned and patched label-by-label when the
-    /// invalidation set is small, rebuilt (eager) or dropped for lazy
-    /// reconstruction otherwise. See [`IndexMaintenance`].
+    /// A built index is cloned and patched label by label, whatever the
+    /// size of the batch; an index no query has built yet stays unbuilt.
+    /// See [`IndexMaintenance`].
     ///
     /// No-op operations (duplicate edge inserts, absent removals,
     /// identical profiles) are counted in the report, not errors. A
@@ -1093,65 +1063,30 @@ impl PcsEngine {
             Arc::clone(&base.cores)
         };
         let index_cell: OnceLock<std::result::Result<ShardedCpIndex, IndexError>> = OnceLock::new();
-        // A full rebuild (eager engines past the patch cap) recreates
-        // the facade and materializes every shard, shard-parallel.
-        let rebuild = || {
-            ShardedCpIndex::build(Arc::clone(&graph), &self.tax, Arc::clone(&profiles)).map(
-                |mut idx| {
-                    idx.set_global_cores(Arc::clone(&cores));
-                    idx.materialize_all(self.index_build_threads);
-                    idx
-                },
-            )
-        };
-        let maintenance = if self.index_mode == IndexMode::Disabled {
-            IndexMaintenance::Disabled
-        } else {
-            match base.index.get() {
-                Some(Ok(old)) => {
-                    // apply_batch re-derives this classification; both
-                    // passes are O(batch ops), not O(graph), so sharing
-                    // it isn't worth widening the index API.
-                    let touched = old.invalidation_set(&profiles, &deltas);
-                    let cap = self.patch_cap(old.num_populated_labels());
-                    if touched.len() <= cap {
-                        // The clone shares resident shards (`Arc`) and
-                        // copies only the facade tables; the patch then
-                        // rebuilds touched **resident** shards and
-                        // merely invalidates absent ones — a shard
-                        // nobody queried is never built to be patched.
-                        let mut patched = old.clone();
-                        let stats = patched.apply_batch(
-                            &graph,
-                            &profiles,
-                            &deltas,
-                            Some(Arc::clone(&cores)),
-                            self.index_build_threads,
-                        );
-                        // Eager mode promises a fully resident index:
-                        // re-materialize whatever the patch left cold
-                        // (e.g. a label the batch newly populated).
-                        if self.index_mode == IndexMode::Eager {
-                            patched.materialize_all(self.index_build_threads);
-                        }
-                        let _ = index_cell.set(Ok(patched));
-                        IndexMaintenance::Patched(stats)
-                    } else if self.index_mode == IndexMode::Eager {
-                        let _ = index_cell.set(rebuild());
-                        IndexMaintenance::Rebuilt
-                    } else {
-                        IndexMaintenance::Deferred
-                    }
+        // An Eager base always holds a built index: `assemble` warms it
+        // on build, load and open, and every publish below carries a
+        // patched clone forward.
+        let maintenance = match base.index.get() {
+            _ if self.index_mode == IndexMode::Disabled => IndexMaintenance::Disabled,
+            Some(Ok(old)) => {
+                // The clone shares resident shards (`Arc`) and copies
+                // only the facade tables; the patch then rebuilds
+                // touched **resident** shards and merely invalidates
+                // absent ones — a shard nobody queried is never built
+                // to be patched.
+                let mut patched = old.clone();
+                let stats =
+                    patched.apply_batch(&graph, &profiles, &deltas, Some(Arc::clone(&cores)));
+                // Eager mode promises a fully resident index:
+                // re-materialize whatever the patch left cold (e.g. a
+                // label the batch newly populated).
+                if self.index_mode == IndexMode::Eager {
+                    patched.materialize_all(1);
                 }
-                _ => {
-                    if self.index_mode == IndexMode::Eager {
-                        let _ = index_cell.set(rebuild());
-                        IndexMaintenance::Rebuilt
-                    } else {
-                        IndexMaintenance::NotBuilt
-                    }
-                }
+                let _ = index_cell.set(Ok(patched));
+                IndexMaintenance::Patched(stats)
             }
+            _ => IndexMaintenance::NotBuilt,
         };
         // Fail-stop before publishing: incremental index maintenance on
         // a lazily loaded engine materializes touched member lists from
@@ -1207,17 +1142,6 @@ impl PcsEngine {
             durable_epoch: self.durable_epoch(),
             elapsed: start.elapsed(),
         })
-    }
-
-    /// How many labels an update batch may invalidate before the engine
-    /// abandons incremental patching. A floor of 4 keeps tiny indexes
-    /// on the incremental path, except at fraction 0.0, which is the
-    /// documented "never patch" switch and must stay absolute.
-    fn patch_cap(&self, populated_labels: usize) -> usize {
-        if self.patch_cap_fraction == 0.0 {
-            return 0;
-        }
-        ((populated_labels as f64 * self.patch_cap_fraction).ceil() as usize).max(4)
     }
 
     /// The result cache the next epoch's snapshot publishes with.

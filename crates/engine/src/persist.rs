@@ -90,9 +90,7 @@ impl EngineBuilder {
     /// [`build`](EngineBuilder::build).
     ///
     /// Configuration methods ([`index_mode`](EngineBuilder::index_mode),
-    /// [`index_build_threads`](EngineBuilder::index_build_threads),
-    /// [`incremental_patch_cap`](EngineBuilder::incremental_patch_cap))
-    /// apply as usual; data methods must not have been called — a
+    /// [`result_cache`](EngineBuilder::result_cache)) apply as usual; data methods must not have been called — a
     /// snapshot supplies the graph, taxonomy, and profiles, and mixing
     /// sources is rejected with [`BuildError::DataWithSnapshot`].
     ///

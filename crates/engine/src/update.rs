@@ -122,15 +122,8 @@ pub enum IndexMaintenance {
     /// The previous epoch's index was cloned and patched in place —
     /// only the invalidated labels were revisited.
     Patched(CpPatchStats),
-    /// The invalidation set exceeded the incremental cap; the index was
-    /// rebuilt from scratch (eager engines only).
-    Rebuilt,
-    /// The invalidation set exceeded the incremental cap; the stale
-    /// index was dropped and the next query that needs one rebuilds it
-    /// lazily.
-    Deferred,
-    /// No index existed before the batch; a lazy engine leaves it that
-    /// way.
+    /// No index existed before the batch (a lazy engine no query has
+    /// built one on); it stays that way.
     NotBuilt,
     /// The engine runs with
     /// [`IndexMode::Disabled`](crate::IndexMode::Disabled).

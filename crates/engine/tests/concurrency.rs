@@ -169,8 +169,8 @@ fn readers_stay_consistent_under_eager_updates() {
 
 #[test]
 fn readers_stay_consistent_under_lazy_updates() {
-    // Lazy mode races reader-triggered index builds against writer
-    // publications (Deferred drops included).
+    // Lazy mode races reader-triggered index builds and shard
+    // materializations against writer publications of patched clones.
     stress(IndexMode::Lazy, 42);
 }
 

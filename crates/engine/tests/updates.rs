@@ -185,9 +185,9 @@ fn redundant_edge_inside_a_community_is_skipped_entirely() {
 }
 
 #[test]
-fn oversized_deltas_fall_back_per_policy() {
-    // Taxonomy with 8 leaf labels; rewriting a profile from nothing to
-    // everything touches all of them at once, blowing the cap-0 budget.
+fn oversized_deltas_patch_on_every_policy() {
+    // Taxonomy with 8 leaf labels; rewriting a profile from everything
+    // to root-only touches all of them at once — still one patch.
     let mut tax = Taxonomy::new("r");
     let leaves: Vec<_> =
         (0..8).map(|i| tax.add_child(Taxonomy::ROOT, &format!("l{i}")).unwrap()).collect();
@@ -196,40 +196,42 @@ fn oversized_deltas_fall_back_per_policy() {
         (0..3).map(|_| PTree::from_labels(&tax, leaves.iter().copied()).unwrap()).collect();
     let full = PTree::from_labels(&tax, leaves.iter().copied()).unwrap();
 
-    // Eager: synchronous rebuild.
+    // Eager: patched, and still fully resident.
     let eager = PcsEngine::builder()
         .graph(g.clone())
         .taxonomy(tax.clone())
         .profiles(profiles.clone())
         .index_mode(IndexMode::Eager)
-        .incremental_patch_cap(0.0)
         .build()
         .unwrap();
     let report = eager.update_profile(0, PTree::root_only()).unwrap();
-    assert_eq!(report.index, IndexMaintenance::Rebuilt);
-    assert!(eager.index_built());
+    match report.index {
+        IndexMaintenance::Patched(stats) => assert!(stats.labels_touched >= 8, "{stats:?}"),
+        other => panic!("expected a patch, got {other:?}"),
+    }
+    let snap = eager.snapshot();
+    assert_eq!(snap.resident_shards(), snap.index().unwrap().num_populated_labels());
 
-    // Lazy with a built index: dropped, rebuilt on next demand.
+    // Lazy with a built index: patched, and answers correctly.
     let lazy = PcsEngine::builder()
         .graph(g.clone())
         .taxonomy(tax.clone())
         .profiles(profiles.clone())
         .index_mode(IndexMode::Lazy)
-        .incremental_patch_cap(0.0)
         .build()
         .unwrap();
     lazy.warm().unwrap();
     assert!(lazy.index_built());
     let report = lazy.update_profile(0, PTree::root_only()).unwrap();
-    assert_eq!(report.index, IndexMaintenance::Deferred);
-    assert!(!lazy.index_built());
-    // The next index query rebuilds transparently and answers correctly.
+    assert!(matches!(report.index, IndexMaintenance::Patched(_)), "{:?}", report.index);
+    assert!(lazy.index_built());
     let resp = lazy.query(&QueryRequest::vertex(1).k(2).algorithm(Algorithm::AdvP)).unwrap();
     assert_eq!(resp.communities().len(), 1);
-    assert!(lazy.index_built());
+    let basic = lazy.query(&QueryRequest::vertex(1).k(2).algorithm(Algorithm::Basic)).unwrap();
+    assert_eq!(resp.communities(), basic.communities());
     // Restoring the full profile goes back through the update path.
     let report = lazy.update_profile(0, full).unwrap();
-    assert!(matches!(report.index, IndexMaintenance::Deferred | IndexMaintenance::Patched(_)));
+    assert!(matches!(report.index, IndexMaintenance::Patched(_)));
 
     // Lazy with no index yet: stays unbuilt.
     let cold = PcsEngine::builder()

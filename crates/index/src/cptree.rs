@@ -1,7 +1,7 @@
 //! CP-tree maintenance vocabulary: the delta types an update batch is
-//! reported in, and the batch classification shared by
-//! [`ShardedCpIndex::invalidation_set`](crate::ShardedCpIndex::invalidation_set)
-//! and [`ShardedCpIndex::apply_batch`](crate::ShardedCpIndex::apply_batch).
+//! reported in, and the batch classification
+//! [`ShardedCpIndex::apply_batch`](crate::ShardedCpIndex::apply_batch)
+//! patches from — run once per batch.
 //!
 //! An edge `{u, v}` exists in a label's induced subgraph only when
 //! *both* endpoints carry the label, so an edge delta touches
@@ -196,5 +196,41 @@ pub(crate) fn edge_change_preserves(
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcs_ptree::Taxonomy;
+    use std::sync::Arc;
+
+    #[test]
+    fn edge_touch_is_tight() {
+        // Fig. 1's A..E: an edge touches exactly the labels both
+        // endpoints carry.
+        let mut t = Taxonomy::new("r");
+        let cm = t.add_child(Taxonomy::ROOT, "CM").unwrap();
+        let is = t.add_child(Taxonomy::ROOT, "IS").unwrap();
+        let hw = t.add_child(Taxonomy::ROOT, "HW").unwrap();
+        let ml = t.add_child(cm, "ML").unwrap();
+        let ai = t.add_child(cm, "AI").unwrap();
+        let dms = t.add_child(is, "DMS").unwrap();
+        let profiles = vec![
+            PTree::from_labels(&t, [dms, hw]).unwrap(),
+            PTree::from_labels(&t, [ml, ai]).unwrap(),
+            PTree::from_labels(&t, [ml, ai, is]).unwrap(),
+            PTree::from_labels(&t, [ml, ai, dms, hw]).unwrap(),
+            PTree::from_labels(&t, [dms, hw]).unwrap(),
+        ];
+        let before = ProfilesHandle::dense(Arc::new(profiles.clone()));
+        // Edge A-E: both carry {r, IS, DMS, HW}.
+        let touch = classify_batch(&before, &profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }]);
+        let mut touched: Vec<LabelId> = touch.edge_touch.keys().copied().collect();
+        touched.sort_unstable();
+        let mut expect = vec![Taxonomy::ROOT, is, dms, hw];
+        expect.sort_unstable();
+        assert_eq!(touched, expect);
+        assert!(touch.profile_touch.is_empty());
     }
 }

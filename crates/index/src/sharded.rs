@@ -483,23 +483,6 @@ impl ShardedCpIndex {
         self.profiles.get(v as usize).cloned().unwrap_or_else(PTree::root_only)
     }
 
-    /// The labels whose shard a batch of deltas can possibly affect,
-    /// deduplicated and sorted (see [`crate::cptree`]). Callers use
-    /// the set's size to decide between patching
-    /// ([`apply_batch`](Self::apply_batch)) and a full rebuild.
-    pub fn invalidation_set(
-        &self,
-        profiles_after: &[PTree],
-        deltas: &[GraphDelta],
-    ) -> Vec<LabelId> {
-        let touch = classify_batch(&self.profiles, profiles_after, deltas);
-        let mut out: Vec<LabelId> =
-            touch.edge_touch.keys().chain(&touch.profile_touch).copied().collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Applies a batch of effective graph deltas: membership tables and
     /// the profile share are always brought up to date, **resident** shards
     /// are re-verified (bounded no-op check) or rebuilt, and **absent**
@@ -522,20 +505,12 @@ impl ShardedCpIndex {
     /// `None` drops the old cell whenever the graph changed (stale
     /// cores must never build a shard) — correctness is preserved
     /// either way, only the shortcut is lost.
-    ///
-    /// `threads` bounds the workers the resident-shard rebuild phase
-    /// fans out over (work-stealing over invalidated labels, exactly
-    /// like [`materialize_all`](Self::materialize_all)); `1` keeps the
-    /// whole patch sequential. Facade bookkeeping (member tables,
-    /// invalidation) is always sequential — it is O(batch), not
-    /// O(shard).
     pub fn apply_batch(
         &mut self,
         g_after: &Arc<Graph>,
         profiles_after: &Arc<Vec<PTree>>,
         deltas: &[GraphDelta],
         cores_after: Option<Arc<OnceLock<CoreDecomposition>>>,
-        threads: usize,
     ) -> CpPatchStats {
         debug_assert_eq!(self.n, g_after.num_vertices(), "vertex set is fixed");
         debug_assert_eq!(self.n, profiles_after.len());
@@ -633,58 +608,18 @@ impl ShardedCpIndex {
         }
         self.graph = GraphHandle::ready(Arc::clone(g_after));
         rebuild.sort_unstable();
-        // Split the labels that lost their last carrier (slot cleared,
-        // nothing to build) from those needing a CL-tree rebuild.
-        let mut to_build: Vec<LabelId> = Vec::new();
+        // A label that lost its last carrier gets a cleared slot;
+        // every other one a CL-tree rebuilt on the post-batch graph.
         for &label in &rebuild {
             let i = label as usize;
             stats.labels_rebuilt += 1;
-            if self.member_len(i) == 0 {
-                if let Some(slot) = self.slots.get_mut(i) {
-                    *slot = OnceLock::new();
-                }
+            let slot = if self.member_len(i) == 0 {
+                OnceLock::new()
             } else {
-                to_build.push(label);
-            }
-        }
-        let threads = threads.max(1).min(to_build.len().max(1));
-        if threads == 1 {
-            for &label in &to_build {
-                let shard = Arc::new(self.build_shard(label));
-                if let Some(slot) = self.slots.get_mut(label as usize) {
-                    *slot = OnceLock::from(shard);
-                }
-            }
-        } else {
-            // `build_shard` is `&self` (it only reads the already
-            // patched facade tables and the post-batch graph), so
-            // workers steal labels from a shared counter — the same
-            // shape as `materialize_all` — building into per-label
-            // cells; the slots are then installed sequentially once
-            // the scope has joined.
-            let mut cells: Vec<OnceLock<IndexShard>> = Vec::new();
-            cells.resize_with(to_build.len(), OnceLock::new);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let this: &ShardedCpIndex = self;
-            std::thread::scope(|scope| {
-                let (to_build, cells, next) = (&to_build, &cells, &next);
-                for _ in 0..threads {
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&label) = to_build.get(i) else { break };
-                        if let Some(cell) = cells.get(i) {
-                            let _ = cell.set(this.build_shard(label));
-                        }
-                    });
-                }
-            });
-            for (i, cell) in cells.into_iter().enumerate() {
-                let Some(shard) = cell.into_inner() else { continue };
-                if let Some(&label) = to_build.get(i) {
-                    if let Some(slot) = self.slots.get_mut(label as usize) {
-                        *slot = OnceLock::from(Arc::new(shard));
-                    }
-                }
+                OnceLock::from(Arc::new(self.build_shard(label)))
+            };
+            if let Some(s) = self.slots.get_mut(i) {
+                *s = slot;
             }
         }
         // Swap in the post-batch profile share (one Arc clone — the
@@ -1102,7 +1037,7 @@ mod tests {
         dyn_g.add_edge(0, 4).unwrap();
         let g_after = Arc::new(dyn_g.to_graph());
         let deltas = [GraphDelta::EdgeAdded { u: 0, v: 4 }];
-        let stats = patched.apply_batch(&g_after, &profiles, &deltas, None, 2);
+        let stats = patched.apply_batch(&g_after, &profiles, &deltas, None);
         assert_eq!(stats.labels_touched, 4);
         assert_eq!(
             stats.labels_rebuilt + stats.labels_skipped,
@@ -1134,28 +1069,11 @@ mod tests {
         dyn_g.add_edge(1, 3).unwrap();
         let g_after = Arc::new(dyn_g.to_graph());
         let deltas = [GraphDelta::EdgeAdded { u: 1, v: 3 }];
-        let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None, 1);
+        let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None);
         assert_eq!(stats.labels_skipped, 2, "root + a both skip");
         assert_eq!(stats.labels_rebuilt, 0);
         let fresh = ShardedCpIndex::build_resident(&g_after, &t, &profiles).unwrap();
         assert_matches_fresh(&idx, &fresh, &t);
-    }
-
-    #[test]
-    fn invalidation_set_is_tight() {
-        let (g, t, profiles) = figure1();
-        let idx = ShardedCpIndex::build(g, &t, Arc::new(profiles.clone())).unwrap();
-        // Edge A-E: both carry {r, IS, DMS, HW} — intersection is
-        // exactly those labels.
-        let touched = idx.invalidation_set(&profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }]);
-        let mut expect = vec![
-            Taxonomy::ROOT,
-            t.id_of("IS").unwrap(),
-            t.id_of("DMS").unwrap(),
-            t.id_of("HW").unwrap(),
-        ];
-        expect.sort_unstable();
-        assert_eq!(touched, expect);
     }
 
     #[test]
@@ -1168,7 +1086,7 @@ mod tests {
         profiles[6] = PTree::from_labels(&t, [dms]).unwrap();
         let profiles = Arc::new(profiles);
         let stats =
-            patched.apply_batch(&g, &profiles, &[GraphDelta::ProfileChanged { v: 6 }], None, 1);
+            patched.apply_batch(&g, &profiles, &[GraphDelta::ProfileChanged { v: 6 }], None);
         assert!(stats.labels_touched > 0);
         assert_eq!(stats.labels_rebuilt, 0, "nothing was resident");
         assert_eq!(stats.labels_invalidated, stats.labels_touched);
@@ -1259,7 +1177,7 @@ mod tests {
                     continue;
                 }
                 let g_after = Arc::new(dyn_g.to_graph());
-                idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None, 2);
+                idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None);
                 let fresh = ShardedCpIndex::build_resident(&g_after, &tax, &profiles).unwrap();
                 assert_matches_fresh(&idx, &fresh, &tax);
             }

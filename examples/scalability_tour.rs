@@ -30,14 +30,13 @@ fn main() {
         .taxonomy(ds.tax)
         .profiles(ds.profiles)
         .index_mode(IndexMode::Eager)
-        .index_build_threads(8)
         .build()
         .expect("consistent dataset");
     let built = t0.elapsed();
     let snap = engine.snapshot();
     let index = snap.index().expect("eager mode builds the index");
     println!(
-        "engine warm-up (8-thread CP-tree + core decomposition): {:.1} ms ({} labels populated, ~{:.1} MiB)",
+        "engine warm-up (CP-tree + core decomposition): {:.1} ms ({} labels populated, ~{:.1} MiB)",
         built.as_secs_f64() * 1e3,
         index.num_populated_labels(),
         index.memory_bytes() as f64 / (1024.0 * 1024.0)

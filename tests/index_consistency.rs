@@ -116,7 +116,7 @@ fn patched_matches_rebuild_after_churn(seed: u64) -> Result<(), TestCaseError> {
             continue;
         }
         let g_after = Arc::new(dyn_g.to_graph());
-        let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None, 2);
+        let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None);
         prop_assert_eq!(
             stats.labels_rebuilt + stats.labels_skipped + stats.labels_invalidated,
             stats.labels_touched,
