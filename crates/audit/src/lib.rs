@@ -96,6 +96,7 @@ impl RuleConfig {
             // pcs-index read / materialization path
             "crates/index/src/cltree.rs",
             "crates/index/src/sharded.rs",
+            "crates/index/src/communities.rs",
             // pcs-engine snapshot read path
             "crates/engine/src/snapshot.rs",
             "crates/engine/src/persist.rs",

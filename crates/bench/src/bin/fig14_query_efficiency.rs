@@ -5,7 +5,8 @@
 //! * `k`      — (a-d)  total query time while k varies 4..8, with the
 //!   closed-subtree search (`Algorithm::Auto`'s choice) as a sixth
 //!   column and the search effort behind the k = 6 row;
-//! * `vertex` — (e-h)  20-100 % of the vertices (k fixed);
+//! * `vertex` — (e-h)  20-100 % of the vertices (k fixed), with a
+//!   `closed` column here and in the next two sections;
 //! * `ptree`  — (i-l)  20-100 % of each P-tree;
 //! * `gptree` — (m-p)  20-100 % of the GP-tree;
 //! * `find`   — (q-t)  find-I vs find-D vs find-P initial-cut time;
@@ -14,6 +15,10 @@
 //! `basic` only participates in the `k` section (as in the paper, which
 //! drops it afterwards for being orders of magnitude slower) and runs
 //! on a reduced query count to keep the harness fast.
+//!
+//! `closed` runs with the index's community table warmed by the earlier
+//! queries of its own cell: what one query proves, later queries inside
+//! the same community reuse. The paper's algorithms do not read it.
 //!
 //! Queries run through the owned [`PcsEngine`] facade (the serving
 //! path); only the find-function section reaches through
@@ -35,7 +40,7 @@ const KS: [u32; 5] = [4, 5, 6, 7, 8];
 /// The `k` whose search effort the `k` section prints (the paper's
 /// default degree bound).
 const EFFORT_K: u32 = 6;
-/// The index-based columns of the `k` section, in print order.
+/// The index-based columns of every timing section, in print order.
 const INDEXED: [Algorithm; 5] =
     [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP, Algorithm::Closed];
 
@@ -131,6 +136,7 @@ fn section_vary_k(datasets: &[ProfiledDataset], args: &HarnessArgs) {
         }
         println!("\n{effort}\n");
     }
+    println!("closed reuses the communities earlier queries in its row proved.");
     let total = |algo: Algorithm| {
         let at = INDEXED.iter().position(|&a| a == algo);
         at.and_then(|i| totals.get(i)).map_or(0.0, Duration::as_secs_f64)
@@ -151,7 +157,7 @@ fn section_fraction(datasets: &[ProfiledDataset], args: &HarnessArgs, axis: &str
     println!("\n{title} — query time (ms), k = {}\n", args.k);
     for ds in datasets {
         println!("dataset: {}\n", ds.name);
-        header(&["fraction", "incre", "adv-I", "adv-D", "adv-P"]);
+        header(&["fraction", "incre", "adv-I", "adv-D", "adv-P", "closed"]);
         for &frac in &FRACTIONS {
             let sub = match axis {
                 "vertex" => subsample_vertices(ds, frac, args.seed ^ 0x14e),
@@ -163,7 +169,7 @@ fn section_fraction(datasets: &[ProfiledDataset], args: &HarnessArgs, axis: &str
             // The subsample is dead after sampling; move it into the
             // engine instead of cloning a second copy.
             let engine = engine_owning(sub);
-            for algo in [Algorithm::Incre, Algorithm::AdvI, Algorithm::AdvD, Algorithm::AdvP] {
+            for algo in INDEXED {
                 let took = run_algo(&engine, &queries, args.k, algo).time;
                 cells.push(format!("{:.1}", took.as_secs_f64() * 1e3));
             }

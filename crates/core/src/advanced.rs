@@ -20,7 +20,7 @@
 //! anywhere inside a query.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::VertexId;
 use pcs_index::ShardedCpIndex;
@@ -88,7 +88,7 @@ pub(crate) fn query_scratch(
 }
 
 fn run(mut ver: IndexVerifier<'_>, strategy: FindStrategy) -> PcsOutcome {
-    let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
+    let mut results: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = Vec::new();
     if ver.gk().is_some() {
         let cut = find_cut(&mut ver, strategy);
         expand_ptree(&mut ver, cut, &mut results);
@@ -116,7 +116,7 @@ fn find_i(ver: &mut IndexVerifier<'_>) -> Cut {
         debug_assert!(false, "find functions require Gk");
         return Cut { infeasible: None, feasible: root };
     };
-    let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(root, gk)];
+    let mut stack: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = vec![(root, gk)];
     ver.core.note_generated(1);
     let mut ext: Vec<u32> = Vec::new();
     while let Some((t_prime, community)) = stack.pop() {
@@ -302,7 +302,7 @@ fn find_p(ver: &mut IndexVerifier<'_>) -> Cut {
 pub fn expand_ptree(
     ver: &mut IndexVerifier<'_>,
     cut: Cut,
-    results: &mut Vec<(SubtreeId, Rc<Vec<VertexId>>)>,
+    results: &mut Vec<(SubtreeId, Arc<Vec<VertexId>>)>,
 ) {
     // Line 2: IF = ∅ with F ≠ ∅ means F = T(q) is feasible — it is the
     // unique maximal subtree.
@@ -342,7 +342,7 @@ pub fn expand_ptree(
             let yi = ver.ids_mut().without(inf, leaf);
             if let Some(yi_community) = ver.verify_id(yi) {
                 if ver.is_maximal_feasible_id(yi) && recorded.insert(yi) {
-                    results.push((yi, Rc::clone(&yi_community)));
+                    results.push((yi, Arc::clone(&yi_community)));
                 }
                 ver.ids().lattice_children_into(yi, &mut children);
                 for &pos in &children {

@@ -11,7 +11,7 @@
 //! and the result set are all id-keyed, so no `Subtree` is cloned or
 //! hashed inside the loop.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::VertexId;
 use pcs_ptree::SubtreeId;
@@ -32,7 +32,7 @@ pub(crate) fn query_scratch(
 }
 
 fn run(mut ver: Verifier<'_>) -> PcsOutcome {
-    let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
+    let mut results: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = Vec::new();
 
     // Line 3-4: compute Gk; nothing to do if it is empty.
     if ver.gk().is_some() {
@@ -71,14 +71,14 @@ fn run(mut ver: Verifier<'_>) -> PcsOutcome {
 /// Shared by all algorithms; the only place interned ids are
 /// materialized back into owned [`pcs_ptree::PTree`]s.
 pub(crate) fn assemble(
-    results: Vec<(SubtreeId, Rc<Vec<VertexId>>)>,
+    results: Vec<(SubtreeId, Arc<Vec<VertexId>>)>,
     core: VerifyCore<'_>,
 ) -> PcsOutcome {
     let mut communities: Vec<ProfiledCommunity> = results
         .into_iter()
         .map(|(id, vs)| ProfiledCommunity {
             subtree: core.space.to_ptree(&core.interner.subtree(id)),
-            vertices: vs.as_ref().clone(),
+            vertices: vs.to_vec(),
         })
         .collect();
     communities.sort_by(|a, b| a.subtree.cmp(&b.subtree));

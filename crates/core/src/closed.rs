@@ -24,9 +24,16 @@
 //! lattice child) pair instead of one per feasible subtree, and no
 //! separate maximality pass.
 //!
+//! What one query proves, later ones reuse: every community found is
+//! stored with its closure in the index's community table under the
+//! label sets of `T + p` and `cl(T + p)`, and a child whose label set
+//! holds a stored community containing `q` takes that community and
+//! closure with no verification (`IndexVerifier::closed_child`). `Gk`
+//! is the root-only entry.
+//!
 //! [`Algorithm::Auto`]: crate::Algorithm::Auto
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::VertexId;
 use pcs_index::ShardedCpIndex;
@@ -51,15 +58,15 @@ pub(crate) fn query_scratch(
 }
 
 fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
-    let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
+    let mut results: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = Vec::new();
 
     if let Some(gk) = ver.gk() {
         let root = ver.ids_mut().root_only();
         ver.core.note_generated(1);
-        let start = ver.close_id(root, &gk);
+        let start = ver.closure(root, &gk);
         let mut seen = SubtreeIdSet::new();
         seen.insert(start);
-        let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(start, gk)];
+        let mut stack: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = vec![(start, gk)];
         let mut children: Vec<u32> = Vec::new();
         while let Some((t, community)) = stack.pop() {
             let mut maximal = true;
@@ -67,9 +74,8 @@ fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
             ver.core.note_generated(children.len() as u64);
             for &pos in &children {
                 let child = ver.ids_mut().with(t, pos);
-                if let Some(sub) = ver.verify_from_base_id(child, &community, pos) {
+                if let Some((closed, sub)) = ver.closed_child(child, &community, pos) {
                     maximal = false;
-                    let closed = ver.close_id(child, &sub);
                     if seen.insert(closed) {
                         stack.push((closed, sub));
                     }

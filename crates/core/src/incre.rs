@@ -7,7 +7,7 @@
 //! parent subtree and the freshly added label's k-ĉore from the CP-tree
 //! index.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::VertexId;
 use pcs_index::ShardedCpIndex;
@@ -31,13 +31,13 @@ pub(crate) fn query_scratch(
 }
 
 fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
-    let mut results: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = Vec::new();
+    let mut results: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = Vec::new();
 
     if let Some(gk) = ver.gk() {
         // Line 3: Ψ initialized with the root-only subtree whose
         // community is Gk itself.
         let root = ver.ids_mut().root_only();
-        let mut stack: Vec<(SubtreeId, Rc<Vec<VertexId>>)> = vec![(root, gk)];
+        let mut stack: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = vec![(root, gk)];
         ver.core.note_generated(1);
         let mut ext: Vec<u32> = Vec::new();
         // Lines 4-11.

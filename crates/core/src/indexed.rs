@@ -2,17 +2,17 @@
 //!
 //! It holds the CP-tree index outright and alone owns everything that
 //! reads it — the per-label `Gk` bitsets, leaf-ĉore seeding, Lemma-3
-//! narrowing and the closure — over the same
-//! [`VerifyCore`](crate::verify) as `basic`'s verifier.
+//! narrowing, the closure and the index's closed-community table — over
+//! the same [`VerifyCore`](crate::verify) as `basic`'s verifier.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::VertexId;
 use pcs_index::ShardedCpIndex;
-use pcs_ptree::{QuerySpace, SubtreeId, SubtreeInterner};
+use pcs_ptree::{LabelId, QuerySpace, SubtreeId, SubtreeInterner, Taxonomy};
 
 use crate::problem::QueryContext;
-use crate::verify::{Community, QueryScratch, VerifyCore};
+use crate::verify::{shared, Community, QueryScratch, VerifyCore};
 
 /// One label's k-ĉore of the query vertex, as a bitset over `Gk`.
 #[derive(Clone, Debug)]
@@ -81,12 +81,18 @@ pub struct IndexVerifier<'a> {
     /// closure's word image under construction.
     member_buf: Vec<u32>,
     closure_words: Vec<u64>,
+    /// Scratch for community-table keys: sorted taxonomy labels.
+    label_buf: Vec<LabelId>,
+    closed_label_buf: Vec<LabelId>,
 }
 
 impl<'a> IndexVerifier<'a> {
-    /// Creates the oracle for `(q, k)` on `scratch`, computes `Gk` once
-    /// and stamps every member with its dense `Gk` position. `index`
-    /// must be the index `ctx` was assembled with.
+    /// Creates the oracle for `(q, k)` on `scratch`, finds `Gk` once
+    /// and stamps every member with its dense `Gk` position. `Gk` is the
+    /// community of the root-only label set, so it comes from the
+    /// index's community table when an earlier query stored it, and
+    /// from a BFS over the core decomposition otherwise. `index` must be
+    /// the index `ctx` was assembled with.
     pub fn new(
         ctx: &'a QueryContext<'a>,
         index: &'a ShardedCpIndex,
@@ -95,7 +101,11 @@ impl<'a> IndexVerifier<'a> {
         k: u32,
         scratch: &'a mut QueryScratch,
     ) -> Self {
-        let core = VerifyCore::new(ctx, space, q, k, scratch);
+        let proven = index.proven_community(k, &[Taxonomy::ROOT], q).map(|(_, gk)| gk);
+        let hit = proven.is_some();
+        let gk = proven.or_else(|| ctx.cores.kcore_component(ctx.graph, q, k).map(shared));
+        let mut core = VerifyCore::new(ctx, space, q, k, scratch, gk);
+        core.stats.memo_hits += u64::from(hit);
         if let Some(gk) = &core.gk {
             for (i, &v) in gk.iter().enumerate() {
                 core.scratch.stamp_gk_pos(v, i as u32);
@@ -110,6 +120,8 @@ impl<'a> IndexVerifier<'a> {
             children_buf: Vec::new(),
             member_buf: Vec::new(),
             closure_words: Vec::new(),
+            label_buf: Vec::new(),
+            closed_label_buf: Vec::new(),
         }
     }
 
@@ -198,7 +210,7 @@ impl<'a> IndexVerifier<'a> {
                     // whole: the candidates ARE that ĉore — a connected
                     // k-core containing q — so the peel is a no-op.
                     self.core.stats.verifications += 1;
-                    Some(Rc::new(seed.clone()))
+                    Some(Arc::new(seed.clone()))
                 } else {
                     self.core.peel()
                 }
@@ -254,7 +266,7 @@ impl<'a> IndexVerifier<'a> {
     pub fn verify_from_base_id(
         &mut self,
         id: SubtreeId,
-        base: &Rc<Vec<VertexId>>,
+        base: &Arc<Vec<VertexId>>,
         added_pos: u32,
     ) -> Community {
         if let Some(known) = self.core.known(id) {
@@ -284,9 +296,9 @@ impl<'a> IndexVerifier<'a> {
                     // The label removed nothing: `base` is already a
                     // connected k-core containing q made of carriers of
                     // the grown subtree, so it IS the answer — share
-                    // the Rc, skip the peel.
+                    // the Arc, skip the peel.
                     self.core.stats.verifications += 1;
-                    Some(Rc::clone(base))
+                    Some(Arc::clone(base))
                 } else if seed.len() == label_core_len {
                     // The mirror case: the label's ĉore lies inside
                     // `base`, so its members all carry the parent
@@ -295,7 +307,7 @@ impl<'a> IndexVerifier<'a> {
                     // it carries the label. It IS the answer; `base` is
                     // sorted, so the seed already is.
                     self.core.stats.verifications += 1;
-                    Some(Rc::new(seed.clone()))
+                    Some(Arc::new(seed.clone()))
                 } else {
                     self.core.peel()
                 }
@@ -319,7 +331,7 @@ impl<'a> IndexVerifier<'a> {
     /// once its parent is in; a ĉore smaller than `C` is rejected by
     /// its count, the rest by one bit test per member, stopping at the
     /// first miss.
-    pub fn close_id(&mut self, id: SubtreeId, community: &Rc<Vec<VertexId>>) -> SubtreeId {
+    pub fn close_id(&mut self, id: SubtreeId, community: &Arc<Vec<VertexId>>) -> SubtreeId {
         let mut members = std::mem::take(&mut self.member_buf);
         members.clear();
         members.extend(community.iter().filter_map(|&v| self.core.scratch.gk_pos_of(v)));
@@ -348,6 +360,75 @@ impl<'a> IndexVerifier<'a> {
         self.closure_words = words;
         self.core.remember(closed, community);
         closed
+    }
+
+    /// `(cl(child), Gk[child])` for the lattice child `child = t +
+    /// added_pos` of a closed `t` whose community is `base`, or `None`
+    /// when the child is infeasible. The index's community table is
+    /// asked first: a stored community of `child`'s label set that
+    /// contains `q` is `q`'s own, so a hit skips the narrowing, the peel
+    /// and the closure, and counts as a memo hit.
+    pub(crate) fn closed_child(
+        &mut self,
+        child: SubtreeId,
+        base: &Arc<Vec<VertexId>>,
+        added_pos: u32,
+    ) -> Option<(SubtreeId, Arc<Vec<VertexId>>)> {
+        let known = self.core.known(child);
+        if known.is_none() {
+            if let Some((closed, community)) = self.proven(child) {
+                self.core.stats.memo_hits += 1;
+                self.core.record(child, Some(Arc::clone(&community)));
+                self.core.remember(closed, &community);
+                return Some((closed, community));
+            }
+        }
+        let community = match known {
+            Some(known) => known?,
+            None => self.verify_from_base_id(child, base, added_pos)?,
+        };
+        Some((self.closure(child, &community), community))
+    }
+
+    /// `cl(id)` for a feasible `id` whose community is `community`: from
+    /// the community table when stored, else [`close_id`](Self::close_id),
+    /// then stored under both `id`'s and the closure's label sets.
+    pub(crate) fn closure(&mut self, id: SubtreeId, community: &Arc<Vec<VertexId>>) -> SubtreeId {
+        if let Some((closed, _)) = self.proven(id) {
+            self.core.remember(closed, community);
+            return closed;
+        }
+        let closed = self.close_id(id, community);
+        let (mut labels, mut closed_labels) =
+            (std::mem::take(&mut self.label_buf), std::mem::take(&mut self.closed_label_buf));
+        self.labels_into(id, &mut labels);
+        self.labels_into(closed, &mut closed_labels);
+        self.index.remember_community(self.core.k, &labels, &closed_labels, community);
+        (self.label_buf, self.closed_label_buf) = (labels, closed_labels);
+        closed
+    }
+
+    /// The table's `(cl(id), Gk[id])`, when a stored community of `id`'s
+    /// label set contains `q`. `q` carries every label of the stored
+    /// closure, so each maps back into `T(q)`.
+    fn proven(&mut self, id: SubtreeId) -> Option<(SubtreeId, Arc<Vec<VertexId>>)> {
+        let mut labels = std::mem::take(&mut self.label_buf);
+        self.labels_into(id, &mut labels);
+        let hit = self.index.proven_community(self.core.k, &labels, self.core.q);
+        self.label_buf = labels;
+        let (closed_labels, community) = hit?;
+        let mut closed = self.core.space.empty();
+        for &label in closed_labels.iter() {
+            closed.insert(self.core.space.position_of(label)?);
+        }
+        Some((self.core.interner.intern(&closed), community))
+    }
+
+    /// The sorted taxonomy labels of `id`: its community-table key.
+    fn labels_into(&self, id: SubtreeId, out: &mut Vec<LabelId>) {
+        out.clear();
+        out.extend(self.core.interner.positions(id).map(|p| self.core.space.label_at(p)));
+        out.sort_unstable();
     }
 
     /// True when `id` is feasible and every lattice child is infeasible

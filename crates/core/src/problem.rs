@@ -160,7 +160,9 @@ pub struct QueryStats {
     pub subtrees_generated: u64,
     /// Community verifications executed (localized k-core peels).
     pub verifications: u64,
-    /// Verifications answered from the memo instead of re-peeling.
+    /// Verifications answered without a peel: from the query's memo,
+    /// or from the index's community table (a `Gk` or a community an
+    /// earlier query proved).
     pub memo_hits: u64,
     /// Candidates found feasible.
     pub feasible: u64,
@@ -371,17 +373,21 @@ mod tests {
     }
 
     /// One pooled scratch, reused across every `(q, k, algorithm)` in
-    /// sequence, answers exactly like a fresh one-shot query.
+    /// sequence, answers exactly like a fresh one-shot query. Each side
+    /// has its own index, so both see the same community-table history.
     #[test]
     fn pooled_scratch_matches_one_shot_query() {
         let (g, t, profiles) = crate::testkit::figure1();
-        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
-        let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
+        let one_shot_index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let pooled_index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let one_shot_ctx =
+            QueryContext::new(&g, &t, &profiles).unwrap().with_index(&one_shot_index);
+        let ctx = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&pooled_index);
         let mut scratch = crate::verify::QueryScratch::new(g.num_vertices());
         for q in 0..8u32 {
             for k in 0..=3u32 {
                 for algorithm in Algorithm::ALL {
-                    let one_shot = ctx.query(q, k, algorithm).unwrap();
+                    let one_shot = one_shot_ctx.query(q, k, algorithm).unwrap();
                     let pooled = ctx.query_with_scratch(q, k, algorithm, &mut scratch).unwrap();
                     assert_eq!(one_shot.communities, pooled.communities, "q={q} k={k}");
                     assert_eq!(one_shot.stats, pooled.stats, "{} q={q} k={k}", algorithm.name());

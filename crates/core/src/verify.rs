@@ -21,7 +21,7 @@
 //! and [`IndexVerifier`](crate::indexed::IndexVerifier) for `incre`,
 //! adv-I/D/P and `closed`.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs_graph::core::SubsetCore;
 use pcs_graph::VertexId;
@@ -30,9 +30,15 @@ use pcs_ptree::{QuerySpace, Subtree, SubtreeId, SubtreeInterner};
 use crate::problem::{QueryContext, QueryStats};
 
 /// A verification answer: `None` ⇔ infeasible, otherwise the sorted
-/// community vertices (shared, since the memo and callers both hold
-/// them).
-pub type Community = Option<Rc<Vec<VertexId>>>;
+/// community vertices (shared, since the memo, callers and the index's
+/// community table all hold them).
+pub type Community = Option<Arc<Vec<VertexId>>>;
+
+/// Shares a fresh community, exact-sized: the community table may keep it.
+pub(crate) fn shared(mut vertices: Vec<VertexId>) -> Arc<Vec<VertexId>> {
+    vertices.shrink_to_fit();
+    Arc::new(vertices)
+}
 
 /// Reusable per-query working memory: everything a verifier needs
 /// beyond the answer vectors themselves. Creating one is O(n); reusing
@@ -139,16 +145,16 @@ pub(crate) struct VerifyCore<'a> {
 }
 
 impl<'a> VerifyCore<'a> {
-    /// Readies `scratch` for the query and computes `Gk` once.
+    /// Readies `scratch` for the query, whose `Gk` the caller found.
     pub(crate) fn new(
         ctx: &'a QueryContext<'a>,
         space: &'a QuerySpace,
         q: VertexId,
         k: u32,
         scratch: &'a mut QueryScratch,
+        gk: Community,
     ) -> Self {
         scratch.begin(ctx.graph.num_vertices());
-        let gk = ctx.cores.kcore_component(ctx.graph, q, k).map(Rc::new);
         let stats = QueryStats { query_tree_size: space.len() as u32, ..Default::default() };
         VerifyCore {
             ctx,
@@ -189,9 +195,9 @@ impl<'a> VerifyCore<'a> {
 
     /// Memoizes `community` for `id` — proven without a verification —
     /// unless the memo already holds an answer.
-    pub(crate) fn remember(&mut self, id: SubtreeId, community: &Rc<Vec<VertexId>>) {
+    pub(crate) fn remember(&mut self, id: SubtreeId, community: &Arc<Vec<VertexId>>) {
         if self.memo_get(id).is_none() {
-            self.memo_set(id, Some(Rc::clone(community)));
+            self.memo_set(id, Some(Arc::clone(community)));
         }
     }
 
@@ -214,7 +220,7 @@ impl<'a> VerifyCore<'a> {
         self.stats.verifications += 1;
         self.stats.peel_candidates += self.scratch.seed.len() as u64;
         let QueryScratch { core, seed, .. } = &mut *self.scratch;
-        core.kcore_component_within(self.ctx.graph, seed, self.q, self.k).map(Rc::new)
+        core.kcore_component_within(self.ctx.graph, seed, self.q, self.k).map(shared)
     }
 
     /// Count generated candidates (enumeration bookkeeping).
@@ -235,7 +241,8 @@ pub struct Verifier<'a> {
 
 impl<'a> Verifier<'a> {
     /// Creates the oracle for `(q, k)` on `scratch` (pooled by an
-    /// engine, or fresh) and computes `Gk` once.
+    /// engine, or fresh) and computes `Gk` once, by BFS over the core
+    /// decomposition.
     pub fn new(
         ctx: &'a QueryContext<'a>,
         space: &'a QuerySpace,
@@ -243,7 +250,8 @@ impl<'a> Verifier<'a> {
         k: u32,
         scratch: &'a mut QueryScratch,
     ) -> Self {
-        Verifier { core: VerifyCore::new(ctx, space, q, k, scratch), children_buf: Vec::new() }
+        let gk = ctx.cores.kcore_component(ctx.graph, q, k).map(shared);
+        Verifier { core: VerifyCore::new(ctx, space, q, k, scratch, gk), children_buf: Vec::new() }
     }
 
     /// The query's subtree interner (for id-space lattice moves).
@@ -378,10 +386,10 @@ mod tests {
                     let all = pcs_ptree::enumerate::enumerate_rooted_subtrees(&space);
                     for s in &all {
                         let expect = brute_gk(&g, &profiles, &space, s, q, k);
-                        let got = ver.verify(s).map(|rc| rc.as_ref().clone());
+                        let got = ver.verify(s).map(|c| c.to_vec());
                         assert_eq!(got, expect, "index={} q={q} k={k}", index.is_some());
                         // Second call hits the memo and agrees.
-                        let again = ver.verify(s).map(|rc| rc.as_ref().clone());
+                        let again = ver.verify(s).map(|c| c.to_vec());
                         assert_eq!(again, expect);
                     }
                 }
@@ -407,8 +415,8 @@ mod tests {
                     let mut fresh = verifier(&ctx, index, &space, q, k, &mut fresh_scratch);
                     for s in pcs_ptree::enumerate::enumerate_rooted_subtrees(&space) {
                         assert_eq!(
-                            pooled.verify(&s).map(|rc| rc.as_ref().clone()),
-                            fresh.verify(&s).map(|rc| rc.as_ref().clone()),
+                            pooled.verify(&s).map(|c| c.to_vec()),
+                            fresh.verify(&s).map(|c| c.to_vec()),
                             "q={q} k={k}"
                         );
                     }

@@ -15,7 +15,9 @@
 //!   materialize on demand — the first query pays for the labels it
 //!   touches rather than the whole taxonomy — and `T(v)` is restored
 //!   from the profiles the index shares with its owner (the paper's
-//!   `headMap`).
+//!   `headMap`). Queries also store in it the communities they prove
+//!   for label sets, for later queries inside the same community
+//!   ([`ShardedCpIndex::proven_community`]).
 //!
 //! ```
 //! use pcs_graph::Graph;
@@ -43,6 +45,7 @@
 #![deny(unsafe_code)]
 
 pub mod cltree;
+mod communities;
 pub mod cptree;
 pub mod sharded;
 

@@ -27,13 +27,14 @@
 //!   falling back to a from-graph build whenever the source cannot
 //!   produce a structurally valid shard for the current members.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use pcs_graph::core::CoreDecomposition;
 use pcs_graph::{Graph, GraphBuilder, GraphHandle, VertexId};
 use pcs_ptree::{LabelId, PTree, ProfilesHandle, Taxonomy};
 
 use crate::cltree::ClTree;
+use crate::communities::{CommunityTable, Proof};
 use crate::cptree::{classify_batch, edge_change_preserves, CpPatchStats, GraphDelta};
 use crate::{IndexError, Result};
 
@@ -151,6 +152,10 @@ pub struct ShardedCpIndex {
     /// is built straight from these cores with no induced-subgraph
     /// copy and no re-peel.
     global_cores: Option<Arc<OnceLock<CoreDecomposition>>>,
+    /// The closed-community table ([`crate::communities`]), filled by
+    /// queries. A clone shares it; every `&mut self` method swaps in an
+    /// empty one before it mutates, so no entry outlives its epoch.
+    communities: Arc<RwLock<CommunityTable>>,
     n: usize,
 }
 
@@ -189,6 +194,7 @@ impl ShardedCpIndex {
             member_source: None,
             source: None,
             global_cores: None,
+            communities: Arc::default(),
             n,
         })
     }
@@ -267,6 +273,7 @@ impl ShardedCpIndex {
             member_source: None,
             source: None,
             global_cores: None,
+            communities: Arc::default(),
             n,
         })
     }
@@ -305,6 +312,7 @@ impl ShardedCpIndex {
             member_source: Some(members),
             source: shards,
             global_cores: None,
+            communities: Arc::default(),
             n,
         })
     }
@@ -318,7 +326,32 @@ impl ShardedCpIndex {
     /// to re-set it falls back to a correct from-graph peel rather
     /// than building the root shard on stale cores.
     pub fn set_global_cores(&mut self, cores: Arc<OnceLock<CoreDecomposition>>) {
+        self.communities = Arc::default();
         self.global_cores = Some(cores);
+    }
+
+    /// The community an earlier query proved under `(k, labels)` that
+    /// contains `q`, with its closed label set (see
+    /// [`remember_community`](Self::remember_community)). `None` says
+    /// nothing about feasibility. A poisoned table reads as empty.
+    pub fn proven_community(&self, k: u32, labels: &[LabelId], q: VertexId) -> Option<Proof> {
+        self.communities.read().ok()?.get(k, labels, q)
+    }
+
+    /// Records that `community` (sorted) is, at `k`, the connected
+    /// k-core containing each of its members among the carriers of
+    /// `labels` (sorted), and that `closed` (sorted) is every label all
+    /// its members carry. Stored under both label sets.
+    pub fn remember_community(
+        &self,
+        k: u32,
+        labels: &[LabelId],
+        closed: &[LabelId],
+        community: &Arc<Vec<VertexId>>,
+    ) {
+        if let Ok(mut table) = self.communities.write() {
+            table.insert(self.n, k, labels, closed, community);
+        }
     }
 
     /// Number of vertices the index covers.
@@ -514,6 +547,7 @@ impl ShardedCpIndex {
     ) -> CpPatchStats {
         debug_assert_eq!(self.n, g_after.num_vertices(), "vertex set is fixed");
         debug_assert_eq!(self.n, profiles_after.len());
+        self.communities = Arc::default();
         let touch = classify_batch(&self.profiles, profiles_after, deltas);
         let mut stats = CpPatchStats::default();
         let mut rebuild: Vec<LabelId> = Vec::new();
@@ -755,6 +789,7 @@ impl ShardedCpIndex {
     /// mutation tests can assert [`verify_deep`](Self::verify_deep)
     /// catches the mismatch. Never use outside those tests.
     pub fn tamper_member_table_for_test(&mut self, label: LabelId, members: Vec<VertexId>) {
+        self.communities = Arc::default();
         if let Some(slot) = self.members_of.get_mut(label as usize) {
             *slot = MemberSlot::resident(members);
         }
@@ -765,6 +800,7 @@ impl ShardedCpIndex {
     /// [`ClTree::from_flat_unchecked_for_test`] to plant geometry
     /// lies). Never use outside those tests.
     pub fn replace_shard_for_test(&mut self, label: LabelId, cl: ClTree) {
+        self.communities = Arc::default();
         if let Some(slot) = self.slots.get_mut(label as usize) {
             *slot = OnceLock::from(Arc::new(IndexShard { label, cl }));
         }
@@ -773,11 +809,12 @@ impl ShardedCpIndex {
 
 impl Clone for ShardedCpIndex {
     /// Shares resident shards, per-label member lists, the profile
-    /// vector, and the shard source (`Arc` clones throughout); nothing
-    /// is deep-copied. This is the writer's clone-and-patch entry
-    /// point: O(labels) pointer copies, with the patch then
-    /// copy-on-writing only the touched member lists — cost tracks
-    /// the invalidation set, not the index size.
+    /// vector, the shard source and the community table (`Arc` clones
+    /// throughout); nothing is deep-copied. This is the writer's
+    /// clone-and-patch entry point: O(labels) pointer copies, with the
+    /// patch then copy-on-writing only the touched member lists (and
+    /// starting an empty community table) — cost tracks the
+    /// invalidation set, not the index size.
     fn clone(&self) -> Self {
         let slots = self
             .slots
@@ -796,6 +833,7 @@ impl Clone for ShardedCpIndex {
             source: self.source.clone(),
             source_live: self.source_live.clone(),
             global_cores: self.global_cores.clone(),
+            communities: Arc::clone(&self.communities),
             n: self.n,
         }
     }

@@ -1,7 +1,7 @@
 //! The owned-`Subtree` probes the integration suites use on top of the
 //! id-space verifiers: intern the candidate, then ask.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use pcs::core::verify::Community;
 use pcs::core::{IndexVerifier, Verifier};
@@ -34,7 +34,7 @@ pub trait OwnedNarrow {
     fn verify_from_base(
         &mut self,
         s: &Subtree,
-        base: &Rc<Vec<VertexId>>,
+        base: &Arc<Vec<VertexId>>,
         added_pos: u32,
     ) -> Community;
 }
@@ -43,7 +43,7 @@ impl OwnedNarrow for IndexVerifier<'_> {
     fn verify_from_base(
         &mut self,
         s: &Subtree,
-        base: &Rc<Vec<VertexId>>,
+        base: &Arc<Vec<VertexId>>,
         added_pos: u32,
     ) -> Community {
         let id = self.ids_mut().intern(s);
