@@ -287,6 +287,7 @@ impl std::fmt::Debug for QueryCache {
 mod tests {
     use super::*;
     use pcs_core::{PcsOutcome, QueryStats};
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn response(epoch: u64) -> Arc<QueryResponse> {
@@ -317,21 +318,33 @@ mod tests {
         assert_eq!((snap.hits, snap.misses), (1, 1));
     }
 
+    /// Requests differing in any field the key carries map to pairwise
+    /// distinct keys through `for_request`, and none hits another's
+    /// entry. A field `for_request` failed to read would alias two
+    /// requests and serve one client another client's answer.
     #[test]
     fn distinct_keys_never_collide() {
+        let key_of =
+            |r: &QueryRequest| CacheKey::for_request(r, r.requested_algorithm().resolve(true));
+        let base = || QueryRequest::vertex(3).k(2);
+        let variants = [
+            base(),
+            QueryRequest::vertex(4).k(2),       // vertex differs
+            base().k(3),                        // k differs
+            base().algorithm(Algorithm::Basic), // algorithm differs
+            base().max_communities(1),          // cap differs
+            base().collect_stats(true),         // stats flag differs
+        ];
+        let keys: HashSet<CacheKey> = variants.iter().map(key_of).collect();
+        assert_eq!(keys.len(), variants.len(), "distinct requests share a key: {keys:?}");
+
         let cache = QueryCache::new(64, Arc::new(CacheStats::default()));
-        let base = key(1);
-        cache.insert(base.clone(), response(7));
-        for other in [
-            CacheKey { k: 3, ..base.clone() },
-            CacheKey { algorithm: Algorithm::Incre, ..base.clone() },
-            CacheKey { cap: Some(1), ..base.clone() },
-            CacheKey { stats: true, ..base.clone() },
-            key(2),
-        ] {
-            assert_ne!(other, base);
-            assert!(cache.lookup(&other).is_none(), "{other:?} must not hit {base:?}");
+        cache.insert(key_of(&base()), response(7));
+        for other in &variants[1..] {
+            assert!(cache.lookup(&key_of(other)).is_none(), "{other:?} must not hit {:?}", base());
         }
+        // `bypass_cache` is deliberately no part of the key.
+        assert_eq!(key_of(&base().bypass_cache(true)), key_of(&base()));
     }
 
     #[test]
