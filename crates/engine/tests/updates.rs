@@ -152,7 +152,7 @@ fn eager_engine_patches_incrementally_on_small_deltas() {
     match report.index {
         IndexMaintenance::Patched(stats) => {
             assert!(stats.labels_touched >= 1);
-            assert_eq!(stats.labels_rebuilt + stats.labels_skipped, stats.labels_touched);
+            assert_eq!(stats.labels_rebuilt, stats.labels_touched);
         }
         other => panic!("expected incremental patch, got {other:?}"),
     }
@@ -160,9 +160,10 @@ fn eager_engine_patches_incrementally_on_small_deltas() {
 }
 
 #[test]
-fn redundant_edge_inside_a_community_is_skipped_entirely() {
+fn redundant_edge_inside_a_community_is_rebuilt() {
     // 4-cycle of `a`-vertices: the diagonal changes no cores and merges
-    // no ĉores, so every touched label reports skipped.
+    // no ĉores, yet both touched resident labels are rebuilt, and every
+    // answer afterwards equals index-free `basic`.
     let mut tax = Taxonomy::new("r");
     let a = tax.add_child(Taxonomy::ROOT, "a").unwrap();
     let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
@@ -177,10 +178,24 @@ fn redundant_edge_inside_a_community_is_skipped_entirely() {
     let report = engine.add_edge(0, 2).unwrap();
     match report.index {
         IndexMaintenance::Patched(stats) => {
-            assert_eq!(stats.labels_skipped, 2, "root and `a` both provably unchanged");
-            assert_eq!(stats.labels_rebuilt, 0);
+            assert_eq!(stats.labels_rebuilt, 2, "root and `a` are both rebuilt");
         }
         other => panic!("expected incremental patch, got {other:?}"),
+    }
+    for q in 0..4u32 {
+        for k in 1..=3u32 {
+            let reference =
+                engine.query(&QueryRequest::vertex(q).k(k).algorithm(Algorithm::Basic)).unwrap();
+            for algo in Algorithm::ALL {
+                let resp = engine.query(&QueryRequest::vertex(q).k(k).algorithm(algo)).unwrap();
+                assert_eq!(
+                    resp.outcome.communities,
+                    reference.outcome.communities,
+                    "{} disagrees with basic (q={q}, k={k})",
+                    algo.name()
+                );
+            }
+        }
     }
 }
 

@@ -8,21 +8,14 @@
 //! * [`DynamicGraph`] — sorted adjacency lists supporting O(deg) edge
 //!   insertion/removal and an O(n + m) conversion back to CSR (no
 //!   re-sort: the lists stay sorted under mutation).
-//! * [`promoted_by_insertion`] / [`demoted_by_deletion`] — the bounded
-//!   traversal algorithms of Sariyüce et al. (*Streaming algorithms for
-//!   k-core decomposition*, VLDB 2013): after a single edge change,
-//!   core numbers move by at most one and only inside the **subcore**
-//!   of the touched endpoints (the vertices with the smaller endpoint
-//!   core value, reachable through vertices of that same core value).
-//!   Both functions visit only that region — never O(n) — and are
-//!   generic over an adjacency closure so the same code maintains the
-//!   global decomposition *and* detects changes inside per-label
-//!   CP-tree subgraphs.
-//!
-//! The combination gives an updatable core decomposition: keep a
-//! `Vec<u32>` of core numbers next to a [`DynamicGraph`], call the
-//! matching function after every applied edge change, and add/subtract
-//! one for the returned vertices.
+//! * [`IncrementalCores`] — a core-number array kept current by the
+//!   bounded traversal algorithms of Sariyüce et al. (*Streaming
+//!   algorithms for k-core decomposition*, VLDB 2013): after a single
+//!   edge change, core numbers move by at most one and only inside the
+//!   **subcore** of the touched endpoints (the vertices with the
+//!   smaller endpoint core value, reachable through vertices of that
+//!   same core value). Each update visits only that region — never
+//!   O(n).
 
 use crate::graph::{Graph, VertexId};
 use crate::{FxHashMap, FxHashSet, GraphError, Result};
@@ -176,7 +169,7 @@ impl DynamicGraph {
 /// endpoints through same-core vertices, computes each one's count of
 /// neighbors at core ≥ k, and peels those that cannot reach degree
 /// k + 1; the survivors are promoted. Sorted output.
-pub fn promoted_by_insertion<A, I, C>(u: VertexId, v: VertexId, adj: A, core: C) -> Vec<VertexId>
+fn promoted_by_insertion<A, I, C>(u: VertexId, v: VertexId, adj: A, core: C) -> Vec<VertexId>
 where
     A: Fn(VertexId) -> I,
     I: IntoIterator<Item = VertexId>,
@@ -241,7 +234,7 @@ where
 /// the subcores of the endpoints can change (by exactly one); the peel
 /// evicts every member left with fewer than `k` supporters. Sorted
 /// output.
-pub fn demoted_by_deletion<A, I, C>(u: VertexId, v: VertexId, adj: A, core: C) -> Vec<VertexId>
+fn demoted_by_deletion<A, I, C>(u: VertexId, v: VertexId, adj: A, core: C) -> Vec<VertexId>
 where
     A: Fn(VertexId) -> I,
     I: IntoIterator<Item = VertexId>,

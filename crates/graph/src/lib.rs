@@ -53,7 +53,7 @@ pub mod unionfind;
 pub use bitset::{BitSet, EpochSet};
 pub use components::{component_containing, connected_components};
 pub use core::{CoreDecomposition, SubsetCore};
-pub use dynamic::{demoted_by_deletion, promoted_by_insertion, DynamicGraph, IncrementalCores};
+pub use dynamic::{DynamicGraph, IncrementalCores};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use hash::{FxHashMap, FxHashSet};
 pub use lazy::{GraphHandle, GraphSource};

@@ -661,8 +661,7 @@ impl ClTree {
     ///
     /// Two vertices lie in the same k-ĉore iff they report the same
     /// summit — an O(max_core) containment test without collecting the
-    /// ĉore itself, used by the incremental CP-tree maintenance to
-    /// prove an edge insertion merges nothing.
+    /// ĉore itself; [`ClTree::community_ref`] slices the ĉore from it.
     pub fn summit(&self, q: VertexId, k: u32) -> Option<u32> {
         let i = self.members.binary_search(&q).ok()?;
         if self.core_of.get(i).copied()? < k {

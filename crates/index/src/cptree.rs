@@ -10,11 +10,8 @@
 //! keep their CL-trees verbatim — the whole point of the incremental
 //! path.
 
-use pcs_graph::{demoted_by_deletion, promoted_by_insertion, FxHashMap, FxHashSet};
-use pcs_graph::{Graph, VertexId};
+use pcs_graph::{FxHashMap, FxHashSet, VertexId};
 use pcs_ptree::{LabelId, PTree, ProfilesHandle};
-
-use crate::cltree::ClTree;
 
 /// One applied change to the underlying profiled graph, as reported to
 /// the index for incremental maintenance. Deltas describe *effective*
@@ -51,13 +48,12 @@ pub struct CpPatchStats {
     /// Labels whose induced subgraph was touched by at least one delta
     /// (the invalidation set).
     pub labels_touched: usize,
-    /// Touched labels whose CL-tree was actually rebuilt.
+    /// Touched labels whose shard was resident and whose CL-tree was
+    /// rebuilt.
     pub labels_rebuilt: usize,
-    /// Touched labels proven unchanged by the bounded traversal check
-    /// and left as-is.
-    pub labels_skipped: usize,
     /// Touched labels whose shard was not resident and was merely
     /// invalidated — membership bookkeeping only, no CL-tree built.
+    /// `labels_rebuilt + labels_invalidated == labels_touched`.
     pub labels_invalidated: usize,
 }
 
@@ -67,11 +63,10 @@ fn labels_before(profiles_before: &ProfilesHandle, v: VertexId) -> FxHashSet<Lab
 }
 
 /// The per-label classification of one delta batch: which labels were
-/// touched by edges (with the delta count and the last edge, so the
-/// bounded no-op check only runs when sound), which by membership
-/// changes, and the net member additions/removals per label.
+/// touched by edges, which by membership changes, and the net member
+/// additions/removals per label.
 pub(crate) struct BatchTouch {
-    pub(crate) edge_touch: FxHashMap<LabelId, (usize, (VertexId, VertexId, bool))>,
+    pub(crate) edge_touch: FxHashSet<LabelId>,
     pub(crate) profile_touch: FxHashSet<LabelId>,
     pub(crate) member_add: FxHashMap<LabelId, Vec<VertexId>>,
     pub(crate) member_remove: FxHashMap<LabelId, Vec<VertexId>>,
@@ -100,7 +95,7 @@ pub(crate) fn classify_batch(
     deltas: &[GraphDelta],
 ) -> BatchTouch {
     let mut touch = BatchTouch {
-        edge_touch: FxHashMap::default(),
+        edge_touch: FxHashSet::default(),
         profile_touch: FxHashSet::default(),
         member_add: FxHashMap::default(),
         member_remove: FxHashMap::default(),
@@ -110,16 +105,11 @@ pub(crate) fn classify_batch(
     for delta in deltas {
         match *delta {
             GraphDelta::EdgeAdded { u, v } | GraphDelta::EdgeRemoved { u, v } => {
-                let added = matches!(delta, GraphDelta::EdgeAdded { .. });
                 for w in [u, v] {
                     carried_memo.entry(w).or_insert_with(|| labels_before(profiles_before, w));
                 }
                 let (cu, cv) = (&carried_memo[&u], &carried_memo[&v]);
-                for &label in cu.intersection(cv) {
-                    let entry = touch.edge_touch.entry(label).or_insert((0, (u, v, added)));
-                    entry.0 += 1;
-                    entry.1 = (u, v, added);
-                }
+                touch.edge_touch.extend(cu.intersection(cv));
             }
             GraphDelta::ProfileChanged { v } => {
                 debug_assert!(
@@ -142,61 +132,6 @@ pub(crate) fn classify_batch(
         }
     }
     touch
-}
-
-/// True when the single edge change `{u, v}` (inserted when `added`)
-/// provably leaves `cl` — one label's CL-tree — unchanged.
-///
-/// Both tests are bounded traversals of the label's induced subgraph,
-/// never O(n):
-///
-/// * **Insertion** is a no-op iff no member's subgraph core number
-///   rises ([`promoted_by_insertion`] over the label-filtered
-///   adjacency returns nothing) *and* the endpoints already shared
-///   their `min(core)`-ĉore (same [`ClTree::summit`]), so no ĉores
-///   merge at any level.
-/// * **Removal** is a no-op iff no member's core number drops *and*
-///   the endpoints are still connected within the `min(core)`-level
-///   members, so no ĉore splits.
-pub(crate) fn edge_change_preserves(
-    cl: &ClTree,
-    g_after: &Graph,
-    u: VertexId,
-    v: VertexId,
-    added: bool,
-) -> bool {
-    let (Some(cu), Some(cv)) = (cl.core_of(u), cl.core_of(v)) else {
-        return false;
-    };
-    let k = cu.min(cv);
-    let adj = |w: VertexId| g_after.neighbors(w).iter().copied().filter(|&z| cl.contains_vertex(z));
-    let core = |w: VertexId| cl.core_of(w).expect("adjacency filtered to members");
-    if added {
-        if cl.summit(u, k) != cl.summit(v, k) {
-            return false; // two ĉores merge at level ≤ k
-        }
-        promoted_by_insertion(u, v, adj, core).is_empty()
-    } else {
-        if !demoted_by_deletion(u, v, adj, core).is_empty() {
-            return false;
-        }
-        // Still connected within the k-level members? (Connectivity
-        // at level k implies connectivity at every level below it.)
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        let mut stack = vec![u];
-        seen.insert(u);
-        while let Some(w) = stack.pop() {
-            if w == v {
-                return true;
-            }
-            for z in adj(w) {
-                if core(z) >= k && seen.insert(z) {
-                    stack.push(z);
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +161,7 @@ mod tests {
         let before = ProfilesHandle::dense(Arc::new(profiles.clone()));
         // Edge A-E: both carry {r, IS, DMS, HW}.
         let touch = classify_batch(&before, &profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }]);
-        let mut touched: Vec<LabelId> = touch.edge_touch.keys().copied().collect();
+        let mut touched: Vec<LabelId> = touch.edge_touch.iter().copied().collect();
         touched.sort_unstable();
         let mut expect = vec![Taxonomy::ROOT, is, dms, hw];
         expect.sort_unstable();

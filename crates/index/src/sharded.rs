@@ -35,7 +35,7 @@ use pcs_ptree::{LabelId, PTree, ProfilesHandle, Taxonomy};
 
 use crate::cltree::ClTree;
 use crate::communities::{CommunityTable, Proof};
-use crate::cptree::{classify_batch, edge_change_preserves, CpPatchStats, GraphDelta};
+use crate::cptree::{classify_batch, CpPatchStats, GraphDelta};
 use crate::{IndexError, Result};
 
 /// One materialized shard: a label and the CL-tree of the subgraph
@@ -517,11 +517,13 @@ impl ShardedCpIndex {
     }
 
     /// Applies a batch of effective graph deltas: membership tables and
-    /// the profile share are always brought up to date, **resident** shards
-    /// are re-verified (bounded no-op check) or rebuilt, and **absent**
-    /// shards are merely invalidated — their slot stays cold and any
-    /// snapshot source for them is marked stale, so the cost of a
-    /// shard nobody queried is bookkeeping, never a CL-tree build.
+    /// the profile share are always brought up to date, every touched
+    /// **resident** shard is rebuilt, and **absent** shards are merely
+    /// invalidated — their slot stays cold and any snapshot source for
+    /// them is marked stale, so the cost of a shard nobody queried is
+    /// bookkeeping, never a CL-tree build. There is no "provably
+    /// unchanged" pre-check: on the benchmark corpus such a check's
+    /// subcore traversal cost 6× the rebuilds it saved.
     ///
     /// `g_after` and `profiles_after` describe the graph **after** the
     /// whole batch; `deltas` lists the applied changes (no no-ops, and
@@ -551,21 +553,24 @@ impl ShardedCpIndex {
         let touch = classify_batch(&self.profiles, profiles_after, deltas);
         let mut stats = CpPatchStats::default();
         let mut rebuild: Vec<LabelId> = Vec::new();
-        // Membership-changed labels: patch the member table in place,
-        // then rebuild (resident) or invalidate (absent).
-        let mut profile_touched: Vec<LabelId> = touch.profile_touch.iter().copied().collect();
-        profile_touched.sort_unstable();
+        // Every touched label is rebuilt (resident) or invalidated
+        // (absent); membership-changed labels first get their member
+        // table patched in place.
+        let mut touched: Vec<LabelId> =
+            touch.profile_touch.union(&touch.edge_touch).copied().collect();
+        touched.sort_unstable();
+        stats.labels_touched = touched.len();
         let member_source = self.member_source.clone();
-        for &label in &profile_touched {
-            stats.labels_touched += 1;
+        for &label in &touched {
             let i = label as usize;
-            // Copy-on-write: only the lists the batch touches are
+            // Copy-on-write: only the lists whose membership changed are
             // duplicated; every other label keeps sharing the previous
             // epoch's `Arc`. A lazily loaded list must be resident to
             // be edited, so it is faulted in first (a load failure
             // patches an empty list — the recorded fault fails queries
             // upstream, so the hole is never served).
-            if let Some(slot) = self.members_of.get_mut(i) {
+            let members_changed = touch.profile_touch.contains(&label);
+            if let Some(slot) = self.members_of.get_mut(i).filter(|_| members_changed) {
                 if slot.cell.get().is_none() {
                     let loaded = if slot.len == 0 {
                         Vec::new()
@@ -592,34 +597,6 @@ impl ShardedCpIndex {
                 stats.labels_invalidated += 1;
             }
         }
-        // Edge-touched labels: membership is unchanged; resident shards
-        // run the bounded no-op check (single edge only) or rebuild,
-        // absent ones are invalidated.
-        for (&label, &(count, (u, v, added))) in &touch.edge_touch {
-            if touch.profile_touch.contains(&label) {
-                continue; // already handled above
-            }
-            stats.labels_touched += 1;
-            let i = label as usize;
-            match self.slots.get(i).and_then(OnceLock::get) {
-                Some(shard) => {
-                    if count == 1 && edge_change_preserves(&shard.cl, g_after, u, v, added) {
-                        stats.labels_skipped += 1;
-                    } else {
-                        if let Some(live) = self.source_live.get_mut(i) {
-                            *live = false;
-                        }
-                        rebuild.push(label);
-                    }
-                }
-                None => {
-                    if let Some(live) = self.source_live.get_mut(i) {
-                        *live = false;
-                    }
-                    stats.labels_invalidated += 1;
-                }
-            }
-        }
         // Rebuild the resident invalidated shards against the new
         // graph. The graph handle must be swapped first: `build_shard`
         // reads it, and future on-demand materializations of the
@@ -641,7 +618,6 @@ impl ShardedCpIndex {
             }
         }
         self.graph = GraphHandle::ready(Arc::clone(g_after));
-        rebuild.sort_unstable();
         // A label that lost its last carrier gets a cleared slot;
         // every other one a CL-tree rebuilt on the post-batch graph.
         for &label in &rebuild {
@@ -1077,11 +1053,7 @@ mod tests {
         let deltas = [GraphDelta::EdgeAdded { u: 0, v: 4 }];
         let stats = patched.apply_batch(&g_after, &profiles, &deltas, None);
         assert_eq!(stats.labels_touched, 4);
-        assert_eq!(
-            stats.labels_rebuilt + stats.labels_skipped,
-            1,
-            "only the resident HW shard was revisited"
-        );
+        assert_eq!(stats.labels_rebuilt, 1, "only the resident HW shard was revisited");
         assert_eq!(stats.labels_invalidated, 3, "absent shards invalidated, never built");
         // Cold shards now materialize against the *new* graph; the
         // whole surface equals a from-scratch rebuild.
@@ -1094,10 +1066,11 @@ mod tests {
     }
 
     #[test]
-    fn redundant_intra_core_edge_is_skipped() {
+    fn redundant_intra_core_edge_is_rebuilt() {
         // A 4-cycle of vertices all sharing one label, plus a pendant:
         // the diagonal 1-3 joins two vertices already in the same
-        // 2-ĉore and leaves every core number at 2 — provably a no-op.
+        // 2-ĉore and leaves every core number at 2. Both resident
+        // shards it touches are still rebuilt, and match a fresh build.
         let mut t = Taxonomy::new("r");
         let a = t.add_child(Taxonomy::ROOT, "a").unwrap();
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]).unwrap();
@@ -1108,8 +1081,7 @@ mod tests {
         let g_after = Arc::new(dyn_g.to_graph());
         let deltas = [GraphDelta::EdgeAdded { u: 1, v: 3 }];
         let stats = idx.apply_batch(&g_after, &Arc::new(profiles.clone()), &deltas, None);
-        assert_eq!(stats.labels_skipped, 2, "root + a both skip");
-        assert_eq!(stats.labels_rebuilt, 0);
+        assert_eq!(stats.labels_rebuilt, 2, "root + a are both rebuilt");
         let fresh = ShardedCpIndex::build_resident(&g_after, &t, &profiles).unwrap();
         assert_matches_fresh(&idx, &fresh, &t);
     }
