@@ -98,18 +98,6 @@ pub struct CacheStatsSnapshot {
     pub surgical_survivals: u64,
 }
 
-impl CacheStatsSnapshot {
-    /// `hits / (hits + misses)`, or 0.0 before the first lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The full identity of a cacheable answer. Built from a
 /// [`QueryRequest`] **after** [`Algorithm::Auto`] resolution, so an
 /// `Auto` request and an explicit request for the same concrete

@@ -11,7 +11,8 @@
 //!           → WAL append + fsync (epoch N)
 //!           → publish snapshot N        (readers see N only after fsync)
 //!           → release the writer lock
-//!   recover:  load snapshot (epoch S) → replay WAL records S+1.. → serve
+//!   recover:  load snapshot (epoch S) → stage WAL records S+1..T
+//!           → publish snapshot T once → serve
 //! ```
 //!
 //! The durable directory layout is one snapshot plus one WAL
@@ -34,9 +35,10 @@
 //! for the HTTP `GET /wal?from=epoch` endpoint, which a network
 //! follower applies via [`PcsEngine::apply_wal_frames`]. Either way the
 //! follower's state at epoch N is byte-for-byte the primary's: the same
-//! batches, applied in the same order, through the same `apply` path
+//! batches, staged in the same order by the same code as `apply`, which
 //! the differential harness proves equivalent to a from-scratch build.
-//! Recovery and both followers share one loop, `PcsEngine::replay`.
+//! Recovery and both followers share one loop, `PcsEngine::replay`,
+//! which publishes once per run of records rather than once per record.
 //!
 //! ## Failure contract
 //!
@@ -50,14 +52,16 @@
 
 use pcs_graph::VertexId;
 use pcs_ptree::{LabelId, PTree, Taxonomy};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::time::Instant;
 
 use pcs_store::wal::{self, Wal, WalOptions, WalRecord};
 use pcs_store::{SectionReader, SectionWriter, StoreError, WAL_SECTION};
 
-use crate::engine::{EngineBuilder, PcsEngine};
+use crate::engine::{EngineBuilder, PcsEngine, Staged, WriterState};
 use crate::error::{BuildError, Error, Result};
-use crate::update::{Update, UpdateBatch};
+use crate::snapshot::SnapshotInner;
+use crate::update::{Update, UpdateBatch, UpdateError};
 
 /// File name of the checkpoint snapshot inside a durable directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.pcs";
@@ -224,8 +228,9 @@ impl EngineBuilder {
 
     /// Recovers an engine from the durable directory named by
     /// [`durable`](Self::durable): loads the checkpoint snapshot, then
-    /// replays every WAL record past the snapshot's epoch through the
-    /// normal `apply` path, resuming at the exact pre-crash epoch. A
+    /// stages every WAL record past the snapshot's epoch into the
+    /// master state and publishes the whole tail once, resuming at the
+    /// exact pre-crash epoch. A
     /// torn or corrupt record truncates the log there (everything
     /// before it is kept; the unacknowledged tail is discarded); a
     /// *gap* — a record whose epoch is not the next expected one —
@@ -310,8 +315,7 @@ impl PcsEngine {
     /// via the writer lock; readers are never blocked.
     pub fn checkpoint(&self) -> Result<u64> {
         let ds = self.durable_state()?;
-        // audit:allow(no-panic): a poisoned writer lock means an apply already panicked mid-mutation; checkpointing that half-applied state would persist it, so propagate the panic
-        let _guard = self.writer.lock().expect("engine writer lock poisoned");
+        let _guard = self.lock_writer();
         let snap = self.snapshot_arc();
         self.write_snapshot(&snap, ds.dir.join(SNAPSHOT_FILE))?;
         // Rotation fsyncs and closes the active segment so the reclaim
@@ -344,21 +348,20 @@ impl PcsEngine {
     }
 
     /// Applies a frame stream produced by
-    /// [`wal_tail_since`](Self::wal_tail_since): decodes each record,
-    /// skips epochs this engine already has, and applies the rest in
-    /// order through the normal `apply` path (re-logging them if this
-    /// engine is itself durable — chained replication comes for free).
-    /// Returns the number of batches applied. Any torn frame, checksum
-    /// mismatch, or epoch gap is a typed error; nothing is applied past
-    /// the first bad frame.
+    /// [`wal_tail_since`](Self::wal_tail_since): skips epochs this
+    /// engine already has, stages the rest in order and publishes them
+    /// as one snapshot at the last record's epoch, re-logging each
+    /// record at its own epoch first if this engine is itself durable
+    /// (chained replication comes for free). Returns the number of
+    /// batches applied. A torn frame or checksum mismatch rejects the
+    /// whole stream.
     ///
-    /// Unlike [`apply`](Self::apply), a stamped batch is never allowed
-    /// to drift: landing on any epoch other than its record's is
-    /// [`EpochMismatch`](crate::UpdateError::EpochMismatch) and a batch
-    /// with no effect is
-    /// [`ReplayNoEffect`](crate::UpdateError::ReplayNoEffect) — both
-    /// mean the log and this engine have diverged, and both leave the
-    /// engine unchanged.
+    /// Unlike [`apply`](Self::apply), a record is never allowed to
+    /// drift: one whose epoch is not the next is
+    /// [`EpochMismatch`](crate::UpdateError::EpochMismatch), one with no
+    /// effect is [`ReplayNoEffect`](crate::UpdateError::ReplayNoEffect).
+    /// Either means the log and this engine have diverged: the records
+    /// before it are published, and the error is returned.
     pub fn apply_wal_frames(&self, frames: &[u8]) -> Result<usize> {
         let scan = wal::decode_frames(frames, None);
         if let Some(detail) = scan.torn {
@@ -372,21 +375,61 @@ impl PcsEngine {
 
     /// The one replay loop behind recovery ([`EngineBuilder::open`]),
     /// [`apply_wal_frames`](Self::apply_wal_frames) and
-    /// [`WalFollower::poll`]: skips records at or below this engine's
-    /// epoch (already in the checkpoint, or already applied), decodes
-    /// the rest and applies each stamped with its record's epoch.
-    /// Returns the number of batches applied.
+    /// [`WalFollower::poll`]. Under one writer lock it skips records at
+    /// or below the staged epoch and stages the rest in order, each
+    /// checked against what its predecessors staged (see
+    /// [`apply_wal_frames`](Self::apply_wal_frames)); then it publishes
+    /// **once**, at the last staged epoch, after a durable engine has
+    /// appended every staged record at its own epoch. A failing record
+    /// publishes the prefix before it and returns its error. Returns
+    /// the number of batches applied.
     fn replay(&self, records: &[WalRecord]) -> Result<usize> {
-        let mut applied = 0usize;
+        let start = Instant::now();
+        let mut guard = self.lock_writer();
+        let base = self.snapshot_arc();
+        let mut run = Staged::default();
+        let mut staged: Vec<&WalRecord> = Vec::new();
+        let mut epoch = base.epoch;
+        let mut failure = None;
         for rec in records {
-            if rec.epoch <= self.epoch() {
+            if rec.epoch <= epoch {
                 continue;
             }
-            let batch = decode_update_batch(&rec.payload, self.taxonomy())?;
-            self.apply_inner(&batch, Some(rec.epoch))?;
-            applied += 1;
+            failure = self.stage_record(&mut guard, &base, rec, epoch + 1, &mut run).err();
+            if failure.is_some() {
+                break;
+            }
+            staged.push(rec);
+            epoch = rec.epoch;
         }
-        Ok(applied)
+        if !staged.is_empty() {
+            self.publish(&mut guard, &base, run, epoch, start, |wal| {
+                staged.iter().try_for_each(|rec| wal.append_durable(rec.epoch, &rec.payload))
+            })?;
+        }
+        failure.map_or(Ok(staged.len()), Err)
+    }
+
+    /// Stages one record, which must publish epoch `next`, into `run`.
+    fn stage_record(
+        &self,
+        guard: &mut Option<WriterState>,
+        base: &SnapshotInner,
+        rec: &WalRecord,
+        next: u64,
+        run: &mut Staged,
+    ) -> Result<()> {
+        if rec.epoch != next {
+            return Err(UpdateError::EpochMismatch { expected: rec.epoch, next }.into());
+        }
+        let batch = decode_update_batch(&rec.payload, self.taxonomy())?;
+        let ws = WriterState::ensure(guard, base)?;
+        // A primary never logs a batch that changed nothing: one here
+        // means the log and this engine have diverged.
+        if !self.stage(ws, &batch, run)? {
+            return Err(UpdateError::ReplayNoEffect { epoch: rec.epoch }.into());
+        }
+        Ok(())
     }
 }
 
@@ -394,7 +437,7 @@ impl PcsEngine {
 /// built by [`EngineBuilder::follow`], advanced by [`poll`](Self::poll),
 /// queried through [`engine`](Self::engine). At every polled epoch the
 /// follower's cores and index answer identically to the primary's at
-/// that epoch — same batches, same order, same `apply` path.
+/// that epoch — same batches, same order, staged by the same code as `apply`.
 #[derive(Debug)]
 pub struct WalFollower {
     engine: PcsEngine,
@@ -407,18 +450,14 @@ impl WalFollower {
         &self.engine
     }
 
-    /// The primary durable directory being tailed.
-    pub fn source(&self) -> &Path {
-        &self.source
-    }
-
     /// The replica's current epoch.
     pub fn epoch(&self) -> u64 {
         self.engine.epoch()
     }
 
-    /// Reads and applies every complete WAL record past the replica's
-    /// epoch; returns how many batches were applied (0 = caught up). A
+    /// Reads every complete WAL record past the replica's epoch and
+    /// applies them as one publish at the last record's epoch; returns
+    /// how many batches were applied (0 = caught up). A
     /// torn record mid-write on the primary is left for the next poll;
     /// an epoch *gap* (the primary reclaimed segments past this
     /// replica's position — it fell too far behind) is a typed error,
@@ -456,11 +495,5 @@ impl WalFollower {
         }
         self.engine = engine;
         self.poll()
-    }
-
-    /// Consumes the follower, promoting the replica engine to a
-    /// standalone (e.g. for failover after the primary is gone).
-    pub fn into_engine(self) -> PcsEngine {
-        self.engine
     }
 }

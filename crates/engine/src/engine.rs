@@ -201,7 +201,7 @@ fn profile_is_valid(tax: &Taxonomy, p: &PTree) -> bool {
 }
 
 /// The writer's mutable master copy of the data. Materialized on the
-/// first `apply` so read-only engines pay nothing.
+/// first write (`apply` or replay) so read-only engines pay nothing.
 ///
 /// The writer lock is held from the first mutation through the
 /// snapshot swap (and, on a durable engine, the WAL fsync in between),
@@ -214,6 +214,39 @@ pub(crate) struct WriterState {
     graph: DynamicGraph,
     cores: IncrementalCores,
     profiles: Vec<PTree>,
+}
+
+impl WriterState {
+    /// The master state behind `guard`, materialized from `base` (the
+    /// published snapshot) on first use. It needs full residency, so a
+    /// lazily loaded engine densifies here, on its first update, with
+    /// typed errors if the backing file is damaged.
+    pub(crate) fn ensure<'a>(
+        guard: &'a mut Option<WriterState>,
+        base: &SnapshotInner,
+    ) -> Result<&'a mut WriterState> {
+        let ws = match guard.take() {
+            Some(ws) => ws,
+            None => WriterState {
+                graph: DynamicGraph::from_graph(base.materialized_graph()?),
+                cores: IncrementalCores::new(base.cores().core_numbers().to_vec()),
+                profiles: base.dense_profiles()?.as_ref().clone(),
+            },
+        };
+        Ok(guard.insert(ws))
+    }
+}
+
+/// What the batches staged since the last publish changed in the master
+/// state: edge deltas concatenate, and each reprofiled vertex keeps its
+/// profile from before its first staged write, so the profile deltas a
+/// publish derives are net per vertex.
+#[derive(Default)]
+pub(crate) struct Staged {
+    edge_deltas: Vec<GraphDelta>,
+    original_profiles: FxHashMap<VertexId, PTree>,
+    noops: usize,
+    cores_changed: usize,
 }
 
 /// Maximum resident entries in each snapshot's result cache (only
@@ -354,7 +387,7 @@ pub struct PcsEngine {
     cache_mode: CacheMode,
     cache_stats: Arc<CacheStats>,
     /// Serializes writers and owns the mutable master state.
-    pub(crate) writer: Mutex<Option<WriterState>>,
+    writer: Mutex<Option<WriterState>>,
     /// The queue [`apply`](Self::apply) coalesces concurrent writers through.
     coalesce: Mutex<CoalesceQueue>,
     coalesce_stats: CoalesceStats,
@@ -857,7 +890,7 @@ impl PcsEngine {
                 let merged: UpdateBatch =
                     group.iter().flat_map(|(b, _)| b.ops().iter().cloned()).collect();
                 lead.in_flight = group.into_iter().map(|(_, member)| member).collect();
-                let result = self.apply_inner(&merged, None);
+                let result = self.apply_inner(&merged);
                 self.coalesce_stats.groups.fetch_add(1, Ordering::Relaxed);
                 self.coalesce_stats
                     .coalesced
@@ -933,77 +966,114 @@ impl PcsEngine {
         }
     }
 
-    pub(crate) fn apply_inner(
-        &self,
-        batch: &UpdateBatch,
-        expect_epoch: Option<u64>,
-    ) -> Result<UpdateReport> {
+    /// Locks the writer path: the master state and the right to swap
+    /// the published snapshot.
+    pub(crate) fn lock_writer(&self) -> std::sync::MutexGuard<'_, Option<WriterState>> {
+        // A poisoned lock means a writer panicked mid-mutation: going
+        // on from that half-applied state could publish or persist it.
+        self.writer.lock().expect("engine writer lock poisoned")
+    }
+
+    /// Stages one merged group and publishes it as the next epoch. A
+    /// group of only no-ops publishes nothing and keeps the epoch.
+    fn apply_inner(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
         let start = Instant::now();
-        let mut guard = self.writer.lock().expect("engine writer lock poisoned");
+        let mut guard = self.lock_writer();
         // Only a writer swaps the published snapshot, and the lock is
         // held through the swap: this is the state the master equals.
         let base = self.snapshot_arc();
-        if guard.is_none() {
-            // The master state needs full residency (CSR export,
-            // per-vertex profile writes), so a lazily loaded engine
-            // densifies here, on its first update — with typed errors
-            // if the backing file turns out damaged, before any state
-            // is mutated.
-            let graph = Arc::clone(base.materialized_graph()?);
-            let profiles = base.dense_profiles()?;
-            *guard = Some(WriterState {
-                graph: DynamicGraph::from_graph(&graph),
-                cores: IncrementalCores::new(base.cores().core_numbers().to_vec()),
-                profiles: profiles.as_ref().clone(),
+        let ws = WriterState::ensure(&mut guard, &base)?;
+        let mut staged = Staged::default();
+        if !self.stage(ws, batch, &mut staged)? {
+            return Ok(UpdateReport {
+                epoch: base.epoch,
+                edges_added: 0,
+                edges_removed: 0,
+                profiles_changed: 0,
+                // Every reprofiled vertex ended where it started.
+                noops: staged.noops + staged.original_profiles.len(),
+                cores_changed: 0,
+                index: IndexMaintenance::Unchanged,
+                durable_epoch: self.durable_epoch(),
+                elapsed: start.elapsed(),
             });
         }
-        let ws = guard.as_mut().expect("writer state initialized above");
         let epoch = base.epoch + 1;
-        if let Some(expected) = expect_epoch {
-            if epoch != expected {
-                return Err(UpdateError::EpochMismatch { expected, next: epoch }.into());
-            }
-        }
-        // Validate the whole batch before touching anything.
+        self.publish(&mut guard, &base, staged, epoch, start, |wal| {
+            crate::durable::encode_update_batch(batch)
+                .and_then(|payload| wal.append_durable(epoch, &payload))
+        })
+    }
+
+    /// Applies `batch` to the master state, adds what it changed to
+    /// `staged`, and returns whether it changed anything: an edge
+    /// flipped, or a profile ends elsewhere than it began. The whole
+    /// batch is validated first, so an error touches nothing.
+    pub(crate) fn stage(
+        &self,
+        ws: &mut WriterState,
+        batch: &UpdateBatch,
+        staged: &mut Staged,
+    ) -> Result<bool> {
         self.validate_ops(batch, ws.graph.num_vertices())?;
-        // Apply to the master state, collecting effective deltas.
-        let mut deltas: Vec<GraphDelta> = Vec::new();
-        let mut original_profiles: FxHashMap<VertexId, PTree> = FxHashMap::default();
-        let mut edges_added = 0usize;
-        let mut edges_removed = 0usize;
-        let mut noops = 0usize;
-        let mut cores_changed = 0usize;
+        let edges_before = staged.edge_deltas.len();
+        let mut originals: FxHashMap<VertexId, PTree> = FxHashMap::default();
         for op in batch.ops() {
             match op {
                 Update::AddEdge { u, v } => {
                     if ws.graph.add_edge(*u, *v).expect("endpoints validated above") {
-                        cores_changed += ws.cores.on_edge_inserted(&ws.graph, *u, *v);
-                        deltas.push(GraphDelta::EdgeAdded { u: *u, v: *v });
-                        edges_added += 1;
+                        staged.cores_changed += ws.cores.on_edge_inserted(&ws.graph, *u, *v);
+                        staged.edge_deltas.push(GraphDelta::EdgeAdded { u: *u, v: *v });
                     } else {
-                        noops += 1;
+                        staged.noops += 1;
                     }
                 }
                 Update::RemoveEdge { u, v } => {
                     if ws.graph.remove_edge(*u, *v).expect("endpoints validated above") {
-                        cores_changed += ws.cores.on_edge_removed(&ws.graph, *u, *v);
-                        deltas.push(GraphDelta::EdgeRemoved { u: *u, v: *v });
-                        edges_removed += 1;
+                        staged.cores_changed += ws.cores.on_edge_removed(&ws.graph, *u, *v);
+                        staged.edge_deltas.push(GraphDelta::EdgeRemoved { u: *u, v: *v });
                     } else {
-                        noops += 1;
+                        staged.noops += 1;
                     }
                 }
                 Update::SetProfile { vertex, profile } => {
-                    original_profiles
+                    originals
                         .entry(*vertex)
                         .or_insert_with(|| ws.profiles[*vertex as usize].clone());
                     ws.profiles[*vertex as usize] = profile.clone();
                 }
             }
         }
+        let changed = staged.edge_deltas.len() > edges_before
+            || originals.iter().any(|(&v, p)| *p != ws.profiles[v as usize]);
+        for (v, p) in originals {
+            staged.original_profiles.entry(v).or_insert(p);
+        }
+        Ok(changed)
+    }
+
+    /// Publishes everything staged since the last publish as `epoch`:
+    /// one CSR export, one core copy, one index patch over the union of
+    /// the deltas, one cache, then `log` (the WAL appends, run only on
+    /// a durable engine) and the swap. A lazy-load fault or a failed
+    /// append discards the writer state and publishes nothing.
+    pub(crate) fn publish(
+        &self,
+        guard: &mut Option<WriterState>,
+        base: &SnapshotInner,
+        staged: Staged,
+        epoch: u64,
+        start: Instant,
+        log: impl FnOnce(&pcs_store::wal::Wal) -> std::result::Result<(), pcs_store::StoreError>,
+    ) -> Result<UpdateReport> {
+        let ws = guard.as_mut().expect("staging initialized the writer state");
+        let Staged { edge_deltas: mut deltas, original_profiles, mut noops, cores_changed } =
+            staged;
+        let edges_added =
+            deltas.iter().filter(|d| matches!(d, GraphDelta::EdgeAdded { .. })).count();
+        let edges_removed = deltas.len() - edges_added;
         // One net ProfileChanged delta per vertex: a sequence of writes
         // ending where it started is a no-op.
-        let mut profiles_changed = 0usize;
         let mut changed_profiles: Vec<VertexId> = Vec::new();
         let mut reprofiled: Vec<VertexId> = original_profiles.keys().copied().collect();
         reprofiled.sort_unstable();
@@ -1011,35 +1081,14 @@ impl PcsEngine {
             if original_profiles[&v] != ws.profiles[v as usize] {
                 deltas.push(GraphDelta::ProfileChanged { v });
                 changed_profiles.push(v);
-                profiles_changed += 1;
             } else {
                 noops += 1;
             }
         }
-        if deltas.is_empty() {
-            // A primary never logs an all-no-op batch (nothing is
-            // published for one), so a *replayed* no-op means the log
-            // and this engine disagree about the state the batch was
-            // applied to.
-            if expect_epoch.is_some() {
-                return Err(UpdateError::ReplayNoEffect { epoch }.into());
-            }
-            return Ok(UpdateReport {
-                epoch: base.epoch,
-                edges_added: 0,
-                edges_removed: 0,
-                profiles_changed: 0,
-                noops,
-                cores_changed: 0,
-                index: IndexMaintenance::Unchanged,
-                durable_epoch: self.durable_epoch(),
-                elapsed: start.elapsed(),
-            });
-        }
         // Build the next snapshot from the master state. Only the
-        // components the batch touched are copied: an edge-only batch
+        // components the deltas touch are copied: an edge-only publish
         // shares the previous epoch's profiles `Arc`, a profile-only
-        // batch shares its graph and cores. (Edge batches still pay an
+        // one shares its graph and cores. (Edge changes still pay an
         // O(n + m) CSR export — the price of handing readers a flat
         // immutable layout; the derived-state maintenance above it is
         // what stays bounded.)
@@ -1051,7 +1100,7 @@ impl PcsEngine {
         } else {
             Arc::clone(base.materialized_graph()?)
         };
-        let profiles = if profiles_changed > 0 {
+        let profiles = if !changed_profiles.is_empty() {
             Arc::new(ws.profiles.clone())
         } else {
             base.dense_profiles()?
@@ -1101,7 +1150,7 @@ impl PcsEngine {
             return Err(Error::Store(e));
         }
         let cache =
-            self.next_cache(&base, edges_changed, &changed_profiles, &original_profiles, &profiles);
+            self.next_cache(base, edges_changed, &changed_profiles, &original_profiles, &profiles);
         // The published components are resident `Arc`s, but the fault
         // cell carries over: a patched index clone may still fault
         // untouched member lists in from the backing file.
@@ -1115,7 +1164,7 @@ impl PcsEngine {
             epoch,
         });
         // Recovery replay runs before `durable` is attached, so a
-        // replayed record is never re-logged.
+        // recovered record is never re-logged.
         if let Some(ds) = self.durable.as_ref() {
             // Log → fsync → publish, all under the writer lock. The
             // master state is already mutated, so a failure here must
@@ -1123,9 +1172,8 @@ impl PcsEngine {
             // it from the published snapshot) and fail-stop the log —
             // otherwise an unlogged mutation could leak into a later
             // epoch's base.
-            let logged = crate::durable::encode_update_batch(batch)
-                .and_then(|payload| ds.wal.append_durable(epoch, &payload))
-                .and_then(|()| pcs_store::faults::hit("engine.before_publish"));
+            let logged =
+                log(&ds.wal).and_then(|()| pcs_store::faults::hit("engine.before_publish"));
             if let Err(e) = logged {
                 *guard = None;
                 ds.wal.fail_stop();
@@ -1137,7 +1185,7 @@ impl PcsEngine {
             epoch,
             edges_added,
             edges_removed,
-            profiles_changed,
+            profiles_changed: changed_profiles.len(),
             noops,
             cores_changed,
             index: maintenance,

@@ -202,7 +202,7 @@ pub enum UpdateError {
     EpochMismatch {
         /// The epoch the batch was stamped with.
         expected: u64,
-        /// The epoch the engine would actually publish next.
+        /// The epoch after those the engine has published or staged.
         next: u64,
     },
     /// A replayed batch had no effect. A primary never logs an

@@ -558,3 +558,210 @@ fn non_durable_engines_report_not_durable() {
     let report = engine.apply(&UpdateBatch::new().add_edge(4, 5)).unwrap();
     assert_eq!(report.durable_epoch, None);
 }
+
+/// A seeded fixture for the replay tests: 24 vertices, ~50 random
+/// edges, and random profiles of one or two leaves of a taxonomy with
+/// four topics of two leaves each, so an edge touches few labels.
+fn seeded_fixture(seed: u64) -> (Graph, Taxonomy, Vec<PTree>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut tax = Taxonomy::new("r");
+    for topic in ["a", "b", "c", "d"] {
+        let t = tax.add_child(Taxonomy::ROOT, topic).unwrap();
+        for leaf in 1..=2 {
+            tax.add_child(t, &format!("{topic}{leaf}")).unwrap();
+        }
+    }
+    let n = 24u32;
+    let edges: Vec<(u32, u32)> = (0..50)
+        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+        .filter(|(u, v)| u != v)
+        .collect();
+    let g = Graph::from_edges(n as usize, &edges).unwrap();
+    let profiles = (0..n).map(|_| random_profile(&mut rng, &tax)).collect();
+    (g, tax, profiles)
+}
+
+fn random_profile(rng: &mut impl rand::Rng, tax: &Taxonomy) -> PTree {
+    let leaves: Vec<u32> = (1..tax.len() as u32).filter(|&l| tax.children(l).is_empty()).collect();
+    let picks = rng.gen_range(1..=2);
+    let labels: Vec<u32> = (0..picks).map(|_| leaves[rng.gen_range(0..leaves.len())]).collect();
+    PTree::from_labels(tax, labels).unwrap()
+}
+
+/// A seeded stream of `4 × rounds` batches, each effective on the state
+/// its predecessors leave. Every round of four records carries two
+/// net-zero pairs that span records (an edge added in the first and
+/// removed in the third; a profile set in the second and restored in
+/// the fourth), and each record adds one random edge flip or reprofile
+/// that stays clear of both pairs.
+fn seeded_batches(seed: u64, rounds: usize) -> Vec<UpdateBatch> {
+    use rand::{Rng, SeedableRng};
+    let (g, tax, mut profiles) = seeded_fixture(seed);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let n = g.num_vertices() as u32;
+    let mut edges: std::collections::BTreeSet<(u32, u32)> = g.edges().collect();
+    let key = |u: u32, v: u32| (u.min(v), u.max(v));
+    let mut batches = Vec::new();
+    for _ in 0..rounds {
+        let pair_edge = loop {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !edges.contains(&key(u, v)) {
+                break key(u, v);
+            }
+        };
+        let pair_vertex = rng.gen_range(0..n);
+        let restored = profiles[pair_vertex as usize].clone();
+        let changed = loop {
+            let p = random_profile(&mut rng, &tax);
+            if p != restored {
+                break p;
+            }
+        };
+        let mut round = [
+            UpdateBatch::new().add_edge(pair_edge.0, pair_edge.1),
+            UpdateBatch::new().set_profile(pair_vertex, changed),
+            UpdateBatch::new().remove_edge(pair_edge.0, pair_edge.1),
+            UpdateBatch::new().set_profile(pair_vertex, restored),
+        ];
+        for batch in &mut round {
+            let extra = loop {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if rng.gen_range(0..4) == 0 && u != pair_vertex {
+                    let p = random_profile(&mut rng, &tax);
+                    if p != profiles[u as usize] {
+                        profiles[u as usize] = p.clone();
+                        break UpdateBatch::new().set_profile(u, p);
+                    }
+                } else if u != v && key(u, v) != pair_edge {
+                    break if edges.remove(&key(u, v)) {
+                        UpdateBatch::new().remove_edge(u, v)
+                    } else {
+                        edges.insert(key(u, v));
+                        UpdateBatch::new().add_edge(u, v)
+                    };
+                }
+            };
+            *batch = batch.ops().iter().chain(extra.ops()).cloned().collect();
+        }
+        batches.extend(round);
+    }
+    batches
+}
+
+fn seeded_engine(seed: u64, mode: pcs_engine::IndexMode, dir: Option<&Path>) -> PcsEngine {
+    let (g, tax, profiles) = seeded_fixture(seed);
+    let builder = PcsEngine::builder().graph(g).taxonomy(tax).profiles(profiles).index_mode(mode);
+    match dir {
+        Some(dir) => builder.durable(dir).build().unwrap(),
+        None => builder.build().unwrap(),
+    }
+}
+
+/// Epoch, graph, cores and profiles equal, and every algorithm's
+/// answer on `got` equals `basic` on `want` for every `(q, k ≤ 3)`.
+fn assert_same_as_reference(got: &PcsEngine, want: &PcsEngine, context: &str) {
+    use pcs_engine::Algorithm;
+    assert_eq!(got.epoch(), want.epoch(), "{context}: epochs diverge");
+    let (gs, ws) = (got.snapshot(), want.snapshot());
+    assert_eq!(gs.graph(), ws.graph(), "{context}: graphs diverge");
+    assert_eq!(gs.cores().core_numbers(), ws.cores().core_numbers(), "{context}: cores diverge");
+    assert_eq!(gs.profiles(), ws.profiles(), "{context}: profiles diverge");
+    for q in 0..gs.graph().num_vertices() as u32 {
+        for k in 0..=3u32 {
+            let req = QueryRequest::vertex(q).k(k);
+            let basic = want.query(&req.clone().algorithm(Algorithm::Basic)).unwrap();
+            for algo in Algorithm::ALL {
+                let resp = got.query(&req.clone().algorithm(algo)).unwrap();
+                assert_eq!(
+                    resp.outcome.communities,
+                    basic.outcome.communities,
+                    "{context}: {} disagrees with basic (q={q}, k={k})",
+                    algo.name()
+                );
+            }
+        }
+    }
+}
+
+/// Recovery stages a whole WAL tail and publishes it once; the result
+/// must equal applying the same batches one at a time, including net-
+/// zero edge and profile pairs whose halves sit in different records.
+#[test]
+fn replayed_tail_equals_one_by_one_apply() {
+    use pcs_engine::IndexMode;
+    for (seed, mode) in [(1, IndexMode::Eager), (2, IndexMode::Lazy), (3, IndexMode::Eager)] {
+        let context = format!("seed {seed}, {mode:?}");
+        let dir = tmp_dir(&format!("replay-run-{seed}"));
+        let batches = seeded_batches(seed, 6);
+        let primary = seeded_engine(seed, mode, Some(&dir));
+        let reference = seeded_engine(seed, mode, None);
+        for (i, batch) in batches.iter().enumerate() {
+            assert_eq!(primary.apply(batch).unwrap().epoch, i as u64 + 1, "{context}");
+            reference.apply(batch).unwrap();
+            // Checkpoint mid-stream, so the tail starts past epoch 0.
+            if i == 2 {
+                assert_eq!(primary.checkpoint().unwrap(), 3);
+            }
+        }
+        drop(primary);
+        let recovered = PcsEngine::builder().durable(&dir).index_mode(mode).open().unwrap();
+        assert_eq!(recovered.epoch(), batches.len() as u64, "{context}");
+        assert_same_as_reference(&recovered, &reference, &context);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A run that fails at record 4 publishes records 1–3 as one epoch and
+/// returns the typed error: the engine sits exactly at the prefix.
+#[test]
+fn mid_stream_replay_failure_publishes_exactly_the_prefix() {
+    let (_, tax, _) = fixture();
+    let scripted = scripted_batches(&tax);
+    let record = |batch: &UpdateBatch, epoch: u64| WalRecord {
+        epoch,
+        payload: pcs_engine::encode_update_batch(batch).unwrap(),
+    };
+    let good: Vec<WalRecord> =
+        scripted.iter().take(3).zip(1..).map(|(batch, epoch)| record(batch, epoch)).collect();
+    // An epoch gap (5 after 3), and a record with no effect: batch 1's
+    // edge is already present at epoch 4.
+    for (bad, want) in [
+        (record(&scripted[3], 5), UpdateError::EpochMismatch { expected: 5, next: 4 }),
+        (record(&scripted[0], 4), UpdateError::ReplayNoEffect { epoch: 4 }),
+    ] {
+        let mut stream = good.clone();
+        stream.push(bad);
+        let engine = reference_engine(0);
+        let err = engine.apply_wal_frames(&encode_records(&stream).unwrap()).unwrap_err();
+        match err {
+            Error::Update(got) => assert_eq!(got, want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+        assert_eq!(engine.epoch(), 3, "the good prefix is published");
+        assert_same_as_reference(&engine, &reference_engine(3), &format!("{want:?}"));
+    }
+}
+
+/// A durable engine fed frames re-logs every record at its own epoch
+/// with its original bytes, and recovers from its own directory.
+#[test]
+fn chained_durable_replica_relogs_the_primary_records() {
+    let (primary_dir, replica_dir) = (tmp_dir("chain-primary"), tmp_dir("chain-replica"));
+    let primary = durable_engine(&primary_dir, WalOptions::default());
+    for batch in scripted_batches(primary.taxonomy()) {
+        primary.apply(&batch).unwrap();
+    }
+    let frames = primary.wal_tail_since(0, u64::MAX).unwrap();
+    let replica = durable_engine(&replica_dir, WalOptions::default());
+    assert_eq!(replica.apply_wal_frames(&frames).unwrap(), 8);
+    assert_eq!(replica.durable_epoch(), Some(8));
+    assert_eq!(replica.wal_tail_since(0, u64::MAX).unwrap(), frames, "re-logged bytes differ");
+    drop(replica);
+
+    let reopened = PcsEngine::builder().durable(&replica_dir).open().unwrap();
+    assert_eq!(reopened.epoch(), 8);
+    assert_same_as_reference(&reopened, &primary, "reopened chained replica");
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}

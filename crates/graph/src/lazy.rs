@@ -121,11 +121,6 @@ impl GraphHandle {
             }
         }
     }
-
-    /// Like [`GraphHandle::get`], returning an owned `Arc`.
-    pub fn get_arc(&self) -> Result<Arc<Graph>, GraphError> {
-        self.get().map(Arc::clone)
-    }
 }
 
 impl std::fmt::Debug for GraphHandle {

@@ -581,12 +581,6 @@ impl ClTree {
         &self.members
     }
 
-    /// Consumes the tree, yielding its sorted member list without a
-    /// copy (the incremental CP-tree patcher's rebuild seed).
-    pub fn into_members(self) -> Vec<VertexId> {
-        self.members
-    }
-
     /// Checked node lookup; out-of-range ids read as [`EMPTY_NODE`].
     #[inline]
     fn nd(&self, id: u32) -> &ClNode {
@@ -621,11 +615,6 @@ impl ClTree {
         self.arena.get(node.sub_off as usize..(node.sub_off + node.sub_len) as usize).unwrap_or(&[])
     }
 
-    /// True when `v` is indexed by this tree.
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.members.binary_search(&v).is_ok()
-    }
-
     /// True when `v` belongs to the ĉore rooted at node `id` — a
     /// member lookup plus an O(1) arena range test, never a walk of
     /// the subtree. The membership companion to the
@@ -641,12 +630,6 @@ impl ClTree {
         self.arena_pos
             .get(i)
             .is_some_and(|&pos| pos >= node.sub_off && pos < node.sub_off + node.sub_len)
-    }
-
-    /// Core number of `v` within the indexed subgraph, if present.
-    pub fn core_of(&self, v: VertexId) -> Option<u32> {
-        let i = self.members.binary_search(&v).ok()?;
-        self.core_of.get(i).copied()
     }
 
     /// The `vertexNodeMap` lookup: the forest node holding `v`.
@@ -773,7 +756,8 @@ mod tests {
         let t = ClTree::build(&g);
         let cd = CoreDecomposition::new(&g);
         for q in g.vertices() {
-            assert_eq!(t.core_of(q), Some(cd.core_number(q)));
+            let core = cd.core_number(q);
+            assert!(t.summit(q, core).is_some() && t.summit(q, core + 1).is_none(), "q={q}");
             for k in 0..=4 {
                 assert_eq!(t.get(q, k), cd.kcore_component(&g, q, k), "q={q} k={k}");
             }
@@ -864,13 +848,13 @@ mod tests {
         // Index only {A,B,D,E,C} (0,1,3,4,2).
         let t = ClTree::build_on_subset(&g, &[0, 1, 2, 3, 4]);
         assert_eq!(t.num_vertices(), 5);
-        assert!(t.contains_vertex(0));
-        assert!(!t.contains_vertex(5));
+        assert!(t.node_of(0).is_some());
+        assert!(t.node_of(5).is_none());
         assert_eq!(t.get(0, 3).unwrap(), vec![0, 1, 3, 4]);
         assert_eq!(t.get(2, 2).unwrap(), vec![0, 1, 2, 3, 4]);
         assert!(t.get(5, 0).is_none());
-        assert_eq!(t.core_of(2), Some(2));
-        assert_eq!(t.core_of(7), None);
+        assert!(t.summit(2, 2).is_some() && t.summit(2, 3).is_none());
+        assert!(t.node_of(7).is_none());
     }
 
     #[test]
@@ -975,12 +959,12 @@ mod tests {
         for q in g.vertices() {
             for k in 0..=4 {
                 assert_eq!(t.get(q, k), back.get(q, k), "q={q} k={k}");
+                assert_eq!(t.summit(q, k), back.summit(q, k), "q={q} k={k}");
                 assert_eq!(
                     t.community_ref(q, k).map(<[VertexId]>::to_vec),
                     back.community_ref(q, k).map(<[VertexId]>::to_vec)
                 );
             }
-            assert_eq!(t.core_of(q), back.core_of(q));
             assert_eq!(t.node_of(q), back.node_of(q));
         }
         // Empty tree round-trips too.

@@ -226,12 +226,6 @@ impl HttpFollower {
         Ok(self.engine.epoch())
     }
 
-    /// Consumes the follower, returning the engine at its replicated
-    /// epoch (e.g. to promote it after re-opening durably elsewhere).
-    pub fn into_engine(self) -> PcsEngine {
-        self.engine
-    }
-
     /// One `GET /wal` exchange: returns `(status, body)`. On any
     /// transport error the cached connection is dropped so the next
     /// poll redials.

@@ -34,11 +34,6 @@ pub fn arm(point: &'static str) {
     ARMED.with(|a| a.borrow_mut().push(point));
 }
 
-/// Disarms every kill point on the current thread (test teardown).
-pub fn disarm_all() {
-    ARMED.with(|a| a.borrow_mut().clear());
-}
-
 /// Number of points currently armed on this thread — assert `0` at the
 /// end of a test to prove every armed point was actually reached.
 pub fn armed_count() -> usize {
