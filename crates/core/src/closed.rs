@@ -29,7 +29,14 @@
 //! label sets of `T + p` and `cl(T + p)`, and a child whose label set
 //! holds a stored community containing `q` takes that community and
 //! closure with no verification (`IndexVerifier::closed_child`). `Gk`
-//! is the root-only entry.
+//! is the root-only entry. A write keeps every entry its batch cannot
+//! change: a `(key S, community C)` pair goes only when a reprofiled
+//! vertex carries `S`, an added edge joins two carriers of `S` not both
+//! in `C`, or a removed edge lies inside `C`. A kept pair has the same
+//! carriers of `S` and the same member profiles on both sides, every
+//! added edge among the carriers inside `C` and every removed one
+//! outside it, so `C` is still the component and `cl(C)` its closure
+//! (`CommunityTable::carry` in `pcs-index` has the proof).
 //!
 //! [`Algorithm::Auto`]: crate::Algorithm::Auto
 

@@ -88,11 +88,6 @@ pub fn build(which: EgoNetwork, seed: u64) -> ProfiledDataset {
     generate(&spec, tax)
 }
 
-/// Builds all three ego networks.
-pub fn build_all(seed: u64) -> Vec<ProfiledDataset> {
-    EgoNetwork::ALL.iter().map(|&e| build(e, seed)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

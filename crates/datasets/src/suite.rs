@@ -71,14 +71,6 @@ impl SuiteDataset {
             SuiteDataset::Dblp => 37.98,
         }
     }
-
-    /// Taxonomy size (CCS 1 908 / MeSH 10 132).
-    pub fn taxonomy_labels(self) -> usize {
-        match self {
-            SuiteDataset::Pubmed => 10_132,
-            _ => 1_908,
-        }
-    }
 }
 
 /// Scale and seeding for the suite.
@@ -121,11 +113,6 @@ pub fn build(which: SuiteDataset, cfg: SuiteConfig) -> ProfiledDataset {
         seed: cfg.seed ^ (which as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
     };
     generate(&spec, tax)
-}
-
-/// Builds all four suite datasets.
-pub fn build_all(cfg: SuiteConfig) -> Vec<ProfiledDataset> {
-    SuiteDataset::ALL.iter().map(|&d| build(d, cfg)).collect()
 }
 
 #[cfg(test)]

@@ -53,12 +53,6 @@ pub fn mesh_like(seed: u64) -> Taxonomy {
     random_taxonomy(10_132, 8, 20, seed)
 }
 
-/// A smaller taxonomy scaled from the CCS shape (used when the GP-tree
-/// itself is sub-sampled, Fig. 13(c)/14(m-p)).
-pub fn scaled_ccs_like(labels: usize, seed: u64) -> Taxonomy {
-    random_taxonomy(labels.max(1), 5, 14, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

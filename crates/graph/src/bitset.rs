@@ -100,29 +100,6 @@ impl BitSet {
         })
     }
 
-    /// In-place intersection with `other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        let n = self.words.len().min(other.words.len());
-        for i in 0..n {
-            self.words[i] &= other.words[i];
-        }
-        for w in self.words.iter_mut().skip(n) {
-            *w = 0;
-        }
-        self.recount();
-    }
-
-    /// In-place union with `other`.
-    pub fn union_with(&mut self, other: &BitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= *b;
-        }
-        self.recount();
-    }
-
     /// True if `self ⊆ other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         for (i, &w) in self.words.iter().enumerate() {
@@ -132,39 +109,6 @@ impl BitSet {
             }
         }
         true
-    }
-
-    /// Size of the intersection without materializing it.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.words.iter().zip(other.words.iter()).map(|(a, b)| (a & b).count_ones() as usize).sum()
-    }
-
-    /// Size of the symmetric difference without materializing it.
-    pub fn symmetric_difference_len(&self, other: &BitSet) -> usize {
-        let long = self.words.len().max(other.words.len());
-        (0..long)
-            .map(|i| {
-                let a = self.words.get(i).copied().unwrap_or(0);
-                let b = other.words.get(i).copied().unwrap_or(0);
-                (a ^ b).count_ones() as usize
-            })
-            .sum()
-    }
-
-    /// Size of the union without materializing it.
-    pub fn union_len(&self, other: &BitSet) -> usize {
-        let long = self.words.len().max(other.words.len());
-        (0..long)
-            .map(|i| {
-                let a = self.words.get(i).copied().unwrap_or(0);
-                let b = other.words.get(i).copied().unwrap_or(0);
-                (a | b).count_ones() as usize
-            })
-            .sum()
-    }
-
-    fn recount(&mut self) {
-        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 }
 
@@ -300,15 +244,7 @@ mod tests {
     fn bitset_algebra() {
         let a: BitSet = [1usize, 2, 3, 70].into_iter().collect();
         let b: BitSet = [2usize, 3, 4].into_iter().collect();
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 70]);
-        assert_eq!(a.intersection_len(&b), 2);
-        assert_eq!(a.union_len(&b), 5);
-        assert_eq!(a.symmetric_difference_len(&b), 3);
+        let i: BitSet = [2usize, 3].into_iter().collect();
         assert!(i.is_subset(&a));
         assert!(i.is_subset(&b));
         assert!(!a.is_subset(&b));

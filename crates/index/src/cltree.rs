@@ -615,23 +615,6 @@ impl ClTree {
         self.arena.get(node.sub_off as usize..(node.sub_off + node.sub_len) as usize).unwrap_or(&[])
     }
 
-    /// True when `v` belongs to the ĉore rooted at node `id` — a
-    /// member lookup plus an O(1) arena range test, never a walk of
-    /// the subtree. The membership companion to the
-    /// [`ClTree::community_ref`] slice view: consumers holding a slice
-    /// can answer "is `v` in this community" without sorting or
-    /// scanning it.
-    #[inline]
-    pub fn subtree_contains(&self, id: u32, v: VertexId) -> bool {
-        let Ok(i) = self.members.binary_search(&v) else {
-            return false;
-        };
-        let node = self.nd(id);
-        self.arena_pos
-            .get(i)
-            .is_some_and(|&pos| pos >= node.sub_off && pos < node.sub_off + node.sub_len)
-    }
-
     /// The `vertexNodeMap` lookup: the forest node holding `v`.
     pub fn node_of(&self, v: VertexId) -> Option<u32> {
         let i = self.members.binary_search(&v).ok()?;
@@ -813,18 +796,6 @@ mod tests {
                 let c = t.node(ch);
                 assert!(c.sub_off >= p.sub_off);
                 assert!(c.sub_off + c.sub_len <= p.sub_off + p.sub_len);
-            }
-        }
-    }
-
-    #[test]
-    fn subtree_contains_matches_slice() {
-        let g = figure4();
-        let t = ClTree::build(&g);
-        for id in 0..t.num_nodes() as u32 {
-            let slice = t.subtree_members(id);
-            for v in 0..10u32 {
-                assert_eq!(t.subtree_contains(id, v), slice.contains(&v), "node {id} v {v}");
             }
         }
     }

@@ -10,7 +10,7 @@
 //! keep their CL-trees verbatim — the whole point of the incremental
 //! path.
 
-use pcs_graph::{FxHashMap, FxHashSet, VertexId};
+use pcs_graph::{BitSet, FxHashMap, FxHashSet, VertexId};
 use pcs_ptree::{LabelId, PTree, ProfilesHandle};
 
 /// One applied change to the underlying profiled graph, as reported to
@@ -64,13 +64,20 @@ fn labels_before(profiles_before: &ProfilesHandle, v: VertexId) -> FxHashSet<Lab
 
 /// The per-label classification of one delta batch: which labels were
 /// touched by edges, which by membership changes, and the net member
-/// additions/removals per label.
+/// additions/removals per label; and, for the community table's carry,
+/// the label sets each delta reaches.
+#[derive(Default)]
 pub(crate) struct BatchTouch {
     pub(crate) edge_touch: FxHashSet<LabelId>,
     pub(crate) profile_touch: FxHashSet<LabelId>,
     pub(crate) member_add: FxHashMap<LabelId, Vec<VertexId>>,
     pub(crate) member_remove: FxHashMap<LabelId, Vec<VertexId>>,
-    pub(crate) profile_vertices: Vec<VertexId>,
+    /// Per reprofiled vertex: its label sets before and after.
+    pub(crate) reprofiled: Vec<(VertexId, [BitSet; 2])>,
+    /// Per added edge: its endpoints and the labels both carried before.
+    pub(crate) added: Vec<(VertexId, VertexId, BitSet)>,
+    /// The same for each removed edge.
+    pub(crate) removed: Vec<(VertexId, VertexId, BitSet)>,
 }
 
 impl BatchTouch {
@@ -94,13 +101,7 @@ pub(crate) fn classify_batch(
     profiles_after: &[PTree],
     deltas: &[GraphDelta],
 ) -> BatchTouch {
-    let mut touch = BatchTouch {
-        edge_touch: FxHashSet::default(),
-        profile_touch: FxHashSet::default(),
-        member_add: FxHashMap::default(),
-        member_remove: FxHashMap::default(),
-        profile_vertices: Vec::new(),
-    };
+    let mut touch = BatchTouch::default();
     let mut carried_memo: FxHashMap<VertexId, FxHashSet<LabelId>> = FxHashMap::default();
     for delta in deltas {
         match *delta {
@@ -110,13 +111,18 @@ pub(crate) fn classify_batch(
                 }
                 let (cu, cv) = (&carried_memo[&u], &carried_memo[&v]);
                 touch.edge_touch.extend(cu.intersection(cv));
+                let shared = cu.intersection(cv).map(|&l| l as usize).collect();
+                let edges = match delta {
+                    GraphDelta::EdgeAdded { .. } => &mut touch.added,
+                    _ => &mut touch.removed,
+                };
+                edges.push((u, v, shared));
             }
             GraphDelta::ProfileChanged { v } => {
                 debug_assert!(
-                    !touch.profile_vertices.contains(&v),
+                    touch.reprofiled.iter().all(|r| r.0 != v),
                     "one ProfileChanged delta per vertex"
                 );
-                touch.profile_vertices.push(v);
                 let old = labels_before(profiles_before, v);
                 let new: FxHashSet<LabelId> =
                     profiles_after[v as usize].nodes().iter().copied().collect();
@@ -128,6 +134,9 @@ pub(crate) fn classify_batch(
                     touch.profile_touch.insert(label);
                     touch.member_remove.entry(label).or_default().push(v);
                 }
+                let bits =
+                    |labels: &FxHashSet<LabelId>| labels.iter().map(|&l| l as usize).collect();
+                touch.reprofiled.push((v, [bits(&old), bits(&new)]));
             }
         }
     }

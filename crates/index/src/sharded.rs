@@ -153,8 +153,15 @@ pub struct ShardedCpIndex {
     /// copy and no re-peel.
     global_cores: Option<Arc<OnceLock<CoreDecomposition>>>,
     /// The closed-community table ([`crate::communities`]), filled by
-    /// queries. A clone shares it; every `&mut self` method swaps in an
-    /// empty one before it mutates, so no entry outlives its epoch.
+    /// queries. A clone shares it; every `&mut self` method swaps in a
+    /// new one before it mutates, so no reader of an older epoch can
+    /// write into it. [`apply_batch`](Self::apply_batch) starts it with
+    /// the entries its batch provably leaves unchanged: a `(key S,
+    /// community C)` pair is dropped when a reprofiled vertex carries
+    /// `S` before or after, when an added edge joins two carriers of `S`
+    /// not both in `C`, or when a removed edge lies inside `C`
+    /// ([`CommunityTable::carry`] has the proof). Every other method
+    /// starts it empty.
     communities: Arc<RwLock<CommunityTable>>,
     n: usize,
 }
@@ -523,7 +530,9 @@ impl ShardedCpIndex {
     /// them is marked stale, so the cost of a shard nobody queried is
     /// bookkeeping, never a CL-tree build. There is no "provably
     /// unchanged" pre-check: on the benchmark corpus such a check's
-    /// subcore traversal cost 6× the rebuilds it saved.
+    /// subcore traversal cost 6× the rebuilds it saved. The community
+    /// table, by contrast, keeps every entry the batch provably leaves
+    /// unchanged (see the `communities` field).
     ///
     /// `g_after` and `profiles_after` describe the graph **after** the
     /// whole batch; `deltas` lists the applied changes (no no-ops, and
@@ -549,8 +558,9 @@ impl ShardedCpIndex {
     ) -> CpPatchStats {
         debug_assert_eq!(self.n, g_after.num_vertices(), "vertex set is fixed");
         debug_assert_eq!(self.n, profiles_after.len());
-        self.communities = Arc::default();
         let touch = classify_batch(&self.profiles, profiles_after, deltas);
+        let carried = self.communities.read().map(|table| table.carry(&touch));
+        self.communities = Arc::new(RwLock::new(carried.unwrap_or_default()));
         let mut stats = CpPatchStats::default();
         let mut rebuild: Vec<LabelId> = Vec::new();
         // Every touched label is rebuilt (resident) or invalidated
@@ -789,8 +799,9 @@ impl Clone for ShardedCpIndex {
     /// throughout); nothing is deep-copied. This is the writer's
     /// clone-and-patch entry point: O(labels) pointer copies, with the
     /// patch then copy-on-writing only the touched member lists (and
-    /// starting an empty community table) — cost tracks the
-    /// invalidation set, not the index size.
+    /// carrying over the community-table entries the batch provably
+    /// leaves unchanged) — cost tracks the invalidation set and the
+    /// table's key count, not the index size.
     fn clone(&self) -> Self {
         let slots = self
             .slots

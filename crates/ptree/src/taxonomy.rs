@@ -208,11 +208,6 @@ impl Taxonomy {
         })
     }
 
-    /// All ids at a given depth.
-    pub fn ids_at_depth(&self, d: u32) -> Vec<LabelId> {
-        (0..self.len() as LabelId).filter(|&id| self.depth[id as usize] == d).collect()
-    }
-
     /// Validates that `ids` (sorted, deduped) form an ancestor-closed set
     /// containing the root — i.e. a legal P-tree node set.
     pub fn is_ancestor_closed(&self, ids: &[LabelId]) -> bool {
@@ -278,7 +273,6 @@ mod tests {
         assert!(t.is_leaf(hw));
         assert!(t.is_leaf(dms));
         assert!(!t.is_leaf(cm));
-        assert_eq!(t.ids_at_depth(1).len(), 3);
     }
 
     #[test]

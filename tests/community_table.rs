@@ -260,3 +260,173 @@ fn closed_effort_gate_on_a_cold_and_a_warm_table() {
         assert!(warm <= cold, "q={q}: warm closed verified {warm} subtrees, cold {cold}");
     }
 }
+
+/// Taxonomy `r → {a, b}` and its two labels.
+fn two_labels() -> (Taxonomy, LabelId, LabelId) {
+    let mut tax = Taxonomy::new("r");
+    let a = tax.add_child(Taxonomy::ROOT, "a").unwrap();
+    let b = tax.add_child(Taxonomy::ROOT, "b").unwrap();
+    (tax, a, b)
+}
+
+fn profile(tax: &Taxonomy, labels: &[LabelId]) -> PTree {
+    PTree::from_labels(tax, labels.iter().copied()).unwrap()
+}
+
+/// Warms a resident index's table with every query on `before`,
+/// applies the one `delta` that turns it into `after`, and checks the
+/// patched index answers `after` like `basic`. The answer at `(q, 2)`
+/// must differ between the two, so a stale entry would show.
+fn warm_then_patch(
+    tax: &Taxonomy,
+    before: (&[(u32, u32)], Vec<PTree>),
+    after: (&[(u32, u32)], Vec<PTree>),
+    delta: GraphDelta,
+    q: usize,
+    label: &str,
+) -> ShardedCpIndex {
+    let graph = |edges: &[(u32, u32)], n| Graph::from_edges(n, edges).unwrap();
+    let (g, profiles) = (graph(before.0, before.1.len()), before.1);
+    let (g2, profiles2) = (graph(after.0, after.1.len()), after.1);
+    let (want_before, want) =
+        (basic_answers(&g, tax, &profiles), basic_answers(&g2, tax, &profiles2));
+    let at = 2 * g.num_vertices() + q;
+    assert_ne!(want_before[at], want[at], "{label}: the delta changes the answer at q={q} k=2");
+    let mut index = ShardedCpIndex::build_resident(&g, tax, &profiles).unwrap();
+    check_on_shared_index(&g, tax, &profiles, &index, &want_before, label);
+    index.apply_batch(&Arc::new(g2.clone()), &Arc::new(profiles2.clone()), &[delta], None);
+    check_on_shared_index(&g2, tax, &profiles2, &index, &want, label);
+    index
+}
+
+/// Triangle `{0, 1, 2}` carries `a`; so do 3 (hanging off 0) and 4
+/// (hanging off 1). The edge 3–4 closes the cycle 0–3–4–1, pulling
+/// both into the 2-core of the `a`-carriers though neither endpoint
+/// was in the stored community.
+#[test]
+fn an_edge_between_carriers_outside_the_community_drops_it() {
+    let (tax, a, _) = two_labels();
+    let before = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)];
+    let after = [&before[..], &[(3, 4)]].concat();
+    let profiles = vec![profile(&tax, &[a]); 5];
+    let delta = GraphDelta::EdgeAdded { u: 3, v: 4 };
+    warm_then_patch(&tax, (&before, profiles.clone()), (&after, profiles), delta, 0, "join");
+}
+
+/// The 4-cycle 0–1–2–3 carries `a` and hangs off the `b` triangle
+/// `{4, 5, 6}` by 3–4. Removing 0–1 peels the whole cycle at k = 2.
+#[test]
+fn a_removal_inside_the_community_that_cascades_drops_it() {
+    let (tax, a, b) = two_labels();
+    let after = [(1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (4, 6)];
+    let before = [&after[..], &[(0, 1)]].concat();
+    let profiles: Vec<PTree> =
+        (0..7).map(|v| profile(&tax, &[if v < 4 { a } else { b }])).collect();
+    let delta = GraphDelta::EdgeRemoved { u: 0, v: 1 };
+    warm_then_patch(&tax, (&before, profiles.clone()), (&after, profiles), delta, 2, "cascade");
+}
+
+/// Vertex 3 is adjacent to two members of the `a` triangle but carries
+/// only `b`; taking on `a` makes it a member.
+#[test]
+fn a_neighbour_becoming_a_carrier_drops_the_community() {
+    let (tax, a, b) = two_labels();
+    let edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)];
+    let mut profiles = vec![profile(&tax, &[a]); 3];
+    profiles.push(profile(&tax, &[b]));
+    let mut after = profiles.clone();
+    after[3] = profile(&tax, &[a]);
+    let delta = GraphDelta::ProfileChanged { v: 3 };
+    warm_then_patch(&tax, (&edges, profiles), (&edges, after), delta, 0, "neighbour");
+}
+
+/// The `a` triangle's members 0 and 1 also carry `b`. Vertex 2 gaining
+/// `b` grows the community's closure to `{r, a, b}`; losing it again
+/// shrinks the closure back.
+#[test]
+fn a_member_changing_labels_drops_the_closure() {
+    let (tax, a, b) = two_labels();
+    let edges = [(0, 1), (1, 2), (0, 2)];
+    let mut short = vec![profile(&tax, &[a, b]); 2];
+    short.push(profile(&tax, &[a]));
+    let full = vec![profile(&tax, &[a, b]); 3];
+    let delta = GraphDelta::ProfileChanged { v: 2 };
+    warm_then_patch(&tax, (&edges, short.clone()), (&edges, full.clone()), delta, 0, "gains");
+    warm_then_patch(&tax, (&edges, full), (&edges, short), delta, 0, "loses");
+}
+
+/// An added edge whose endpoints share no label of the key but the
+/// root leaves the `{r, a}` entry in place; the root entry goes.
+#[test]
+fn an_edge_off_the_key_labels_keeps_the_entry() {
+    let (tax, a, b) = two_labels();
+    let edges = [(0, 1), (1, 2), (0, 2), (3, 5), (4, 5), (0, 3)];
+    let profiles: Vec<PTree> =
+        (0..6).map(|v| profile(&tax, &[if v < 3 { a } else { b }])).collect();
+    let g = Graph::from_edges(6, &edges).unwrap();
+    let mut index = ShardedCpIndex::build_resident(&g, &tax, &profiles).unwrap();
+    check_on_shared_index(&g, &tax, &profiles, &index, &basic_answers(&g, &tax, &profiles), "warm");
+    let key = [Taxonomy::ROOT, a];
+    let stored = index.proven_community(2, &key, 0).expect("the warm-up stored {r, a}").1;
+    assert_eq!(*stored, [0, 1, 2]);
+    let g2 = Graph::from_edges(6, &[&edges[..], &[(3, 4)]].concat()).unwrap();
+    let deltas = [GraphDelta::EdgeAdded { u: 3, v: 4 }];
+    index.apply_batch(&Arc::new(g2.clone()), &Arc::new(profiles.clone()), &deltas, None);
+    let kept = index.proven_community(2, &key, 1).expect("the entry survives the edge").1;
+    assert!(Arc::ptr_eq(&kept, &stored), "carried, not recomputed");
+    assert!(index.proven_community(2, &[Taxonomy::ROOT], 0).is_none(), "Gk grew: 3–4–5");
+    check_on_shared_index(
+        &g2,
+        &tax,
+        &profiles,
+        &index,
+        &basic_answers(&g2, &tax, &profiles),
+        "off",
+    );
+}
+
+/// Engines of both index modes through ten epochs of query-all →
+/// apply, each batch mixing edge adds, edge removes and profile
+/// rewrites: every `(q, k ≤ 3)` answer equals `basic` on that epoch,
+/// though each write carries the table the queries before it filled.
+#[test]
+fn carried_table_answers_every_epoch_like_basic() {
+    for mode in [IndexMode::Eager, IndexMode::Lazy] {
+        for seed in 0..6u64 {
+            let (g, tax, profiles) = random_instance(seed);
+            let n = g.num_vertices() as u32;
+            let ids: Vec<LabelId> = (0..tax.len() as LabelId).collect();
+            let engine = PcsEngine::builder()
+                .graph(g)
+                .taxonomy(tax)
+                .profiles(profiles)
+                .index_mode(mode)
+                .build()
+                .unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xca77);
+            for epoch in 0..10 {
+                let snap = engine.snapshot();
+                let plain =
+                    QueryContext::new(snap.graph(), engine.taxonomy(), snap.profiles()).unwrap();
+                for (k, q) in (0..=3u32).flat_map(|k| (0..n).map(move |q| (k, q))) {
+                    let want = plain.query(q, k, Algorithm::Basic).unwrap().communities;
+                    let got = engine.query(&QueryRequest::vertex(q).k(k)).unwrap();
+                    let at = format!("{mode:?} seed {seed} epoch {epoch} q={q} k={k}");
+                    assert_eq!(got.outcome.communities, want, "{at}");
+                }
+                let mut batch = UpdateBatch::new();
+                for _ in 0..rng.gen_range(2..8usize) {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    batch = match rng.gen_range(0..3u32) {
+                        0 if u != v => batch.add_edge(u, v),
+                        1 => batch.remove_edge(u, v),
+                        _ => {
+                            batch.set_profile(u, random_profile(&mut rng, engine.taxonomy(), &ids))
+                        }
+                    };
+                }
+                engine.apply(&batch).unwrap();
+            }
+        }
+    }
+}
