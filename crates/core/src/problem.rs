@@ -283,8 +283,8 @@ impl<'a> QueryContext<'a> {
         // `incre`/advanced restore T(q) through the index (the paper's
         // line "restore T(q) using I.headMap"); without an index
         // the profile array is borrowed directly (no copy — the
-        // index-less path of every query on an `IndexMode::Disabled`
-        // engine). Both yield the same tree.
+        // path of every `basic` query and of an index-free context).
+        // Both yield the same tree.
         let restored;
         let tq = match self.index {
             Some(idx) => {

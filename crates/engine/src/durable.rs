@@ -6,7 +6,7 @@
 //! storage *before* its epoch is published to readers:
 //!
 //! ```text
-//!   apply:    coalesce queued batches → take the writer lock
+//!   apply:    take the writer lock
 //!           → validate → mutate master → encode batch
 //!           → WAL append + fsync (epoch N)
 //!           → publish snapshot N        (readers see N only after fsync)

@@ -7,11 +7,10 @@ use pcs_graph::{DynamicGraph, FxHashMap, Graph, GraphHandle, IncrementalCores, V
 use pcs_index::{GraphDelta, IndexError, ShardedCpIndex};
 use pcs_ptree::{PTree, ProfilesHandle, Taxonomy};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cache::{CacheKey, CacheMode, CacheStats, CacheStatsSnapshot, QueryCache};
 use crate::error::{BuildError, Error, Result};
-use crate::oneshot::OneShot;
 use crate::request::{QueryRequest, QueryResponse};
 use crate::snapshot::{EngineSnapshot, SnapshotInner};
 use crate::update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateReport};
@@ -32,10 +31,6 @@ pub enum IndexMode {
     /// re-materializes whatever the patch left cold), trading update
     /// latency for predictable query latency.
     Eager,
-    /// Never build; index-dependent algorithms fail with
-    /// [`Error::IndexDisabled`] and [`Algorithm::Auto`] resolves to
-    /// `Basic`. Useful for memory-constrained replicas.
-    Disabled,
 }
 
 /// Fluent constructor for [`PcsEngine`]; validates everything once so
@@ -181,8 +176,6 @@ impl EngineBuilder {
             cache_stats,
             state: RwLock::new(snapshot),
             writer: Mutex::new(None),
-            coalesce: Mutex::new(CoalesceQueue::default()),
-            coalesce_stats: CoalesceStats::default(),
             durable: None,
             snapshot_source: None,
             scratch_pool: Mutex::new(Vec::new()),
@@ -253,75 +246,6 @@ pub(crate) struct Staged {
 /// allocated with [`EngineBuilder::result_cache`] enabled).
 const CACHE_CAPACITY: usize = 4096;
 
-/// How long a coalesced [`apply`](PcsEngine::apply) member waits for
-/// its group leader before declaring the leader lost. Generous: a
-/// leader holds the writer path for at most one batch apply (plus
-/// fsync on durable engines).
-const COALESCE_DEADLINE: Duration = Duration::from_secs(30);
-
-/// One waiting participant in a coalesced apply group: the leader
-/// posts the shared group result here.
-type ApplySlot = OneShot<Result<UpdateReport>>;
-
-/// The shared queue [`apply`](PcsEngine::apply) coalesces through: the
-/// first writer to find `leader_active == false` becomes leader and
-/// drains `pending` in merged groups until it runs dry.
-#[derive(Default)]
-struct CoalesceQueue {
-    pending: Vec<(UpdateBatch, Arc<ApplySlot>)>,
-    leader_active: bool,
-}
-
-impl CoalesceQueue {
-    /// Fails every queued member and hands leadership back: the writer
-    /// that owed them a result unwound.
-    fn abandon(&mut self) {
-        for (_, slot) in self.pending.drain(..) {
-            slot.post(Err(coalescer_panicked()));
-        }
-        self.leader_active = false;
-    }
-}
-
-/// Held by the coalescing leader while it drains the queue. The leader
-/// applies each group *outside* the queue lock, so if it unwinds there
-/// the lock is not poisoned and nothing else would ever clear
-/// `leader_active`: this guard does, and fails every member still
-/// waiting on the lost leader.
-struct LeaderGuard<'a> {
-    engine: &'a PcsEngine,
-    /// Members of the group being applied, not yet posted.
-    in_flight: Vec<Arc<ApplySlot>>,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        for slot in self.in_flight.drain(..) {
-            slot.post(Err(coalescer_panicked()));
-        }
-        self.engine.lock_coalesce().abandon();
-    }
-}
-
-fn coalescer_panicked() -> Error {
-    Error::Internal {
-        component: "apply-coalesce",
-        detail: "a coalescing writer panicked; batch was not applied".into(),
-    }
-}
-
-/// Monotonic counters of the write-coalescing path (see
-/// [`PcsEngine::coalesce_stats`]).
-#[derive(Debug, Default)]
-struct CoalesceStats {
-    submitted: std::sync::atomic::AtomicU64,
-    groups: std::sync::atomic::AtomicU64,
-    coalesced: std::sync::atomic::AtomicU64,
-}
-
 /// A point-in-time reading of the backing snapshot file's positioned-
 /// read counter (see [`PcsEngine::snapshot_io`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -330,18 +254,6 @@ pub struct SnapshotIo {
     pub bytes_read: u64,
     /// Total file length.
     pub file_len: u64,
-}
-
-/// A point-in-time copy of the engine's write-coalescing counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoalesceStatsSnapshot {
-    /// Valid batches submitted through [`apply`](PcsEngine::apply).
-    pub submitted: u64,
-    /// Merged groups actually applied (each publishes one epoch).
-    pub groups: u64,
-    /// Batches that rode along in someone else's group instead of
-    /// paying their own epoch publish (`submitted - groups`).
-    pub coalesced: u64,
 }
 
 /// An owned, `Send + Sync` profiled-community-search engine: the
@@ -388,9 +300,6 @@ pub struct PcsEngine {
     cache_stats: Arc<CacheStats>,
     /// Serializes writers and owns the mutable master state.
     writer: Mutex<Option<WriterState>>,
-    /// The queue [`apply`](Self::apply) coalesces concurrent writers through.
-    coalesce: Mutex<CoalesceQueue>,
-    coalesce_stats: CoalesceStats,
     /// The WAL attachment (durable engines only): set once during
     /// `build`/`open`, before the engine is shared, and immutable
     /// afterwards.
@@ -449,16 +358,13 @@ impl PcsEngine {
     }
 
     /// Forces construction of the index facade **and every shard**
-    /// (policy permitting) plus the core decomposition on the current
-    /// snapshot, so the next query pays no warm-up cost regardless of
-    /// which labels it touches. Idempotent; cheap once everything is
-    /// cached.
+    /// plus the core decomposition on the current snapshot, so the
+    /// next query pays no warm-up cost regardless of which labels it
+    /// touches. Idempotent; cheap once everything is cached.
     pub fn warm(&self) -> Result<()> {
         let snap = self.snapshot_arc();
         snap.cores();
-        if self.index_mode != IndexMode::Disabled {
-            self.ensure_index(&snap)?.materialize_all(1);
-        }
+        self.ensure_index(&snap)?.materialize_all(1);
         Ok(())
     }
 
@@ -556,11 +462,10 @@ impl PcsEngine {
         assert!(result.is_err(), "the poisoning closure must panic");
     }
 
-    /// Resolves [`Algorithm::Auto`] against this engine's index
-    /// policy: `Closed` whenever an index exists or may be built
-    /// lazily, `Basic` when the index is disabled.
+    /// Resolves [`Algorithm::Auto`] for this engine: `Closed`, since
+    /// every engine holds an index or builds one on first need.
     pub fn resolve_algorithm(&self, algorithm: Algorithm) -> Algorithm {
-        algorithm.resolve(self.index_mode != IndexMode::Disabled)
+        algorithm.resolve(true)
     }
 
     /// Answers one request against the current snapshot.
@@ -578,16 +483,6 @@ impl PcsEngine {
     /// [`CacheMode::Off`]).
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
         self.cache_stats.snapshot()
-    }
-
-    /// Write-coalescing counters of [`apply`](Self::apply).
-    pub fn coalesce_stats(&self) -> CoalesceStatsSnapshot {
-        use std::sync::atomic::Ordering;
-        CoalesceStatsSnapshot {
-            submitted: self.coalesce_stats.submitted.load(Ordering::Relaxed),
-            groups: self.coalesce_stats.groups.load(Ordering::Relaxed),
-            coalesced: self.coalesce_stats.coalesced.load(Ordering::Relaxed),
-        }
     }
 
     /// Answers one request through the result cache: a hit returns the
@@ -656,9 +551,6 @@ impl PcsEngine {
     fn query_on(&self, snap: &SnapshotInner, request: &QueryRequest) -> Result<QueryResponse> {
         let algorithm = self.resolve_algorithm(request.requested_algorithm());
         let index = if algorithm.needs_index() {
-            if self.index_mode == IndexMode::Disabled {
-                return Err(Error::IndexDisabled { algorithm: algorithm.name() });
-            }
             // Only the facade is ensured here; the query materializes
             // exactly the shards its subtree lattice probes.
             Some(self.ensure_index(snap)?)
@@ -757,9 +649,7 @@ impl PcsEngine {
         // Warm shared state up front so workers never race a build
         // (OnceLock would serialize them anyway; this keeps the
         // per-request timings honest).
-        if requests.iter().any(|r| self.resolve_algorithm(r.requested_algorithm()).needs_index())
-            && self.index_mode != IndexMode::Disabled
-        {
+        if requests.iter().any(|r| self.resolve_algorithm(r.requested_algorithm()).needs_index()) {
             let _ = self.ensure_index(&snap);
         }
         snap.cores();
@@ -820,31 +710,17 @@ impl PcsEngine {
         self.apply(&UpdateBatch::new().set_profile(vertex, profile))
     }
 
-    /// Applies a batch of mutations atomically and publishes a new
-    /// epoch snapshot. The one write entry: concurrent callers
-    /// **coalesce**.
+    /// Applies a batch of mutations atomically and publishes it as the
+    /// next epoch. The one write entry: it takes the writer lock, so
+    /// concurrent callers go one at a time, and each effective batch
+    /// publishes its own epoch and gets its own [`UpdateReport`].
     ///
-    /// The batch is validated up front (any rejection leaves the engine
-    /// untouched and returns this caller's own typed error), then
-    /// queued. The first writer to find the queue leaderless becomes
-    /// the group leader: it merges every queued batch into one
-    /// application — incremental core maintenance (bounded subcore
-    /// traversals per edge, never a full re-decomposition), one index
-    /// maintenance pass, one WAL record on durable engines, one epoch
-    /// publish — and hands the shared [`UpdateReport`] to every member.
-    /// A sustained update stream thereby amortizes the per-epoch costs
-    /// (CSR export, index maintenance, fsync) over the whole group.
+    /// The whole batch is validated before anything is touched (any
+    /// rejection leaves the engine untouched and returns a typed
+    /// error). Core numbers are maintained incrementally (bounded
+    /// subcore traversals per edge, never a full re-decomposition).
     /// Concurrent queries keep reading the previous epoch until the
     /// swap.
-    ///
-    /// * The returned report describes the **merged** group: its
-    ///   `epoch` is the group's published epoch and its counters
-    ///   (edges added/removed, no-ops, …) aggregate every member's
-    ///   ops. A lone caller always forms a group of one, whose report
-    ///   describes exactly its own batch.
-    /// * Ops keep their submission order within a batch and groups
-    ///   preserve queue order, so the merged history is a legal
-    ///   serialization of the member batches.
     ///
     /// A built index is cloned and patched label by label, whatever the
     /// size of the batch; an index no query has built yet stays unbuilt.
@@ -852,13 +728,13 @@ impl PcsEngine {
     ///
     /// No-op operations (duplicate edge inserts, absent removals,
     /// identical profiles) are counted in the report, not errors. A
-    /// group of only no-ops publishes nothing and keeps the epoch.
+    /// batch of only no-ops publishes nothing and keeps the epoch.
     ///
     /// # Durability
     ///
     /// On an engine opened with
     /// [`EngineBuilder::durable`](crate::EngineBuilder::durable) the
-    /// group's record is appended to the WAL and **fsynced before its
+    /// batch's record is appended to the WAL and **fsynced before its
     /// epoch is published**, all under the writer lock: once `apply`
     /// returns `Ok`, the batch survives a crash, and a reader can never
     /// observe an epoch the engine could still lose. Any failure on
@@ -867,59 +743,36 @@ impl PcsEngine {
     /// already-published epochs keep serving reads, and reopening the
     /// directory recovers the fsynced prefix.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        use std::sync::atomic::Ordering;
-        self.validate_ops(batch, self.snapshot_arc().graph.num_vertices())?;
-        self.coalesce_stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(ApplySlot::default());
-        let is_leader = {
-            let mut queue = self.lock_coalesce();
-            queue.pending.push((batch.clone(), Arc::clone(&slot)));
-            !std::mem::replace(&mut queue.leader_active, true)
-        };
-        if is_leader {
-            let mut lead = LeaderGuard { engine: self, in_flight: Vec::new() };
-            loop {
-                let group = {
-                    let mut queue = self.lock_coalesce();
-                    if queue.pending.is_empty() {
-                        queue.leader_active = false;
-                        break;
-                    }
-                    std::mem::take(&mut queue.pending)
-                };
-                let merged: UpdateBatch =
-                    group.iter().flat_map(|(b, _)| b.ops().iter().cloned()).collect();
-                lead.in_flight = group.into_iter().map(|(_, member)| member).collect();
-                let result = self.apply_inner(&merged);
-                self.coalesce_stats.groups.fetch_add(1, Ordering::Relaxed);
-                self.coalesce_stats
-                    .coalesced
-                    .fetch_add(lead.in_flight.len() as u64 - 1, Ordering::Relaxed);
-                for member in lead.in_flight.drain(..) {
-                    member.post(result.clone());
-                }
-            }
+        let start = Instant::now();
+        let mut guard = self.lock_writer();
+        // Only a writer swaps the published snapshot, and the lock is
+        // held through the swap: this is the state the master equals.
+        let base = self.snapshot_arc();
+        let ws = WriterState::ensure(&mut guard, &base)?;
+        let mut staged = Staged::default();
+        if !self.stage(ws, batch, &mut staged)? {
+            return Ok(UpdateReport {
+                epoch: base.epoch,
+                edges_added: 0,
+                edges_removed: 0,
+                profiles_changed: 0,
+                // Every reprofiled vertex ended where it started.
+                noops: staged.noops + staged.original_profiles.len(),
+                cores_changed: 0,
+                index: IndexMaintenance::Unchanged,
+                durable_epoch: self.durable_epoch(),
+                elapsed: start.elapsed(),
+            });
         }
-        // A leader's own result was posted (to its own slot) by its
-        // first loop iteration.
-        slot.wait(COALESCE_DEADLINE).unwrap_or_else(|| {
-            Err(Error::Internal {
-                component: "apply-coalesce",
-                detail: format!(
-                    "group leader did not publish a result within {COALESCE_DEADLINE:?}"
-                ),
-            })
+        let epoch = base.epoch + 1;
+        self.publish(&mut guard, &base, staged, epoch, start, |wal| {
+            crate::durable::encode_update_batch(batch)
+                .and_then(|payload| wal.append_durable(epoch, &payload))
         })
     }
 
-    /// Validates every op of `batch` against a fixed vertex count and
-    /// this engine's (immutable) taxonomy, touching nothing. The
-    /// checks are state-independent beyond `n` — the vertex set never
-    /// grows or shrinks — which is what lets [`apply`](Self::apply)
-    /// pre-validate each batch *individually* before merging: one
-    /// malformed batch is
-    /// rejected to its own caller and can never poison the group it
-    /// would have joined.
+    /// Validates every op of `batch` against the vertex count `n` and
+    /// this engine's (immutable) taxonomy, touching nothing.
     fn validate_ops(&self, batch: &UpdateBatch, n: usize) -> Result<()> {
         for op in batch.ops() {
             match op {
@@ -950,59 +803,12 @@ impl PcsEngine {
         Ok(())
     }
 
-    /// Locks the coalesce queue, recovering from poisoning: a panic in
-    /// one writer must not wedge the write path forever. Pending
-    /// members left by the panicking thread are failed explicitly so
-    /// their submitters' deadline waits resolve immediately.
-    fn lock_coalesce(&self) -> std::sync::MutexGuard<'_, CoalesceQueue> {
-        match self.coalesce.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.abandon();
-                self.coalesce.clear_poison();
-                guard
-            }
-        }
-    }
-
     /// Locks the writer path: the master state and the right to swap
     /// the published snapshot.
     pub(crate) fn lock_writer(&self) -> std::sync::MutexGuard<'_, Option<WriterState>> {
         // A poisoned lock means a writer panicked mid-mutation: going
         // on from that half-applied state could publish or persist it.
         self.writer.lock().expect("engine writer lock poisoned")
-    }
-
-    /// Stages one merged group and publishes it as the next epoch. A
-    /// group of only no-ops publishes nothing and keeps the epoch.
-    fn apply_inner(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        let start = Instant::now();
-        let mut guard = self.lock_writer();
-        // Only a writer swaps the published snapshot, and the lock is
-        // held through the swap: this is the state the master equals.
-        let base = self.snapshot_arc();
-        let ws = WriterState::ensure(&mut guard, &base)?;
-        let mut staged = Staged::default();
-        if !self.stage(ws, batch, &mut staged)? {
-            return Ok(UpdateReport {
-                epoch: base.epoch,
-                edges_added: 0,
-                edges_removed: 0,
-                profiles_changed: 0,
-                // Every reprofiled vertex ended where it started.
-                noops: staged.noops + staged.original_profiles.len(),
-                cores_changed: 0,
-                index: IndexMaintenance::Unchanged,
-                durable_epoch: self.durable_epoch(),
-                elapsed: start.elapsed(),
-            });
-        }
-        let epoch = base.epoch + 1;
-        self.publish(&mut guard, &base, staged, epoch, start, |wal| {
-            crate::durable::encode_update_batch(batch)
-                .and_then(|payload| wal.append_durable(epoch, &payload))
-        })
     }
 
     /// Applies `batch` to the master state, adds what it changed to
@@ -1118,7 +924,6 @@ impl PcsEngine {
         // on build, load and open, and every publish below carries a
         // patched clone forward.
         let maintenance = match base.index.get() {
-            _ if self.index_mode == IndexMode::Disabled => IndexMaintenance::Disabled,
             Some(Ok(old)) => {
                 // The clone shares resident shards (`Arc`) and copies
                 // only the facade tables; the patch then rebuilds
@@ -1402,51 +1207,5 @@ impl std::fmt::Debug for PcsEngine {
             .field("index_built", &snap.index.get().is_some())
             .field("batch_threads", &self.batch_threads)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// The coalescing leader applies its group outside the queue lock,
-    /// so a leader that unwinds there must still hand leadership back
-    /// and fail the members it had taken: otherwise every later writer
-    /// queues behind a leader that no longer exists and parks for the
-    /// full `COALESCE_DEADLINE`.
-    #[test]
-    fn unwinding_leader_fails_its_group_and_releases_leadership() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        let engine = PcsEngine::builder()
-            .graph(g)
-            .taxonomy(Taxonomy::new("r"))
-            .profiles(vec![PTree::root_only(); 3])
-            .build()
-            .unwrap();
-        // Poison the writer lock, so `apply_inner` unwinds on entry.
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _guard = engine.writer.lock().unwrap();
-                panic!("deliberate writer-lock poisoning");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        // A member already queued when the doomed leader arrives.
-        let batch = UpdateBatch::new().add_edge(1, 2);
-        let member = Arc::new(ApplySlot::default());
-        engine.lock_coalesce().pending.push((batch.clone(), Arc::clone(&member)));
-
-        assert!(catch_unwind(AssertUnwindSafe(|| engine.apply(&batch))).is_err());
-        assert!(!engine.lock_coalesce().leader_active, "leadership must be handed back");
-        match member.wait(Duration::ZERO) {
-            Some(Err(Error::Internal { component: "apply-coalesce", .. })) => {}
-            other => panic!("queued member must fail at once, got {other:?}"),
-        }
-        // The next writer leads (and meets the same poisoned lock)
-        // instead of waiting out the deadline as a follower.
-        let started = Instant::now();
-        assert!(catch_unwind(AssertUnwindSafe(|| engine.apply(&batch))).is_err());
-        assert!(started.elapsed() < COALESCE_DEADLINE / 2, "writer parked behind a lost leader");
     }
 }

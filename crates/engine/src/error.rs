@@ -26,12 +26,6 @@ pub enum Error {
     Query(PcsError),
     /// CP-tree construction failed.
     Index(IndexError),
-    /// An index-dependent algorithm was requested on an engine built
-    /// with [`IndexMode::Disabled`](crate::IndexMode::Disabled).
-    IndexDisabled {
-        /// Display name of the algorithm that needed the index.
-        algorithm: &'static str,
-    },
     /// An [`UpdateBatch`](crate::UpdateBatch) failed validation; the
     /// engine state is unchanged.
     Update(UpdateError),
@@ -48,7 +42,7 @@ pub enum Error {
     NotDurable,
     /// An internal invariant of the serving machinery was violated —
     /// e.g. a batch dispatcher produced fewer results than requests, or
-    /// a coalesced write group lost its leader. Never the client's
+    /// an index cell was empty after it was filled. Never the client's
     /// fault: protocol layers must map this to a 5xx, not a 4xx.
     Internal {
         /// The subsystem that broke its invariant (stable tag, e.g.
@@ -65,11 +59,6 @@ impl fmt::Display for Error {
             Error::Build(e) => write!(f, "engine build failed: {e}"),
             Error::Query(e) => write!(f, "query failed: {e}"),
             Error::Index(e) => write!(f, "index construction failed: {e}"),
-            Error::IndexDisabled { algorithm } => write!(
-                f,
-                "algorithm {algorithm} needs the CP-tree index, but this engine was \
-                 built with IndexMode::Disabled"
-            ),
             Error::Update(e) => write!(f, "update rejected: {e}"),
             Error::Store(e) => write!(f, "snapshot store failed: {e}"),
             Error::NotDurable => write!(

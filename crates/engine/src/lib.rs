@@ -20,7 +20,8 @@
 //!   [`apply`](PcsEngine::apply)) with **incremental** maintenance of
 //!   the core decomposition and CP-tree index: only the vertices and
 //!   labels an update can affect are revisited. `apply` is the one
-//!   write entry; concurrent callers coalesce into one epoch publish.
+//!   write entry; concurrent callers take the writer lock in turn,
+//!   and each effective batch publishes its own epoch.
 //! * [`EngineSnapshot`] — a consistent immutable view at one epoch;
 //!   queries are lock-free against the snapshot current when they
 //!   started, while updates publish the next epoch.
@@ -83,7 +84,7 @@ mod update;
 
 pub use cache::{CacheMode, CacheStatsSnapshot};
 pub use durable::{decode_update_batch, encode_update_batch, WalFollower, SNAPSHOT_FILE, WAL_DIR};
-pub use engine::{CoalesceStatsSnapshot, EngineBuilder, IndexMode, PcsEngine, SnapshotIo};
+pub use engine::{EngineBuilder, IndexMode, PcsEngine, SnapshotIo};
 pub use error::{BuildError, Error, Result};
 pub use oneshot::OneShot;
 pub use request::{QueryRequest, QueryResponse};

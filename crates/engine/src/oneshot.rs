@@ -5,10 +5,9 @@ use std::time::{Duration, Instant};
 
 /// A one-shot hand-off between two threads: one side [`post`](Self::post)s
 /// a value, the other [`wait`](Self::wait)s for it with a deadline.
-/// Poison-recovering — a panic on either side must not wedge the other
-/// — and shared by the engine's write coalescer (a member waits for its
-/// group leader) and `pcs-serve`'s batcher (a connection waits for the
-/// dispatcher).
+/// Poison-recovering — a panic on either side must not wedge the other.
+/// Its one user is `pcs-serve`'s batcher (a connection waits for the
+/// dispatcher); it goes when the batcher does.
 #[derive(Debug)]
 pub struct OneShot<T> {
     value: Mutex<Option<T>>,

@@ -113,8 +113,6 @@ impl EngineBuilder {
     ///   first touch, and shards absent from the file rebuild from the
     ///   graph on demand. Time-to-first-query stays proportional to
     ///   the queried labels, even straight off disk.
-    /// * [`IndexMode::Disabled`] — the same deferred load, with the
-    ///   `INDEX` section skipped entirely (not even read).
     ///
     /// Corrupt, truncated, or version-skewed files fail with a typed
     /// [`pcs_store::StoreError`] (wrapped in
@@ -172,8 +170,7 @@ impl EngineBuilder {
     /// nothing, damage in a touched one is a typed error on first
     /// touch.
     fn load_lazy(self, src: Arc<pcs_store::FileSnapshot>) -> Result<PcsEngine> {
-        let want_index = self.index_mode != IndexMode::Disabled;
-        let lazy = pcs_store::open_lazy(Arc::clone(&src), want_index)?;
+        let lazy = pcs_store::open_lazy(Arc::clone(&src))?;
         let cores_cell = Arc::new(OnceLock::new());
         if let Some(core) = &lazy.cores {
             let _ = cores_cell.set(CoreDecomposition::from_core_numbers(core.as_ref().clone()));
@@ -267,20 +264,6 @@ mod tests {
             engine.snapshot().cores().core_numbers(),
             loaded.snapshot().cores().core_numbers()
         );
-    }
-
-    #[test]
-    fn disabled_mode_drops_the_persisted_index() {
-        let engine = small_engine(IndexMode::Eager);
-        let path = tmp("disabled");
-        engine.save(&path).unwrap();
-        let loaded = PcsEngine::builder().index_mode(IndexMode::Disabled).load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(!loaded.index_built());
-        assert!(matches!(
-            loaded.query(&QueryRequest::vertex(0).k(2).algorithm(pcs_core::Algorithm::AdvP)),
-            Err(Error::IndexDisabled { .. })
-        ));
     }
 
     #[test]

@@ -125,9 +125,6 @@ pub enum IndexMaintenance {
     /// No index existed before the batch (a lazy engine no query has
     /// built one on); it stays that way.
     NotBuilt,
-    /// The engine runs with
-    /// [`IndexMode::Disabled`](crate::IndexMode::Disabled).
-    Disabled,
     /// The batch was entirely no-ops: no new snapshot was published and
     /// the index is untouched.
     Unchanged,

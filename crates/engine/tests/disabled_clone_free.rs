@@ -1,5 +1,5 @@
-//! Regression pin: building an `IndexMode::Disabled` engine and
-//! serving index-free queries performs **zero taxonomy deep copies**.
+//! Regression pin: building a lazy engine and serving index-free
+//! (`basic`) queries performs **zero taxonomy deep copies**.
 //! The builder takes ownership and validation borrows; the index-less
 //! query path borrows the query vertex's P-tree instead of cloning it
 //! (and must never clone the taxonomy to restore anything).
@@ -32,20 +32,20 @@ fn disabled_engine_never_clones_the_taxonomy() {
         .graph(g)
         .taxonomy(tax)
         .profiles(profiles)
-        .index_mode(IndexMode::Disabled)
+        .index_mode(IndexMode::Lazy)
         .build()
         .unwrap();
     assert_eq!(
         Taxonomy::clone_count(),
         before,
-        "EngineBuilder::build(Disabled) deep-copied the taxonomy"
+        "EngineBuilder::build(Lazy) deep-copied the taxonomy"
     );
 
-    // Serve: Auto resolves to `basic` (no index), repeatedly.
+    // Serve: `basic` never builds the index, repeatedly.
+    let basic = |q: u32, k: u32| QueryRequest::vertex(q).k(k).algorithm(Algorithm::Basic);
     for q in 0..5u32 {
         for k in 1..4u32 {
-            engine.query(&QueryRequest::vertex(q).k(k)).unwrap();
-            engine.query(&QueryRequest::vertex(q).k(k).algorithm(Algorithm::Basic)).unwrap();
+            engine.query(&basic(q, k)).unwrap();
         }
     }
     assert_eq!(
@@ -57,6 +57,6 @@ fn disabled_engine_never_clones_the_taxonomy() {
     // Mutate: the update path validates profiles against a borrowed
     // taxonomy too.
     engine.apply(&UpdateBatch::new().add_edge(0, 3)).unwrap();
-    engine.query(&QueryRequest::vertex(0).k(2)).unwrap();
+    engine.query(&basic(0, 2)).unwrap();
     assert_eq!(Taxonomy::clone_count(), before, "the update path deep-copied the taxonomy");
 }

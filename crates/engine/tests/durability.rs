@@ -358,9 +358,10 @@ fn checkpoint_rotates_and_reclaims_covered_segments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Concurrent appliers on one durable engine: every acknowledged epoch
-/// is fsynced, each coalesced group costs one epoch (one record, one
-/// fsync), and recovery replays the whole interleaving.
+/// Concurrent appliers on one durable engine: writers go one at a
+/// time, so every effective call publishes its own epoch (one record,
+/// one fsync), every acknowledged epoch is fsynced, and recovery
+/// replays the whole interleaving.
 #[test]
 fn concurrent_durable_appliers_share_group_commits() {
     const THREADS: u32 = 4;
@@ -392,17 +393,12 @@ fn concurrent_durable_appliers_share_group_commits() {
         }
     });
     let total = u64::from(THREADS * PER_THREAD);
-    // One epoch — one WAL record, one fsync — per coalesced group, and
-    // every call rode exactly one group.
-    let epoch = engine.epoch();
-    let cs = engine.coalesce_stats();
-    assert_eq!(epoch, cs.groups, "each group publishes exactly one epoch");
-    assert!(epoch <= total);
-    assert_eq!(cs.groups + cs.coalesced, total, "coalesce counters must balance");
-    assert_eq!(engine.durable_epoch(), Some(epoch));
+    // One epoch — one WAL record, one fsync — per call.
+    assert_eq!(engine.epoch(), total, "each write publishes exactly one epoch");
+    assert_eq!(engine.durable_epoch(), Some(total));
     drop(engine);
     let recovered = PcsEngine::builder().durable(&dir).open().unwrap();
-    assert_eq!(recovered.epoch(), epoch);
+    assert_eq!(recovered.epoch(), total);
     assert_eq!(
         recovered.snapshot().graph().num_edges(),
         1 + total as usize,

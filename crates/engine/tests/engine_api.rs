@@ -102,8 +102,6 @@ fn index_used_is_true_exactly_when_an_index_was_attached() {
     assert!(warm.query(&QueryRequest::vertex(0).k(2)).unwrap().index_used);
     let cold = engine_with(IndexMode::Lazy);
     assert!(!cold.query(&basic).unwrap().index_used, "basic never triggers the build");
-    let disabled = engine_with(IndexMode::Disabled);
-    assert!(!disabled.query(&basic).unwrap().index_used);
 }
 
 /// The paper's running example (Fig. 1): eight authors under a
@@ -180,7 +178,7 @@ fn generated(seed: u64) -> (Graph, Taxonomy, Vec<PTree>) {
 #[test]
 fn basic_answers_and_effort_do_not_depend_on_the_index_mode() {
     for (g, tax, profiles) in [figure1(), generated(7)] {
-        let engines: Vec<PcsEngine> = [IndexMode::Disabled, IndexMode::Lazy, IndexMode::Eager]
+        let engines: Vec<PcsEngine> = [IndexMode::Lazy, IndexMode::Eager]
             .into_iter()
             .map(|mode| {
                 PcsEngine::builder()
@@ -204,23 +202,12 @@ fn basic_answers_and_effort_do_not_depend_on_the_index_mode() {
                         (resp.outcome.communities, resp.stats)
                     })
                     .collect();
-                assert_eq!(answers[0], answers[1], "cold Lazy vs Disabled, q={q} k={k}");
-                assert_eq!(answers[0], answers[2], "warm Eager vs Disabled, q={q} k={k}");
+                assert_eq!(answers[0], answers[1], "cold Lazy vs warm Eager, q={q} k={k}");
             }
         }
-        assert!(!engines[1].index_built(), "basic never triggers the build");
-        assert!(engines[2].index_built());
+        assert!(!engines[0].index_built(), "basic never triggers the build");
+        assert!(engines[1].index_built());
     }
-}
-
-#[test]
-fn auto_resolves_to_basic_when_index_disabled() {
-    let engine = engine_with(IndexMode::Disabled);
-    assert_eq!(engine.resolve_algorithm(Algorithm::Auto), Algorithm::Basic);
-    let resp = engine.query(&QueryRequest::vertex(0).k(2)).unwrap();
-    assert_eq!(resp.algorithm, Algorithm::Basic);
-    assert!(!resp.index_used);
-    assert!(!engine.index_built());
 }
 
 #[test]
@@ -234,13 +221,6 @@ fn auto_resolution_matches_query_context_semantics() {
     let ctx = ctx.with_index(&index);
     let with_index = ctx.query(0, 2, Algorithm::Auto).unwrap();
     assert_eq!(no_index.communities, with_index.communities);
-}
-
-#[test]
-fn explicit_index_algorithm_on_disabled_engine_errors() {
-    let engine = engine_with(IndexMode::Disabled);
-    let err = engine.query(&QueryRequest::vertex(0).k(2).algorithm(Algorithm::AdvP)).unwrap_err();
-    assert!(matches!(err, Error::IndexDisabled { algorithm: "adv-P" }));
 }
 
 #[test]

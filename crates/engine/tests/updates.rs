@@ -264,16 +264,6 @@ fn oversized_deltas_patch_on_every_policy() {
 }
 
 #[test]
-fn disabled_engine_still_updates() {
-    let engine = engine_with(IndexMode::Disabled);
-    let report = engine.apply(&UpdateBatch::new().add_edge(5, 1).add_edge(5, 2)).unwrap();
-    assert_eq!(report.index, IndexMaintenance::Disabled);
-    let resp = engine.query(&QueryRequest::vertex(5).k(2)).unwrap();
-    assert_eq!(resp.algorithm, Algorithm::Basic);
-    assert_eq!(resp.communities().len(), 1);
-}
-
-#[test]
 fn updated_engine_agrees_across_all_algorithms() {
     let engine = engine_with(IndexMode::Eager);
     engine.apply(&UpdateBatch::new().add_edge(5, 1).add_edge(5, 2).remove_edge(0, 3)).unwrap();

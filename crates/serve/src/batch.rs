@@ -376,8 +376,7 @@ mod tests {
 
     /// A results/waiters length mismatch is a dispatcher bug and must
     /// surface as the truthful `Internal` error, not a fabricated
-    /// client-addressable one (the old code claimed `IndexDisabled`
-    /// for an algorithm named "batch-dispatch").
+    /// client-addressable one.
     #[test]
     fn forced_result_mismatch_reports_internal_error() {
         let pending: Vec<PendingQuery> = (0..2)

@@ -423,15 +423,14 @@ fn parse_vertex(field: Option<&str>, line: usize, n: usize) -> Result<u32, ApiEr
 }
 
 /// Status for an error the engine itself returned (post-validation,
-/// so these are rare): update rejections and index-policy refusals are
-/// the client's fault, everything else is ours.
+/// so these are rare): update and query rejections are the client's
+/// fault, everything else is ours.
 /// [`EngineError::Internal`] is explicitly a 500 — it reports a bug in
-/// our dispatch/coalescing machinery, never anything the client sent.
+/// our dispatch machinery, never anything the client sent.
 pub fn engine_error_status(err: &EngineError) -> u16 {
     match err {
         EngineError::Update(_) => 400,
         EngineError::Query(_) => 400,
-        EngineError::IndexDisabled { .. } => 400,
         EngineError::Internal { .. } => 500,
         _ => 500,
     }
@@ -625,7 +624,7 @@ mod tests {
         assert_eq!(engine_error_status(&err), 500);
         assert!(render_engine_error(&err).starts_with("{\"error\":\"internal\""));
         // Client-addressable failures keep their 400 + generic tag.
-        let refusal = EngineError::IndexDisabled { algorithm: "adv-P" };
+        let refusal = EngineError::Update(pcs_engine::UpdateError::SelfLoop { vertex: 1 });
         assert_eq!(engine_error_status(&refusal), 400);
         assert!(render_engine_error(&refusal).starts_with("{\"error\":\"engine\""));
     }

@@ -159,17 +159,12 @@ pub struct StatsSnapshot {
     /// Entries carried across an epoch publish by surgical
     /// invalidation.
     pub cache_surgical_survivals: u64,
-    /// Write groups committed by the coalescing apply path.
-    pub apply_groups: u64,
-    /// Writer submissions that rode a leader's group instead of
-    /// publishing their own epoch.
-    pub apply_coalesced: u64,
     /// The engine's published epoch when the snapshot was taken.
     pub epoch: u64,
     /// The engine's durable (fsynced-WAL) epoch; `None` without a
     /// durable directory. The engine fsyncs before it publishes, so
     /// this never lags `epoch` — transiently it may *lead* by the one
-    /// group sitting between its fsync and its publication.
+    /// write sitting between its fsync and its publication.
     pub durable_epoch: Option<u64>,
 }
 
@@ -182,8 +177,7 @@ impl StatsSnapshot {
              \"http_4xx\":{},\"http_5xx\":{},\"internal_errors\":{},\"batches\":{},\
              \"batched_requests\":{},\"dedup_saved\":{},\"cache_answered\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"cache_surgical_survivals\":{},\"apply_groups\":{},\"apply_coalesced\":{},\
-             \"epoch\":{},\"durable_epoch\":{}}}",
+             \"cache_surgical_survivals\":{},\"epoch\":{},\"durable_epoch\":{}}}",
             self.accepted,
             self.shed,
             self.requests,
@@ -200,8 +194,6 @@ impl StatsSnapshot {
             self.cache_misses,
             self.cache_evictions,
             self.cache_surgical_survivals,
-            self.apply_groups,
-            self.apply_coalesced,
             self.epoch,
             json_opt_u64(self.durable_epoch),
         )
@@ -276,7 +268,6 @@ impl Shared {
         let epoch = self.engine.epoch();
         let durable_epoch = self.engine.durable_epoch();
         let cache = self.engine.cache_stats();
-        let coalesce = self.engine.coalesce_stats();
         StatsSnapshot {
             epoch,
             durable_epoch,
@@ -284,8 +275,6 @@ impl Shared {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             cache_surgical_survivals: cache.surgical_survivals,
-            apply_groups: coalesce.groups,
-            apply_coalesced: coalesce.coalesced,
             accepted: self.stats.accepted.load(Ordering::Relaxed),
             shed: self.stats.shed.load(Ordering::Relaxed),
             requests: self.stats.requests.load(Ordering::Relaxed),
@@ -540,9 +529,9 @@ fn dispatch(shared: &Shared, req: &crate::http::Request) -> (u16, Payload) {
         }
         Ok(Route::Apply(batch)) => {
             shared.stats.updates.fetch_add(1, Ordering::Relaxed);
-            // Concurrent `/apply` calls coalesce into one epoch publish
-            // (and, on a durable engine, one WAL record and fsync)
-            // instead of serializing full publishes.
+            // Concurrent `/apply` calls take the engine's writer lock in
+            // turn: each publishes its own epoch (and, on a durable
+            // engine, appends and fsyncs its own WAL record).
             match shared.engine.apply(&batch) {
                 Ok(report) => (200, render_update_report(&report)),
                 Err(e) => {

@@ -140,7 +140,7 @@ struct Readers {
 /// Everything read here is structural: META, TAXONOMY, CORES, the
 /// profile chunk directory, and the index length table + shard
 /// directory — a few bytes per label/chunk, not per vertex or edge.
-fn open_readers(src: &Arc<FileSnapshot>, want_index: bool) -> Result<Readers> {
+fn open_readers(src: &Arc<FileSnapshot>) -> Result<Readers> {
     let require = |id: u32| -> Result<&[u8]> {
         src.section(id)?.ok_or(StoreError::MissingSection { section: id })
     };
@@ -190,21 +190,19 @@ fn open_readers(src: &Arc<FileSnapshot>, want_index: bool) -> Result<Readers> {
         fault: fault.clone(),
     };
 
-    let index = match (want_index, src.section_len(section::INDEX)) {
-        (true, Some(index_len)) => Some(open_lazy_index(src, &meta, &tax, index_len, &fault)?),
-        _ => None,
+    let index = match src.section_len(section::INDEX) {
+        Some(index_len) => Some(open_lazy_index(src, &meta, &tax, index_len, &fault)?),
+        None => None,
     };
 
     Ok(Readers { meta, tax, cores, graph, profiles, index, fault })
 }
 
 /// Opens the lazy view over a validated [`FileSnapshot`] (whose open
-/// already rejected any other format version). With
-/// `want_index = false` the `INDEX` section is not touched at all
-/// and `index` is `None`.
-pub fn open_lazy(src: Arc<FileSnapshot>, want_index: bool) -> Result<LazySnapshot> {
-    let Readers { meta, tax, cores, graph, profiles, index, fault } =
-        open_readers(&src, want_index)?;
+/// already rejected any other format version). `index` is `None`
+/// exactly when the file carries no `INDEX` section.
+pub fn open_lazy(src: Arc<FileSnapshot>) -> Result<LazySnapshot> {
+    let Readers { meta, tax, cores, graph, profiles, index, fault } = open_readers(&src)?;
     Ok(LazySnapshot {
         meta,
         tax,
@@ -259,7 +257,7 @@ pub fn load_eager(src: Arc<FileSnapshot>) -> Result<SnapshotContents> {
     for id in src.section_ids() {
         src.section(id)?;
     }
-    let Readers { meta, tax, cores, graph, profiles: store, index, .. } = open_readers(&src, true)?;
+    let Readers { meta, tax, cores, graph, profiles: store, index, .. } = open_readers(&src)?;
     let graph = Arc::new(graph.load()?);
     let mut profiles = Vec::with_capacity(meta.n);
     for i in 0..store.dir.entries.len() {
@@ -727,7 +725,7 @@ mod tests {
         let (path, g, tax, profiles) = write_fixture("structure");
         let src = Arc::new(FileSnapshot::open(&path).unwrap());
         let file_len = src.file_len();
-        let snap = open_lazy(Arc::clone(&src), true).unwrap();
+        let snap = open_lazy(Arc::clone(&src)).unwrap();
         assert_eq!(snap.meta.epoch, 7);
         assert_eq!(snap.meta.n, 6);
         assert_eq!(snap.tax.len(), tax.len());
@@ -769,7 +767,7 @@ mod tests {
         bytes[target] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         let src = Arc::new(FileSnapshot::open(&path).unwrap());
-        let snap = open_lazy(src, false).unwrap();
+        let snap = open_lazy(src).unwrap();
         // The damage sits in a deferred range: open succeeded.
         assert!(snap.fault.get().is_none());
         // First touch of the chunk: None + typed fault recorded.
@@ -794,7 +792,7 @@ mod tests {
         bytes[base + members_base + 1] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
         let src = Arc::new(FileSnapshot::open(&path).unwrap());
-        let snap = open_lazy(src, true).unwrap();
+        let snap = open_lazy(src).unwrap();
         let idx = snap.index.as_ref().unwrap();
         assert_eq!(idx.members.load_members(0), None, "damaged run refuses to load");
         assert!(matches!(
@@ -818,7 +816,7 @@ mod tests {
         bytes[blob_base + 2] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let src3 = Arc::new(FileSnapshot::open(&path).unwrap());
-        let snap3 = open_lazy(src3, true).unwrap();
+        let snap3 = open_lazy(src3).unwrap();
         let idx3 = snap3.index.as_ref().unwrap();
         assert!(idx3.shards.load_shard(0).is_none(), "damaged shard is unavailable");
         assert!(snap3.fault.get().is_none(), "shard damage does not poison (rebuild is correct)");

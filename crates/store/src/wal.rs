@@ -41,10 +41,10 @@
 //! under the log mutex it writes the frame into the active segment and
 //! issues one `fdatasync` before returning, so a record is either
 //! acknowledged and durable or the log has fail-stopped. There is no
-//! buffering and no group commit at this layer — the engine's `apply`
-//! coalesces concurrent writers into one record *above* the log, so at
-//! most one append is ever in flight and an fsync-sharing scheme here
-//! would have nothing to share.
+//! buffering and no group commit at this layer — the engine appends
+//! under its writer lock, one record per write, so at most one append
+//! is ever in flight and an fsync-sharing scheme here would have
+//! nothing to share.
 //!
 //! ## Failure model
 //!
