@@ -29,15 +29,17 @@
 //! exact pre-crash epoch; [`PcsEngine::checkpoint`] rewrites the
 //! snapshot and reclaims WAL segments the snapshot now covers.
 //!
-//! Replication rides the same log: [`WalFollower`] tails a primary's
-//! durable directory read-only (never truncating the primary's live
-//! tail), and [`PcsEngine::wal_tail_since`] re-frames the fsynced tail
-//! for the HTTP `GET /wal?from=epoch` endpoint, which a network
-//! follower applies via [`PcsEngine::apply_wal_frames`]. Either way the
-//! follower's state at epoch N is byte-for-byte the primary's: the same
-//! batches, staged in the same order by the same code as `apply`, which
-//! the differential harness proves equivalent to a from-scratch build.
-//! Recovery and both followers share one loop, `PcsEngine::replay`,
+//! Replication rides the same log, over one path: the HTTP follower in
+//! `pcs-serve` polls `GET /wal?from=epoch`, which
+//! [`PcsEngine::wal_tail_since`] answers by re-framing the log tail,
+//! and applies each response via [`PcsEngine::apply_wal_frames`]. The
+//! feed stops at the WAL's durable epoch, so a follower never observes
+//! an epoch the primary has not fsynced — not even a frame a failed
+//! `apply` left complete on disk before its fsync. The follower's state
+//! at epoch N is byte-for-byte the primary's: the same batches, staged
+//! in the same order by the same code as `apply`, which the
+//! differential harness proves equivalent to a from-scratch build.
+//! Recovery and the follower share one loop, `PcsEngine::replay`,
 //! which publishes once per run of records rather than once per record.
 //!
 //! ## Failure contract
@@ -251,25 +253,6 @@ impl EngineBuilder {
         engine.durable = Some(DurableState { dir, wal });
         Ok(engine)
     }
-
-    /// Builds a read-only **follower** seeded from another engine's
-    /// durable directory: loads the primary's current checkpoint and
-    /// replays whatever WAL tail is already on disk. The source is
-    /// never written — segments are scanned read-only and a torn live
-    /// tail is simply left for the next [`WalFollower::poll`] — so a
-    /// follower can safely run against a primary's live directory (or
-    /// a snapshot-consistent copy of it).
-    pub fn follow(mut self, source: impl Into<PathBuf>) -> Result<WalFollower> {
-        let source = source.into();
-        // A follower is read-only by definition: it replays the
-        // primary's log rather than writing one of its own, so any
-        // `durable(dir)` configuration is ignored.
-        self.durable_dir = None;
-        let engine = self.load(source.join(SNAPSHOT_FILE))?;
-        let follower = WalFollower { engine, source };
-        follower.poll()?;
-        Ok(follower)
-    }
 }
 
 /// Called from `EngineBuilder::build` when [`EngineBuilder::durable`]
@@ -373,11 +356,12 @@ impl PcsEngine {
         self.replay(&scan.records)
     }
 
-    /// The one replay loop behind recovery ([`EngineBuilder::open`]),
-    /// [`apply_wal_frames`](Self::apply_wal_frames) and
-    /// [`WalFollower::poll`]. Under one writer lock it skips records at
-    /// or below the staged epoch and stages the rest in order, each
-    /// checked against what its predecessors staged (see
+    /// The one replay loop behind recovery ([`EngineBuilder::open`]) and
+    /// replication ([`apply_wal_frames`](Self::apply_wal_frames), fed
+    /// only durable records by [`wal_tail_since`](Self::wal_tail_since)).
+    /// Under one writer lock it skips records at or below the staged
+    /// epoch and stages the rest in order, each checked against what
+    /// its predecessors staged (see
     /// [`apply_wal_frames`](Self::apply_wal_frames)); then it publishes
     /// **once**, at the last staged epoch, after a durable engine has
     /// appended every staged record at its own epoch. A failing record
@@ -430,70 +414,5 @@ impl PcsEngine {
             return Err(UpdateError::ReplayNoEffect { epoch: rec.epoch }.into());
         }
         Ok(())
-    }
-}
-
-/// A read-only replica that tails a primary's durable directory:
-/// built by [`EngineBuilder::follow`], advanced by [`poll`](Self::poll),
-/// queried through [`engine`](Self::engine). At every polled epoch the
-/// follower's cores and index answer identically to the primary's at
-/// that epoch — same batches, same order, staged by the same code as `apply`.
-#[derive(Debug)]
-pub struct WalFollower {
-    engine: PcsEngine,
-    source: PathBuf,
-}
-
-impl WalFollower {
-    /// The replica engine (serve queries from here).
-    pub fn engine(&self) -> &PcsEngine {
-        &self.engine
-    }
-
-    /// The replica's current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch()
-    }
-
-    /// Reads every complete WAL record past the replica's epoch and
-    /// applies them as one publish at the last record's epoch; returns
-    /// how many batches were applied (0 = caught up). A
-    /// torn record mid-write on the primary is left for the next poll;
-    /// an epoch *gap* (the primary reclaimed segments past this
-    /// replica's position — it fell too far behind) is a typed error,
-    /// after which the caller re-seeds with [`EngineBuilder::follow`].
-    pub fn poll(&self) -> Result<usize> {
-        let after = self.engine.epoch();
-        let records =
-            wal::read_records_since(&self.source.join(WAL_DIR), after, u64::MAX, u64::MAX)?;
-        self.engine.replay(&records)
-    }
-
-    /// Re-seeds the replica in place from the primary's *current*
-    /// checkpoint snapshot — the recovery move after [`poll`](Self::poll)
-    /// reports an epoch gap (the primary reclaimed segments past this
-    /// replica's position). The snapshot is loaded **lazily**: only
-    /// META and the section directories are decoded up front, so a
-    /// re-seed is cheap even at scale and the graph/profiles fault in
-    /// on the replica's next query. A checkpoint older than the
-    /// replica's own epoch is refused — a follower never rewinds.
-    /// Returns the number of WAL batches applied on top of the seed.
-    pub fn reseed(&mut self) -> Result<usize> {
-        let engine = PcsEngine::builder()
-            .index_mode(crate::IndexMode::Lazy)
-            .load(self.source.join(SNAPSHOT_FILE))?;
-        if engine.epoch() < self.engine.epoch() {
-            return Err(Error::Internal {
-                component: "wal-follower",
-                detail: format!(
-                    "re-seed snapshot is at epoch {} but the replica already serves epoch {} \
-                     — refusing to rewind",
-                    engine.epoch(),
-                    self.engine.epoch()
-                ),
-            });
-        }
-        self.engine = engine;
-        self.poll()
     }
 }

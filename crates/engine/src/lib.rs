@@ -38,9 +38,11 @@
 //!   WAL-backed lifecycle: every applied batch is fsynced to an
 //!   epoch-stamped log *before* its epoch publishes, crash recovery
 //!   replays the snapshot + log tail to the exact pre-crash epoch,
-//!   [`PcsEngine::checkpoint`] reclaims covered segments, and a
-//!   [`WalFollower`] tails the log as a read-only replica (see the
-//!   [`mod@durable`] module docs).
+//!   [`PcsEngine::checkpoint`] reclaims covered segments, and
+//!   [`PcsEngine::wal_tail_since`] / [`PcsEngine::apply_wal_frames`]
+//!   carry the durable log tail to a replica — `pcs-serve`'s HTTP
+//!   follower, the one replica path (see the [`mod@durable`] module
+//!   docs).
 //! * [`Error`] — one `#[non_exhaustive]` [`std::error::Error`]
 //!   wrapping query, index, update, and validation failures.
 //!
@@ -83,7 +85,7 @@ mod snapshot;
 mod update;
 
 pub use cache::{CacheMode, CacheStatsSnapshot};
-pub use durable::{decode_update_batch, encode_update_batch, WalFollower, SNAPSHOT_FILE, WAL_DIR};
+pub use durable::{decode_update_batch, encode_update_batch, SNAPSHOT_FILE, WAL_DIR};
 pub use engine::{EngineBuilder, IndexMode, PcsEngine, SnapshotIo};
 pub use error::{BuildError, Error, Result};
 pub use oneshot::OneShot;

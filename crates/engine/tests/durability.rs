@@ -407,57 +407,6 @@ fn concurrent_durable_appliers_share_group_commits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn follower_tails_the_primary_log() {
-    let dir = tmp_dir("follower");
-    let primary = durable_engine(&dir, WalOptions::default());
-    let batches = scripted_batches(primary.taxonomy());
-    for batch in batches.iter().take(3) {
-        primary.apply(batch).unwrap();
-    }
-    // Seeding replays the on-disk tail past the snapshot.
-    let follower = PcsEngine::builder().follow(&dir).unwrap();
-    assert_eq!(follower.epoch(), 3);
-    assert_equivalent(follower.engine(), &reference_engine(3), "seeded follower");
-    // The primary moves on; one poll converges the replica.
-    for batch in batches.iter().skip(3) {
-        primary.apply(batch).unwrap();
-    }
-    assert_eq!(follower.poll().unwrap(), batches.len() - 3);
-    assert_eq!(follower.epoch(), primary.epoch());
-    assert_equivalent(follower.engine(), &primary, "polled follower");
-    assert_eq!(follower.poll().unwrap(), 0, "caught-up poll is a no-op");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A follower that fell behind a checkpoint (its WAL position was
-/// reclaimed) recovers with [`WalFollower::reseed`]: the primary's
-/// fresh checkpoint is loaded *lazily* in place — the graph is not
-/// decoded until the replica's next query — and the replica lands on
-/// the primary's epoch, never rewinding.
-#[test]
-fn follower_reseeds_lazily_after_a_reclaimed_gap() {
-    let dir = tmp_dir("reseed");
-    let opts = WalOptions { segment_bytes: 40 };
-    let primary = durable_engine(&dir, opts);
-    let batches = scripted_batches(primary.taxonomy());
-    let mut follower = PcsEngine::builder().follow(&dir).unwrap();
-    assert_eq!(follower.epoch(), 0);
-    // The primary advances and checkpoints: every covered segment is
-    // reclaimed, so the follower's poll hits an epoch gap.
-    for batch in &batches {
-        primary.apply(batch).unwrap();
-    }
-    primary.checkpoint().unwrap();
-    assert!(follower.poll().is_err(), "reclaimed tail must be a typed gap");
-    // One reseed call recovers: lazy seed + tail replay.
-    follower.reseed().unwrap();
-    assert_eq!(follower.epoch(), primary.epoch());
-    assert!(!follower.engine().snapshot().graph_resident(), "reseed must defer the graph decode");
-    assert_equivalent(follower.engine(), &primary, "reseeded follower");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The network-replication surface: `wal_tail_since` frames the fsynced
 /// tail, `apply_wal_frames` applies it on the other side, and a damaged
 /// stream is a typed error, not a divergent replica.

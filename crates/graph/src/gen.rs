@@ -1,10 +1,10 @@
 //! Seeded random-graph primitives.
 //!
-//! These are the topology building blocks `pcs-datasets` composes into
-//! paper-calibrated profiled graphs: Erdős–Rényi G(n,m), Barabási–Albert
-//! preferential attachment (power-law degrees like co-authorship and
-//! follower networks), and planted overlapping groups (the community
-//! structure PCS is supposed to recover).
+//! [`connectify`] is the one `pcs-datasets` uses: it links the
+//! components of a generated profiled graph so every vertex reaches
+//! vertex 0. [`preferential_attachment`] (Barabási–Albert: power-law
+//! degrees like co-authorship and follower networks) builds test
+//! graphs.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -12,44 +12,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::graph::{Graph, GraphBuilder, VertexId};
 use crate::hash::FxHashSet;
-
-/// Uniform random graph with exactly `m` distinct edges (G(n, m)).
-///
-/// Panics if `m` exceeds the number of possible edges.
-pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
-    let max_edges = n.saturating_mul(n.saturating_sub(1)) / 2;
-    assert!(m <= max_edges, "requested {m} edges but only {max_edges} possible");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let mut builder = GraphBuilder::new(n);
-    while seen.len() < m {
-        let a = rng.gen_range(0..n as u32);
-        let b = rng.gen_range(0..n as u32);
-        if a == b {
-            continue;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if seen.insert(key) {
-            builder.add_edge(a, b);
-        }
-    }
-    builder.build()
-}
-
-/// Erdős–Rényi G(n, p): every pair independently with probability `p`.
-pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    for a in 0..n as u32 {
-        for b in (a + 1)..n as u32 {
-            if rng.gen_bool(p) {
-                builder.add_edge(a, b);
-            }
-        }
-    }
-    builder.build()
-}
 
 /// Barabási–Albert preferential attachment: each new vertex attaches to
 /// `m_attach` existing vertices chosen proportionally to degree.
@@ -95,54 +57,6 @@ pub fn preferential_attachment(n: usize, m_attach: usize, seed: u64) -> Graph {
     builder.build()
 }
 
-/// Planted overlapping groups.
-///
-/// `memberships[v]` lists the group ids of vertex `v`. Any two vertices
-/// sharing at least one group are connected with probability `p_in`; all
-/// other pairs with probability `p_out`. Classic (dense) construction —
-/// intended for graphs up to a few tens of thousands of vertices.
-pub fn planted_overlapping_groups(
-    memberships: &[Vec<u32>],
-    p_in: f64,
-    p_out: f64,
-    seed: u64,
-) -> Graph {
-    let n = memberships.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
-    // Bucket vertices by group to avoid the O(n^2) shared-group test for
-    // intra-group edges; sample p_out edges sparsely.
-    let group_count =
-        memberships.iter().flat_map(|g| g.iter().copied()).max().map_or(0, |g| g as usize + 1);
-    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); group_count];
-    for (v, groups) in memberships.iter().enumerate() {
-        for &g in groups {
-            members[g as usize].push(v as VertexId);
-        }
-    }
-    for group in &members {
-        for i in 0..group.len() {
-            for j in (i + 1)..group.len() {
-                if rng.gen_bool(p_in) {
-                    builder.add_edge(group[i], group[j]);
-                }
-            }
-        }
-    }
-    if p_out > 0.0 && n >= 2 {
-        // Expected number of background edges, sampled by pair draws.
-        let expect = (p_out * (n as f64) * (n as f64 - 1.0) / 2.0).round() as usize;
-        for _ in 0..expect {
-            let a = rng.gen_range(0..n as u32);
-            let b = rng.gen_range(0..n as u32);
-            if a != b {
-                builder.add_edge(a, b);
-            }
-        }
-    }
-    builder.build()
-}
-
 /// Ensures every vertex of `g` reaches vertex 0 by linking component
 /// representatives to random already-connected vertices. Returns the
 /// (possibly) augmented graph.
@@ -178,33 +92,6 @@ mod tests {
     use crate::components::connected_components;
 
     #[test]
-    fn gnm_exact_edge_count() {
-        let g = gnm(50, 200, 1);
-        assert_eq!(g.num_vertices(), 50);
-        assert_eq!(g.num_edges(), 200);
-    }
-
-    #[test]
-    fn gnm_deterministic_per_seed() {
-        assert_eq!(gnm(30, 60, 5), gnm(30, 60, 5));
-        assert_ne!(gnm(30, 60, 5), gnm(30, 60, 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "possible")]
-    fn gnm_rejects_impossible() {
-        gnm(3, 10, 0);
-    }
-
-    #[test]
-    fn gnp_density_tracks_p() {
-        let g = gnp(100, 0.1, 42);
-        let possible = 100 * 99 / 2;
-        let density = g.num_edges() as f64 / possible as f64;
-        assert!((density - 0.1).abs() < 0.03, "density {density}");
-    }
-
-    #[test]
     fn preferential_attachment_shape() {
         let g = preferential_attachment(500, 3, 9);
         assert_eq!(g.num_vertices(), 500);
@@ -215,25 +102,6 @@ mod tests {
         // Single connected component by construction.
         let (_, count) = connected_components(&g);
         assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn planted_groups_are_denser_inside() {
-        let mut memberships = vec![Vec::new(); 60];
-        for (v, m) in memberships.iter_mut().enumerate() {
-            m.push(if v < 30 { 0 } else { 1 });
-        }
-        let g = planted_overlapping_groups(&memberships, 0.5, 0.002, 3);
-        let mut inside = 0usize;
-        let mut across = 0usize;
-        for (a, b) in g.edges() {
-            if (a < 30) == (b < 30) {
-                inside += 1;
-            } else {
-                across += 1;
-            }
-        }
-        assert!(inside > across * 5, "inside {inside} across {across}");
     }
 
     #[test]

@@ -291,13 +291,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// True when the undirected edge has already been added (linear scan;
-    /// intended for generator-side duplicate avoidance on small batches).
-    pub fn contains_edge(&self, a: VertexId, b: VertexId) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.edges.contains(&key)
-    }
-
     /// Finalizes the CSR layout.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
@@ -452,8 +445,6 @@ mod tests {
         let mut b = GraphBuilder::new(0);
         b.add_edge(5, 2);
         assert_eq!(b.num_vertices(), 6);
-        assert!(b.contains_edge(2, 5));
-        assert!(!b.contains_edge(2, 4));
         assert_eq!(b.num_edges_raw(), 1);
         let g = b.build();
         assert_eq!(g.num_vertices(), 6);

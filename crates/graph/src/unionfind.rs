@@ -60,12 +60,6 @@ impl UnionFind {
     pub fn same(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 #[cfg(test)]
@@ -83,8 +77,6 @@ mod tests {
         assert!(!uf.same(1, 2));
         uf.union(1, 3);
         assert!(uf.same(0, 2));
-        assert_eq!(uf.set_size(0), 4);
-        assert_eq!(uf.set_size(4), 1);
         assert_eq!(uf.len(), 6);
         assert!(!uf.is_empty());
     }
@@ -106,6 +98,5 @@ mod tests {
         for i in 0..100 {
             assert_eq!(uf.find(i), root);
         }
-        assert_eq!(uf.set_size(42), 100);
     }
 }

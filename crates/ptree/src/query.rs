@@ -160,7 +160,6 @@ pub struct QuerySpace {
     labels: Vec<LabelId>,
     parent_pos: Vec<u32>,
     children_pos: Vec<Vec<u32>>,
-    depth: Vec<u32>,
     pos_of: FxHashMap<LabelId, u32>,
     words: usize,
 }
@@ -178,7 +177,6 @@ impl QuerySpace {
         let mut labels = Vec::with_capacity(tq.len());
         let mut parent_pos = Vec::with_capacity(tq.len());
         let mut children_pos: Vec<Vec<u32>> = Vec::with_capacity(tq.len());
-        let mut depth = Vec::with_capacity(tq.len());
         let mut pos_of = FxHashMap::default();
         // Iterative DFS preorder; taxonomy children are visited in
         // reverse so the stack pops them in ascending-id order.
@@ -188,7 +186,6 @@ impl QuerySpace {
             labels.push(id);
             parent_pos.push(if pos == 0 { 0 } else { par });
             children_pos.push(Vec::new());
-            depth.push(tax.depth(id));
             if pos != 0 {
                 children_pos[par as usize].push(pos);
             }
@@ -201,7 +198,7 @@ impl QuerySpace {
         }
         debug_assert_eq!(labels.len(), tq.len());
         let words = labels.len().div_ceil(64).max(1);
-        Ok(QuerySpace { labels, parent_pos, children_pos, depth, pos_of, words })
+        Ok(QuerySpace { labels, parent_pos, children_pos, pos_of, words })
     }
 
     /// Number of nodes in `T(q)`.
@@ -237,12 +234,6 @@ impl QuerySpace {
     #[inline]
     pub fn children_of(&self, pos: u32) -> &[u32] {
         &self.children_pos[pos as usize]
-    }
-
-    /// Taxonomy depth of the label at `pos`.
-    #[inline]
-    pub fn depth_of(&self, pos: u32) -> u32 {
-        self.depth[pos as usize]
     }
 
     /// The empty candidate (lattice bottom).
@@ -391,8 +382,6 @@ mod tests {
         assert_eq!(qs.parent_of(4), 0);
         assert_eq!(qs.parent_of(5), 4);
         assert_eq!(qs.children_of(1), &[2, 3]);
-        assert_eq!(qs.depth_of(0), 0);
-        assert_eq!(qs.depth_of(5), 2);
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl Taxonomy {
         self.depth[id as usize]
     }
 
-    /// True when `id` has no children.
-    pub fn is_leaf(&self, id: LabelId) -> bool {
-        self.children[id as usize].is_empty()
-    }
-
     /// Maximum depth over all labels.
     pub fn max_depth(&self) -> u32 {
         self.depth.iter().copied().max().unwrap_or(0)
@@ -265,14 +260,11 @@ mod tests {
     #[test]
     fn depths_and_leaves() {
         let (t, ids) = ccs_fragment();
-        let [cm, _is, hw, ml, _ai, dms] = ids[..] else { unreachable!() };
+        let [cm, _is, _hw, ml, _ai, _dms] = ids[..] else { unreachable!() };
         assert_eq!(t.depth(Taxonomy::ROOT), 0);
         assert_eq!(t.depth(cm), 1);
         assert_eq!(t.depth(ml), 2);
         assert_eq!(t.max_depth(), 2);
-        assert!(t.is_leaf(hw));
-        assert!(t.is_leaf(dms));
-        assert!(!t.is_leaf(cm));
     }
 
     #[test]

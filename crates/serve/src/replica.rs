@@ -1,5 +1,7 @@
 //! The HTTP follower: a read-only replica that tails a primary's WAL
-//! over the `/wal` route.
+//! over the `/wal` route. It is the workspace's one replica path:
+//! `/wal` → `PcsEngine::wal_tail_since` → `PcsEngine::apply_wal_frames`
+//! → the same replay loop crash recovery runs.
 //!
 //! Replication topology:
 //!
@@ -24,8 +26,10 @@
 //! returns without error and applies zero epochs, the follower has
 //! every epoch the primary had *fsynced* when the request was served.
 //! The follower never sees an unsynced (and therefore possibly
-//! lost-on-crash) epoch, so a primary crash can only make the follower
-//! *wait*, never rewind.
+//! lost-on-crash) epoch, because the primary's feed stops at its WAL's
+//! durable epoch: a frame a failed `apply` left complete on disk before
+//! its fsync is never served. A primary crash can only make the
+//! follower *wait*, never rewind.
 //!
 //! If the primary answers `410 Gone`, the requested epochs were
 //! reclaimed by a checkpoint — the log no longer reaches back to the
@@ -203,7 +207,8 @@ impl HttpFollower {
     /// [`SnapshotGap`](ReplicaError::SnapshotGap)). The snapshot is
     /// loaded **lazily** — structure only; the graph and profiles
     /// fault in on the replica's next query — so a re-seed stays cheap
-    /// even against a scale-1.0 snapshot. A snapshot older than the
+    /// even against a scale-1.0 snapshot. The new engine keeps the
+    /// follower's result-cache mode. A snapshot older than the
     /// epoch already served is refused
     /// ([`StaleSeed`](ReplicaError::StaleSeed)): a follower never
     /// rewinds. Returns the re-seeded epoch; call
@@ -214,6 +219,7 @@ impl HttpFollower {
     ) -> Result<u64, ReplicaError> {
         let engine = pcs_engine::PcsEngine::builder()
             .index_mode(pcs_engine::IndexMode::Lazy)
+            .result_cache(self.engine.cache_mode())
             .load(snapshot.as_ref())
             .map_err(ReplicaError::Engine)?;
         if engine.epoch() < self.engine.epoch() {

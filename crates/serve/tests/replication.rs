@@ -3,7 +3,7 @@
 //! converging with a live primary — including across a follower
 //! restart and after the primary reclaims its log.
 
-use pcs_engine::{PcsEngine, QueryRequest};
+use pcs_engine::{CacheMode, PcsEngine, QueryRequest};
 use pcs_graph::Graph;
 use pcs_ptree::{PTree, Taxonomy};
 use pcs_serve::{HttpFollower, PcsServer, ReplicaConfig, ReplicaError, ServeConfig};
@@ -353,7 +353,11 @@ fn reclaimed_log_answers_410_and_the_follower_reports_a_snapshot_gap() {
 
     // A follower seeded from the epoch-0 snapshot, parked before any
     // traffic. Load it NOW: the checkpoint below overwrites the file.
-    let stale = PcsEngine::builder().load(dir.join(pcs_engine::SNAPSHOT_FILE)).unwrap();
+    // Its result cache is on, and a re-seed must keep it on.
+    let stale = PcsEngine::builder()
+        .result_cache(CacheMode::Wholesale)
+        .load(dir.join(pcs_engine::SNAPSHOT_FILE))
+        .unwrap();
 
     for body in scripted_bodies(0, 8) {
         assert_eq!(post(&mut conn, "/apply", &body).0, 200);
@@ -379,6 +383,7 @@ fn reclaimed_log_answers_410_and_the_follower_reports_a_snapshot_gap() {
     // replica query afterwards.
     let seeded_epoch = follower.reseed_from_snapshot(dir.join(pcs_engine::SNAPSHOT_FILE)).unwrap();
     assert_eq!(seeded_epoch, watermark);
+    assert_eq!(follower.engine().cache_mode(), CacheMode::Wholesale, "re-seed dropped the cache");
     assert!(
         !follower.engine().snapshot().graph_resident(),
         "a re-seed must not decode the graph eagerly"

@@ -84,7 +84,7 @@ pub use format::{
     FORMAT_VERSION, MAGIC, MAX_SECTIONS, SECTION_TABLE,
 };
 pub use wal::{
-    decode_frames, encode_record, encode_records, list_segments, read_records, read_records_since,
-    FrameScan, SegmentInfo, Wal, WalOptions, WalRecord, WalReplay, WalTail, MAX_RECORD_LEN,
-    WAL_MAGIC, WAL_SECTION, WAL_VERSION,
+    decode_frames, encode_record, encode_records, list_segments, read_records_since, FrameScan,
+    SegmentInfo, Wal, WalOptions, WalRecord, WalReplay, WalTail, MAX_RECORD_LEN, WAL_MAGIC,
+    WAL_SECTION, WAL_VERSION,
 };

@@ -307,22 +307,14 @@ fn check_segment_header(bytes: &[u8]) -> Result<bool> {
     Ok(true)
 }
 
-/// Scans the whole log read-only: every valid record plus the torn
-/// tail, if any. Never mutates the directory — this is the follower's
-/// view of a log another process is actively writing. No gap check:
-/// a reclaimed prefix is legitimate here (the caller pairs the log
-/// with a snapshot and checks continuity against *its* epoch).
-pub fn read_records(dir: &Path) -> Result<WalReplay> {
-    scan(dir, None, u64::MAX, u64::MAX)
-}
-
 /// Scans read-only for records with `after_epoch < epoch <=
 /// max_epoch`, stopping once roughly `max_bytes` of payload have been
-/// collected (at least one record is returned if one qualifies). A
-/// torn tail simply ends the result — for a live log it usually means
-/// "the primary is mid-append; poll again". Returns a typed error if
-/// the log no longer reaches back to `after_epoch` (segments
-/// reclaimed): the caller must re-bootstrap from a snapshot.
+/// collected (at least one record is returned if one qualifies).
+/// Replication passes the log's durable epoch as `max_epoch`: a failed
+/// append can leave a complete but never-fsynced frame on disk, and it
+/// must not be served. A torn tail simply ends the result. Returns a
+/// typed error if the log no longer reaches back to `after_epoch`
+/// (segments reclaimed): the caller must re-bootstrap from a snapshot.
 pub fn read_records_since(
     dir: &Path,
     after_epoch: u64,
@@ -740,12 +732,12 @@ mod tests {
         let segs = list_segments(&dir).unwrap();
         assert!(segs.len() > 2, "small cap must force rotation, got {}", segs.len());
         // Everything replays across rotations.
-        let replay = read_records(&dir).unwrap();
+        let replay = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(replay.records.len(), 40);
         // A watermark halfway in reclaims only fully-covered segments.
         let removed = wal.reclaim(20).unwrap();
         assert!(removed > 0);
-        let replay = read_records(&dir).unwrap();
+        let replay = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(replay.last_epoch(), Some(40), "suffix survives reclamation");
         assert!(replay.records.iter().all(|r| r.epoch <= 40));
         // The surviving prefix still starts at or before epoch 21.
@@ -772,14 +764,14 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg.path).unwrap();
         f.set_len(seg.file_len - 3).unwrap();
         drop(f);
-        let ro = read_records(&dir).unwrap();
+        let ro = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(ro.records.len(), 4, "read-only scan stops before the torn frame");
         assert!(ro.torn.is_some());
         let (wal, replay) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
         assert_eq!(replay.records.len(), 4);
         wal.append_durable(5, b"replacement").unwrap();
         drop(wal);
-        let replay = read_records(&dir).unwrap();
+        let replay = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(replay.records.len(), 5, "append extends the repaired prefix cleanly");
         assert!(replay.torn.is_none());
         assert_eq!(replay.records.last().unwrap().payload, b"replacement");
@@ -829,7 +821,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(b"tiny");
         std::fs::write(&seg.path, &bytes).unwrap();
-        let replay = read_records(&dir).unwrap();
+        let replay = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(replay.records.len(), 1);
         assert!(replay.torn.unwrap().detail.contains("cap"));
     }

@@ -115,7 +115,7 @@ pub mod prelude {
     };
     pub use pcs_engine::{
         CacheMode, EngineBuilder, EngineSnapshot, Error as EngineError, IndexMode, PcsEngine,
-        QueryRequest, QueryResponse, Update, UpdateBatch, UpdateReport, WalFollower,
+        QueryRequest, QueryResponse, Update, UpdateBatch, UpdateReport,
     };
     pub use pcs_graph::{DynamicGraph, Graph, GraphBuilder, VertexId};
     pub use pcs_index::{ClTree, IndexShard, ShardedCpIndex};

@@ -12,6 +12,7 @@ use pcs::graph::core::CoreDecomposition;
 use pcs::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Set-equality of the whole index query surface: a lazily patched
 /// serving index, an eagerly materialized one, and a from-scratch
@@ -339,15 +340,16 @@ fn engine_saved_and_loaded_mid_stream_stays_equivalent() {
 }
 
 /// The replica-convergence differential: a *durable* primary absorbs a
-/// 300+-step mixed stream while a [`WalFollower`] tails its write-ahead
-/// log. At every synced epoch the follower must be set-equal to the
-/// primary — profiles, cores, and sampled community answers — because
-/// both ran the identical batches through the identical `apply` path.
-/// The follower is torn down and re-seeded twice mid-stream (once
-/// replaying the full log from the epoch-0 snapshot, once from a
-/// checkpoint snapshot after the primary reclaimed covered segments),
-/// so convergence is proven across restarts and log truncation, not
-/// just along one warm tail.
+/// 300+-step mixed stream while an [`HttpFollower`] tails its
+/// write-ahead log through a loopback [`PcsServer`]'s `/wal` feed. At
+/// every synced epoch the follower must be set-equal to the primary —
+/// profiles, cores, and sampled community answers — because both ran
+/// the identical batches through the identical staging path. The
+/// follower is torn down and re-seeded twice mid-stream (once replaying
+/// the full log from the epoch-0 snapshot, once from a checkpoint
+/// snapshot after the primary reclaimed covered segments), so
+/// convergence is proven across restarts and log truncation, not just
+/// along one warm tail.
 #[test]
 fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     let tax = random_taxonomy(30, 4, 6, 77);
@@ -357,20 +359,32 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     let dir = std::env::temp_dir().join(format!("pcs-replica-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let primary = PcsEngine::builder()
-        .graph(ds.graph.clone())
-        .taxonomy(ds.tax.clone())
-        .profiles(ds.profiles.clone())
-        .index_mode(IndexMode::Eager)
-        .durable(&dir)
-        .build()
-        .unwrap();
+    let primary = Arc::new(
+        PcsEngine::builder()
+            .graph(ds.graph.clone())
+            .taxonomy(ds.tax.clone())
+            .profiles(ds.profiles.clone())
+            .index_mode(IndexMode::Eager)
+            .durable(&dir)
+            .build()
+            .unwrap(),
+    );
+    let cfg = ServeConfig { workers: 2, ..ServeConfig::default() };
+    let server = PcsServer::start(Arc::clone(&primary), "127.0.0.1:0", cfg).unwrap();
+    // A follower boots the way a real one does: load the primary's
+    // current checkpoint snapshot, then tail `/wal` from its epoch.
+    let seed = || {
+        let engine = PcsEngine::builder().load(dir.join(pcs::engine::SNAPSHOT_FILE)).unwrap();
+        let mut follower = HttpFollower::new(engine, server.local_addr(), ReplicaConfig::default());
+        follower.poll().unwrap();
+        follower
+    };
     let as_batch = |timed: &TimedOp| match &timed.op {
         StreamOp::AddEdge(a, b) => UpdateBatch::new().add_edge(*a, *b),
         StreamOp::RemoveEdge(a, b) => UpdateBatch::new().remove_edge(*a, *b),
         StreamOp::SetProfile(v, p) => UpdateBatch::new().set_profile(*v, p.clone()),
     };
-    let sync_and_check = |follower: &WalFollower, rng: &mut SmallRng, at: &str| {
+    let sync_and_check = |follower: &mut HttpFollower, rng: &mut SmallRng, at: &str| {
         follower.poll().unwrap_or_else(|e| panic!("{at}: poll failed: {e}"));
         assert_eq!(follower.epoch(), primary.epoch(), "{at}: follower missed epochs");
         let (fs, ps) = (follower.engine().snapshot(), primary.snapshot());
@@ -389,7 +403,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
         }
     };
 
-    let mut follower = Some(PcsEngine::builder().follow(&dir).unwrap());
+    let mut follower = Some(seed());
     let mut rng = SmallRng::seed_from_u64(0xf0110);
     let (third, half, two_thirds) = (stream.len() / 3, stream.len() / 2, 2 * stream.len() / 3);
     let mut checkpoint_epoch = 0u64;
@@ -399,7 +413,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
         // epoch-0 snapshot — the full log tail must replay cleanly.
         if step == third {
             drop(follower.take());
-            follower = Some(PcsEngine::builder().follow(&dir).unwrap());
+            follower = Some(seed());
         }
         // Checkpoint: the primary advances its snapshot and reclaims
         // covered segments. Reclaim drops *every* epoch at or below
@@ -408,7 +422,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
         // follower left behind gets the typed gap error and re-seeds,
         // which restart #2 below exercises).
         if step == half {
-            follower.as_ref().unwrap().poll().unwrap();
+            follower.as_mut().unwrap().poll().unwrap();
             checkpoint_epoch = primary.checkpoint().unwrap();
             assert_eq!(checkpoint_epoch, primary.epoch());
         }
@@ -417,7 +431,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
         // since the epoch-0 log prefix no longer exists.
         if step == two_thirds {
             drop(follower.take());
-            follower = Some(PcsEngine::builder().follow(&dir).unwrap());
+            follower = Some(seed());
             assert!(
                 follower.as_ref().unwrap().epoch() >= checkpoint_epoch,
                 "restart after checkpoint must seed from the advanced snapshot"
@@ -425,7 +439,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
         }
         // Sync points: every 5th step, plus a deep verify on a stride.
         if step % 5 == 0 {
-            let f = follower.as_ref().unwrap();
+            let f = follower.as_mut().unwrap();
             sync_and_check(f, &mut rng, &format!("step {step}"));
             if step % 45 == 0 {
                 verify_deep(f.engine(), &format!("follower, step {step}"));
@@ -434,7 +448,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     }
     // Final barrier: full surface equivalence of the follower against
     // both the primary and a from-scratch rebuild of the final state.
-    let f = follower.unwrap();
+    let mut f = follower.unwrap();
     f.poll().unwrap();
     assert_eq!(f.epoch(), primary.epoch());
     let (fs, ps) = (f.engine().snapshot(), primary.snapshot());
@@ -461,6 +475,7 @@ fn wal_follower_stays_equivalent_at_every_synced_epoch() {
     assert_index_equivalent(follower_idx, &fresh, f.engine().taxonomy(), n, max_k);
     verify_deep(f.engine(), "follower, final state");
     verify_deep(&primary, "primary, final state");
+    server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
