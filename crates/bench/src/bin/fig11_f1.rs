@@ -57,7 +57,7 @@ fn main() {
             let truths: Vec<Vec<VertexId>> =
                 groups.iter().filter(|g| g.binary_search(&q).is_ok()).cloned().collect();
             let pcs: Vec<Vec<VertexId>> = pcs_result
-                .map(|r| r.outcome.communities.into_iter().map(|c| c.vertices).collect())
+                .map(|r| r.communities().iter().map(|c| c.vertices.clone()).collect())
                 .unwrap_or_default();
             scores[0] += best_f1(&pcs, &truths);
             let acq: Vec<Vec<VertexId>> = acq_query(g, tax, profiles, q, k)

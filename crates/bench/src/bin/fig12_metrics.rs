@@ -7,7 +7,7 @@
 
 use pcs_baselines::{variant_query, CohesivenessMetric};
 use pcs_bench::{engine_owning, f, header, parse_args, row};
-use pcs_core::ProfiledCommunity;
+use pcs_core::{ProfiledCommunity, QueryContext};
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{sample_query_vertices, SuiteDataset};
 use pcs_metrics::{cpf, cps, ldr};
@@ -33,15 +33,13 @@ fn main() {
 
         // Per metric, per query: the returned communities. The §5.3
         // variants speak the borrowed paper layer, so borrow a context
-        // from the engine for the sweep.
-        let per_metric: Vec<Vec<Vec<ProfiledCommunity>>> = engine
-            .with_context(|ctx| {
-                metrics
-                    .iter()
-                    .map(|&m| queries.iter().map(|&q| variant_query(ctx, q, args.k, m)).collect())
-                    .collect()
-            })
+        // from the engine's snapshot for the sweep.
+        let ctx = QueryContext::from_parts(snap.graph(), tax, profiles, snap.index(), snap.cores())
             .expect("engine state is consistent");
+        let per_metric: Vec<Vec<Vec<ProfiledCommunity>>> = metrics
+            .iter()
+            .map(|&m| queries.iter().map(|&q| variant_query(&ctx, q, args.k, m)).collect())
+            .collect();
         let pcs_idx = 2; // CommonSubtree's position in `metrics`
 
         println!("\nFig. 12 — {} ({} queries, k = {})\n", name, args.queries, args.k);

@@ -21,14 +21,14 @@
 //! the same community reuse. The paper's algorithms do not read it.
 //!
 //! Queries run through the owned [`PcsEngine`] facade (the serving
-//! path); only the find-function section reaches through
-//! [`PcsEngine::with_context`] to the paper-layer internals.
+//! path); only the find-function section builds a paper-layer
+//! [`QueryContext`] from the engine's snapshot to reach the internals.
 
 use std::time::{Duration, Instant};
 
 use pcs_bench::{engine_for, engine_owning, header, parse_args, row, HarnessArgs};
 use pcs_core::advanced::{find_cut, FindStrategy};
-use pcs_core::{Algorithm, IndexVerifier, QueryScratch};
+use pcs_core::{Algorithm, IndexVerifier, QueryContext, QueryScratch};
 use pcs_datasets::scale::{subsample_gptree, subsample_ptrees, subsample_vertices};
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{gen::ProfiledDataset, sample_query_vertices, SuiteDataset};
@@ -185,30 +185,33 @@ fn section_find(datasets: &[ProfiledDataset], args: &HarnessArgs) {
         println!("dataset: {}\n", ds.name);
         header(&["k", "find-I", "find-D", "find-P"]);
         let engine = engine_for(ds);
-        engine
-            .with_context(|ctx| {
-                let index = ctx.index.expect("engine_for builds the index eagerly");
-                for k in KS {
-                    let (queries, _) =
-                        sample_query_vertices(ds, k, args.queries, args.seed ^ 0x14f);
-                    let mut cells = vec![k.to_string()];
-                    for strategy in FindStrategy::ALL {
-                        let start = Instant::now();
-                        for &q in &queries {
-                            let space = ctx.space_for(q).expect("query in range");
-                            let mut scratch = QueryScratch::new(ctx.graph.num_vertices());
-                            let mut ver =
-                                IndexVerifier::new(ctx, index, &space, q, k, &mut scratch);
-                            if ver.gk().is_some() {
-                                let _ = find_cut(&mut ver, strategy);
-                            }
-                        }
-                        cells.push(format!("{:.1}", start.elapsed().as_secs_f64() * 1e3));
+        let snap = engine.snapshot();
+        let index = snap.index().expect("engine_for builds the index eagerly");
+        let ctx = QueryContext::from_parts(
+            snap.graph(),
+            engine.taxonomy(),
+            snap.profiles(),
+            Some(index),
+            snap.cores(),
+        )
+        .expect("engine state is consistent");
+        for k in KS {
+            let (queries, _) = sample_query_vertices(ds, k, args.queries, args.seed ^ 0x14f);
+            let mut cells = vec![k.to_string()];
+            for strategy in FindStrategy::ALL {
+                let start = Instant::now();
+                for &q in &queries {
+                    let space = ctx.space_for(q).expect("query in range");
+                    let mut scratch = QueryScratch::new(ctx.graph.num_vertices());
+                    let mut ver = IndexVerifier::new(&ctx, index, &space, q, k, &mut scratch);
+                    if ver.gk().is_some() {
+                        let _ = find_cut(&mut ver, strategy);
                     }
-                    row(&cells);
                 }
-            })
-            .expect("engine state is consistent");
+                cells.push(format!("{:.1}", start.elapsed().as_secs_f64() * 1e3));
+            }
+            row(&cells);
+        }
         println!();
     }
     println!("Paper: find-P and find-D are 10-100x faster than find-I.");

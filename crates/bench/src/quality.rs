@@ -99,7 +99,7 @@ pub fn run_all_methods(engine: &PcsEngine, queries: &[VertexId], k: u32) -> Vec<
         .iter()
         .zip(batch)
         .map(|(&q, pcs_result)| {
-            let pcs = pcs_result.map(|r| r.outcome.communities).unwrap_or_default();
+            let pcs = pcs_result.map(|r| r.communities().to_vec()).unwrap_or_default();
             let acq = acq_query(g, tax, profiles, q, k)
                 .communities
                 .into_iter()

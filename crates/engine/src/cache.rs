@@ -6,6 +6,9 @@
 //! carry a [`QueryCache`]: a bounded map from the *resolved* query key
 //! (vertex, k, concrete algorithm, response cap, stats flag) to the
 //! `Arc`-shared [`QueryResponse`] computed at that snapshot's epoch.
+//! [`PcsEngine::query_batch`](crate::PcsEngine::query_batch) is the one
+//! reader and writer: it looks each request up in the snapshot it
+//! pinned, computes the misses and fills them into the same cache.
 //!
 //! Correctness comes from the epoch keying, not from timestamps: the
 //! cache lives **on the snapshot**, so a hit can only ever return an

@@ -261,9 +261,10 @@ pub struct SnapshotIo {
 ///
 /// Owns the graph, taxonomy, and profiles (so it can live in server
 /// state and cross threads), answers [`QueryRequest`]s — one at a time
-/// with [`query`](Self::query) or fanned out over scoped threads with
-/// [`query_batch`](Self::query_batch) — and absorbs live mutations
-/// through [`apply`](Self::apply).
+/// and uncached with [`query`](Self::query), or through the result
+/// cache with [`query_batch`](Self::query_batch), which fans its misses
+/// out over scoped threads — and absorbs live mutations through
+/// [`apply`](Self::apply).
 ///
 /// # Snapshot semantics
 ///
@@ -485,67 +486,19 @@ impl PcsEngine {
         self.cache_stats.snapshot()
     }
 
-    /// Answers one request through the result cache: a hit returns the
+    /// Answers one request through the result cache: a one-request
+    /// [`query_batch`](Self::query_batch). A hit returns the
     /// `Arc`-shared response computed earlier **at the current epoch**
     /// (or carried over by [`CacheMode::Surgical`]), a miss computes,
     /// fills the cache, and returns the fresh answer. Equivalent to
     /// [`query`](Self::query) in every observable way except
     /// `elapsed`, which on a hit reports the original computation's
     /// wall time. With [`CacheMode::Off`] or a bypassing request this
-    /// is exactly `query` plus one `Arc` allocation.
+    /// is `query` plus one `Arc` and the one-request batch's vectors.
     pub fn query_cached(&self, request: &QueryRequest) -> Result<Arc<QueryResponse>> {
-        let snap = self.snapshot_arc();
-        if let Some(hit) = self.cache_lookup_on(&snap, request) {
-            return Ok(hit);
-        }
-        let response = Arc::new(self.query_on(&snap, request)?);
-        self.cache_fill_on(&snap, request, &response);
-        Ok(response)
-    }
-
-    /// The cached answer for `request` at the current epoch, if
-    /// resident. Counts a hit/miss; never computes. Always `None` with
-    /// [`CacheMode::Off`] or a bypassing request (no counter traffic).
-    pub fn cache_lookup(&self, request: &QueryRequest) -> Option<Arc<QueryResponse>> {
-        let snap = self.snapshot_arc();
-        self.cache_lookup_on(&snap, request)
-    }
-
-    /// Offers an externally computed `response` to the cache. Ignored
-    /// unless the response's epoch still matches the current
-    /// snapshot's (a response computed against a superseded epoch must
-    /// never be served at the new one) and the request allows caching.
-    pub fn cache_fill(&self, request: &QueryRequest, response: &Arc<QueryResponse>) {
-        let snap = self.snapshot_arc();
-        self.cache_fill_on(&snap, request, response);
-    }
-
-    fn cache_lookup_on(
-        &self,
-        snap: &SnapshotInner,
-        request: &QueryRequest,
-    ) -> Option<Arc<QueryResponse>> {
-        if request.bypasses_cache() {
-            return None;
-        }
-        let cache = snap.cache.as_ref()?;
-        let algorithm = self.resolve_algorithm(request.requested_algorithm());
-        cache.lookup(&CacheKey::for_request(request, algorithm))
-    }
-
-    fn cache_fill_on(
-        &self,
-        snap: &SnapshotInner,
-        request: &QueryRequest,
-        response: &Arc<QueryResponse>,
-    ) {
-        if request.bypasses_cache() || response.epoch != snap.epoch {
-            return;
-        }
-        if let Some(cache) = snap.cache.as_ref() {
-            let algorithm = self.resolve_algorithm(request.requested_algorithm());
-            cache.insert(CacheKey::for_request(request, algorithm), Arc::clone(response));
-        }
+        self.query_batch(std::slice::from_ref(request))
+            .pop()
+            .expect("query_batch answers every request")
     }
 
     fn query_on(&self, snap: &SnapshotInner, request: &QueryRequest) -> Result<QueryResponse> {
@@ -614,80 +567,81 @@ impl PcsEngine {
         })
     }
 
-    /// Runs `f` against the borrowed paper-layer [`QueryContext`]
-    /// (sharing the current snapshot's cached core decomposition and
-    /// whatever index is already built). The bridge for algorithms that
-    /// are not lifted into the request API yet — the §5.3 metric
-    /// variants — without giving up engine ownership.
-    pub fn with_context<R>(&self, f: impl FnOnce(&QueryContext<'_>) -> R) -> Result<R> {
-        let snap = self.snapshot_arc();
-        let graph = snap.materialized_graph()?;
-        let ctx = QueryContext::from_parts(
-            graph,
-            &self.tax,
-            &snap.profiles,
-            snap.index_if_built(),
-            snap.cores(),
-        )?;
-        let out = f(&ctx);
-        // Same fail-stop as `query_on`: a lazy read that failed during
-        // `f` poisons the result.
-        if let Some(e) = snap.store_fault() {
-            return Err(Error::Store(e));
-        }
-        Ok(out)
-    }
-
-    /// Answers a batch of requests, fanning out over scoped threads
-    /// (up to the machine's available parallelism) while preserving request
-    /// order in the returned vector: `out[i]` answers `requests[i]`.
+    /// Answers a batch of requests against **one** snapshot, in
+    /// request order: `out[i]` answers `requests[i]`. This is the one
+    /// place the result cache is read and written. Each request the
+    /// snapshot's cache holds is answered from it on the calling
+    /// thread. The rest fan out over scoped threads, as many as the
+    /// machine's available parallelism but never more than there are
+    /// misses, and each fresh answer is offered back to the cache. A
+    /// batch that hits throughout spawns no thread.
     ///
-    /// The whole batch runs against **one** snapshot: every response
-    /// carries the same epoch even when updates land mid-batch.
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse>> {
+    /// A cache lookup counts one hit or one miss; a bypassing request
+    /// or a cache-less engine counts neither. Twins inside one batch
+    /// are not merged: each one looks up and, on a miss, computes.
+    ///
+    /// Every response carries the snapshot's epoch even when updates
+    /// land mid-batch, except a hit [`CacheMode::Surgical`] carried
+    /// over from an earlier epoch, which reports the epoch it was
+    /// computed at.
+    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<Arc<QueryResponse>>> {
         let snap = self.snapshot_arc();
+        let key = |r: &QueryRequest| {
+            CacheKey::for_request(r, self.resolve_algorithm(r.requested_algorithm()))
+        };
+        let cache = |r: &QueryRequest| snap.cache.as_ref().filter(|_| !r.bypasses_cache());
+        let mut out: Vec<Option<Result<Arc<QueryResponse>>>> =
+            requests.iter().map(|r| cache(r)?.lookup(&key(r)).map(Ok)).collect();
+        let misses: Vec<usize> = (0..requests.len()).filter(|&i| out[i].is_none()).collect();
+        if misses.is_empty() {
+            return out.into_iter().map(|hit| hit.expect("no miss")).collect();
+        }
+
         // Warm shared state up front so workers never race a build
         // (OnceLock would serialize them anyway; this keeps the
         // per-request timings honest).
-        if requests.iter().any(|r| self.resolve_algorithm(r.requested_algorithm()).needs_index()) {
+        if misses
+            .iter()
+            .any(|&i| self.resolve_algorithm(requests[i].requested_algorithm()).needs_index())
+        {
             let _ = self.ensure_index(&snap);
         }
         snap.cores();
-
-        let threads = self.batch_threads.min(requests.len()).max(1);
-        if threads == 1 {
-            return requests.iter().map(|r| self.query_on(&snap, r)).collect();
-        }
-        // Workers pull the next unclaimed request from a shared
-        // counter, so one expensive cluster of queries cannot strand
-        // the work on a single thread the way static chunking would.
-        let mut out: Vec<Option<Result<QueryResponse>>> = Vec::new();
-        out.resize_with(requests.len(), || None);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let snap = &snap;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut answered = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(req) = requests.get(i) else { break };
-                            answered.push((i, self.query_on(snap, req)));
-                        }
-                        answered
+        let threads = self.batch_threads.min(misses.len());
+        let computed: Vec<(usize, Result<QueryResponse>)> = if threads <= 1 {
+            misses.iter().map(|&i| (i, self.query_on(&snap, &requests[i]))).collect()
+        } else {
+            // Workers pull the next unclaimed miss from a shared
+            // counter, so one expensive cluster of queries cannot
+            // strand the work on a single thread the way static
+            // chunking would.
+            let next = std::sync::atomic::AtomicUsize::new(0);
+            let snap = &snap;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut answered = Vec::new();
+                            while let Some(&i) =
+                                misses.get(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+                            {
+                                answered.push((i, self.query_on(snap, &requests[i])));
+                            }
+                            answered
+                        })
                     })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    out[i] = Some(result);
-                }
+                    .collect();
+                handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
+            })
+        };
+        for (i, result) in computed {
+            let result = result.map(Arc::new);
+            if let (Ok(response), Some(cache)) = (&result, cache(&requests[i])) {
+                cache.insert(key(&requests[i]), Arc::clone(response));
             }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("every request index was claimed by a worker"))
-            .collect()
+            out[i] = Some(result);
+        }
+        out.into_iter().map(|slot| slot.expect("every miss was computed")).collect()
     }
 
     // ------------------------------------------------------------------

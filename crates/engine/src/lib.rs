@@ -25,10 +25,12 @@
 //! * [`EngineSnapshot`] — a consistent immutable view at one epoch;
 //!   queries are lock-free against the snapshot current when they
 //!   started, while updates publish the next epoch.
-//! * [`CacheMode`] / [`PcsEngine::query_cached`] — an epoch-keyed
-//!   result cache for zipfian read traffic, invalidated wholesale on
-//!   every publish or surgically via the same label-lattice reasoning
-//!   the index patcher uses (see the [`mod@cache`] docs).
+//! * [`CacheMode`] / [`PcsEngine::query_batch`] — an epoch-keyed
+//!   result cache for zipfian read traffic, read and filled only by
+//!   `query_batch` ([`PcsEngine::query_cached`] is its one-request
+//!   form), invalidated wholesale on every publish or surgically via
+//!   the same label-lattice reasoning the index patcher uses (see the
+//!   [`mod@cache`] docs).
 //! * [`PcsEngine::save`] / [`EngineBuilder::load`] — versioned,
 //!   checksummed on-disk snapshots (via `pcs-store`): a replica
 //!   warm-starts by bulk-loading the persisted graph, cores, and
@@ -78,7 +80,6 @@ pub mod cache;
 pub mod durable;
 mod engine;
 mod error;
-mod oneshot;
 mod persist;
 mod request;
 mod snapshot;
@@ -88,7 +89,6 @@ pub use cache::{CacheMode, CacheStatsSnapshot};
 pub use durable::{decode_update_batch, encode_update_batch, SNAPSHOT_FILE, WAL_DIR};
 pub use engine::{EngineBuilder, IndexMode, PcsEngine, SnapshotIo};
 pub use error::{BuildError, Error, Result};
-pub use oneshot::OneShot;
 pub use request::{QueryRequest, QueryResponse};
 pub use snapshot::EngineSnapshot;
 pub use update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateReport};

@@ -147,8 +147,11 @@ pub struct QueryResponse {
     /// How many communities the search found before truncation.
     pub total_communities: usize,
     /// Epoch of the snapshot that answered this query. Responses from
-    /// one [`query_batch`](crate::PcsEngine::query_batch) call always
-    /// share an epoch; comparing against
+    /// one [`query_batch`](crate::PcsEngine::query_batch) call share an
+    /// epoch, with one exception: a cache hit that
+    /// [`CacheMode::Surgical`](crate::CacheMode::Surgical) carried over
+    /// a publish reports the epoch it was computed at, whose answer the
+    /// carry rule proves unchanged. Comparing against
     /// [`PcsEngine::epoch`](crate::PcsEngine::epoch) tells whether the
     /// answer is already stale relative to concurrent updates.
     pub epoch: u64,

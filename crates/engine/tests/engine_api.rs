@@ -2,7 +2,7 @@
 //! `Algorithm::Auto` resolution, batch ordering, and thread safety.
 
 use pcs_core::{Algorithm, PcsError, QueryContext};
-use pcs_engine::{BuildError, EngineBuilder, Error, IndexMode, PcsEngine, QueryRequest};
+use pcs_engine::{BuildError, CacheMode, EngineBuilder, Error, IndexMode, PcsEngine, QueryRequest};
 use pcs_graph::Graph;
 use pcs_index::ShardedCpIndex;
 use pcs_ptree::{PTree, Taxonomy};
@@ -302,6 +302,38 @@ fn batch_and_sequential_agree_on_larger_fanout() {
     }
 }
 
+/// `query_batch` is where the result cache is read and written: a
+/// request `query_cached` already answered is one hit sharing the
+/// cached `Arc`, its bypassing twin counts nothing, and a new request
+/// is one miss.
+#[test]
+fn query_batch_answers_hits_from_the_result_cache() {
+    let (g, tax, profiles) = fixture();
+    let engine = PcsEngine::builder()
+        .graph(g)
+        .taxonomy(tax)
+        .profiles(profiles)
+        .result_cache(CacheMode::Wholesale)
+        .build()
+        .unwrap();
+    let a = QueryRequest::vertex(0).k(2);
+    let b = QueryRequest::vertex(3).k(2);
+    let cached = engine.query_cached(&a).unwrap();
+    let before = engine.cache_stats();
+
+    let requests = [a.clone(), a.clone().bypass_cache(true), b];
+    let batch = engine.query_batch(&requests);
+    let after = engine.cache_stats();
+    assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 1));
+    for (req, result) in requests.iter().zip(&batch) {
+        let got = result.as_ref().unwrap();
+        let want = engine.query(req).unwrap();
+        assert_eq!(got.outcome.communities, want.outcome.communities, "{req:?}");
+        assert_eq!((got.algorithm, got.epoch), (want.algorithm, want.epoch), "{req:?}");
+    }
+    assert!(std::sync::Arc::ptr_eq(batch[0].as_ref().unwrap(), &cached));
+}
+
 #[test]
 fn engine_is_usable_from_scoped_threads() {
     let engine = engine_with(IndexMode::Lazy);
@@ -346,9 +378,18 @@ fn stats_surface_only_when_requested() {
 }
 
 #[test]
-fn with_context_bridges_to_the_paper_layer() {
+fn snapshot_context_bridges_to_the_paper_layer() {
     let engine = engine_with(IndexMode::Eager);
-    let via_ctx = engine.with_context(|ctx| ctx.query(0, 2, Algorithm::AdvP).unwrap()).unwrap();
+    let snap = engine.snapshot();
+    let ctx = QueryContext::from_parts(
+        snap.graph(),
+        engine.taxonomy(),
+        snap.profiles(),
+        snap.index(),
+        snap.cores(),
+    )
+    .unwrap();
+    let via_ctx = ctx.query(0, 2, Algorithm::AdvP).unwrap();
     let via_engine =
         engine.query(&QueryRequest::vertex(0).k(2).algorithm(Algorithm::AdvP)).unwrap();
     assert_eq!(via_ctx.communities, via_engine.outcome.communities);

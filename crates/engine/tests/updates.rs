@@ -295,11 +295,10 @@ fn query_batch_runs_against_one_epoch() {
 }
 
 #[test]
-fn with_context_sees_the_latest_epoch() {
+fn snapshot_sees_the_latest_epoch() {
     let engine = engine_with(IndexMode::Eager);
     engine.apply(&UpdateBatch::new().add_edge(5, 1).add_edge(5, 2)).unwrap();
-    let edges = engine.with_context(|ctx| ctx.graph.num_edges()).unwrap();
-    assert_eq!(edges, 8);
+    assert_eq!(engine.snapshot().graph().num_edges(), 8);
 }
 
 #[test]

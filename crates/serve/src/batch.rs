@@ -1,23 +1,31 @@
 //! Cross-request query batching.
 //!
-//! Worker threads do not call [`PcsEngine::query`] directly. Each
-//! validated query is submitted to a shared [`Batcher`]; a dedicated
-//! dispatcher thread gathers everything that arrives within a short
-//! window (or until the batch cap), answers whatever it can **from the
-//! engine's result cache**, **deduplicates the remaining identical
-//! requests**, and executes them through [`PcsEngine::query_batch`] —
-//! which pins *one* epoch snapshot and shares it across the batch.
-//! Fresh answers are offered back to the cache, so the next window's
-//! twins never execute at all. Three things fall out of that:
+//! Worker threads do not call the engine directly. Each validated
+//! query is submitted to a shared [`Batcher`]; a dedicated dispatcher
+//! thread does three things:
+//!
+//! 1. **gather** everything that arrives within a short window (or
+//!    until the batch cap);
+//! 2. **deduplicate** identical requests;
+//! 3. **call [`PcsEngine::query_batch`] once** on the unique requests.
+//!    That one engine call pins one epoch snapshot, answers from the
+//!    result cache what it holds, computes the rest and fills the
+//!    cache with them.
+//!
+//! Three things fall out of that:
 //!
 //! * under a zipfian workload the hot vertices collapse — fifty
 //!   concurrent requests for the same `(v, k)` cost one search, and
 //!   on a cache-enabled engine the *next* fifty cost zero;
-//! * every executed response in a batch reports the same `epoch` (a
-//!   cache hit may report an older epoch only under the engine's
-//!   surgical mode, which proves the answer unchanged);
+//! * every response in a batch reports the same `epoch` (a cache hit
+//!   may report an older epoch only under the engine's surgical mode,
+//!   which proves the answer unchanged);
 //! * results are `Arc`-shared, so a hundred waiters for one hot
 //!   answer clone a pointer, not a community list.
+//!
+//! Dedup runs before the cache: twins in one window count once in the
+//! engine's cache counters (one hit or one miss), and every other twin
+//! counts as `dedup_saved`.
 //!
 //! **Dedup-key contract:** the dedup map is keyed on the
 //! [`QueryRequest`] itself (`Hash + Eq` are derived on the request).
@@ -26,15 +34,18 @@
 //! requests differing only in that field would then dedup together —
 //! serving one client another client's answer.
 //!
-//! The submitting worker blocks on a per-request slot (the engine's
-//! [`OneShot`] cell) until the dispatcher posts its result. A slot that is still empty after
-//! [`SUBMIT_DEADLINE`] returns `None` — the server maps that to a 500
-//! rather than parking a connection forever; it cannot happen unless
-//! the dispatcher thread has died.
+//! The submitting worker blocks on its own `sync_channel(1)` until the
+//! dispatcher sends its result. A submitter still waiting after
+//! [`SUBMIT_DEADLINE`], or whose sender was dropped unsent, gets
+//! `None` — the server maps that to a 500 rather than parking a
+//! connection forever; it cannot happen unless the dispatcher thread
+//! has died.
 
-use pcs_engine::{Error as EngineError, OneShot, PcsEngine, QueryRequest, QueryResponse};
+use crate::server::ServerStats;
+use pcs_engine::{Error as EngineError, PcsEngine, QueryRequest, QueryResponse};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,12 +56,9 @@ pub const SUBMIT_DEADLINE: Duration = Duration::from_secs(30);
 /// every deduplicated twin and with the result cache) or the error.
 pub type BatchOutcome = Result<Arc<QueryResponse>, EngineError>;
 
-/// One waiting request's result cell.
-type Slot = OneShot<BatchOutcome>;
-
 struct PendingQuery {
     req: QueryRequest,
-    slot: Arc<Slot>,
+    reply: SyncSender<BatchOutcome>,
 }
 
 struct BatcherState {
@@ -58,25 +66,10 @@ struct BatcherState {
     shutdown: bool,
 }
 
-/// Counters the batcher maintains (read via the server's `/stats`).
-#[derive(Debug, Default)]
-pub struct BatchStats {
-    /// Batches dispatched.
-    pub batches: AtomicU64,
-    /// Requests carried by those batches (pre-dedup).
-    pub batched_requests: AtomicU64,
-    /// Requests answered from a deduplicated twin's execution.
-    pub dedup_saved: AtomicU64,
-    /// Requests answered straight from the engine's result cache,
-    /// before dedup or execution.
-    pub cache_answered: AtomicU64,
-}
-
 /// The shared batching queue. Workers submit; one dispatcher drains.
 pub struct Batcher {
     state: Mutex<BatcherState>,
     arrived: Condvar,
-    stats: BatchStats,
     window: Duration,
     max_batch: usize,
 }
@@ -88,19 +81,13 @@ impl Batcher {
         Batcher {
             state: Mutex::new(BatcherState { pending: Vec::new(), shutdown: false }),
             arrived: Condvar::new(),
-            stats: BatchStats::default(),
             window,
             max_batch: max_batch.max(1),
         }
     }
 
-    /// The batching counters.
-    pub fn stats(&self) -> &BatchStats {
-        &self.stats
-    }
-
     /// Recovers the state lock even if a holder panicked: the queue is
-    /// a Vec of (request, slot) pairs, which cannot be left in a
+    /// a Vec of (request, sender) pairs, which cannot be left in a
     /// torn state by any code here.
     fn lock_state(&self) -> std::sync::MutexGuard<'_, BatcherState> {
         match self.state.lock() {
@@ -113,24 +100,25 @@ impl Batcher {
     }
 
     /// Submits one validated query and blocks until the dispatcher
-    /// posts the result. Returns `None` only on dispatcher death
-    /// (deadline) or post-shutdown submission.
+    /// sends the result. Returns `None` only on dispatcher death
+    /// (deadline or dropped sender) or post-shutdown submission.
     pub fn submit(&self, req: QueryRequest) -> Option<BatchOutcome> {
-        let slot = Arc::new(Slot::default());
+        let (reply, result) = sync_channel(1);
         {
             let mut state = self.lock_state();
             if state.shutdown {
                 return None;
             }
-            state.pending.push(PendingQuery { req, slot: Arc::clone(&slot) });
+            state.pending.push(PendingQuery { req, reply });
         }
         self.arrived.notify_all();
-        slot.wait(SUBMIT_DEADLINE)
+        result.recv_timeout(SUBMIT_DEADLINE).ok()
     }
 
-    /// The dispatcher loop. Run on a dedicated thread; returns when
-    /// [`Batcher::shutdown`] is called and the queue has drained.
-    pub fn run_dispatcher(&self, engine: &PcsEngine) {
+    /// The dispatcher loop, counting into `stats`. Run on a dedicated
+    /// thread; returns when [`Batcher::shutdown`] is called and the
+    /// queue has drained.
+    pub fn run_dispatcher(&self, engine: &PcsEngine, stats: &ServerStats) {
         loop {
             let taken = {
                 let mut state = self.lock_state();
@@ -174,56 +162,21 @@ impl Batcher {
             if taken.is_empty() {
                 continue;
             }
-            self.execute(engine, taken);
+            Self::execute(engine, stats, taken);
         }
     }
 
-    /// Answers one gathered batch: cache pass, then dedup, then one
-    /// pinned-epoch execution, then distribution to the waiting slots.
-    fn execute(&self, engine: &PcsEngine, batch: Vec<PendingQuery>) {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-        // Cache pass first: anything answerable at the current epoch
-        // skips dedup and execution entirely. Bypassing requests and
-        // cache-less engines fall straight through (lookup is `None`).
-        let mut misses: Vec<PendingQuery> = Vec::with_capacity(batch.len());
-        for p in batch {
-            match engine.cache_lookup(&p.req) {
-                Some(cached) => {
-                    // Count before posting: the waiter may read `/stats`
-                    // the moment it has its reply, and must find itself
-                    // counted.
-                    self.stats.cache_answered.fetch_add(1, Ordering::Relaxed);
-                    p.slot.post(Ok(cached));
-                }
-                None => misses.push(p),
-            }
-        }
-        if misses.is_empty() {
-            return;
-        }
-
-        let (unique, assignment) = Self::dedup_requests(misses.iter().map(|p| &p.req));
-        let saved = misses.len() - unique.len();
-        if saved > 0 {
-            self.stats.dedup_saved.fetch_add(saved as u64, Ordering::Relaxed);
-        }
-
-        // One epoch pin for the whole batch.
-        let results: Vec<BatchOutcome> =
-            engine.query_batch(&unique).into_iter().map(|r| r.map(Arc::new)).collect();
-
-        // Offer the fresh answers to the cache. `cache_fill` refuses
-        // responses stamped with a superseded epoch, so a publish
-        // racing this batch can never plant a stale entry.
-        for (req, result) in unique.iter().zip(&results) {
-            if let Ok(resp) = result {
-                engine.cache_fill(req, resp);
-            }
-        }
-
-        Self::distribute(&misses, &assignment, &results);
+    /// Answers one gathered batch: dedup, one engine call, then
+    /// distribution to the waiting submitters.
+    fn execute(engine: &PcsEngine, stats: &ServerStats, batch: Vec<PendingQuery>) {
+        let (unique, assignment) = Self::dedup_requests(batch.iter().map(|p| &p.req));
+        // Count before sending: the waiter may read `/stats` the moment
+        // it has its reply, and must find itself counted.
+        stats.batches.fetch_add(1, Ordering::Relaxed);
+        stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        stats.dedup_saved.fetch_add((batch.len() - unique.len()) as u64, Ordering::Relaxed);
+        let results = engine.query_batch(&unique);
+        Self::distribute(&batch, &assignment, &results);
     }
 
     /// Collapses identical requests: returns the unique requests plus,
@@ -255,7 +208,7 @@ impl Batcher {
         (unique, assignment)
     }
 
-    /// Posts `results[assignment[i]]` to `pending[i]`'s slot.
+    /// Sends `results[assignment[i]]` to `pending[i]`'s submitter.
     ///
     /// A missing result — the dispatcher produced fewer results than
     /// unique requests, which is a bug in this module, not a property
@@ -275,7 +228,8 @@ impl Batcher {
                     ),
                 })
             });
-            p.slot.post(outcome);
+            // A submitter past its deadline has hung up; nothing to do.
+            let _ = p.reply.send(outcome);
         }
     }
 
@@ -319,10 +273,12 @@ mod tests {
     fn submissions_get_results_and_twins_dedup() {
         let engine = engine();
         let batcher = Arc::new(Batcher::new(Duration::from_millis(30), 64));
+        let stats = Arc::new(ServerStats::default());
         let dispatcher = {
             let b = Arc::clone(&batcher);
             let e = Arc::clone(&engine);
-            thread::spawn(move || b.run_dispatcher(&e))
+            let s = Arc::clone(&stats);
+            thread::spawn(move || b.run_dispatcher(&e, &s))
         };
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -334,7 +290,7 @@ mod tests {
         let epochs: Vec<u64> =
             handles.into_iter().map(|h| h.join().unwrap().expect("query ok").epoch).collect();
         assert!(epochs.windows(2).all(|w| w[0] == w[1]), "one epoch per batch");
-        assert!(batcher.stats().dedup_saved.load(Ordering::Relaxed) > 0);
+        assert!(stats.dedup_saved.load(Ordering::Relaxed) > 0);
         batcher.shutdown();
         dispatcher.join().unwrap();
     }
@@ -379,19 +335,19 @@ mod tests {
     /// client-addressable one.
     #[test]
     fn forced_result_mismatch_reports_internal_error() {
-        let pending: Vec<PendingQuery> = (0..2)
-            .map(|v| PendingQuery {
-                req: QueryRequest::vertex(v).k(1),
-                slot: Arc::new(Slot::default()),
+        let (pending, waiters): (Vec<PendingQuery>, Vec<_>) = (0..2)
+            .map(|v| {
+                let (reply, result) = sync_channel(1);
+                (PendingQuery { req: QueryRequest::vertex(v).k(1), reply }, result)
             })
-            .collect();
+            .unzip();
         let resp = Arc::new(engine().query(&QueryRequest::vertex(0).k(1)).expect("query ok"));
         // Two waiters, two assignments — but only one result made it.
         Batcher::distribute(&pending, &[0, 1], &[Ok(resp)]);
 
-        let take = |p: &PendingQuery| p.slot.wait(Duration::ZERO).expect("posted");
-        assert!(take(&pending[0]).is_ok(), "covered slot gets its result");
-        match take(&pending[1]) {
+        let take = |i: usize| waiters[i].try_recv().expect("sent");
+        assert!(take(0).is_ok(), "covered waiter gets its result");
+        match take(1) {
             Err(EngineError::Internal { component, .. }) => {
                 assert_eq!(component, "batch-dispatch");
             }

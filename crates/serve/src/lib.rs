@@ -12,9 +12,10 @@
 //!   overload the server degrades by *refusing* work, never by
 //!   stalling or panicking.
 //! * **Cross-request batching** ([`batch`]) — concurrent queries are
-//!   gathered for a short window, deduplicated, and executed through
-//!   `query_batch` under a single epoch pin, so a zipfian hot set
-//!   collapses to one search per distinct request per window.
+//!   gathered for a short window, deduplicated, and handed to one
+//!   `query_batch` call, which pins one epoch and reads and fills the
+//!   engine's result cache, so a zipfian hot set collapses to one
+//!   search per distinct request per window.
 //! * **Total server-side validation** ([`protocol`]) — every
 //!   out-of-range vertex, `k = 0`, absurd community cap, or malformed
 //!   body is a typed 4xx produced *before* any snapshot or scratch

@@ -146,8 +146,10 @@ pub struct HttpFollower {
     engine: PcsEngine,
     primary: SocketAddr,
     cfg: ReplicaConfig,
-    /// Kept-alive connection to the primary; dropped and redialed on
-    /// any transport error.
+    /// Kept-alive connection to the primary, dropped after any failed
+    /// exchange. The primary closes idle connections after its
+    /// keep-alive timeout, so an exchange that fails on a reused
+    /// connection is retried once on a fresh one.
     stream: Option<TcpStream>,
 }
 
@@ -232,13 +234,18 @@ impl HttpFollower {
         Ok(self.engine.epoch())
     }
 
-    /// One `GET /wal` exchange: returns `(status, body)`. On any
-    /// transport error the cached connection is dropped so the next
-    /// poll redials.
+    /// One `GET /wal` exchange: returns `(status, body)`. A failed
+    /// exchange drops the connection. `GET /wal` is read-only, so a
+    /// failure on a reused connection is retried once on a fresh one;
+    /// a failure on a fresh connection is returned.
     fn fetch(&mut self, from: u64) -> Result<(u16, Vec<u8>), ReplicaError> {
+        let reused = self.stream.is_some();
         let result = self.try_fetch(from);
         if result.is_err() {
             self.stream = None;
+            if reused {
+                return self.fetch(from);
+            }
         }
         result
     }

@@ -18,8 +18,11 @@
 //!   per connection per cycle, not a spin.
 //! * **Batch dispatcher** — one thread draining the
 //!   [`Batcher`](crate::batch::Batcher): queries from all workers are
-//!   gathered, deduplicated, and executed through
-//!   [`PcsEngine::query_batch`] under a single epoch pin per batch.
+//!   gathered for `BATCH_WINDOW`, deduplicated, and handed to one
+//!   [`PcsEngine::query_batch`] call, which pins one epoch and reads
+//!   and fills the result cache. The dispatcher counts `batches`,
+//!   `batched_requests` and `dedup_saved` into [`ServerStats`];
+//!   `/stats` reads the cache counters from the engine.
 //!
 //! [`PcsServer::shutdown`] is graceful: stop admitting, let workers
 //! drain buffered requests on live connections (answered with
@@ -49,14 +52,14 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission cap: live connections beyond this are shed with 503.
     pub max_connections: usize,
-    /// How long the batch dispatcher gathers before executing.
-    pub batch_window: Duration,
     /// Per-socket-read timeout while parsing a request.
     pub read_timeout: Duration,
 }
 
 /// Max queries per dispatched batch.
 const BATCH_MAX: usize = 64;
+/// How long the batch dispatcher gathers before executing.
+const BATCH_WINDOW: Duration = Duration::from_micros(200);
 /// Cap on `/apply` body size, bytes.
 const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Idle keep-alive connections are closed after this long.
@@ -69,7 +72,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             max_connections: 128,
-            batch_window: Duration::from_micros(200),
             read_timeout: Duration::from_secs(2),
         }
     }
@@ -109,6 +111,12 @@ pub struct ServerStats {
     pub queries: AtomicU64,
     /// Update batches applied.
     pub updates: AtomicU64,
+    /// Query batches dispatched.
+    pub batches: AtomicU64,
+    /// Requests carried by those batches (pre-dedup).
+    pub batched_requests: AtomicU64,
+    /// Requests answered by a deduplicated twin's execution.
+    pub dedup_saved: AtomicU64,
     /// Responses with a 4xx status.
     pub http_4xx: AtomicU64,
     /// Responses with a 5xx status.
@@ -121,7 +129,8 @@ pub struct ServerStats {
     pub internal_errors: AtomicU64,
 }
 
-/// A point-in-time copy of every counter, including the batcher's.
+/// A point-in-time copy of every counter, including the batcher's and
+/// the engine's result-cache counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Connections admitted.
@@ -144,7 +153,9 @@ pub struct StatsSnapshot {
     pub batched_requests: u64,
     /// Requests answered by a deduplicated twin's execution.
     pub dedup_saved: u64,
-    /// Requests the batcher answered straight from the result cache.
+    /// Requests answered straight from the result cache. Read from the
+    /// engine's hit counter, so it equals `cache_hits`; twins deduped
+    /// in one window count once.
     pub cache_answered: u64,
     /// Server-side faults surfaced to clients (see
     /// [`ServerStats::internal_errors`]).
@@ -260,7 +271,6 @@ impl Shared {
     }
 
     fn snapshot_stats(&self) -> StatsSnapshot {
-        let b = self.batcher.stats();
         // Read the published epoch *before* the durable epoch: the
         // engine fsyncs before it publishes, so durable ≥ published at
         // every instant — this read order keeps the pair consistent
@@ -272,6 +282,7 @@ impl Shared {
             epoch,
             durable_epoch,
             cache_hits: cache.hits,
+            cache_answered: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             cache_surgical_survivals: cache.surgical_survivals,
@@ -282,10 +293,9 @@ impl Shared {
             updates: self.stats.updates.load(Ordering::Relaxed),
             http_4xx: self.stats.http_4xx.load(Ordering::Relaxed),
             http_5xx: self.stats.http_5xx.load(Ordering::Relaxed),
-            batches: b.batches.load(Ordering::Relaxed),
-            batched_requests: b.batched_requests.load(Ordering::Relaxed),
-            dedup_saved: b.dedup_saved.load(Ordering::Relaxed),
-            cache_answered: b.cache_answered.load(Ordering::Relaxed),
+            batches: self.stats.batches.load(Ordering::Relaxed),
+            batched_requests: self.stats.batched_requests.load(Ordering::Relaxed),
+            dedup_saved: self.stats.dedup_saved.load(Ordering::Relaxed),
             internal_errors: self.stats.internal_errors.load(Ordering::Relaxed),
         }
     }
@@ -322,7 +332,7 @@ impl PcsServer {
         let local_addr = listener.local_addr().map_err(ServeError::Bind)?;
         let vertex_count = engine.snapshot().graph().num_vertices();
         let shared = Arc::new(Shared {
-            batcher: Batcher::new(cfg.batch_window, BATCH_MAX),
+            batcher: Batcher::new(BATCH_WINDOW, BATCH_MAX),
             engine,
             cfg: cfg.clone(),
             queue: Mutex::new(VecDeque::new()),
@@ -337,7 +347,7 @@ impl PcsServer {
             let s = Arc::clone(&shared);
             thread::Builder::new()
                 .name("pcs-serve-batch".to_string())
-                .spawn(move || s.batcher.run_dispatcher(&s.engine))
+                .spawn(move || s.batcher.run_dispatcher(&s.engine, &s.stats))
                 .map_err(ServeError::Spawn)?
         };
         let mut worker_handles = Vec::with_capacity(cfg.workers.max(1));

@@ -8,7 +8,7 @@ use pcs_graph::Graph;
 use pcs_ptree::{PTree, Taxonomy};
 use pcs_serve::{HttpFollower, PcsServer, ReplicaConfig, ReplicaError, ServeConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -421,4 +421,34 @@ fn reclaimed_log_answers_410_and_the_follower_reports_a_snapshot_gap() {
     std::fs::remove_file(&stale_path).unwrap();
 
     server.shutdown();
+}
+
+/// A primary that closes a kept-alive connection (as the real one does
+/// after its keep-alive timeout) costs the follower no failed poll: the
+/// exchange on the stale connection is retried once on a fresh one.
+#[test]
+fn a_closed_keep_alive_connection_is_redialed_within_one_poll() {
+    // A fake primary: answers the first request of each of two
+    // connections with an empty 200 (caught up), then closes it.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let primary = std::thread::spawn(move || {
+        for stream in listener.incoming().take(2) {
+            let mut stream = stream.unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                head.push(byte[0]);
+            }
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n").unwrap();
+        }
+    });
+
+    let (g, tax, profiles) = instance();
+    let engine = PcsEngine::builder().graph(g).taxonomy(tax).profiles(profiles).build().unwrap();
+    let mut follower = HttpFollower::new(engine, addr, ReplicaConfig::default());
+    assert_eq!(follower.poll().unwrap(), 0);
+    assert_eq!(follower.poll().unwrap(), 0, "the second poll reuses a closed connection");
+    // The fake returns once it has accepted its two connections.
+    primary.join().unwrap();
 }

@@ -52,12 +52,7 @@ fn engine(seed: u64) -> Arc<PcsEngine> {
 }
 
 fn test_config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        batch_window: Duration::from_micros(100),
-        read_timeout: Duration::from_secs(5),
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 2, read_timeout: Duration::from_secs(5), ..ServeConfig::default() }
 }
 
 // --- tiny raw client -------------------------------------------------

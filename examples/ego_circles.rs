@@ -51,7 +51,7 @@ fn main() {
             let truth_sets: Vec<Vec<VertexId>> = truths.iter().map(|t| (*t).clone()).collect();
 
             let pcs_found: Vec<Vec<VertexId>> = pcs_result
-                .map(|r| r.outcome.communities.into_iter().map(|c| c.vertices).collect())
+                .map(|r| r.communities().iter().map(|c| c.vertices.clone()).collect())
                 .unwrap_or_default();
             scores[0] += best_f1(&pcs_found, &truth_sets);
 

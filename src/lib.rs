@@ -60,7 +60,8 @@
 //! assert_eq!(resp.communities().len(), 1);
 //! assert_eq!(resp.communities()[0].vertices, vec![0, 1, 2]);
 //!
-//! // Batches fan out across threads and preserve order.
+//! // Batches run on one snapshot, fan out across threads and preserve
+//! // order.
 //! let reqs: Vec<QueryRequest> =
 //!     (0..3).map(|v| QueryRequest::vertex(v).k(2)).collect();
 //! for result in engine.query_batch(&reqs) {
@@ -86,7 +87,12 @@
 //! wrap it in `Arc` (or keep it in `std::thread::scope`) and call
 //! [`query`](pcs_engine::PcsEngine::query) concurrently, or hand a
 //! whole slice of requests to
-//! [`query_batch`](pcs_engine::PcsEngine::query_batch).
+//! [`query_batch`](pcs_engine::PcsEngine::query_batch). `query_batch`
+//! is the one read path through the result cache: on an engine built
+//! with `.result_cache(..)` it answers hits from one snapshot's cache
+//! and computes and fills only the misses;
+//! [`query_cached`](pcs_engine::PcsEngine::query_cached) is its
+//! one-request form, and `query` never touches the cache.
 
 #![deny(unsafe_code)]
 
