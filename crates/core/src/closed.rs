@@ -24,6 +24,19 @@
 //! lattice child) pair instead of one per feasible subtree, and no
 //! separate maximality pass.
 //!
+//! **Dead positions.** A lattice child `t + p` found infeasible under a
+//! closed `t` stays infeasible under every closed `t' ⊇ t` that has `p`
+//! as a lattice child: `t' + p ⊇ t + p`, so by anti-monotonicity
+//! `Gk[t' + p] ⊆ Gk[t + p] = ∅`. Skipping `p` there changes neither
+//! `t'`'s maximality (an infeasible child never refutes it) nor the
+//! closed subtrees reached (it pushes nothing). Every stack entry
+//! therefore carries the dead positions of the closed subtrees on its
+//! path — each a subset of it — as a word image as wide as a subtree's,
+//! and a dead position is skipped before the table lookup and the
+//! narrowing. A node's feasible children are pushed after its child
+//! loop, so each inherits every infeasible sibling. Dedup by id keeps
+//! the first path's set, which is sound like any other path's.
+//!
 //! What one query proves, later ones reuse: every community found is
 //! stored with its closure in the index's community table under the
 //! label sets of `T + p` and `cl(T + p)`, and a child whose label set
@@ -74,19 +87,44 @@ fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
         let mut seen = SubtreeIdSet::new();
         seen.insert(start);
         let mut stack: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = vec![(start, gk)];
+        // The dead positions of `stack[i]`, a word image as wide as a
+        // subtree's, at `dead_stack[i * width..(i + 1) * width]`.
+        let width = ver.ids().words_of(start).len();
+        let mut dead_stack: Vec<u64> = vec![0; width];
+        let mut dead: Vec<u64> = Vec::with_capacity(width);
+        let mut feasible: Vec<(SubtreeId, Arc<Vec<VertexId>>)> = Vec::new();
         let mut children: Vec<u32> = Vec::new();
         while let Some((t, community)) = stack.pop() {
+            dead.clear();
+            dead.extend(dead_stack.drain(stack.len() * width..));
             let mut maximal = true;
             ver.ids().lattice_children_into(t, &mut children);
             ver.core.note_generated(children.len() as u64);
             for &pos in &children {
+                let (word, bit) = (pos as usize / 64, 1u64 << (pos % 64));
+                if dead.get(word).is_some_and(|w| w & bit != 0) {
+                    continue;
+                }
                 let child = ver.ids_mut().with(t, pos);
-                if let Some((closed, sub)) = ver.closed_child(child, &community, pos) {
-                    maximal = false;
-                    if seen.insert(closed) {
-                        stack.push((closed, sub));
+                match ver.closed_child(child, &community, pos) {
+                    Some((closed, sub)) => {
+                        maximal = false;
+                        if seen.insert(closed) {
+                            feasible.push((closed, sub));
+                        }
+                    }
+                    None => {
+                        if let Some(w) = dead.get_mut(word) {
+                            *w |= bit;
+                        }
                     }
                 }
+            }
+            // Pushed after the loop, so each inherits every infeasible
+            // sibling.
+            for entry in feasible.drain(..) {
+                stack.push(entry);
+                dead_stack.extend_from_slice(&dead);
             }
             if maximal {
                 results.push((t, community));
@@ -100,7 +138,9 @@ fn run(mut ver: IndexVerifier<'_>) -> PcsOutcome {
 mod tests {
     use crate::problem::{Algorithm, QueryContext};
     use crate::testkit::figure1;
+    use pcs_graph::Graph;
     use pcs_index::ShardedCpIndex;
+    use pcs_ptree::{PTree, Taxonomy};
 
     #[test]
     fn closed_equals_basic_on_paper_example() {
@@ -113,6 +153,53 @@ mod tests {
                 let a = plain.query(q, k, Algorithm::Basic).unwrap();
                 let b = indexed.query(q, k, Algorithm::Closed).unwrap();
                 assert_eq!(a.communities, b.communities, "q={q} k={k}");
+            }
+        }
+    }
+
+    /// Taxonomy `r → a → b`, `r → c`; q = 0 carries all four labels and
+    /// sits on three triangles: `{0,1,2}` carrying `b`, `{0,3,4}`
+    /// carrying `a`, `{0,5,6}` carrying `c`. At k = 2 the search visits
+    /// `{r}` (children `a`, `c`: two verifications), then `{r,c}`
+    /// (`{r,a,c}` infeasible: one), then `{r,a}` (`{r,a,b}` feasible:
+    /// one; `{r,a,c}` memoized). `c` died under `{r,a}`, so the deeper
+    /// closed `{r,a,b}` skips its child `{r,a,b,c}` instead of peeling
+    /// it: four verifications, not five.
+    #[test]
+    fn a_dead_position_is_skipped_under_a_deeper_closed_subtree() {
+        let mut t = Taxonomy::new("r");
+        let a = t.add_child(Taxonomy::ROOT, "a").unwrap();
+        let b = t.add_child(a, "b").unwrap();
+        let c = t.add_child(Taxonomy::ROOT, "c").unwrap();
+        let g = Graph::from_edges(
+            7,
+            &[(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)],
+        )
+        .unwrap();
+        let carry = |labels: &[u32]| PTree::from_labels(&t, labels.iter().copied()).unwrap();
+        let profiles = vec![
+            carry(&[b, c]),
+            carry(&[b]),
+            carry(&[b]),
+            carry(&[a]),
+            carry(&[a]),
+            carry(&[c]),
+            carry(&[c]),
+        ];
+        let index = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
+        let plain = QueryContext::new(&g, &t, &profiles).unwrap();
+        let indexed = QueryContext::new(&g, &t, &profiles).unwrap().with_index(&index);
+        let closed = indexed.query(0, 2, Algorithm::Closed).unwrap();
+        assert_eq!(closed.communities, plain.query(0, 2, Algorithm::Basic).unwrap().communities);
+        assert_eq!(closed.communities.len(), 2);
+        assert_eq!(closed.stats.verifications, 4);
+        for q in 0..7u32 {
+            for k in 0..=3u32 {
+                assert_eq!(
+                    indexed.query(q, k, Algorithm::Closed).unwrap().communities,
+                    plain.query(q, k, Algorithm::Basic).unwrap().communities,
+                    "q={q} k={k}"
+                );
             }
         }
     }

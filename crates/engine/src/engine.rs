@@ -274,11 +274,12 @@ pub struct SnapshotIo {
 /// against that version even while a writer publishes the next one.
 /// Writers are serialized among themselves and maintain the core
 /// decomposition and CP-tree *incrementally*: bounded subcore
-/// traversals repair the core numbers, and every resident shard of a
-/// label the update touches is rebuilt (absent ones are only
-/// invalidated), however large the delta. Rebuilding outright beats
-/// first proving a shard unchanged, which measured 6× the cost of the
-/// rebuilds it saved.
+/// traversals repair the core numbers, and the shard of every label
+/// the update touches is dropped, however large the delta. An `Eager`
+/// engine rebuilds the dropped shards on all cores before it publishes;
+/// a `Lazy` one rebuilds each on its next probe. Rebuilding outright
+/// beats first proving a shard unchanged, which measured 6× the cost
+/// of the rebuilds it saved.
 ///
 /// Internally each query still runs through the borrowed
 /// [`QueryContext`] layer, assembled per call via
@@ -361,11 +362,12 @@ impl PcsEngine {
     /// Forces construction of the index facade **and every shard**
     /// plus the core decomposition on the current snapshot, so the
     /// next query pays no warm-up cost regardless of which labels it
-    /// touches. Idempotent; cheap once everything is cached.
+    /// touches. The shards are built on one thread per available core.
+    /// Idempotent; cheap once everything is cached.
     pub fn warm(&self) -> Result<()> {
         let snap = self.snapshot_arc();
         snap.cores();
-        self.ensure_index(&snap)?.materialize_all(1);
+        self.ensure_index(&snap)?.materialize_all(self.batch_threads);
         Ok(())
     }
 
@@ -880,18 +882,16 @@ impl PcsEngine {
         let maintenance = match base.index.get() {
             Some(Ok(old)) => {
                 // The clone shares resident shards (`Arc`) and copies
-                // only the facade tables; the patch then rebuilds
-                // touched **resident** shards and merely invalidates
-                // absent ones — a shard nobody queried is never built
-                // to be patched.
+                // only the facade tables; the patch then empties the
+                // slot of every touched label and builds nothing.
                 let mut patched = old.clone();
                 let stats =
                     patched.apply_batch(&graph, &profiles, &deltas, Some(Arc::clone(&cores)));
-                // Eager mode promises a fully resident index:
-                // re-materialize whatever the patch left cold (e.g. a
-                // label the batch newly populated).
+                // Eager mode promises a fully resident index: rebuild
+                // every slot the patch emptied (and any label the batch
+                // newly populated) on all cores before publishing.
                 if self.index_mode == IndexMode::Eager {
-                    patched.materialize_all(1);
+                    patched.materialize_all(self.batch_threads);
                 }
                 let _ = index_cell.set(Ok(patched));
                 IndexMaintenance::Patched(stats)

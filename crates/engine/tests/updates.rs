@@ -6,6 +6,7 @@ use pcs_engine::{
     Error, IndexMaintenance, IndexMode, PcsEngine, QueryRequest, UpdateBatch, UpdateError,
 };
 use pcs_graph::Graph;
+use pcs_index::CpPatchStats;
 use pcs_ptree::{PTree, Taxonomy};
 
 /// Two triangles sharing vertex 0 (labels `a` and `b`), plus an
@@ -238,8 +239,18 @@ fn oversized_deltas_patch_on_every_policy() {
     lazy.warm().unwrap();
     assert!(lazy.index_built());
     let report = lazy.update_profile(0, PTree::root_only()).unwrap();
-    assert!(matches!(report.index, IndexMaintenance::Patched(_)), "{:?}", report.index);
     assert!(lazy.index_built());
+    // The write built no shard: the eight touched leaves wait for their
+    // next probe, only the untouched root stays resident.
+    assert_eq!(
+        report.index,
+        IndexMaintenance::Patched(CpPatchStats {
+            labels_touched: 8,
+            labels_rebuilt: 8,
+            labels_invalidated: 0
+        })
+    );
+    assert_eq!(lazy.snapshot().resident_shards(), 1);
     let resp = lazy.query(&QueryRequest::vertex(1).k(2).algorithm(Algorithm::AdvP)).unwrap();
     assert_eq!(resp.communities().len(), 1);
     let basic = lazy.query(&QueryRequest::vertex(1).k(2).algorithm(Algorithm::Basic)).unwrap();

@@ -48,8 +48,9 @@ pub struct CpPatchStats {
     /// Labels whose induced subgraph was touched by at least one delta
     /// (the invalidation set).
     pub labels_touched: usize,
-    /// Touched labels whose shard was resident and whose CL-tree was
-    /// rebuilt.
+    /// Touched labels whose shard was resident and was dropped for
+    /// rebuild: before publish on an Eager engine, on the next probe on
+    /// a Lazy one.
     pub labels_rebuilt: usize,
     /// Touched labels whose shard was not resident and was merely
     /// invalidated — membership bookkeeping only, no CL-tree built.

@@ -19,9 +19,11 @@
 //! * a query only ever touches the labels in its subtree lattice
 //!   (`T(q)`'s closure), so time-to-first-query tracks the queried
 //!   labels' shard sizes, not the whole taxonomy;
-//! * the incremental-update path **patches resident shards and merely
-//!   invalidates absent ones** — a shard nobody queried is never built
-//!   just to be patched;
+//! * the incremental-update path **patches the member lists and empties
+//!   the slot of every touched label**, resident or not: no write
+//!   builds a CL-tree, so a shard nobody queries again is never rebuilt,
+//!   and an owner that keeps every shard resident rebuilds the emptied
+//!   ones in one parallel [`ShardedCpIndex::materialize_all`];
 //! * shards can be rehydrated from a snapshot through a [`ShardSource`]
 //!   (the store's lazy load) instead of rebuilt from the graph,
 //!   falling back to a from-graph build whenever the source cannot
@@ -524,15 +526,18 @@ impl ShardedCpIndex {
     }
 
     /// Applies a batch of effective graph deltas: membership tables and
-    /// the profile share are always brought up to date, every touched
-    /// **resident** shard is rebuilt, and **absent** shards are merely
-    /// invalidated — their slot stays cold and any snapshot source for
-    /// them is marked stale, so the cost of a shard nobody queried is
-    /// bookkeeping, never a CL-tree build. There is no "provably
-    /// unchanged" pre-check: on the benchmark corpus such a check's
-    /// subcore traversal cost 6× the rebuilds it saved. The community
-    /// table, by contrast, keeps every entry the batch provably leaves
-    /// unchanged (see the `communities` field).
+    /// the profile share are always brought up to date, and the slot of
+    /// every touched label is emptied and any snapshot source for it
+    /// marked stale. The call builds no CL-tree: a touched shard that
+    /// was resident (counted in [`CpPatchStats::labels_rebuilt`])
+    /// rebuilds like an absent one, on its next [`shard`](Self::shard)
+    /// probe or in the owner's [`materialize_all`](Self::materialize_all),
+    /// which spreads the rebuilds over threads. Untouched resident
+    /// shards stay shared (`Arc`). There is no "provably unchanged"
+    /// pre-check: on the benchmark corpus such a check's subcore
+    /// traversal cost 6× the rebuilds it saved. The community table, by
+    /// contrast, keeps every entry the batch provably leaves unchanged
+    /// (see the `communities` field).
     ///
     /// `g_after` and `profiles_after` describe the graph **after** the
     /// whole batch; `deltas` lists the applied changes (no no-ops, and
@@ -544,11 +549,10 @@ impl ShardedCpIndex {
     ///
     /// `cores_after` is the post-batch global core decomposition cell,
     /// when the owner maintains one: it replaces the previous epoch's
-    /// shared cell *before* any resident full-vertex-set shard is
-    /// rebuilt, so the root shard never re-peels the graph. Passing
-    /// `None` drops the old cell whenever the graph changed (stale
-    /// cores must never build a shard) — correctness is preserved
-    /// either way, only the shortcut is lost.
+    /// shared cell, so the rebuilt root shard never re-peels the graph.
+    /// Passing `None` drops the old cell whenever the graph changed
+    /// (stale cores must never build a shard) — correctness is
+    /// preserved either way, only the shortcut is lost.
     pub fn apply_batch(
         &mut self,
         g_after: &Arc<Graph>,
@@ -562,10 +566,9 @@ impl ShardedCpIndex {
         let carried = self.communities.read().map(|table| table.carry(&touch));
         self.communities = Arc::new(RwLock::new(carried.unwrap_or_default()));
         let mut stats = CpPatchStats::default();
-        let mut rebuild: Vec<LabelId> = Vec::new();
-        // Every touched label is rebuilt (resident) or invalidated
-        // (absent); membership-changed labels first get their member
-        // table patched in place.
+        // Every touched label's slot is emptied, resident or not;
+        // membership-changed labels first get their member table
+        // patched in place.
         let mut touched: Vec<LabelId> =
             touch.profile_touch.union(&touch.edge_touch).copied().collect();
         touched.sort_unstable();
@@ -601,19 +604,19 @@ impl ShardedCpIndex {
             if let Some(live) = self.source_live.get_mut(i) {
                 *live = false;
             }
-            if self.slots.get(i).is_some_and(|s| s.get().is_some()) {
-                rebuild.push(label);
-            } else {
-                stats.labels_invalidated += 1;
+            match self.slots.get_mut(i) {
+                Some(slot) if slot.get().is_some() => {
+                    *slot = OnceLock::new();
+                    stats.labels_rebuilt += 1;
+                }
+                _ => stats.labels_invalidated += 1,
             }
         }
-        // Rebuild the resident invalidated shards against the new
-        // graph. The graph handle must be swapped first: `build_shard`
-        // reads it, and future on-demand materializations of the
-        // invalidated absent shards must see the post-batch graph too.
-        // A shared global-cores cell describes the *old* graph: swap
-        // in the post-batch cell, or drop the stale one if the caller
-        // maintains none and the graph actually changed.
+        // Every emptied slot rebuilds on its next materialization, which
+        // must see the post-batch graph: `build_shard` reads the graph
+        // handle and the shared global-cores cell. That cell describes
+        // the *old* graph: swap in the post-batch cell, or drop the
+        // stale one if the caller maintains none and the graph changed.
         match cores_after {
             Some(cell) => self.global_cores = Some(cell),
             None => {
@@ -628,20 +631,6 @@ impl ShardedCpIndex {
             }
         }
         self.graph = GraphHandle::ready(Arc::clone(g_after));
-        // A label that lost its last carrier gets a cleared slot;
-        // every other one a CL-tree rebuilt on the post-batch graph.
-        for &label in &rebuild {
-            let i = label as usize;
-            stats.labels_rebuilt += 1;
-            let slot = if self.member_len(i) == 0 {
-                OnceLock::new()
-            } else {
-                OnceLock::from(Arc::new(self.build_shard(label)))
-            };
-            if let Some(s) = self.slots.get_mut(i) {
-                *s = slot;
-            }
-        }
         // Swap in the post-batch profile share (one Arc clone — the
         // snapshot the engine is publishing owns the same vector).
         // `member_source` stays: a label no batch has touched still
@@ -1074,6 +1063,43 @@ mod tests {
         // state: resident shard Arcs were shared, not mutated.
         let before = ShardedCpIndex::build_resident(&g, &t, &profiles).unwrap();
         assert_eq!(sorted_ref(&sharded, 1, 0, hw), sorted_ref(&before, 1, 0, hw));
+    }
+
+    /// A batch builds no shard: it empties the slot of every touched
+    /// resident shard, keeps every untouched one as the same `Arc`, and
+    /// a parallel `materialize_all` afterwards rebuilds exactly the
+    /// post-batch index.
+    #[test]
+    fn patch_empties_touched_resident_shards_and_shares_the_rest() {
+        let (g, t, profiles) = figure1();
+        let profiles = Arc::new(profiles);
+        let mut idx = ShardedCpIndex::build(Arc::clone(&g), &t, Arc::clone(&profiles)).unwrap();
+        idx.materialize_all(2);
+        let resident = |idx: &ShardedCpIndex, label: LabelId| {
+            idx.slots.get(label as usize).and_then(|s| s.get()).map(Arc::clone)
+        };
+        let cm = t.id_of("CM").unwrap();
+        let cm_before = resident(&idx, cm).unwrap();
+        // Add A-E: touches r, IS, DMS, HW, and nothing under CM.
+        let mut dyn_g = DynamicGraph::from_graph(&g);
+        dyn_g.add_edge(0, 4).unwrap();
+        let g_after = Arc::new(dyn_g.to_graph());
+        let stats =
+            idx.apply_batch(&g_after, &profiles, &[GraphDelta::EdgeAdded { u: 0, v: 4 }], None);
+        assert_eq!(
+            (stats.labels_touched, stats.labels_rebuilt, stats.labels_invalidated),
+            (4, 4, 0)
+        );
+        for name in ["r", "IS", "DMS", "HW"] {
+            let label = t.id_of(name).unwrap();
+            assert!(idx.shard_if_resident(label).is_none(), "{name} waits for its rebuild");
+        }
+        assert!(Arc::ptr_eq(&resident(&idx, cm).unwrap(), &cm_before), "CM is shared");
+        assert_eq!(idx.resident_shards(), idx.num_populated_labels() - 4);
+        idx.materialize_all(2);
+        assert_eq!(idx.resident_shards(), idx.num_populated_labels());
+        let fresh = ShardedCpIndex::build_resident(&g_after, &t, &profiles).unwrap();
+        assert_matches_fresh(&idx, &fresh, &t);
     }
 
     #[test]
