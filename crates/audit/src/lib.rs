@@ -284,7 +284,7 @@ pub fn check_source(path: &str, src: &str, cfg: &RuleConfig) -> Vec<Finding> {
                         push(
                             t,
                             RULE_QUERY_HASH,
-                            format!("{text} in the allocation-free query path; use the epoch-stamped scratch structures"),
+                            format!("{text} in the allocation-free query path; use the pooled scratch buffers"),
                         );
                     }
                     "Instant"

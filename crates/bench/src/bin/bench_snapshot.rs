@@ -3,8 +3,11 @@
 //!
 //! Per scale it generates the dataset, builds an eager engine, saves
 //! the snapshot, lazily reopens it, answers one query, and then times
-//! the same query at steady state. It records wall times, peak RSS and
-//! the bytes the first query read, and writes `BENCH_scale.json`.
+//! the same query at steady state (`steady_query_us`: a repeat, which
+//! the index's community table answers warm). `cold_query_us` times a
+//! query on a fresh lazy open at a vertex outside every earlier answer.
+//! It records wall times, peak RSS and the bytes the first query read,
+//! and writes `BENCH_scale.json`.
 //!
 //! ```text
 //! cargo run -p pcs-bench --release --bin bench_snapshot            # 0.01 / 0.1 / 1.0 -> ./BENCH_scale.json
@@ -15,19 +18,20 @@
 //! reads strictly less than the whole file, and lazy open plus the
 //! first query (`ttfq_us`) beats the eager build (`build_us`).
 //!
-//! `--reps N` controls the steady-state repetitions (at least 3); the
-//! steady metric reports `{min, median, stddev}` so timing noise stays
+//! `--reps N` controls the steady and cold repetitions (at least 3);
+//! both report `{min, median, stddev}` so timing noise stays
 //! visible in the JSON. `--quick` runs the two tiny scales and writes
 //! `BENCH_scale.quick.json` into `target/`, leaving the committed file
 //! alone.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use pcs_datasets::suite::{build, SuiteConfig};
 use pcs_datasets::{sample_query_vertices, SuiteDataset};
-use pcs_engine::{IndexMode, PcsEngine, QueryRequest};
+use pcs_engine::{IndexMode, PcsEngine, QueryRequest, QueryResponse};
 
 /// The query `k` at every scale.
 const K: u32 = 6;
@@ -184,10 +188,15 @@ impl RssPeak {
     }
 }
 
-/// Generate → build → save → lazy-load → first query → steady state
-/// at each scale. The lazy-vs-eager bytes ratio compares the lazy
-/// counter ([`PcsEngine::snapshot_io`]) with the whole file, which an
-/// eager load reads by definition.
+/// Adds every vertex of `answer`'s communities to `touched`.
+fn touch(touched: &mut HashSet<u32>, answer: &QueryResponse) {
+    touched.extend(answer.communities().iter().flat_map(|c| c.vertices.iter().copied()));
+}
+
+/// Generate → build → save → lazy-load → first query → steady state →
+/// cold queries at each scale. The lazy-vs-eager bytes ratio compares
+/// the lazy counter ([`PcsEngine::snapshot_io`]) with the whole file,
+/// which an eager load reads by definition.
 fn main() {
     let cfg = Config::parse();
     let scales: &[f64] = if cfg.quick { &[0.002, 0.01] } else { &[0.01, 0.1, 1.0] };
@@ -202,6 +211,8 @@ fn main() {
         println!("scale {scale}: {vertices} vertices, {edges} edges (generated in {gen_us:.0} us)");
         let (qs, _) = sample_query_vertices(&ds, K, 4, 0x14);
         let q = qs.first().copied().unwrap_or(0);
+        let reps = cfg.reps.max(3);
+        let (cold_qs, _) = sample_query_vertices(&ds, K, 16 * reps, 0xc01d);
         peak.sample();
         // Move (not clone) the dataset into the builder: at scale 1.0
         // a second copy of the profiles is the difference between
@@ -232,10 +243,10 @@ fn main() {
         let t = Instant::now();
         let loaded = PcsEngine::builder().index_mode(IndexMode::Lazy).load(&snap_path).unwrap();
         let load_us = t.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(
-            loaded.query(&QueryRequest::vertex(q).k(K)).unwrap().communities().len(),
-        );
+        let first = loaded.query(&QueryRequest::vertex(q).k(K)).unwrap();
         let ttfq_us = t.elapsed().as_secs_f64() * 1e6;
+        let mut touched = HashSet::from([q]);
+        touch(&mut touched, &first);
         let io = loaded.snapshot_io().expect("lazy load exposes IO counters");
         let ttfq_bytes = io.bytes_read;
         let ratio = ttfq_bytes as f64 / file_bytes.max(1) as f64;
@@ -248,20 +259,42 @@ fn main() {
             "lazy open plus the first query ({ttfq_us:.0} us) must beat the eager build \
              ({build_us:.0} us) in-run"
         );
-        let steady = Metric::from_samples(&sample_us(cfg.reps.max(3), || {
+        let steady = Metric::from_samples(&sample_us(reps, || {
             std::hint::black_box(
                 loaded.query(&QueryRequest::vertex(q).k(K)).unwrap().communities().len(),
             );
         }));
-        let peak_kb = peak.sample();
+        peak.sample();
         drop(loaded);
+        // Cold: a fresh lazy open (untimed) per sample, queried at a
+        // vertex that no earlier query asked about or answered with.
+        let mut cold = Vec::new();
+        for &v in &cold_qs {
+            if cold.len() == reps {
+                break;
+            }
+            if touched.contains(&v) {
+                continue;
+            }
+            let fresh = PcsEngine::builder().index_mode(IndexMode::Lazy).load(&snap_path).unwrap();
+            let t = Instant::now();
+            let answer = fresh.query(&QueryRequest::vertex(v).k(K)).unwrap();
+            cold.push(t.elapsed().as_secs_f64() * 1e6);
+            touched.insert(v);
+            touch(&mut touched, &answer);
+            peak.sample();
+        }
+        assert!(!cold.is_empty(), "every sampled vertex lies in an earlier answer");
+        let cold = Metric::from_samples(&cold);
+        let peak_kb = peak.sample();
         let _ = std::fs::remove_file(&snap_path);
         println!(
             "scale {scale}: build {build_us:.0} us, save {save_us:.0} us, lazy load {load_us:.0} us, \
              ttfq {ttfq_us:.0} us ({ttfq_bytes} of {file_bytes} bytes = {:.1}%), \
-             steady {:.0} us, peak rss {peak_kb} KiB",
+             steady {:.0} us, cold {:.0} us, peak rss {peak_kb} KiB",
             ratio * 100.0,
             steady.headline(),
+            cold.headline(),
         );
         let pairs = vec![
             ("vertices".to_string(), Metric::Scalar(vertices as f64)),
@@ -272,6 +305,7 @@ fn main() {
             ("load_us".to_string(), Metric::Scalar(load_us)),
             ("ttfq_us".to_string(), Metric::Scalar(ttfq_us)),
             ("steady_query_us".to_string(), steady),
+            ("cold_query_us".to_string(), cold),
             ("file_bytes".to_string(), Metric::Scalar(file_bytes as f64)),
             ("ttfq_bytes".to_string(), Metric::Scalar(ttfq_bytes as f64)),
             ("lazy_eager_bytes_ratio".to_string(), Metric::Scalar(ratio)),

@@ -14,14 +14,14 @@ use pcs_ptree::{LabelId, QuerySpace, SubtreeId, SubtreeInterner, Taxonomy};
 use crate::problem::QueryContext;
 use crate::verify::{shared, Community, QueryScratch, VerifyCore};
 
-/// One label's k-ĉore of the query vertex, as a bitset over `Gk`.
+/// One label's k-ĉore of the query vertex, as a bitset over vertex ids.
 #[derive(Clone, Debug)]
 enum LabelCoreSet {
     /// Not asked for yet.
     Unbuilt,
     /// `I.get(k, q, label)` does not exist.
     Missing,
-    /// The ĉore's members, as set bits over `Gk` positions.
+    /// The ĉore's members, as set bits over vertex ids.
     Built { bits: Box<[u64]>, count: u32 },
 }
 
@@ -58,16 +58,15 @@ fn bit_is_set(words: &[u64], i: u32) -> bool {
 ///   containment test ([`IndexVerifier::verify_id`]).
 ///
 /// Index probes use [`ShardedCpIndex::get_ref`], a **borrowed arena
-/// slice** (O(CL-tree depth), zero-copy). Every level-k label ĉore is a
-/// subset of the global k-ĉore `Gk`, so each probed ĉore is cached per
-/// query as a **bitset over `Gk` positions**: seeding a candidate is a
+/// slice** (O(CL-tree depth), zero-copy). Each probed ĉore is cached per
+/// query as a **bitset over vertex ids**: seeding a candidate is a
 /// handful of word-wise ANDs, and `base ∩ I.get(...)` is one bit test
 /// per base member.
 pub struct IndexVerifier<'a> {
     pub(crate) core: VerifyCore<'a>,
     index: &'a ShardedCpIndex,
     /// Per DFS position of `T(q)`: `I.get(k, q, label)` as a bitset
-    /// over `Gk` indices. Built lazily, once per query.
+    /// over vertex ids. Built lazily, once per query.
     label_sets: Vec<LabelCoreSet>,
     /// Maximality verdicts per id: 0 = unknown, 1 = maximal, 2 = not.
     /// The boundary walk asks about the same subtree from many cuts;
@@ -77,9 +76,8 @@ pub struct IndexVerifier<'a> {
     leaf_buf: Vec<u32>,
     /// Scratch for `is_maximal_feasible_id`'s child scan.
     children_buf: Vec<u32>,
-    /// Scratch for `close_id`: the community's `Gk` positions and the
-    /// closure's word image under construction.
-    member_buf: Vec<u32>,
+    /// Scratch for `close_id`: the closure's word image under
+    /// construction.
     closure_words: Vec<u64>,
     /// Scratch for community-table keys: sorted taxonomy labels.
     label_buf: Vec<LabelId>,
@@ -87,11 +85,10 @@ pub struct IndexVerifier<'a> {
 }
 
 impl<'a> IndexVerifier<'a> {
-    /// Creates the oracle for `(q, k)` on `scratch`, finds `Gk` once
-    /// and stamps every member with its dense `Gk` position. `Gk` is the
-    /// community of the root-only label set, so it comes from the
-    /// index's community table when an earlier query stored it, and
-    /// from a BFS over the core decomposition otherwise. `index` must be
+    /// Creates the oracle for `(q, k)` on `scratch` and finds `Gk` once.
+    /// `Gk` is the community of the root-only label set, so it comes
+    /// from the index's community table when an earlier query stored it,
+    /// and from a BFS over the core decomposition otherwise. `index` must be
     /// the index `ctx` was assembled with.
     pub fn new(
         ctx: &'a QueryContext<'a>,
@@ -106,11 +103,6 @@ impl<'a> IndexVerifier<'a> {
         let gk = proven.or_else(|| ctx.cores.kcore_component(ctx.graph, q, k).map(shared));
         let mut core = VerifyCore::new(ctx, space, q, k, scratch, gk);
         core.stats.memo_hits += u64::from(hit);
-        if let Some(gk) = &core.gk {
-            for (i, &v) in gk.iter().enumerate() {
-                core.scratch.stamp_gk_pos(v, i as u32);
-            }
-        }
         IndexVerifier {
             core,
             index,
@@ -118,7 +110,6 @@ impl<'a> IndexVerifier<'a> {
             maximal_memo: Vec::new(),
             leaf_buf: Vec::new(),
             children_buf: Vec::new(),
-            member_buf: Vec::new(),
             closure_words: Vec::new(),
             label_buf: Vec::new(),
             closed_label_buf: Vec::new(),
@@ -145,9 +136,9 @@ impl<'a> IndexVerifier<'a> {
     /// the candidates are `⋂ I.get(k, q, leaf)` over **every** leaf of
     /// the candidate — by ancestor closure, a vertex inside all leaf
     /// ĉores carries the whole subtree, so no mask pass is needed —
-    /// computed as word-wise ANDs of the per-label bitsets over `Gk`
-    /// into reusable scratch. No allocation unless the candidate turns
-    /// out feasible (the answer vector).
+    /// computed as word-wise ANDs of the per-label bitsets into reusable
+    /// scratch. No allocation unless the candidate turns out feasible
+    /// (the answer vector).
     pub fn verify_id(&mut self, id: SubtreeId) -> Community {
         if let Some(known) = self.core.known(id) {
             return known;
@@ -173,8 +164,8 @@ impl<'a> IndexVerifier<'a> {
                 }
             }
         }
-        let result = match (best, self.core.gk.clone()) {
-            (Some((best_count, best_pos)), Some(gk)) => {
+        let result = match best {
+            Some((best_count, best_pos)) => {
                 self.core.stats.seed_scanned += best_count as u64;
                 // AND all leaf sets into the scratch word buffer.
                 let QueryScratch { words_buf, seed, .. } = &mut *self.core.scratch;
@@ -191,18 +182,15 @@ impl<'a> IndexVerifier<'a> {
                         }
                     }
                 }
-                // Materialize: Gk is sorted, so the seed comes out
-                // sorted. Set bits only exist at stamped Gk positions,
-                // so the checked lookup never actually misses.
+                // Materialize: bits run in vertex-id order, so the seed
+                // comes out sorted.
                 seed.clear();
                 for (wi, &w) in words_buf.iter().enumerate() {
                     let mut bits = w;
                     while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
+                        let b = bits.trailing_zeros();
                         bits &= bits - 1;
-                        if let Some(&v) = gk.get(wi * 64 + b) {
-                            seed.push(v);
-                        }
+                        seed.push((wi * 64) as VertexId + b);
                     }
                 }
                 if seed.len() == best_count as usize {
@@ -215,15 +203,14 @@ impl<'a> IndexVerifier<'a> {
                     self.core.peel()
                 }
             }
-            // A built label ĉore implies Gk exists.
-            _ => None,
+            // Some leaf's ĉore does not exist.
+            None => None,
         };
         self.leaf_buf = leaves;
         self.core.record(id, result)
     }
 
-    /// Builds (once) the bitset of `I.get(k, q, label_at(pos))` over
-    /// `Gk` positions.
+    /// Builds (once) the bitset of `I.get(k, q, label_at(pos))`.
     fn ensure_label_set(&mut self, pos: u32) -> &LabelCoreSet {
         if matches!(label_set(&self.label_sets, pos), LabelCoreSet::Unbuilt) {
             let core = &self.core;
@@ -231,21 +218,14 @@ impl<'a> IndexVerifier<'a> {
             let built = match self.index.get_ref(core.k, core.q, label) {
                 None => LabelCoreSet::Missing,
                 Some(slice) => {
-                    let gk_len = core.gk.as_ref().map_or(0, |g| g.len());
-                    let mut bits = vec![0u64; gk_len.div_ceil(64).max(1)].into_boxed_slice();
-                    let mut count = 0u32;
+                    let n = core.ctx.graph.num_vertices();
+                    let mut bits = vec![0u64; n.div_ceil(64)].into_boxed_slice();
                     for &v in slice {
-                        // Every level-k label ĉore is a subset of Gk; an
-                        // unstamped vertex would mean the index disagrees
-                        // with the core decomposition, so skip it.
-                        if let Some(i) = core.scratch.gk_pos_of(v) {
-                            if let Some(w) = bits.get_mut(i as usize / 64) {
-                                *w |= 1 << (i % 64);
-                                count += 1;
-                            }
+                        if let Some(w) = bits.get_mut(v as usize / 64) {
+                            *w |= 1 << (v % 64);
                         }
                     }
-                    LabelCoreSet::Built { bits, count }
+                    LabelCoreSet::Built { bits, count: slice.len() as u32 }
                 }
             };
             if let Some(slot) = self.label_sets.get_mut(pos as usize) {
@@ -260,7 +240,7 @@ impl<'a> IndexVerifier<'a> {
     /// where `t` is the label at the freshly added position. The
     /// intersection never walks the label's (potentially huge) ĉore:
     /// each `base` vertex is one bit test against the label's cached
-    /// `Gk` bitset — total O(|base|), allocation-free. The peel is
+    /// bitset — total O(|base|), allocation-free. The peel is
     /// skipped whenever one side contains the other (`base ⊆ ĉore` or
     /// `ĉore ⊆ base`): the smaller set is then the answer as it stands.
     pub fn verify_from_base_id(
@@ -279,19 +259,9 @@ impl<'a> IndexVerifier<'a> {
                 self.core.stats.seed_scanned += base.len() as u64;
                 // candidates = base ∩ I.get(k, q, t): one O(1) bit test
                 // per base member, never a walk of the label's ĉore.
-                let QueryScratch { epoch, seed, gk_pos, gk_pos_epoch, .. } =
-                    &mut *self.core.scratch;
-                let epoch = *epoch;
+                let seed = &mut self.core.scratch.seed;
                 seed.clear();
-                for &v in base.iter() {
-                    let vi = v as usize;
-                    if gk_pos_epoch.get(vi).copied() == Some(epoch) {
-                        let i = gk_pos.get(vi).copied().unwrap_or(u32::MAX);
-                        if bit_is_set(bits, i) {
-                            seed.push(v);
-                        }
-                    }
-                }
+                seed.extend(base.iter().copied().filter(|&v| bit_is_set(bits, v)));
                 if seed.len() == base.len() {
                     // The label removed nothing: `base` is already a
                     // connected k-core containing q made of carriers of
@@ -326,15 +296,12 @@ impl<'a> IndexVerifier<'a> {
     /// `cl(T)`; ⊆: anti-monotonicity) — recorded in the memo, so the
     /// closed subtree is never verified.
     ///
-    /// Reads only the cached per-label `Gk` bitsets, never a profile.
+    /// Reads only the cached per-label bitsets, never a profile.
     /// Positions run in DFS preorder, so a position is tested only
     /// once its parent is in; a ĉore smaller than `C` is rejected by
     /// its count, the rest by one bit test per member, stopping at the
     /// first miss.
     pub fn close_id(&mut self, id: SubtreeId, community: &Arc<Vec<VertexId>>) -> SubtreeId {
-        let mut members = std::mem::take(&mut self.member_buf);
-        members.clear();
-        members.extend(community.iter().filter_map(|&v| self.core.scratch.gk_pos_of(v)));
         let mut words = std::mem::take(&mut self.closure_words);
         words.clear();
         words.extend_from_slice(self.core.interner.words_of(id));
@@ -345,7 +312,8 @@ impl<'a> IndexVerifier<'a> {
             }
             let carried = match self.ensure_label_set(p) {
                 LabelCoreSet::Built { bits, count } => {
-                    *count as usize >= members.len() && members.iter().all(|&i| bit_is_set(bits, i))
+                    *count as usize >= community.len()
+                        && community.iter().all(|&v| bit_is_set(bits, v))
                 }
                 _ => false,
             };
@@ -356,7 +324,6 @@ impl<'a> IndexVerifier<'a> {
             }
         }
         let closed = self.core.interner.intern_words(&words);
-        self.member_buf = members;
         self.closure_words = words;
         self.core.remember(closed, community);
         closed

@@ -13,8 +13,7 @@
 //!   subtree is hashed exactly once, at interning time);
 //! * all intermediate buffers live in a borrowed [`QueryScratch`]
 //!   (candidate seeds, per-vertex profile masks, the localized-peel
-//!   state, the `Gk` position index), which an engine pools across
-//!   queries.
+//!   state), which an engine pools across queries.
 //!
 //! Two verifiers run over the core, one per seeding regime, and the type
 //! an algorithm holds fixes its regime: [`Verifier`] here for `basic`,
@@ -43,24 +42,19 @@ pub(crate) fn shared(mut vertices: Vec<VertexId>) -> Arc<Vec<VertexId>> {
 /// Reusable per-query working memory: everything a verifier needs
 /// beyond the answer vectors themselves. Creating one is O(n); reusing
 /// one across queries makes the whole verification loop allocation-free
-/// in steady state — per-vertex state is invalidated by epoch stamping,
-/// never re-zeroed.
+/// in steady state. The peel's bits are cleared by each peel; `basic`'s
+/// profile masks are invalidated per query by an epoch, never re-zeroed.
 #[derive(Debug)]
 pub struct QueryScratch {
-    /// The localized k-core peel engine (itself epoch-stamped).
+    /// The localized k-core peel engine (one bit per vertex).
     core: SubsetCore,
     /// Per-vertex projection of `T(v)` onto the current query space.
     masks: Vec<Option<Subtree>>,
     /// `masks[v]` is valid iff `mask_epoch[v] == epoch`.
     mask_epoch: Vec<u32>,
-    pub(crate) epoch: u32,
+    epoch: u32,
     /// Filtered candidate seed for the localized peel.
     pub(crate) seed: Vec<VertexId>,
-    /// `gk_pos[v]` = dense index of `v` inside the current query's `Gk`
-    /// (valid iff `gk_pos_epoch[v] == epoch`). Lets label-ĉore bitsets
-    /// over `Gk` answer membership in O(1).
-    pub(crate) gk_pos: Vec<u32>,
-    pub(crate) gk_pos_epoch: Vec<u32>,
     /// Word buffer for ANDing label-ĉore bitsets.
     pub(crate) words_buf: Vec<u64>,
 }
@@ -74,8 +68,6 @@ impl QueryScratch {
             mask_epoch: vec![0; n],
             epoch: 0,
             seed: Vec::new(),
-            gk_pos: vec![0; n],
-            gk_pos_epoch: vec![0; n],
             words_buf: Vec::new(),
         }
     }
@@ -88,40 +80,14 @@ impl QueryScratch {
             self.core = SubsetCore::new(n);
             self.masks.resize(n, None);
             self.mask_epoch.resize(n, 0);
-            self.gk_pos.resize(n, 0);
-            self.gk_pos_epoch.resize(n, 0);
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
             None => {
                 self.mask_epoch.iter_mut().for_each(|e| *e = 0);
-                self.gk_pos_epoch.iter_mut().for_each(|e| *e = 0);
                 1
             }
         };
-    }
-
-    /// The dense `Gk` position of `v`, if `v` was stamped this epoch.
-    /// Fully bounds-checked: a vertex beyond the scratch (impossible
-    /// after `begin(n)`) reads as unstamped.
-    #[inline]
-    pub(crate) fn gk_pos_of(&self, v: VertexId) -> Option<u32> {
-        let vi = v as usize;
-        if self.gk_pos_epoch.get(vi).copied() == Some(self.epoch) {
-            self.gk_pos.get(vi).copied()
-        } else {
-            None
-        }
-    }
-
-    /// Stamps `v` at dense `Gk` position `i` for the current epoch.
-    #[inline]
-    pub(crate) fn stamp_gk_pos(&mut self, v: VertexId, i: u32) {
-        let vi = v as usize;
-        if let (Some(p), Some(e)) = (self.gk_pos.get_mut(vi), self.gk_pos_epoch.get_mut(vi)) {
-            *p = i;
-            *e = self.epoch;
-        }
     }
 }
 
@@ -398,8 +364,8 @@ mod tests {
     }
 
     /// Pooled scratch answers exactly like fresh scratch across a
-    /// sequence of different queries (mask and `Gk`-position epochs
-    /// must isolate them), for both verifiers.
+    /// sequence of different queries (mask epochs and the peel's
+    /// cleared bits must isolate them), for both verifiers.
     #[test]
     fn scratch_reuse_is_transparent() {
         let (g, t, profiles) = figure1();

@@ -1,15 +1,5 @@
-//! Dense vertex-set representations.
-//!
-//! Two set types back the hot paths of community verification:
-//!
-//! * [`BitSet`] — a plain dynamic bitset (one bit per vertex / tree node)
-//!   with the usual set algebra. Used for P-tree node sets and persisted
-//!   memberships.
-//! * [`EpochSet`] — a "versioned" membership array that can be cleared in
-//!   O(1) by bumping an epoch counter. Community verification tests
-//!   membership of thousands of candidate sets per query; clearing a
-//!   `BitSet` between candidates would cost O(n) each time, while an
-//!   `EpochSet` makes the whole loop allocation- and clear-free.
+//! [`BitSet`]: a plain dynamic bitset (one bit per vertex / tree node)
+//! with the usual set algebra.
 
 /// A growable bitset over `usize` indices.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -122,89 +112,6 @@ impl FromIterator<usize> for BitSet {
     }
 }
 
-/// A membership set with O(1) clear via epoch stamping.
-///
-/// `mark[v] == epoch` means `v` is in the set. [`EpochSet::reset`] bumps
-/// the epoch, which invalidates every stamp at once. Verification loops
-/// reuse a single `EpochSet` across thousands of candidate communities.
-#[derive(Clone, Debug)]
-pub struct EpochSet {
-    mark: Vec<u32>,
-    epoch: u32,
-    len: usize,
-}
-
-impl EpochSet {
-    /// Creates a set able to hold indices `0..n`.
-    pub fn new(n: usize) -> Self {
-        EpochSet { mark: vec![0; n], epoch: 1, len: 0 }
-    }
-
-    /// Number of currently marked indices.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is marked.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Capacity (the `n` the set was created with, possibly grown).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.mark.len()
-    }
-
-    /// Empties the set in O(1) (amortized; a full wrap of the 32-bit
-    /// epoch counter triggers one O(n) re-zero every 2^32 resets).
-    pub fn reset(&mut self) {
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.mark.iter_mut().for_each(|m| *m = 0);
-                1
-            }
-        };
-        self.len = 0;
-    }
-
-    /// Grows capacity to at least `n`.
-    pub fn grow(&mut self, n: usize) {
-        if n > self.mark.len() {
-            self.mark.resize(n, 0);
-        }
-    }
-
-    /// Inserts `idx`; returns true if newly inserted.
-    #[inline]
-    pub fn insert(&mut self, idx: usize) -> bool {
-        let fresh = self.mark[idx] != self.epoch;
-        self.mark[idx] = self.epoch;
-        self.len += fresh as usize;
-        fresh
-    }
-
-    /// Removes `idx`; returns true if it was present.
-    #[inline]
-    pub fn remove(&mut self, idx: usize) -> bool {
-        let present = self.mark[idx] == self.epoch;
-        if present {
-            self.mark[idx] = self.epoch.wrapping_sub(1);
-            self.len -= 1;
-        }
-        present
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, idx: usize) -> bool {
-        self.mark[idx] == self.epoch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,30 +164,5 @@ mod tests {
         assert!(!a.is_subset(&b));
         let empty = BitSet::default();
         assert!(empty.is_subset(&a));
-    }
-
-    #[test]
-    fn epoch_set_reset_is_cheap_and_correct() {
-        let mut s = EpochSet::new(10);
-        assert!(s.insert(1));
-        assert!(s.insert(2));
-        assert!(!s.insert(2));
-        assert_eq!(s.len(), 2);
-        s.reset();
-        assert!(s.is_empty());
-        assert!(!s.contains(1));
-        assert!(s.insert(1));
-        assert!(s.remove(1));
-        assert!(!s.contains(1));
-        assert!(!s.remove(1));
-    }
-
-    #[test]
-    fn epoch_set_grow() {
-        let mut s = EpochSet::new(2);
-        s.grow(100);
-        assert!(s.insert(99));
-        assert!(s.contains(99));
-        assert_eq!(s.capacity(), 100);
     }
 }

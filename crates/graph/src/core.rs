@@ -10,10 +10,10 @@
 //!   connected k-core containing a query vertex **restricted to an
 //!   arbitrary candidate vertex subset**. This is the verification
 //!   primitive `Gk[T]` that every PCS algorithm calls thousands of times
-//!   per query; all scratch state is epoch-stamped so a verification
-//!   costs O(candidate edges), never O(n).
+//!   per query. Its only per-vertex state is one bit and one degree per
+//!   vertex; each call clears the bits it set before it returns, so a
+//!   verification costs O(candidate edges), never O(n).
 
-use crate::bitset::EpochSet;
 use crate::graph::{Graph, VertexId};
 
 /// Core numbers for every vertex of a graph.
@@ -141,27 +141,58 @@ impl CoreDecomposition {
 /// Reusable engine computing `Gk[·]`: the connected k-core containing a
 /// query vertex inside an arbitrary candidate subset.
 ///
-/// All state is sized once for the host graph and reset in O(1) between
-/// calls, so repeated verification (the PCS hot loop) performs zero
-/// allocation beyond the returned community vector.
+/// State is sized once for the host graph: one bit per vertex (set while
+/// the vertex is a live, unvisited candidate) and one degree per vertex.
+/// Every call leaves all bits clear on return, having cleared only the
+/// words its candidates touched, so repeated verification (the PCS hot
+/// loop) performs zero allocation beyond the returned community vector.
 #[derive(Clone, Debug)]
 pub struct SubsetCore {
-    members: EpochSet,
-    visited: EpochSet,
+    /// Bit `v` is set iff `v` is a candidate not yet peeled (during the
+    /// peel) or not yet reached (during the BFS).
+    live: Vec<u64>,
     deg: Vec<u32>,
     peel: Vec<VertexId>,
     bfs: Vec<VertexId>,
+}
+
+/// The word of `v`'s bit, and the bit within it.
+#[inline]
+fn slot(v: VertexId) -> (usize, u64) {
+    (v as usize >> 6, 1 << (v & 63))
 }
 
 impl SubsetCore {
     /// Creates scratch state for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         SubsetCore {
-            members: EpochSet::new(n),
-            visited: EpochSet::new(n),
+            live: vec![0; n.div_ceil(64)],
             deg: vec![0; n],
             peel: Vec::new(),
             bfs: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn is_live(&self, v: VertexId) -> bool {
+        let (w, bit) = slot(v);
+        self.live[w] & bit != 0
+    }
+
+    /// Clears `v`'s bit; true if it was set.
+    #[inline]
+    fn take(&mut self, v: VertexId) -> bool {
+        let (w, bit) = slot(v);
+        let was = self.live[w] & bit != 0;
+        self.live[w] &= !bit;
+        was
+    }
+
+    /// Restores the all-clear invariant: only candidates' words can
+    /// hold a set bit.
+    fn clear(&mut self, candidates: &[VertexId]) {
+        for &v in candidates {
+            self.live[slot(v).0] = 0;
         }
     }
 
@@ -180,24 +211,37 @@ impl SubsetCore {
         q: VertexId,
         k: u32,
     ) -> Option<Vec<VertexId>> {
-        self.members.reset();
         for &v in candidates {
-            self.members.insert(v as usize);
+            let (w, bit) = slot(v);
+            self.live[w] |= bit;
         }
-        if !self.members.contains(q as usize) {
+        let out = self.peel_and_search(g, candidates, q, k);
+        self.clear(candidates);
+        out
+    }
+
+    /// The peel and the BFS of [`Self::kcore_component_within`], over
+    /// the candidate bits the caller set and will clear.
+    fn peel_and_search(
+        &mut self,
+        g: &Graph,
+        candidates: &[VertexId],
+        q: VertexId,
+        k: u32,
+    ) -> Option<Vec<VertexId>> {
+        if !self.is_live(q) {
             return None;
         }
         // `q` survives the peel only if it starts with k candidate
         // neighbours: a cheap screen that many infeasible sets fail.
-        let q_deg = g.neighbors(q).iter().filter(|&&u| self.members.contains(u as usize)).count();
+        let q_deg = g.neighbors(q).iter().filter(|&&u| self.is_live(u)).count();
         if q_deg < k as usize {
             return None;
         }
         // Degrees restricted to the candidate set.
         self.peel.clear();
         for &v in candidates {
-            let d = g.neighbors(v).iter().filter(|&&u| self.members.contains(u as usize)).count()
-                as u32;
+            let d = g.neighbors(v).iter().filter(|&&u| self.is_live(u)).count() as u32;
             self.deg[v as usize] = d;
             if d < k {
                 self.peel.push(v);
@@ -205,14 +249,14 @@ impl SubsetCore {
         }
         // Iteratively peel under-degree vertices.
         while let Some(v) = self.peel.pop() {
-            if !self.members.remove(v as usize) {
+            if !self.take(v) {
                 continue; // candidates may contain duplicates
             }
             if v == q {
                 return None;
             }
             for &u in g.neighbors(v) {
-                if self.members.contains(u as usize) {
+                if self.is_live(u) {
                     self.deg[u as usize] -= 1;
                     if self.deg[u as usize] == k.wrapping_sub(1) {
                         self.peel.push(u);
@@ -220,19 +264,16 @@ impl SubsetCore {
                 }
             }
         }
-        if !self.members.contains(q as usize) {
-            return None;
-        }
-        // BFS for the component of q among survivors.
-        self.visited.reset();
+        // BFS for the component of q among survivors; reaching a vertex
+        // clears its bit, so the bit doubles as "not visited yet".
+        self.take(q);
         self.bfs.clear();
         self.bfs.push(q);
-        self.visited.insert(q as usize);
         let mut out = Vec::new();
         while let Some(v) = self.bfs.pop() {
             out.push(v);
             for &u in g.neighbors(v) {
-                if self.members.contains(u as usize) && self.visited.insert(u as usize) {
+                if self.take(u) {
                     self.bfs.push(u);
                 }
             }

@@ -14,8 +14,7 @@
 //! * [`hash`] — an FxHash-style integer hasher with [`FxHashMap`] /
 //!   [`FxHashSet`] aliases (SipHash is needlessly slow for dense integer
 //!   keys; see the Rust perf book);
-//! * [`bitset`] — dynamic and epoch-stamped vertex sets used to make the
-//!   hot verification path allocation-free;
+//! * [`bitset`] — a dynamic bitset for P-tree node sets and label sets;
 //! * [`unionfind`] — a union-find with path halving + union by size, used
 //!   by the CL-tree construction in `pcs-index`;
 //! * [`gen`] — seeded random-graph primitives (G(n,m), preferential
@@ -50,7 +49,7 @@ pub mod io;
 pub mod lazy;
 pub mod unionfind;
 
-pub use bitset::{BitSet, EpochSet};
+pub use bitset::BitSet;
 pub use components::{component_containing, connected_components};
 pub use core::{CoreDecomposition, SubsetCore};
 pub use dynamic::{DynamicGraph, IncrementalCores};
