@@ -21,6 +21,7 @@ use crate::community_from_vertices;
 
 /// Which profile-cohesiveness definition to use.
 #[derive(Clone, Copy, Debug, PartialEq)]
+#[expect(clippy::exhaustive_enums, reason = "the four definitions of Section 5.3")]
 pub enum CohesivenessMetric {
     /// (a) Maximize the number of shared P-tree labels (flat keywords).
     CommonNodes,

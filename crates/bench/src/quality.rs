@@ -12,6 +12,7 @@ use pcs_graph::VertexId;
 
 /// Method identifiers used in the quality figures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[expect(clippy::exhaustive_enums, reason = "the quality figures' fixed method set")]
 pub enum Method {
     /// Communities only PCS finds (not returned by ACQ).
     PcsOnly,

@@ -33,6 +33,7 @@ use crate::Result;
 
 /// How the advanced method finds its initial cut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[expect(clippy::exhaustive_enums, reason = "the paper's three find procedures")]
 pub enum FindStrategy {
     /// `find-I`: bottom-up enumeration until the first maximal feasible
     /// subtree (Algorithm 5).

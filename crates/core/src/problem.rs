@@ -62,6 +62,7 @@ impl From<pcs_index::IndexError> for PcsError {
 
 /// Which PCS algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[expect(clippy::exhaustive_enums, reason = "callers match every algorithm")]
 pub enum Algorithm {
     /// Pick the fastest search for what is attached:
     /// [`Algorithm::Closed`] when a CP-tree index is available,
@@ -331,25 +332,21 @@ impl<'a> QueryContext<'a> {
         algorithm: Algorithm,
         scratch: &mut crate::verify::QueryScratch,
     ) -> Result<PcsOutcome> {
-        let algorithm = algorithm.resolve(self.index.is_some());
-        if !algorithm.needs_index() {
+        match (algorithm.resolve(self.index.is_some()), self.index) {
             // `basic` never sees the index, even when one is attached.
-            return basic::query_scratch(self, q, k, scratch);
-        }
-        let index = self.index.ok_or(PcsError::IndexRequired(algorithm.name()))?;
-        match algorithm {
-            Algorithm::Basic | Algorithm::Auto => unreachable!("dispatched to basic above"),
-            Algorithm::Incre => incre::query_scratch(self, index, q, k, scratch),
-            Algorithm::AdvI => {
+            (Algorithm::Basic | Algorithm::Auto, _) => basic::query_scratch(self, q, k, scratch),
+            (algorithm, None) => Err(PcsError::IndexRequired(algorithm.name())),
+            (Algorithm::Incre, Some(index)) => incre::query_scratch(self, index, q, k, scratch),
+            (Algorithm::AdvI, Some(index)) => {
                 advanced::query_scratch(self, index, q, k, FindStrategy::Incremental, scratch)
             }
-            Algorithm::AdvD => {
+            (Algorithm::AdvD, Some(index)) => {
                 advanced::query_scratch(self, index, q, k, FindStrategy::Decremental, scratch)
             }
-            Algorithm::AdvP => {
+            (Algorithm::AdvP, Some(index)) => {
                 advanced::query_scratch(self, index, q, k, FindStrategy::Path, scratch)
             }
-            Algorithm::Closed => closed::query_scratch(self, index, q, k, scratch),
+            (Algorithm::Closed, Some(index)) => closed::query_scratch(self, index, q, k, scratch),
         }
     }
 }

@@ -39,16 +39,17 @@ impl LevelHistogram {
     pub fn add_outcome(&mut self, outcome: &PcsOutcome) {
         let depth = outcome.stats.query_tree_size.max(1) as usize;
         for size in outcome.subtree_sizes() {
-            let lvl = level_of(size, depth, TABLE3_LEVELS);
-            self.counts[lvl - 1] += 1;
-            self.total += 1;
+            self.add_sample(size, depth);
         }
     }
 
     /// Adds one raw (subtree size, query tree size) sample.
     pub fn add_sample(&mut self, subtree_size: usize, query_tree_size: usize) {
         let lvl = level_of(subtree_size, query_tree_size, TABLE3_LEVELS);
-        self.counts[lvl - 1] += 1;
+        #[expect(clippy::indexing_slicing, reason = "level_of clamps into 1..=TABLE3_LEVELS")]
+        {
+            self.counts[lvl - 1] += 1;
+        }
         self.total += 1;
     }
 

@@ -17,6 +17,7 @@ use crate::taxonomy;
 
 /// Which ego-network to synthesize (the paper's FB1–FB3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[expect(clippy::exhaustive_enums, reason = "the paper's three ego-networks")]
 pub enum EgoNetwork {
     /// 1 233 vertices, d̂ 19.41, P̂ 34.54.
     Fb1,

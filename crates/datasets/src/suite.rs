@@ -16,6 +16,7 @@ use crate::taxonomy;
 
 /// Which paper dataset to synthesize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[expect(clippy::exhaustive_enums, reason = "the paper's four datasets (Table 2)")]
 pub enum SuiteDataset {
     /// ACM Digital Library co-authorship (CCS profiles).
     Acmdl,

@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 
 /// One mutation in a stream.
 #[derive(Clone, Debug, PartialEq)]
+#[expect(clippy::exhaustive_enums, reason = "mirrors the engine's update kinds")]
 pub enum StreamOp {
     /// Insert the undirected edge `{0, 1}` (may duplicate an existing
     /// edge when the stream includes no-ops).

@@ -28,10 +28,13 @@
 //! never more than `capacity` entries resident, no per-entry clock to
 //! maintain.
 //!
-//! This module is on the `pcs-audit` hot-path discipline: no `unwrap`,
-//! no `expect`, no panicking indexing; the cache mutex recovers from
-//! poisoning by discarding cached entries (they are pure derived
-//! state).
+//! This module denies clippy's panic and indexing lints (the attribute
+//! below): no `unwrap`, no `expect`, no panicking indexing; the cache
+//! mutex recovers from poisoning by discarding cached entries (they are
+//! pure derived state).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::request::{QueryRequest, QueryResponse};
 use pcs_core::Algorithm;
@@ -42,6 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Invalidation policy of the engine's result cache (see
 /// [`EngineBuilder::result_cache`](crate::EngineBuilder::result_cache)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "callers match every cache policy")]
 pub enum CacheMode {
     /// No result cache (default): every query computes.
     #[default]

@@ -51,6 +51,11 @@
 //! directory recovers exactly the fsynced prefix; nothing is ever
 //! half-applied, because publication happens only after the fsync that
 //! covers it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
 
 use pcs_graph::VertexId;
 use pcs_ptree::{LabelId, PTree, Taxonomy};
@@ -368,6 +373,7 @@ impl PcsEngine {
     /// publishes the prefix before it and returns its error. Returns
     /// the number of batches applied.
     fn replay(&self, records: &[WalRecord]) -> Result<usize> {
+        #[expect(clippy::disallowed_methods, reason = "one clock read per replayed run")]
         let start = Instant::now();
         let mut guard = self.lock_writer();
         let base = self.snapshot_arc();

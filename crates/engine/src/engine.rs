@@ -17,6 +17,7 @@ use crate::update::{IndexMaintenance, Update, UpdateBatch, UpdateError, UpdateRe
 
 /// When the engine constructs its CP-tree index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "callers match every index mode")]
 pub enum IndexMode {
     /// Lazy **per shard** (default): the first query that needs the
     /// index creates only the cheap facade (per-label member lists over
@@ -528,6 +529,7 @@ impl PcsEngine {
             let mut pool = self.lock_scratch_pool();
             pool.pop().unwrap_or_else(|| QueryScratch::new(snap.graph.num_vertices()))
         };
+        #[expect(clippy::disallowed_methods, reason = "one clock read per query")]
         let start = Instant::now();
         let result = ctx.query_with_scratch(
             request.vertex_id(),
@@ -699,6 +701,7 @@ impl PcsEngine {
     /// already-published epochs keep serving reads, and reopening the
     /// directory recovers the fsynced prefix.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<UpdateReport> {
+        #[expect(clippy::disallowed_methods, reason = "one clock read per write")]
         let start = Instant::now();
         let mut guard = self.lock_writer();
         // Only a writer swaps the published snapshot, and the lock is

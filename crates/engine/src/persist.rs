@@ -17,6 +17,9 @@
 //! orders of magnitude cheaper than `EngineBuilder::build` with an eager
 //! index. The index mode only decides how much of the file that reader
 //! drains before `load` returns.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};

@@ -18,6 +18,9 @@
 //! computing and returns the error instead of the answer — damage in a
 //! range no query touches costs nothing, damage in a touched range is
 //! fail-stop, never a silently wrong community.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::cache::QueryCache;
 use crate::error::{Error, Result};
@@ -235,7 +238,10 @@ impl EngineSnapshot {
     pub fn graph(&self) -> &Graph {
         match self.inner.graph.get() {
             Ok(g) => g,
-            // audit:allow(no-panic): documented compat surface — callers who need a typed error use try_graph
+            #[expect(
+                clippy::panic,
+                reason = "documented compat surface — callers who need a typed error use try_graph"
+            )]
             Err(e) => panic!("snapshot graph unavailable: {e}"),
         }
     }
@@ -260,14 +266,20 @@ impl EngineSnapshot {
         match self.inner.dense_profiles() {
             // Serve the borrow from the source's dense cache, which
             // `to_dense` just populated.
+            #[expect(
+                clippy::panic,
+                reason = "dense_profiles() just populated the cache on this path"
+            )]
             Ok(_) => self
                 .inner
                 .profiles
                 .as_ref()
                 .as_slice()
-                // audit:allow(no-panic): dense_profiles() just populated the cache on this path
                 .unwrap_or_else(|| panic!("profiles dense cache empty after materialization")),
-            // audit:allow(no-panic): documented compat surface — callers who need a typed error use try_profiles
+            #[expect(
+                clippy::panic,
+                reason = "documented compat surface — callers who need a typed error use try_profiles"
+            )]
             Err(e) => panic!("snapshot profiles unavailable: {e}"),
         }
     }

@@ -18,6 +18,7 @@ use std::time::Duration;
 /// One mutation of the profiled graph. The vertex set is fixed at
 /// build time; updates change edges and profiles.
 #[derive(Clone, Debug, PartialEq)]
+#[expect(clippy::exhaustive_enums, reason = "the WAL codec matches every update kind")]
 pub enum Update {
     /// Insert the undirected edge `{u, v}`. Inserting an existing edge
     /// is a counted no-op, not an error.
@@ -118,6 +119,7 @@ impl From<Vec<Update>> for UpdateBatch {
 
 /// How the CP-tree index was maintained across one applied batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "callers match every maintenance outcome")]
 pub enum IndexMaintenance {
     /// The previous epoch's index was cloned and patched in place —
     /// only the invalidated labels were revisited.

@@ -178,8 +178,14 @@ impl ClTree {
     /// The shared construction core: union-find sweep + DFS arena
     /// layout over `sub` with core numbers `cd`. `ids` maps local ids
     /// back to host ids (`None` = identity, the whole-graph path).
-    // audit:allow-block(no-index): build-time only (never on the query path); every index is a local vertex id < n or a node id < nodes.len() created by this very function
-    // audit:allow-block(no-panic): union is guarded by ra != rb and the arena holds exactly the member set it was just built from; a failure here is a construction bug, not an input condition
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time only (never on the query path); every index is a local vertex id < n or a node id < nodes.len() created by this very function"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "union is guarded by ra != rb and the arena holds exactly the member set it was just built from; a failure here is a construction bug, not an input condition"
+    )]
     fn assemble(sub: &Graph, cd: &CoreDecomposition, ids: Option<Vec<VertexId>>) -> ClTree {
         let n = sub.num_vertices();
         let to_host = |v: u32| ids.as_ref().map_or(v, |ids| ids[v as usize]);
@@ -356,7 +362,10 @@ impl ClTree {
     /// every member located inside its own node's own-vertex range.
     /// Per-member core numbers are derived (`core[node_of[i]]`), not
     /// trusted.
-    // audit:allow-block(no-index): this function IS the validator guarding the query path — all array lengths are cross-checked at entry and every id is range-checked before the first indexed use; a checked rewrite would obscure which line validates which invariant
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "this function IS the validator guarding the query path — all array lengths are cross-checked at entry and every id is range-checked before the first indexed use; a checked rewrite would obscure which line validates which invariant"
+    )]
     pub fn from_flat(flat: ClTreeFlat) -> Result<ClTree> {
         let corrupt = |detail: String| IndexError::CorruptIndex { detail };
         let n_nodes = flat.core.len();

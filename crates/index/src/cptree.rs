@@ -18,6 +18,7 @@ use pcs_ptree::{LabelId, PTree, ProfilesHandle};
 /// changes only — no-ops (duplicate insertions, absent removals,
 /// identical profile writes) must be filtered out by the caller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "each delta kind has its own patch rule")]
 pub enum GraphDelta {
     /// The undirected edge `{u, v}` was inserted.
     EdgeAdded {
@@ -110,6 +111,10 @@ pub(crate) fn classify_batch(
                 for w in [u, v] {
                     carried_memo.entry(w).or_insert_with(|| labels_before(profiles_before, w));
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "both endpoints were memoised just above"
+                )]
                 let (cu, cv) = (&carried_memo[&u], &carried_memo[&v]);
                 touch.edge_touch.extend(cu.intersection(cv));
                 let shared = cu.intersection(cv).map(|&l| l as usize).collect();
@@ -125,6 +130,10 @@ pub(crate) fn classify_batch(
                     "one ProfileChanged delta per vertex"
                 );
                 let old = labels_before(profiles_before, v);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "apply_batch's contract: every delta was applied to profiles_after, so v indexes it"
+                )]
                 let new: FxHashSet<LabelId> =
                     profiles_after[v as usize].nodes().iter().copied().collect();
                 for &label in new.difference(&old) {

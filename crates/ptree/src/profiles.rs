@@ -56,6 +56,7 @@ pub trait ProfileSource: Send + Sync {
 /// source. This is what [`QueryContext`](../..) and the algorithm layer
 /// read profiles through.
 #[derive(Clone, Copy)]
+#[expect(clippy::exhaustive_enums, reason = "resident or file-backed, nothing else")]
 pub enum ProfilesRef<'a> {
     /// Resident profiles.
     Slice(&'a [PTree]),
@@ -142,6 +143,7 @@ impl std::fmt::Debug for ProfilesRef<'_> {
 /// Owning, cheaply clonable profile storage: dense, or backed by a
 /// shared lazy source.
 #[derive(Clone)]
+#[expect(clippy::exhaustive_enums, reason = "resident or file-backed, nothing else")]
 pub enum ProfilesHandle {
     /// Resident profiles, shared by `Arc`.
     Dense(Arc<Vec<PTree>>),

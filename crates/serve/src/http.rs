@@ -24,6 +24,7 @@ pub const MAX_HEADERS: usize = 64;
 
 /// Request methods the protocol uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "the protocol uses exactly GET and POST")]
 pub enum Method {
     /// Read: queries, health, stats.
     Get,
@@ -100,6 +101,7 @@ impl std::error::Error for HttpError {}
 
 /// Result of a non-blocking readiness poll on a parked connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[expect(clippy::exhaustive_enums, reason = "the three outcomes of a readiness poll")]
 pub enum Poll {
     /// Bytes are buffered — a request is (at least partially) waiting.
     Data,

@@ -30,6 +30,9 @@
 //! ("Serving layer").
 
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 #![deny(missing_docs)]
 
 pub mod batch;

@@ -189,6 +189,7 @@ impl std::error::Error for ApiError {}
 
 /// The routes.
 #[derive(Clone, Debug, PartialEq)]
+#[expect(clippy::exhaustive_enums, reason = "the router matches every route")]
 pub enum Route {
     /// A validated community-search request.
     Query(QueryRequest),

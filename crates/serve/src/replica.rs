@@ -297,10 +297,16 @@ fn read_http_response(stream: &mut TcpStream) -> Result<(u16, Vec<u8>), ReplicaE
         if got == 0 {
             return Err(ReplicaError::Malformed("connection closed mid-head"));
         }
-        // audit:allow(no-index): `got` is the byte count this read returned, which is at most chunk.len() by the Read contract
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`got` is the byte count this read returned, which is at most chunk.len() by the Read contract"
+        )]
         buf.extend_from_slice(&chunk[..got]);
     };
-    // audit:allow(no-index): `head_end` is a window position from the loop above, so strictly less than buf.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head_end` is a window position from the loop above, so strictly less than buf.len()"
+    )]
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| ReplicaError::Malformed("head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
@@ -326,7 +332,10 @@ fn read_http_response(stream: &mut TcpStream) -> Result<(u16, Vec<u8>), ReplicaE
         if got == 0 {
             return Err(ReplicaError::Malformed("connection closed mid-body"));
         }
-        // audit:allow(no-index): `got` is the byte count this read returned, which is at most chunk.len() by the Read contract
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`got` is the byte count this read returned, which is at most chunk.len() by the Read contract"
+        )]
         body.extend_from_slice(&chunk[..got]);
     }
     if body.len() != content_length {

@@ -40,12 +40,29 @@ fn instance() -> (Graph, Taxonomy, Vec<PTree>) {
     (g, tax, profiles)
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
+/// A per-test scratch directory: a stale one from an aborted run is
+/// cleared on creation, and the guard removes its own on drop.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmp_dir(name: &str) -> TmpDir {
     let dir =
         std::env::temp_dir().join(format!("pcs-serve-replication-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 fn durable_engine(dir: &Path) -> Arc<PcsEngine> {
@@ -312,7 +329,8 @@ fn http_follower_converges_and_survives_restart() {
     // Phase 2: restart the follower mid-stream. Its state survives as
     // a plain snapshot; the new instance resumes from its own epoch,
     // not from zero — no frames are re-fetched below its watermark.
-    let parked = tmp_dir("follower-restart").join("parked.pcs");
+    let parked_dir = tmp_dir("follower-restart");
+    let parked = parked_dir.join("parked.pcs");
     follower.engine().save(&parked).unwrap();
     let parked_epoch = follower.epoch();
     drop(follower);

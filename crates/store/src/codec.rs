@@ -135,7 +135,10 @@ fn narrow_width(graph: &Graph, tax: &Taxonomy) -> bool {
 /// by u32 vertex/label counts); failing loudly beats serializing a
 /// checksum-valid lie — the same policy as [`SectionWriter::put_id_slice`].
 fn wire_u32(x: usize, what: &str) -> u32 {
-    // audit:allow(no-panic): writer contract — a wrapped length would serialize a checksum-valid corrupt file
+    #[expect(
+        clippy::panic,
+        reason = "writer contract — a wrapped length would serialize a checksum-valid corrupt file"
+    )]
     u32::try_from(x).unwrap_or_else(|_| panic!("{what} {x} overflows the u32 wire width"))
 }
 

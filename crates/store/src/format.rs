@@ -35,8 +35,10 @@ pub const FORMAT_VERSION: u32 = 3;
 /// section *table* (not a payload) fails its checksum.
 pub const SECTION_TABLE: u32 = u32::MAX;
 
-pub(crate) const HEADER_LEN: u64 = 24;
-pub(crate) const TABLE_ENTRY_LEN: u64 = 32;
+pub(crate) const HEADER_BYTES: usize = 24;
+pub(crate) const HEADER_LEN: u64 = HEADER_BYTES as u64;
+pub(crate) const TABLE_ENTRY_BYTES: usize = 32;
+pub(crate) const TABLE_ENTRY_LEN: u64 = TABLE_ENTRY_BYTES as u64;
 
 /// Most sections a file may declare (defense against forged headers;
 /// see the count check in [`FileSnapshot::open`](crate::FileSnapshot::open)).
@@ -381,15 +383,20 @@ impl SnapshotWriter {
     pub fn create(path: impl AsRef<Path>, sections: u32) -> Result<SnapshotWriter> {
         use std::io::Write as _;
         let path = path.as_ref().to_path_buf();
+        let table_len = TABLE_ENTRY_LEN * u64::from(sections);
+        let header_len =
+            usize::try_from(HEADER_LEN + table_len).map_err(|_| StoreError::Corrupt {
+                section: SECTION_TABLE,
+                detail: format!("{sections} sections overflow the address space"),
+            })?;
         let tmp = tmp_path_for(&path);
         let mut file = std::fs::File::create(&tmp).map_err(io_err("create"))?;
-        let table_len = TABLE_ENTRY_LEN * u64::from(sections);
-        let mut header = Vec::with_capacity((HEADER_LEN + table_len) as usize);
+        let mut header = Vec::with_capacity(header_len);
         header.extend_from_slice(&MAGIC);
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&sections.to_le_bytes());
         header.extend_from_slice(&0u64.to_le_bytes()); // table checksum, backpatched
-        header.resize((HEADER_LEN + table_len) as usize, 0); // table, backpatched
+        header.resize(header_len, 0); // table, backpatched
         let init = file.write_all(&header).map_err(io_err("write"));
         if let Err(e) = init {
             let _ = std::fs::remove_file(&tmp);
@@ -438,7 +445,7 @@ impl SnapshotWriter {
                 detail: format!("writer declared {want} sections but streamed {got}"),
             });
         }
-        let mut table = Vec::with_capacity((TABLE_ENTRY_LEN * u64::from(self.declared)) as usize);
+        let mut table = Vec::with_capacity(TABLE_ENTRY_BYTES * self.entries.len());
         for &(id, offset, len, sum) in &self.entries {
             table.extend_from_slice(&id.to_le_bytes());
             table.extend_from_slice(&0u32.to_le_bytes());

@@ -23,8 +23,8 @@
 //! a small fraction of the file" against this counter.
 
 use crate::format::{
-    le_u32, le_u64, xxh64, Result, StoreError, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_SECTIONS,
-    SECTION_TABLE, TABLE_ENTRY_LEN,
+    le_u32, le_u64, xxh64, Result, StoreError, FORMAT_VERSION, HEADER_BYTES, HEADER_LEN, MAGIC,
+    MAX_SECTIONS, SECTION_TABLE, TABLE_ENTRY_BYTES, TABLE_ENTRY_LEN,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +73,7 @@ impl FileSnapshot {
         if file_len < HEADER_LEN {
             return Err(StoreError::Truncated { needed: HEADER_LEN, actual: file_len });
         }
-        let mut header = [0u8; HEADER_LEN as usize];
+        let mut header = [0u8; HEADER_BYTES];
         read_at_into(&file, 0, &mut header, &bytes_read)?;
         let (magic, rest) = header.split_at(8);
         let (version_b, rest) = rest.split_at(4);
@@ -102,11 +102,16 @@ impl FileSnapshot {
             });
         }
         let stored_table_sum = le_u64(table_sum_b);
-        let table_end = HEADER_LEN + TABLE_ENTRY_LEN * count; // cannot overflow: count < 2^32
+        let table_len = TABLE_ENTRY_LEN * count; // cannot overflow: count <= MAX_SECTIONS
+        let table_end = HEADER_LEN + table_len;
         if table_end > file_len {
             return Err(StoreError::Truncated { needed: table_end, actual: file_len });
         }
-        let mut table = vec![0u8; (TABLE_ENTRY_LEN * count) as usize];
+        let table_bytes = usize::try_from(table_len).map_err(|_| StoreError::Corrupt {
+            section: SECTION_TABLE,
+            detail: format!("{count} sections overflow the address space"),
+        })?;
+        let mut table = vec![0u8; table_bytes];
         read_at_into(&file, HEADER_LEN, &mut table, &bytes_read)?;
         let table_sum = xxh64(&table, u64::from(FORMAT_VERSION));
         if table_sum != stored_table_sum {
@@ -116,8 +121,8 @@ impl FileSnapshot {
                 actual: table_sum,
             });
         }
-        let mut entries: Vec<SectionEntry> = Vec::with_capacity(count as usize);
-        for entry in table.chunks_exact(TABLE_ENTRY_LEN as usize) {
+        let mut entries: Vec<SectionEntry> = Vec::with_capacity(table.len() / TABLE_ENTRY_BYTES);
+        for entry in table.chunks_exact(TABLE_ENTRY_BYTES) {
             let (id_b, entry) = entry.split_at(4);
             let (_reserved, entry) = entry.split_at(4);
             let (offset_b, entry) = entry.split_at(8);

@@ -75,10 +75,12 @@ pub const WAL_VERSION: u32 = 1;
 pub const WAL_SECTION: u32 = u32::MAX - 1;
 
 /// Segment header length in bytes.
-pub const SEG_HEADER_LEN: u64 = 16;
+pub const SEG_HEADER_LEN: u64 = SEG_HEADER_BYTES as u64;
+const SEG_HEADER_BYTES: usize = 16;
 
 /// Record frame header length in bytes (length + epoch + checksum).
-pub const REC_HEADER_LEN: u64 = 20;
+pub const REC_HEADER_LEN: u64 = REC_HEADER_BYTES as u64;
+const REC_HEADER_BYTES: usize = 20;
 
 /// Largest payload a record may carry. A forged length field larger
 /// than this is classified as corruption immediately instead of
@@ -169,7 +171,7 @@ pub fn encode_record(epoch: u64, payload: &[u8]) -> Result<Vec<u8>> {
         .ok()
         .filter(|&l| l <= MAX_RECORD_LEN)
         .ok_or_else(|| corrupt(format!("record payload of {} bytes exceeds cap", payload.len())))?;
-    let mut out = Vec::with_capacity(REC_HEADER_LEN as usize + payload.len());
+    let mut out = Vec::with_capacity(REC_HEADER_BYTES + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&xxh64(payload, epoch).to_le_bytes());
@@ -213,7 +215,7 @@ pub fn decode_frames(bytes: &[u8], mut last_epoch: Option<u64>) -> FrameScan {
         if rest.is_empty() {
             break None;
         }
-        let Some(header) = rest.get(..REC_HEADER_LEN as usize) else {
+        let Some(header) = rest.get(..REC_HEADER_BYTES) else {
             break Some(format!("{} trailing bytes, shorter than a frame header", rest.len()));
         };
         let (len_b, header) = header.split_at(4);
@@ -226,7 +228,7 @@ pub fn decode_frames(bytes: &[u8], mut last_epoch: Option<u64>) -> FrameScan {
                 "frame at offset {pos} declares {len} payload bytes (cap {MAX_RECORD_LEN})"
             ));
         }
-        let body_start = REC_HEADER_LEN as usize;
+        let body_start = REC_HEADER_BYTES;
         let body_end = body_start + len as usize;
         let Some(payload) = rest.get(body_start..body_end) else {
             break Some(format!(
@@ -292,7 +294,7 @@ pub fn list_segments(dir: &Path) -> Result<Vec<SegmentInfo>> {
 /// hard error — truncating a log this build merely cannot read would
 /// destroy data.
 fn check_segment_header(bytes: &[u8]) -> Result<bool> {
-    let Some(header) = bytes.get(..SEG_HEADER_LEN as usize) else {
+    let Some(header) = bytes.get(..SEG_HEADER_BYTES) else {
         return Ok(false);
     };
     let (magic, header) = header.split_at(8);
@@ -367,7 +369,7 @@ fn scan(dir: &Path, after: Option<u64>, max_epoch: u64, max_bytes: u64) -> Resul
                 });
                 break;
             }
-            let body = bytes.get(SEG_HEADER_LEN as usize..).unwrap_or(&[]);
+            let body = bytes.get(SEG_HEADER_BYTES..).unwrap_or(&[]);
             let fs = decode_frames(body, last_epoch);
             for rec in fs.records {
                 last_epoch = Some(rec.epoch);
@@ -435,7 +437,7 @@ fn create_segment(dir: &Path, first_epoch: u64) -> Result<(File, u64)> {
         .write(true)
         .open(&path)
         .map_err(|e| io_err("wal-create", e))?;
-    let mut header = Vec::with_capacity(SEG_HEADER_LEN as usize);
+    let mut header = Vec::with_capacity(SEG_HEADER_BYTES);
     header.extend_from_slice(&WAL_MAGIC);
     header.extend_from_slice(&WAL_VERSION.to_le_bytes());
     header.extend_from_slice(&0u32.to_le_bytes());

@@ -249,6 +249,7 @@ fn absurd_section_count_is_rejected_fast() {
     let (bytes, _engine) = healthy_snapshot();
     let mut forged = bytes.clone();
     forged[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    #[expect(clippy::disallowed_methods, reason = "the test bounds the rejection's wall time")]
     let start = std::time::Instant::now();
     let err = must_fail_typed(&forged, "forged count");
     assert!(

@@ -4,14 +4,39 @@
 
 mod common;
 
-use common::{OwnedNarrow, OwnedVerify};
+use common::OwnedVerify;
+use pcs::core::verify::Community;
 use pcs::core::{IndexVerifier, QueryScratch, Verifier};
 use pcs::prelude::*;
 use pcs::ptree::enumerate::{count_all_subtrees, enumerate_rooted_subtrees, lemma1_upper_bound};
-use pcs::ptree::QuerySpace;
+use pcs::ptree::{QuerySpace, Subtree};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// Lemma-3 narrowing of `base` to an owned candidate `s` that adds
+/// position `added_pos` to `base`'s subtree.
+trait OwnedNarrow {
+    fn verify_from_base(
+        &mut self,
+        s: &Subtree,
+        base: &Arc<Vec<VertexId>>,
+        added_pos: u32,
+    ) -> Community;
+}
+
+impl OwnedNarrow for IndexVerifier<'_> {
+    fn verify_from_base(
+        &mut self,
+        s: &Subtree,
+        base: &Arc<Vec<VertexId>>,
+        added_pos: u32,
+    ) -> Community {
+        let id = self.ids_mut().intern(s);
+        self.verify_from_base_id(id, base, added_pos)
+    }
+}
 
 fn random_instance(seed: u64) -> (Graph, Taxonomy, Vec<PTree>) {
     let mut rng = SmallRng::seed_from_u64(seed);

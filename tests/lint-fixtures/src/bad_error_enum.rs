@@ -1,4 +1,5 @@
-// Fixture: a public error enum without #[non_exhaustive].
+//! An exported enum without `#[non_exhaustive]`.
+//! Raises `exhaustive_enums` once.
 
 /// Missing its forward-compatibility guard.
 #[derive(Debug)]
