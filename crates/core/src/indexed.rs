@@ -259,9 +259,19 @@ impl<'a> IndexVerifier<'a> {
                 self.core.stats.seed_scanned += base.len() as u64;
                 // candidates = base ∩ I.get(k, q, t): one O(1) bit test
                 // per base member, never a walk of the label's ĉore.
+                // Branch-free: every member is stored, and the cursor
+                // moves past it only when its bit is set.
                 let seed = &mut self.core.scratch.seed;
                 seed.clear();
-                seed.extend(base.iter().copied().filter(|&v| bit_is_set(bits, v)));
+                seed.resize(base.len(), 0);
+                let mut kept = 0;
+                for &v in base.iter() {
+                    if let Some(slot) = seed.get_mut(kept) {
+                        *slot = v;
+                    }
+                    kept += usize::from(bit_is_set(bits, v));
+                }
+                seed.truncate(kept);
                 if seed.len() == base.len() {
                     // The label removed nothing: `base` is already a
                     // connected k-core containing q made of carriers of

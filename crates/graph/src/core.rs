@@ -36,45 +36,47 @@ impl CoreDecomposition {
         let mut degree: Vec<u32> = (0..n).map(|v| g.degree(v as u32) as u32).collect();
         let max_deg = *degree.iter().max().unwrap() as usize;
 
-        // Bucket sort vertices by degree.
-        let mut bin = vec![0usize; max_deg + 2];
+        // Bucket sort vertices by degree (`u32` bins and positions).
+        let mut bin = vec![0u32; max_deg + 2];
         for &d in &degree {
             bin[d as usize] += 1;
         }
-        let mut start = 0usize;
+        let mut start = 0u32;
         for b in bin.iter_mut() {
             let count = *b;
             *b = start;
             start += count;
         }
         let mut vert = vec![0 as VertexId; n]; // vertices in degree order
-        let mut pos = vec![0usize; n]; // position of each vertex in `vert`
+        let mut pos = vec![0u32; n]; // position of each vertex in `vert`
         {
             let mut cursor = bin.clone();
             for v in 0..n {
                 let d = degree[v] as usize;
                 pos[v] = cursor[d];
-                vert[cursor[d]] = v as u32;
+                vert[cursor[d] as usize] = v as u32;
                 cursor[d] += 1;
             }
         }
 
         // Peel in non-decreasing degree order, decrementing neighbours.
+        // `v`'s degree is final when reached; `u` moves to its bin's
+        // head `w` by an unconditional swap (a no-op when `u == w`).
         for i in 0..n {
             let v = vert[i];
+            let dv = degree[v as usize];
             for &u in g.neighbors(v) {
-                if degree[u as usize] > degree[v as usize] {
-                    let du = degree[u as usize] as usize;
+                let du = degree[u as usize];
+                if du > dv {
                     let pu = pos[u as usize];
-                    let pw = bin[du];
-                    let w = vert[pw];
-                    if u != w {
-                        vert.swap(pu, pw);
-                        pos[u as usize] = pw;
-                        pos[w as usize] = pu;
-                    }
-                    bin[du] += 1;
-                    degree[u as usize] -= 1;
+                    let pw = bin[du as usize];
+                    let w = vert[pw as usize];
+                    vert[pu as usize] = w;
+                    vert[pw as usize] = u;
+                    pos[u as usize] = pw;
+                    pos[w as usize] = pu;
+                    bin[du as usize] += 1;
+                    degree[u as usize] = du - 1;
                 }
             }
         }
@@ -234,19 +236,26 @@ impl SubsetCore {
         }
         // `q` survives the peel only if it starts with k candidate
         // neighbours: a cheap screen that many infeasible sets fail.
-        let q_deg = g.neighbors(q).iter().filter(|&&u| self.is_live(u)).count();
-        if q_deg < k as usize {
+        // Branch-free on liveness, which a branch would mispredict:
+        // it is added or subtracted as an integer, and the queue stores
+        // every candidate but advances only past those with `d < k`.
+        let live_degree = |sc: &Self, v: VertexId| -> u32 {
+            g.neighbors(v).iter().map(|&u| u32::from(sc.is_live(u))).sum()
+        };
+        if live_degree(self, q) < k {
             return None;
         }
         // Degrees restricted to the candidate set.
         self.peel.clear();
+        self.peel.resize(candidates.len(), 0);
+        let mut queued = 0;
         for &v in candidates {
-            let d = g.neighbors(v).iter().filter(|&&u| self.is_live(u)).count() as u32;
+            let d = live_degree(self, v);
             self.deg[v as usize] = d;
-            if d < k {
-                self.peel.push(v);
-            }
+            self.peel[queued] = v;
+            queued += usize::from(d < k);
         }
+        self.peel.truncate(queued);
         // Iteratively peel under-degree vertices.
         while let Some(v) = self.peel.pop() {
             if !self.take(v) {
@@ -256,11 +265,11 @@ impl SubsetCore {
                 return None;
             }
             for &u in g.neighbors(v) {
-                if self.is_live(u) {
-                    self.deg[u as usize] -= 1;
-                    if self.deg[u as usize] == k.wrapping_sub(1) {
-                        self.peel.push(u);
-                    }
+                let live = u32::from(self.is_live(u));
+                let d = self.deg[u as usize].wrapping_sub(live);
+                self.deg[u as usize] = d;
+                if (live != 0) & (d == k.wrapping_sub(1)) {
+                    self.peel.push(u);
                 }
             }
         }

@@ -225,27 +225,48 @@ impl Graph {
         let mut old_ids: Vec<VertexId> = keep.to_vec();
         old_ids.sort_unstable();
         old_ids.dedup();
-        let mut new_id = vec![u32::MAX; self.num_vertices()];
-        for (new, &old) in old_ids.iter().enumerate() {
-            new_id[old as usize] = new as u32;
+        let sub = self.induced_subgraph_sorted(&old_ids, &mut Vec::new());
+        (sub, old_ids)
+    }
+
+    /// The subgraph induced by `keep` (sorted, duplicate-free; new id
+    /// `i` is `keep[i]`) over the caller's relabel map, indexed by host
+    /// id. The map must be all zero on entry (an empty one is replaced
+    /// by a zeroed allocation) and is all zero again on return, so one
+    /// map serves any number of calls, each in O(|keep| + Σ host degree
+    /// of `keep`): no term in the host's vertex count.
+    pub fn induced_subgraph_sorted(&self, keep: &[VertexId], relabel: &mut Vec<u32>) -> Graph {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep must be sorted and unique");
+        if relabel.len() < self.num_vertices() {
+            *relabel = vec![0; self.num_vertices()];
+        }
+        for (new, &old) in keep.iter().enumerate() {
+            relabel[old as usize] = new as u32 + 1;
         }
         // Direct CSR assembly: kept ids ascend and the host adjacency
         // lists are sorted, so each filtered, relabeled list comes out
         // sorted and symmetry/loop-freedom are inherited — one linear
-        // pass over the kept adjacency, no edge-list sort. (This is
-        // the per-shard build hot path of the sharded CP-tree index.)
-        let upper: usize = old_ids.iter().map(|&old| self.degree(old)).sum();
-        let mut offsets = Vec::with_capacity(old_ids.len() + 1);
+        // pass over the kept adjacency, no edge-list sort. Branch-free:
+        // each entry is stored, and kept (map entry `new id + 1`) only
+        // when the cursor moves past it.
+        let upper: usize = keep.iter().map(|&old| self.degree(old)).sum();
+        let mut offsets = Vec::with_capacity(keep.len() + 1);
         offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(upper);
-        for &old in &old_ids {
-            neighbors.extend(self.neighbors(old).iter().filter_map(|&nb| {
-                let id = new_id[nb as usize];
-                (id != u32::MAX).then_some(id)
-            }));
-            offsets.push(neighbors.len());
+        let mut neighbors = vec![0 as VertexId; upper];
+        let mut len = 0;
+        for &old in keep {
+            for &nb in self.neighbors(old) {
+                let id = relabel[nb as usize];
+                neighbors[len] = id.wrapping_sub(1);
+                len += usize::from(id != 0);
+            }
+            offsets.push(len);
         }
-        (Graph::from_csr_unchecked(offsets, neighbors), old_ids)
+        neighbors.truncate(len);
+        for &old in keep {
+            relabel[old as usize] = 0;
+        }
+        Graph::from_csr_unchecked(offsets, neighbors)
     }
 }
 

@@ -15,8 +15,6 @@
 //!   [`FxHashSet`] aliases (SipHash is needlessly slow for dense integer
 //!   keys; see the Rust perf book);
 //! * [`bitset`] — a dynamic bitset for P-tree node sets and label sets;
-//! * [`unionfind`] — a union-find with path halving + union by size, used
-//!   by the CL-tree construction in `pcs-index`;
 //! * [`gen`] — seeded random-graph primitives (G(n,m), preferential
 //!   attachment, planted overlapping groups) backing `pcs-datasets`;
 //! * [`io`] — a plain-text edge-list reader/writer.
@@ -47,7 +45,6 @@ pub mod graph;
 pub mod hash;
 pub mod io;
 pub mod lazy;
-pub mod unionfind;
 
 pub use bitset::BitSet;
 pub use components::{component_containing, connected_components};
@@ -56,7 +53,6 @@ pub use dynamic::{DynamicGraph, IncrementalCores};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use hash::{FxHashMap, FxHashSet};
 pub use lazy::{GraphHandle, GraphSource};
-pub use unionfind::UnionFind;
 
 /// Errors produced by the graph substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,11 +22,14 @@
 //! core levels from deepest to shallowest, union the newly activated
 //! vertices with already-active neighbours, and make the merged deeper
 //! nodes children of the freshly created level node — O(m·α(n)) total.
-//! Per-level grouping is a sort-then-partition over a scratch vector
-//! (no per-level hash maps).
+//! Levels are one counting-sorted array; the sweep reads only up-edges
+//! (neighbours of core ≥ the vertex's), one `find` each; each root's
+//! built nodes form an intrusive list; a level groups by sorting its
+//! distinct roots only. A subset build costs O(members + their host
+//! adjacency), with no term in the host's vertex count.
 
 use pcs_graph::core::CoreDecomposition;
-use pcs_graph::{Graph, UnionFind, VertexId};
+use pcs_graph::{Graph, VertexId};
 
 use crate::{IndexError, Result};
 
@@ -155,10 +158,20 @@ impl ClTree {
     /// Builds the CL-tree of the subgraph induced by `subset`
     /// (duplicates allowed; original vertex ids are retained).
     pub fn build_on_subset(g: &Graph, subset: &[VertexId]) -> ClTree {
-        let (sub, ids) = g.induced_subgraph(subset);
-        if sub.num_vertices() == 0 {
+        Self::build_with(g, subset, &mut Vec::new())
+    }
+
+    /// [`ClTree::build_on_subset`] over a caller-held relabel map (see
+    /// [`Graph::induced_subgraph_sorted`]), which a worker keeps across
+    /// its builds: a shard then costs O(members + their host adjacency).
+    pub(crate) fn build_with(g: &Graph, subset: &[VertexId], relabel: &mut Vec<u32>) -> ClTree {
+        let mut ids = subset.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.is_empty() {
             return Self::empty();
         }
+        let sub = g.induced_subgraph_sorted(&ids, relabel);
         let cd = CoreDecomposition::new(&sub);
         Self::assemble(&sub, &cd, Some(ids))
     }
@@ -178,155 +191,167 @@ impl ClTree {
     /// The shared construction core: union-find sweep + DFS arena
     /// layout over `sub` with core numbers `cd`. `ids` maps local ids
     /// back to host ids (`None` = identity, the whole-graph path).
+    /// Every buffer is sized by `sub`.
     #[expect(
         clippy::indexing_slicing,
-        reason = "build-time only (never on the query path); every index is a local vertex id < n or a node id < nodes.len() created by this very function"
-    )]
-    #[expect(
-        clippy::expect_used,
-        reason = "union is guarded by ra != rb and the arena holds exactly the member set it was just built from; a failure here is a construction bug, not an input condition"
+        reason = "build-time only (never on the query path); every index is a local vertex id < n, a node id < nodes.len(), a core level ≤ max_core, or a prefix sum of counts of these"
     )]
     fn assemble(sub: &Graph, cd: &CoreDecomposition, ids: Option<Vec<VertexId>>) -> ClTree {
+        /// Union-find root of `x`, with path halving; a root or a
+        /// root's child (the common case) returns without a store.
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            let p = parent[x as usize];
+            if parent[p as usize] == p {
+                return p;
+            }
+            while parent[x as usize] != x {
+                let gp = parent[parent[x as usize] as usize];
+                parent[x as usize] = gp;
+                x = gp;
+            }
+            x
+        }
         let n = sub.num_vertices();
+        let core = cd.core_numbers();
         let to_host = |v: u32| ids.as_ref().map_or(v, |ids| ids[v as usize]);
-        let max_core = cd.max_core();
+        let levels = cd.max_core() as usize + 1;
 
-        // Vertices bucketed by core level (local ids).
-        let mut at_level: Vec<Vec<u32>> = vec![Vec::new(); max_core as usize + 1];
-        for v in 0..n as u32 {
-            at_level[cd.core_number(v) as usize].push(v);
+        // Vertices bucketed by core level in one counting sort: level
+        // `c` is `by_level[level_off[c]..level_off[c + 1]]`, ascending.
+        let mut level_off = vec![0u32; levels + 1];
+        for &c in core {
+            level_off[c as usize + 1] += 1;
+        }
+        for c in 0..levels {
+            level_off[c + 1] += level_off[c];
+        }
+        let mut by_level = vec![0u32; n];
+        let mut cursor = level_off.clone();
+        for (v, &c) in core.iter().enumerate() {
+            by_level[cursor[c as usize] as usize] = v as u32;
+            cursor[c as usize] += 1;
         }
 
-        let mut uf = UnionFind::new(n);
-        let mut active = vec![false; n];
-        // Maximal already-built node ids inside each component, indexed
-        // by the component's current union-find root (no hash map: root
-        // ids are local vertex ids < n).
-        let mut attached: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Union by size (ties keep the first argument's root).
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut size = vec![1u32; n];
+        // Each component's maximal built nodes, as an intrusive list
+        // keyed by the component's current root (`head`/`tail` per
+        // root, `next` per node), so a union appends in O(1).
+        let (mut head, mut tail, mut next) = (vec![NONE; n], vec![NONE; n], Vec::new());
         let mut nodes: Vec<ClNode> = Vec::new();
-        // Children per node during construction; flattened into the
-        // `kids` arena once the forest shape is final.
-        let mut child_lists: Vec<Vec<u32>> = Vec::new();
-        // Own vertices of every node (original host ids), flat with
-        // per-node `(offset, len)` runs — one allocation for the whole
-        // build instead of one per node; copied into the arena once
-        // the forest shape is final.
-        let mut own_flat: Vec<VertexId> = Vec::with_capacity(n);
-        let mut own_runs: Vec<(u32, u32)> = Vec::new();
-        let mut node_of_local = vec![NONE; n];
-        // Scratch for the per-level sort-then-partition grouping.
-        let mut level_buf: Vec<(u32, u32)> = Vec::new();
+        // Child ids, one run per node, appended when the node is made
+        // (its children are final then, and ids ascend).
+        let mut kids: Vec<u32> = Vec::new();
+        // Own vertices (local ids), one run per node in creation order.
+        let mut own = vec![0u32; n];
+        // Grouping scratch: `count[r]` counts this level's vertices under
+        // root `r` (0 between levels), then places them.
+        let mut count = vec![0u32; n];
+        let (mut level_roots, mut roots) = (Vec::new(), Vec::new());
+        let mut filled = 0u32;
 
-        for c in (0..=max_core).rev() {
-            let level = &at_level[c as usize];
+        for c in (0..levels as u32).rev() {
+            let level =
+                &by_level[level_off[c as usize] as usize..level_off[c as usize + 1] as usize];
+            // Union each vertex with its up-neighbours (core ≥ its own,
+            // so active), its current root in hand: one `find` per edge.
             for &v in level {
-                active[v as usize] = true;
-            }
-            for &v in level {
+                let mut rv = find(&mut parent, v);
                 for &u in sub.neighbors(v) {
-                    if active[u as usize] {
-                        let (ra, rb) = (uf.find(v), uf.find(u));
-                        if ra != rb {
-                            let rnew = uf.union(ra, rb).expect("distinct roots");
-                            let rold = if rnew == ra { rb } else { ra };
-                            let moved = std::mem::take(&mut attached[rold as usize]);
-                            attached[rnew as usize].extend(moved);
+                    let ru = if core[u as usize] < c { rv } else { find(&mut parent, u) };
+                    if ru == rv {
+                        continue;
+                    }
+                    let (big, small) =
+                        if size[rv as usize] >= size[ru as usize] { (rv, ru) } else { (ru, rv) };
+                    parent[small as usize] = big;
+                    size[big as usize] += size[small as usize];
+                    let moved = std::mem::replace(&mut head[small as usize], NONE);
+                    if moved != NONE {
+                        match tail[big as usize] {
+                            NONE => head[big as usize] = moved,
+                            t => next[t as usize] = moved,
                         }
+                        tail[big as usize] = tail[small as usize];
                     }
+                    rv = big;
                 }
             }
-            // Group this level's vertices by final component root:
-            // sort (root, vertex) pairs, then walk the runs. Sorting by
-            // the pair also leaves each group's vertices sorted.
-            level_buf.clear();
-            level_buf.extend(level.iter().map(|&v| (uf.find(v), v)));
-            level_buf.sort_unstable();
-            let mut i = 0;
-            while i < level_buf.len() {
-                let root = level_buf[i].0;
-                let mut j = i;
-                while j < level_buf.len() && level_buf[j].0 == root {
-                    j += 1;
+            // One node per distinct final root, in ascending root order,
+            // holding its vertices in ascending order: only the distinct
+            // roots are sorted; the vertices are placed by counting.
+            level_roots.clear();
+            roots.clear();
+            for &v in level {
+                let r = find(&mut parent, v);
+                level_roots.push(r);
+                if count[r as usize] == 0 {
+                    roots.push(r);
                 }
+                count[r as usize] += 1;
+            }
+            roots.sort_unstable();
+            for &r in &roots {
                 let id = nodes.len() as u32;
-                let children = std::mem::take(&mut attached[root as usize]);
-                for &ch in &children {
+                let (own_len, kids_off) = (count[r as usize], kids.len() as u32);
+                count[r as usize] = filled;
+                let mut ch = head[r as usize];
+                while ch != NONE {
                     nodes[ch as usize].parent = id;
+                    kids.push(ch);
+                    ch = next[ch as usize];
                 }
-                for &(_, v) in &level_buf[i..j] {
-                    node_of_local[v as usize] = id;
-                }
-                let off = own_flat.len() as u32;
-                own_flat.extend(level_buf[i..j].iter().map(|&(_, v)| to_host(v)));
-                own_runs.push((off, (j - i) as u32));
-                child_lists.push(children);
-                nodes.push(ClNode {
-                    core: c,
-                    parent: NONE,
-                    sub_off: 0,
-                    sub_len: 0,
-                    own_len: 0,
-                    kids_off: 0,
-                    kids_len: 0,
-                });
-                attached[root as usize].push(id);
-                i = j;
+                (head[r as usize], tail[r as usize]) = (id, id);
+                next.push(NONE);
+                filled += own_len;
+                let kids_len = kids.len() as u32 - kids_off;
+                nodes.push(ClNode { core: c, own_len, kids_off, kids_len, ..EMPTY_NODE });
+            }
+            for (&v, &r) in level.iter().zip(&level_roots) {
+                own[count[r as usize] as usize] = v;
+                count[r as usize] += 1;
+            }
+            for &r in &roots {
+                count[r as usize] = 0;
             }
         }
-        debug_assert!(node_of_local.iter().all(|&x| x != NONE));
 
-        // Lay the arena out in DFS order (own vertices before child
-        // subtrees) and record per-node subtree ranges.
-        let mut arena: Vec<VertexId> = Vec::with_capacity(n);
-        enum Step {
-            Enter(u32),
-            Exit(u32),
-        }
-        let mut stack: Vec<Step> = (0..nodes.len() as u32)
-            .rev()
-            .filter(|&id| nodes[id as usize].parent == NONE)
-            .map(Step::Enter)
-            .collect();
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Enter(id) => {
-                    let node = &mut nodes[id as usize];
-                    node.sub_off = arena.len() as u32;
-                    let (off, len) = own_runs[id as usize];
-                    node.own_len = len;
-                    arena.extend_from_slice(&own_flat[off as usize..(off + len) as usize]);
-                    stack.push(Step::Exit(id));
-                    for &ch in child_lists[id as usize].iter().rev() {
-                        stack.push(Step::Enter(ch));
-                    }
-                }
-                Step::Exit(id) => {
-                    let node = &mut nodes[id as usize];
-                    node.sub_len = arena.len() as u32 - node.sub_off;
-                }
+        // The DFS layout (roots in id order; each node's own vertices,
+        // then its children's subtrees in `kids` order) without a stack:
+        // subtree sizes bottom-up and offsets top-down, since a child's
+        // id is below its parent's. Local id `v` is sorted member `v`.
+        for id in 0..nodes.len() {
+            let node = &mut nodes[id];
+            node.sub_len += node.own_len;
+            let (p, len) = (node.parent, node.sub_len);
+            if p != NONE {
+                nodes[p as usize].sub_len += len;
             }
         }
-        debug_assert_eq!(arena.len(), n);
-        // Flatten the per-node child lists into one arena.
-        let mut kids: Vec<u32> = Vec::with_capacity(nodes.len());
-        for (id, list) in child_lists.into_iter().enumerate() {
-            nodes[id].kids_off = kids.len() as u32;
-            nodes[id].kids_len = list.len() as u32;
-            kids.extend(list);
+        let mut off = 0;
+        for node in nodes.iter_mut().filter(|node| node.parent == NONE) {
+            (node.sub_off, off) = (off, off + node.sub_len);
         }
-        // Invert the arena: where did each (sorted) member land?
-        let mut arena_pos = vec![0u32; n];
-        for (pos, &v) in arena.iter().enumerate() {
-            let i = match &ids {
-                Some(ids) => ids.binary_search(&v).expect("arena holds exactly the members"),
-                None => v as usize,
-            };
-            arena_pos[i] = pos as u32;
+        for id in (0..nodes.len()).rev() {
+            let ClNode { sub_off, own_len, kids_off, kids_len, .. } = nodes[id];
+            let mut off = sub_off + own_len;
+            for &ch in &kids[kids_off as usize..(kids_off + kids_len) as usize] {
+                (nodes[ch as usize].sub_off, off) = (off, off + nodes[ch as usize].sub_len);
+            }
         }
+        let (mut arena, mut arena_pos, mut node_of) = (vec![0; n], vec![0u32; n], vec![NONE; n]);
+        let mut run = own.iter();
+        for (id, node) in (0..).zip(&nodes) {
+            for (pos, &v) in (node.sub_off..).zip(run.by_ref().take(node.own_len as usize)) {
+                (arena[pos as usize], arena_pos[v as usize], node_of[v as usize]) =
+                    (to_host(v), pos, id);
+            }
+        }
+        debug_assert!(node_of.iter().all(|&x| x != NONE));
 
-        let core_of: Vec<u32> = (0..n as u32).map(|v| cd.core_number(v)).collect();
-        let members = ids.unwrap_or_else(|| (0..n as VertexId).collect());
-        ClTree { nodes, kids, arena, members, node_of: node_of_local, core_of, arena_pos }
+        let (core_of, members) = (core.to_vec(), ids.unwrap_or_else(|| (0..n as u32).collect()));
+        ClTree { nodes, kids, arena, members, node_of, core_of, arena_pos }
     }
 
     /// Exports the tree's complete persistent state as flat arrays
@@ -720,6 +745,231 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Disjoint-set forest with path halving and union by size (ties
+    /// keep the first argument's root) — the reference build's.
+    struct UnionFind {
+        parent: Vec<u32>,
+        size: Vec<u32>,
+    }
+
+    impl UnionFind {
+        fn new(n: usize) -> Self {
+            UnionFind { parent: (0..n as u32).collect(), size: vec![1; n] }
+        }
+
+        fn find(&mut self, mut x: u32) -> u32 {
+            loop {
+                let p = self.parent[x as usize];
+                if p == x {
+                    return x;
+                }
+                let gp = self.parent[p as usize];
+                self.parent[x as usize] = gp;
+                x = gp;
+            }
+        }
+
+        fn union(&mut self, a: u32, b: u32) -> Option<u32> {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra == rb {
+                return None;
+            }
+            let (big, small) =
+                if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
+            self.parent[small as usize] = big;
+            self.size[big as usize] += self.size[small as usize];
+            Some(big)
+        }
+    }
+
+    /// The reference subset build: the induced subgraph from a filtered
+    /// edge list (no relabel map), then [`reference_assemble`].
+    fn reference_build_on_subset(g: &Graph, subset: &[VertexId]) -> ClTree {
+        let mut ids = subset.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.is_empty() {
+            return ClTree::empty();
+        }
+        let local = |v: VertexId| ids.binary_search(&v).ok().map(|i| i as u32);
+        let edges: Vec<(u32, u32)> =
+            g.edges().filter_map(|(a, b)| Some((local(a)?, local(b)?))).collect();
+        let sub = Graph::from_edges(ids.len(), &edges).unwrap();
+        let cd = CoreDecomposition::new(&sub);
+        reference_assemble(&sub, &cd, Some(ids))
+    }
+
+    /// The straightforward construction the optimized `assemble` must
+    /// reproduce byte for byte: per-level `Vec`s, an `active` flag per
+    /// vertex with two `find`s per active edge, `Vec` lists of attached
+    /// nodes per root, a `(root, vertex)` sort per level, per-node
+    /// child lists, and one binary search per member for `arena_pos`.
+    fn reference_assemble(
+        sub: &Graph,
+        cd: &CoreDecomposition,
+        ids: Option<Vec<VertexId>>,
+    ) -> ClTree {
+        let n = sub.num_vertices();
+        let to_host = |v: u32| ids.as_ref().map_or(v, |ids| ids[v as usize]);
+        let max_core = cd.max_core();
+        let mut at_level: Vec<Vec<u32>> = vec![Vec::new(); max_core as usize + 1];
+        for v in 0..n as u32 {
+            at_level[cd.core_number(v) as usize].push(v);
+        }
+        let mut uf = UnionFind::new(n);
+        let mut active = vec![false; n];
+        let mut attached: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut nodes: Vec<ClNode> = Vec::new();
+        let mut child_lists: Vec<Vec<u32>> = Vec::new();
+        let mut own_flat: Vec<VertexId> = Vec::with_capacity(n);
+        let mut own_runs: Vec<(u32, u32)> = Vec::new();
+        let mut node_of_local = vec![NONE; n];
+        let mut level_buf: Vec<(u32, u32)> = Vec::new();
+        for c in (0..=max_core).rev() {
+            let level = &at_level[c as usize];
+            for &v in level {
+                active[v as usize] = true;
+            }
+            for &v in level {
+                for &u in sub.neighbors(v) {
+                    if active[u as usize] {
+                        let (ra, rb) = (uf.find(v), uf.find(u));
+                        if ra != rb {
+                            let rnew = uf.union(ra, rb).unwrap();
+                            let rold = if rnew == ra { rb } else { ra };
+                            let moved = std::mem::take(&mut attached[rold as usize]);
+                            attached[rnew as usize].extend(moved);
+                        }
+                    }
+                }
+            }
+            level_buf.clear();
+            level_buf.extend(level.iter().map(|&v| (uf.find(v), v)));
+            level_buf.sort_unstable();
+            let mut i = 0;
+            while i < level_buf.len() {
+                let root = level_buf[i].0;
+                let mut j = i;
+                while j < level_buf.len() && level_buf[j].0 == root {
+                    j += 1;
+                }
+                let id = nodes.len() as u32;
+                let children = std::mem::take(&mut attached[root as usize]);
+                for &ch in &children {
+                    nodes[ch as usize].parent = id;
+                }
+                for &(_, v) in &level_buf[i..j] {
+                    node_of_local[v as usize] = id;
+                }
+                let off = own_flat.len() as u32;
+                own_flat.extend(level_buf[i..j].iter().map(|&(_, v)| to_host(v)));
+                own_runs.push((off, (j - i) as u32));
+                child_lists.push(children);
+                nodes.push(EMPTY_NODE);
+                nodes[id as usize].core = c;
+                attached[root as usize].push(id);
+                i = j;
+            }
+        }
+        let mut arena: Vec<VertexId> = Vec::with_capacity(n);
+        enum Step {
+            Enter(u32),
+            Exit(u32),
+        }
+        let mut stack: Vec<Step> = (0..nodes.len() as u32)
+            .rev()
+            .filter(|&id| nodes[id as usize].parent == NONE)
+            .map(Step::Enter)
+            .collect();
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter(id) => {
+                    let node = &mut nodes[id as usize];
+                    node.sub_off = arena.len() as u32;
+                    let (off, len) = own_runs[id as usize];
+                    node.own_len = len;
+                    arena.extend_from_slice(&own_flat[off as usize..(off + len) as usize]);
+                    stack.push(Step::Exit(id));
+                    for &ch in child_lists[id as usize].iter().rev() {
+                        stack.push(Step::Enter(ch));
+                    }
+                }
+                Step::Exit(id) => {
+                    let node = &mut nodes[id as usize];
+                    node.sub_len = arena.len() as u32 - node.sub_off;
+                }
+            }
+        }
+        let mut kids: Vec<u32> = Vec::new();
+        for (id, list) in child_lists.into_iter().enumerate() {
+            nodes[id].kids_off = kids.len() as u32;
+            nodes[id].kids_len = list.len() as u32;
+            kids.extend(list);
+        }
+        let mut arena_pos = vec![0u32; n];
+        for (pos, &v) in arena.iter().enumerate() {
+            let i = match &ids {
+                Some(ids) => ids.binary_search(&v).unwrap(),
+                None => v as usize,
+            };
+            arena_pos[i] = pos as u32;
+        }
+        let core_of: Vec<u32> = (0..n as u32).map(|v| cd.core_number(v)).collect();
+        let members = ids.unwrap_or_else(|| (0..n as VertexId).collect());
+        ClTree { nodes, kids, arena, members, node_of: node_of_local, core_of, arena_pos }
+    }
+
+    /// The optimized build lays out exactly the reference's tree — same
+    /// node numbering, arena order, children and member positions — on
+    /// random graphs and subsets (duplicates, the empty subset, single
+    /// vertices, disconnected subsets, isolated vertices) and on the
+    /// whole-graph path, with one relabel map reused across all builds.
+    #[test]
+    fn build_matches_reference_layout() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(45);
+        let mut relabel = Vec::new();
+        let same = |got: &ClTree, want: &ClTree, what: &str| {
+            assert_eq!(got.to_flat(), want.to_flat(), "{what}");
+            assert_eq!(got.kids, want.kids, "{what}: kids");
+            assert_eq!(got.core_of, want.core_of, "{what}: core_of");
+        };
+        for trial in 0..120 {
+            // Sparse graphs leave isolated vertices and many components;
+            // dense ones give deep core hierarchies.
+            let n = rng.gen_range(1..90usize);
+            let p = [0.02, 0.06, 0.15, 0.35][trial % 4];
+            let mut edges = Vec::new();
+            for a in 0..n as u32 {
+                for b in (a + 1)..n as u32 {
+                    if rng.gen_bool(p) {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let g = Graph::from_edges(n, &edges).unwrap();
+            let cd = CoreDecomposition::new(&g);
+            same(&ClTree::build_full(&g, &cd), &reference_assemble(&g, &cd, None), "full");
+            let keep = rng.gen_range(0.0..1.0);
+            let mut subset: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(keep)).collect();
+            // Duplicates, in any order.
+            for _ in 0..rng.gen_range(0..4) {
+                if let Some(&v) = subset.get(rng.gen_range(0..subset.len().max(1))) {
+                    subset.push(v);
+                }
+            }
+            if trial % 3 == 0 {
+                subset.reverse();
+            }
+            for s in [&subset[..], &[], &[rng.gen_range(0..n as u32)]] {
+                let got = ClTree::build_with(&g, s, &mut relabel);
+                same(&got, &reference_build_on_subset(&g, s), &format!("subset {s:?}"));
+            }
+            assert!(relabel.iter().all(|&x| x == 0), "the relabel map is left clear");
+        }
     }
 
     #[test]

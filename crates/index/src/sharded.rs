@@ -7,7 +7,8 @@
 //! them to exist at once: the index is one [`IndexShard`] per populated
 //! label behind a [`ShardedCpIndex`] facade. Fully materialized, build
 //! cost is `O(|P| · m · α(n))` and space `O(|P| · n)` as analyzed in
-//! the paper.
+//! the paper; one shard costs O(its members + their host adjacency),
+//! with no term in `n`.
 //!
 //! * the **facade** (per-label member lists over the epoch's shared
 //!   profile `Arc`) is built eagerly — one bucketing pass, no
@@ -424,17 +425,24 @@ impl ShardedCpIndex {
     /// distinct labels proceed independently; the same label is built
     /// exactly once per epoch.
     pub fn shard(&self, label: LabelId) -> Option<&IndexShard> {
+        self.shard_with(label, &mut Vec::new())
+    }
+
+    /// [`shard`](Self::shard) over a caller-held relabel map for the
+    /// induced-subgraph build (see [`ClTree::build_with`]).
+    fn shard_with(&self, label: LabelId, relabel: &mut Vec<u32>) -> Option<&IndexShard> {
         let i = label as usize;
         if self.member_len(i) == 0 {
             return None;
         }
-        Some(self.slots.get(i)?.get_or_init(|| Arc::new(self.build_shard(label))))
+        Some(self.slots.get(i)?.get_or_init(|| Arc::new(self.build_shard(label, relabel))))
     }
 
     /// Materializes every populated shard, fanning out over up to
     /// `threads` workers (work-stealing over labels: static chunking
     /// would strand the few giant labels — root, top-level areas — on
-    /// one worker). Idempotent.
+    /// one worker). Each worker keeps one relabel map for the shards it
+    /// builds; it is dropped when the call returns. Idempotent.
     pub fn materialize_all(&self, threads: usize) {
         let pending: Vec<LabelId> = self
             .members_of
@@ -447,21 +455,17 @@ impl ShardedCpIndex {
         if pending.is_empty() {
             return;
         }
-        let threads = threads.max(1).min(pending.len());
-        if threads == 1 {
-            for &label in &pending {
-                let _ = self.shard(label);
-            }
-            return;
-        }
         let next = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let (pending, next) = (&pending, &next);
-            for _ in 0..threads {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&label) = pending.get(i) else { break };
-                    let _ = self.shard(label);
+            for _ in 0..threads.max(1).min(pending.len()) {
+                scope.spawn(move || {
+                    let mut relabel = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(&label) = pending.get(i) else { break };
+                        let _ = self.shard_with(label, &mut relabel);
+                    }
                 });
             }
         });
@@ -470,7 +474,7 @@ impl ShardedCpIndex {
     /// Builds (or rehydrates) one shard. Root-sized shards reuse the
     /// shared global core decomposition; everything else peels its
     /// induced subgraph.
-    fn build_shard(&self, label: LabelId) -> IndexShard {
+    fn build_shard(&self, label: LabelId, relabel: &mut Vec<u32>) -> IndexShard {
         let members: &[VertexId] = self.members(label as usize);
         if self.source_live.get(label as usize).copied().unwrap_or(false) {
             if let Some(source) = &self.source {
@@ -497,7 +501,7 @@ impl ShardedCpIndex {
                 None => ClTree::build_full(graph, &CoreDecomposition::new(graph)),
             }
         } else {
-            ClTree::build_on_subset(graph, members)
+            ClTree::build_with(graph, members, relabel)
         };
         IndexShard { label, cl }
     }
