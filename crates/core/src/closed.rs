@@ -39,17 +39,11 @@
 //!
 //! What one query proves, later ones reuse: every community found is
 //! stored with its closure in the index's community table under the
-//! label sets of `T + p` and `cl(T + p)`, and a child whose label set
-//! holds a stored community containing `q` takes that community and
-//! closure with no verification (`IndexVerifier::closed_child`). `Gk`
-//! is the root-only entry. A write keeps every entry its batch cannot
-//! change: a `(key S, community C)` pair goes only when a reprofiled
-//! vertex carries `S`, an added edge joins two carriers of `S` not both
-//! in `C`, or a removed edge lies inside `C`. A kept pair has the same
-//! carriers of `S` and the same member profiles on both sides, every
-//! added edge among the carriers inside `C` and every removed one
-//! outside it, so `C` is still the component and `cl(C)` its closure
-//! (`CommunityTable::carry` in `pcs-index` has the proof).
+//! label sets of `T + p` and `cl(T + p)`, each in any order. A child
+//! whose label set holds a stored community containing `q` takes that
+//! community and closure unverified (`IndexVerifier::closed_child`).
+//! `Gk` is the root-only entry. A write keeps every entry its batch
+//! provably leaves unchanged (`pcs-index`'s `CommunityTable::carry`).
 //!
 //! [`Algorithm::Auto`]: crate::Algorithm::Auto
 

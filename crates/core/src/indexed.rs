@@ -79,9 +79,6 @@ pub struct IndexVerifier<'a> {
     /// Scratch for `close_id`: the closure's word image under
     /// construction.
     closure_words: Vec<u64>,
-    /// Scratch for community-table keys: sorted taxonomy labels.
-    label_buf: Vec<LabelId>,
-    closed_label_buf: Vec<LabelId>,
 }
 
 impl<'a> IndexVerifier<'a> {
@@ -98,7 +95,7 @@ impl<'a> IndexVerifier<'a> {
         k: u32,
         scratch: &'a mut QueryScratch,
     ) -> Self {
-        let proven = index.proven_community(k, &[Taxonomy::ROOT], q).map(|(_, gk)| gk);
+        let proven = index.proven_community(k, [Taxonomy::ROOT], q).map(|(_, gk)| gk);
         let hit = proven.is_some();
         let gk = proven.or_else(|| ctx.cores.kcore_component(ctx.graph, q, k).map(shared));
         let mut core = VerifyCore::new(ctx, space, q, k, scratch, gk);
@@ -111,8 +108,6 @@ impl<'a> IndexVerifier<'a> {
             leaf_buf: Vec::new(),
             children_buf: Vec::new(),
             closure_words: Vec::new(),
-            label_buf: Vec::new(),
-            closed_label_buf: Vec::new(),
         }
     }
 
@@ -376,12 +371,7 @@ impl<'a> IndexVerifier<'a> {
             return closed;
         }
         let closed = self.close_id(id, community);
-        let (mut labels, mut closed_labels) =
-            (std::mem::take(&mut self.label_buf), std::mem::take(&mut self.closed_label_buf));
-        self.labels_into(id, &mut labels);
-        self.labels_into(closed, &mut closed_labels);
-        self.index.remember_community(self.core.k, &labels, &closed_labels, community);
-        (self.label_buf, self.closed_label_buf) = (labels, closed_labels);
+        self.index.remember_community(self.core.k, self.labels(id), self.labels(closed), community);
         closed
     }
 
@@ -389,11 +379,8 @@ impl<'a> IndexVerifier<'a> {
     /// label set contains `q`. `q` carries every label of the stored
     /// closure, so each maps back into `T(q)`.
     fn proven(&mut self, id: SubtreeId) -> Option<(SubtreeId, Arc<Vec<VertexId>>)> {
-        let mut labels = std::mem::take(&mut self.label_buf);
-        self.labels_into(id, &mut labels);
-        let hit = self.index.proven_community(self.core.k, &labels, self.core.q);
-        self.label_buf = labels;
-        let (closed_labels, community) = hit?;
+        let (closed_labels, community) =
+            self.index.proven_community(self.core.k, self.labels(id), self.core.q)?;
         let mut closed = self.core.space.empty();
         for &label in closed_labels.iter() {
             closed.insert(self.core.space.position_of(label)?);
@@ -401,11 +388,11 @@ impl<'a> IndexVerifier<'a> {
         Some((self.core.interner.intern(&closed), community))
     }
 
-    /// The sorted taxonomy labels of `id`: its community-table key.
-    fn labels_into(&self, id: SubtreeId, out: &mut Vec<LabelId>) {
-        out.clear();
-        out.extend(self.core.interner.positions(id).map(|p| self.core.space.label_at(p)));
-        out.sort_unstable();
+    /// The taxonomy labels of `id`, in position order: its label set in
+    /// the community table.
+    fn labels(&self, id: SubtreeId) -> impl Iterator<Item = LabelId> + Clone + '_ {
+        let space = self.core.space;
+        self.core.interner.positions(id).map(move |p| space.label_at(p))
     }
 
     /// True when `id` is feasible and every lattice child is infeasible

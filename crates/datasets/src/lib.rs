@@ -27,7 +27,6 @@
 
 pub mod ego;
 pub mod gen;
-pub mod io;
 pub mod queries;
 pub mod scale;
 pub mod suite;
@@ -35,7 +34,6 @@ pub mod taxonomy;
 pub mod updates;
 
 pub use gen::{DatasetSpec, ProfiledDataset};
-pub use io::{load_dataset, save_dataset};
 pub use queries::sample_query_vertices;
 pub use suite::{SuiteConfig, SuiteDataset};
 pub use updates::{update_stream, StreamOp, TimedOp, UpdateStreamSpec};

@@ -16,8 +16,7 @@
 //!   keys; see the Rust perf book);
 //! * [`bitset`] — a dynamic bitset for P-tree node sets and label sets;
 //! * [`gen`] — seeded random-graph primitives (G(n,m), preferential
-//!   attachment, planted overlapping groups) backing `pcs-datasets`;
-//! * [`io`] — a plain-text edge-list reader/writer.
+//!   attachment, planted overlapping groups) backing `pcs-datasets`.
 //!
 //! ## Quick example
 //!
@@ -43,7 +42,6 @@ pub mod dynamic;
 pub mod gen;
 pub mod graph;
 pub mod hash;
-pub mod io;
 pub mod lazy;
 
 pub use bitset::BitSet;
@@ -65,15 +63,6 @@ pub enum GraphError {
         /// The declared vertex count.
         n: usize,
     },
-    /// A text edge list could not be parsed.
-    Parse {
-        /// 1-based line number of the malformed record.
-        line: usize,
-        /// Human-readable cause.
-        message: String,
-    },
-    /// An I/O error surfaced while reading or writing a graph file.
-    Io(String),
     /// A mutation would create a self-loop, which no PCS algorithm
     /// supports.
     SelfLoop {
@@ -94,10 +83,6 @@ impl std::fmt::Display for GraphError {
             GraphError::VertexOutOfRange { vertex, n } => {
                 write!(f, "vertex id {vertex} out of range for graph with {n} vertices")
             }
-            GraphError::Parse { line, message } => {
-                write!(f, "edge list parse error at line {line}: {message}")
-            }
-            GraphError::Io(e) => write!(f, "graph i/o error: {e}"),
             GraphError::SelfLoop { vertex } => {
                 write!(f, "self-loop at vertex {vertex} is not allowed")
             }
@@ -109,12 +94,6 @@ impl std::fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io(e.to_string())
-    }
-}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

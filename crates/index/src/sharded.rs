@@ -159,12 +159,8 @@ pub struct ShardedCpIndex {
     /// queries. A clone shares it; every `&mut self` method swaps in a
     /// new one before it mutates, so no reader of an older epoch can
     /// write into it. [`apply_batch`](Self::apply_batch) starts it with
-    /// the entries its batch provably leaves unchanged: a `(key S,
-    /// community C)` pair is dropped when a reprofiled vertex carries
-    /// `S` before or after, when an added edge joins two carriers of `S`
-    /// not both in `C`, or when a removed edge lies inside `C`
-    /// ([`CommunityTable::carry`] has the proof). Every other method
-    /// starts it empty.
+    /// the entries its batch provably leaves unchanged
+    /// ([`CommunityTable::carry`]); every other method starts it empty.
     communities: Arc<RwLock<CommunityTable>>,
     n: usize,
 }
@@ -340,23 +336,26 @@ impl ShardedCpIndex {
         self.global_cores = Some(cores);
     }
 
-    /// The community an earlier query proved under `(k, labels)` that
-    /// contains `q`, with its closed label set (see
-    /// [`remember_community`](Self::remember_community)). `None` says
-    /// nothing about feasibility. A poisoned table reads as empty.
-    pub fn proven_community(&self, k: u32, labels: &[LabelId], q: VertexId) -> Option<Proof> {
+    /// The community an earlier query proved under `(k, labels)`, a
+    /// label set in any order, that contains `q`, with its closed label
+    /// set. `None` says nothing about feasibility. A poisoned table
+    /// reads as empty.
+    pub fn proven_community<I>(&self, k: u32, labels: I, q: VertexId) -> Option<Proof>
+    where
+        I: IntoIterator<Item: std::borrow::Borrow<LabelId>> + Clone,
+    {
         self.communities.read().ok()?.get(k, labels, q)
     }
 
     /// Records that `community` (sorted) is, at `k`, the connected
     /// k-core containing each of its members among the carriers of
-    /// `labels` (sorted), and that `closed` (sorted) is every label all
-    /// its members carry. Stored under both label sets.
+    /// `labels`, and that `closed` is every label all its members
+    /// carry. Stored under both label sets, each in any order.
     pub fn remember_community(
         &self,
         k: u32,
-        labels: &[LabelId],
-        closed: &[LabelId],
+        labels: impl IntoIterator<Item = LabelId>,
+        closed: impl IntoIterator<Item = LabelId>,
         community: &Arc<Vec<VertexId>>,
     ) {
         if let Ok(mut table) = self.communities.write() {

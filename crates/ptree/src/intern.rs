@@ -129,7 +129,7 @@ impl<'s> SubtreeInterner<'s> {
     }
 
     /// Iterates the positions of `id` in increasing order.
-    pub fn positions(&self, id: SubtreeId) -> impl Iterator<Item = u32> + '_ {
+    pub fn positions(&self, id: SubtreeId) -> impl Iterator<Item = u32> + Clone + '_ {
         self.words_of(id).iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {

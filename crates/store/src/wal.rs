@@ -670,7 +670,23 @@ impl Wal {
 mod tests {
     use super::*;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A scratch directory, removed when dropped.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TmpDir {
         let d = std::env::temp_dir().join(format!(
             "pcs-wal-{tag}-{}-{:?}",
             std::process::id(),
@@ -678,7 +694,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TmpDir(d)
     }
 
     #[test]
@@ -708,14 +724,14 @@ mod tests {
     fn append_reopen_replays() {
         let dir = tmpdir("reopen");
         {
-            let (wal, replay) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+            let (wal, replay) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
             assert!(replay.records.is_empty());
             for e in 1..=20u64 {
                 wal.append_durable(e, format!("payload-{e}").as_bytes()).unwrap();
             }
             assert_eq!(wal.durable_epoch(), 20);
         }
-        let (wal, replay) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+        let (wal, replay) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
         assert_eq!(replay.records.len(), 20);
         assert_eq!(replay.last_epoch(), Some(20));
         assert!(replay.torn.is_none());
@@ -727,7 +743,7 @@ mod tests {
     fn rotation_and_reclaim() {
         let dir = tmpdir("rotate");
         let opts = WalOptions { segment_bytes: 128 };
-        let (wal, _) = Wal::open(&dir, opts.clone(), 0).unwrap();
+        let (wal, _) = Wal::open(&*dir, opts.clone(), 0).unwrap();
         for e in 1..=40u64 {
             wal.append_durable(e, &[0u8; 32]).unwrap();
         }
@@ -756,7 +772,7 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let dir = tmpdir("torn");
         {
-            let (wal, _) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+            let (wal, _) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
             for e in 1..=5u64 {
                 wal.append_durable(e, b"good").unwrap();
             }
@@ -769,7 +785,7 @@ mod tests {
         let ro = scan(&dir, None, u64::MAX, u64::MAX).unwrap();
         assert_eq!(ro.records.len(), 4, "read-only scan stops before the torn frame");
         assert!(ro.torn.is_some());
-        let (wal, replay) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+        let (wal, replay) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
         assert_eq!(replay.records.len(), 4);
         wal.append_durable(5, b"replacement").unwrap();
         drop(wal);
@@ -783,7 +799,7 @@ mod tests {
     fn kill_points_fail_stop_and_recover() {
         for point in ["wal.append", "wal.torn_append", "wal.after_append", "wal.before_fsync"] {
             let dir = tmpdir(&format!("kill-{}", point.replace('.', "-")));
-            let (wal, _) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+            let (wal, _) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
             for e in 1..=3u64 {
                 wal.append_durable(e, b"pre").unwrap();
             }
@@ -797,7 +813,7 @@ mod tests {
             // Recovery: the durable prefix is intact; epoch 4 may or
             // may not have survived depending on where the crash hit,
             // but the log is always a clean prefix.
-            let (wal, replay) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+            let (wal, replay) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
             let n = replay.records.len();
             assert!((3..=4).contains(&n), "{point}: prefix of 3 or 4 records, got {n}");
             for (i, r) in replay.records.iter().enumerate() {
@@ -812,7 +828,7 @@ mod tests {
     fn oversized_length_field_is_rejected() {
         let dir = tmpdir("oversize");
         {
-            let (wal, _) = Wal::open(&dir, WalOptions::default(), 0).unwrap();
+            let (wal, _) = Wal::open(&*dir, WalOptions::default(), 0).unwrap();
             wal.append_durable(1, b"ok").unwrap();
         }
         // Forge a frame whose length field lies enormously.
